@@ -38,6 +38,10 @@ __all__ = [
 
 SIXTEEN_PI = 16.0 * math.pi
 
+# Absolute scale at which a comparison curve started on the hyperbolic
+# profile may exceed it before the excess counts as an integrator fault.
+_PROFILE_FAULT = 1e-6
+
 
 @dataclass(frozen=True)
 class FlowSample:
@@ -180,13 +184,20 @@ def comparison_ode(
     rel_tol : float
         Integration tolerance.  The default is tight because the result
         is compared against closed forms at absolute scale ~1e-6 while
-        B itself reaches ~1e4.
+        B itself reaches ~1e4.  For larger areas the tolerance passed to
+        the solver is tightened further, to 5e-7 / max(B0, A_H(v_end)),
+        so that the absolute error stays well below that scale.
 
     Raises
     ------
     ValueError
-        If the radicand goes negative (mass floor too large for the
-        current area); the failing v is reported.
+        If the radicand is negative at v0 (mass floor too large for B0);
+        v0 is reported.
+    NumericsError
+        If a sampled mass curve drives the radicand negative later on
+        (the step size underflows there, and that v is reported), or if
+        a curve started on the hyperbolic profile exceeds it by more
+        than 1e-6.
     """
     if not math.isfinite(B0) or B0 <= 0.0:
         raise ValueError(f"B0 must be finite and > 0, got {B0!r}")
@@ -211,16 +222,22 @@ def comparison_ode(
         def mu(v: float) -> float:
             return mass_floor
 
+    def radicand(v: float, B: float) -> float:
+        return SIXTEEN_PI + 4.0 * B - SIXTEEN_PI ** 1.5 * mu(v) / math.sqrt(B)
+
+    if radicand(v0, B0) < 0.0:
+        raise ValueError(
+            f"comparison ODE radicand negative at v = {v0:.6g}: "
+            f"mass floor too large for area {B0:.6g}"
+        )
+
     def rhs(v: float, B: float) -> float:
+        # A trial stage of a long step can land where the area or the
+        # radicand is negative; NaN makes the solver retry it shorter.
         if B <= 0.0:
-            raise NumericsError(f"area hit zero at v = {v!r}")
-        rad = SIXTEEN_PI + 4.0 * B - SIXTEEN_PI ** 1.5 * mu(v) / math.sqrt(B)
-        if rad < 0.0:
-            raise ValueError(
-                f"comparison ODE radicand negative at v = {v:.6g}: "
-                f"mass floor too large for area {B:.6g}"
-            )
-        return math.sqrt(rad) / math.sqrt(B)
+            return math.nan
+        rad = radicand(v, B)
+        return math.sqrt(rad) / math.sqrt(B) if rad >= 0.0 else math.nan
 
     if v0 > 0.0:
         grid = np.geomspace(v0, v_end, n_grid)
@@ -228,18 +245,20 @@ def comparison_ode(
         grid = np.linspace(v0, v_end, n_grid)
     grid[0], grid[-1] = v0, v_end
 
-    sol = solve_ode(rhs, B0, v0, v_end, rel_tol=rel_tol, x_eval=grid)
-    b_vals = sol.ys
     a_h = np.array([hyperbolic_profile(float(v)) if v > 0.0 else 0.0 for v in grid])
+    # The solver's global error is about 0.2 * tol * B, so this cap keeps it
+    # near 1e-7, 10x below the fault scale, however large B grows.
+    tol = min(rel_tol, 0.5 * _PROFILE_FAULT / max(B0, float(a_h[-1])))
+    b_vals = solve_ode(rhs, B0, v0, v_end, rel_tol=tol, x_eval=grid).ys
 
     curve = ComparisonCurve(
         v_grid=grid, B_values=b_vals, hyperbolic_values=a_h, mass_floor=mass_floor
     )
     # Under the profile at the start and a nonnegative floor, the curve
     # can never cross A_H; a crossing would be an integrator fault.
-    if mass_curve is None and B0 <= a_h[0] + 1e-6:
+    if mass_curve is None and B0 <= a_h[0] + _PROFILE_FAULT:
         excess = float(np.max(b_vals - a_h))
-        if excess > 1e-6:
+        if excess > _PROFILE_FAULT:
             raise NumericsError(
                 f"comparison curve exceeded the hyperbolic profile by {excess:.3e}"
             )

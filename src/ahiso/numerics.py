@@ -214,20 +214,41 @@ def integrate(
         evals += 30
 
 
-# Fehlberg 4(5) coefficients.  The fifth order solution is propagated and
-# the 4/5 difference drives step control, so observed global error shrinks
-# faster than the tolerance (roughly tol^{5/4} on smooth problems).
-_C = np.array([0.0, 0.25, 3.0 / 8.0, 12.0 / 13.0, 1.0, 0.5])
-_A = [
-    np.array([]),
-    np.array([0.25]),
-    np.array([3.0 / 32.0, 9.0 / 32.0]),
-    np.array([1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0]),
-    np.array([439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0]),
-    np.array([-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0]),
-]
-_B5 = np.array([16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0])
-_B4 = np.array([25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0])
+# Dormand-Prince 5(4) tableau (Dormand & Prince 1980).  The fifth-order
+# solution is propagated and its difference from the embedded fourth-order
+# one drives step control, so observed global error shrinks faster than
+# the tolerance (roughly tol^{5/4} on smooth problems).  The seventh stage
+# is evaluated at the step end with the propagated solution, so it is also
+# the first stage of the next step (FSAL: six RHS calls per attempted
+# step).  _D* are Shampine's coefficients for the fourth-order continuous
+# extension (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6) that
+# fills output points inside an accepted step.
+_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
+_A21 = 1.0 / 5.0
+_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
+_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+_A51, _A52, _A53, _A54 = (
+    19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0,
+)
+_A61, _A62, _A63, _A64, _A65 = (
+    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+    -5103.0 / 18656.0,
+)
+# Fifth-order weights; they are also the seventh stage's row.  B2 = 0.
+_B1, _B3, _B4, _B5, _B6 = (
+    35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0,
+)
+# Fifth- minus fourth-order weights: the error estimator.  E2 = 0.
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0,
+    22.0 / 525.0, -1.0 / 40.0,
+)
+_EPS = float(np.finfo(float).eps)
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075.0 / 11282082432.0, 87487479700.0 / 32700410799.0,
+    -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
+    -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0,
+)
 
 
 def solve_ode(
@@ -242,15 +263,21 @@ def solve_ode(
 ) -> OdeSolution:
     """Integrate the scalar IVP y' = rhs(x, y), y(x0) = y0, up to x1.
 
-    Uses an embedded Fehlberg 4(5) pair with proportional step control.
-    Steps are clamped so that every requested output abscissa is hit
-    exactly; no interpolation is performed.
+    Uses the Dormand-Prince 5(4) pair with FSAL and proportional step
+    control.  Step sizes are chosen by the error controller alone; only
+    the last step is shortened so that it ends on x1.  Output abscissae
+    that fall inside an accepted step are filled from that step's
+    fourth-order continuous extension, so a dense ``x_eval`` costs no
+    extra steps or RHS calls.  A point on a step end takes the step's
+    value exactly.  ``rhs`` may return NaN where it is undefined; a step
+    with such a stage is rejected and retried 5x shorter.
 
     Parameters
     ----------
     x_eval : sequence of float, optional
         Strictly increasing abscissae in [x0, x1] at which the solution is
-        recorded.  When omitted every accepted step is recorded.
+        recorded; the returned ``xs`` equals them bit for bit.  When
+        omitted every accepted step is recorded.
 
     Raises
     ------
@@ -264,73 +291,105 @@ def solve_ode(
     if rel_tol <= 0.0 or abs_tol < 0.0:
         raise ValueError("tolerances must be positive")
     if x_eval is not None:
-        xe = np.asarray(x_eval, dtype=float)
+        xe = np.array(x_eval, dtype=float)
         if xe.ndim != 1 or xe.size == 0:
             raise ValueError("x_eval must be a nonempty 1-d sequence")
         if np.any(np.diff(xe) <= 0.0):
             raise ValueError("x_eval must be strictly increasing")
         if xe[0] < x0 or xe[-1] > x1:
             raise ValueError("x_eval must lie within [x0, x1]")
+        ye = np.empty_like(xe)
+        eval_idx = 0
+        if xe[0] == x0:
+            ye[0] = y0
+            eval_idx = 1
+        next_x = float(xe[eval_idx]) if eval_idx < xe.size else math.inf
     else:
         xe = None
+        out_x: list[float] = [x0]
+        out_y: list[float] = [float(y0)]
 
     span = x1 - x0
     x = x0
     y = float(y0)
-    out_x: list[float] = []
-    out_y: list[float] = []
-    eval_idx = 0
-    if xe is not None and xe[0] == x0:
-        out_x.append(x0)
-        out_y.append(y)
-        eval_idx = 1
-    elif xe is None:
-        out_x.append(x0)
-        out_y.append(y)
-
     h = span / 100.0
     n_steps = 0
     n_rejected = 0
-    n_rhs = 0
-    k = np.empty(6)
+    k1 = float(rhs(x, y))
+    n_rhs = 1
     while x < x1:
-        target = x1
-        if xe is not None and eval_idx < xe.size:
-            target = min(target, float(xe[eval_idx]))
-        h = min(h, target - x)
+        if h >= x1 - x:
+            h = x1 - x
+            x_new = x1
+        else:
+            x_new = x + h
         if h <= 1e-14 * max(1.0, abs(x)):
             raise NumericsError(f"step size underflow at x={x!r}")
-        for i in range(6):
-            yi = y + h * float(_A[i] @ k[:i]) if i else y
-            k[i] = rhs(x + _C[i] * h, yi)
+        k2 = float(rhs(x + _C2 * h, y + h * _A21 * k1))
+        k3 = float(rhs(x + _C3 * h, y + h * (_A31 * k1 + _A32 * k2)))
+        k4 = float(rhs(x + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)))
+        k5 = float(rhs(
+            x + _C5 * h,
+            y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
+        ))
+        k6 = float(rhs(
+            x_new,
+            y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
+        ))
+        y5 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        k7 = float(rhs(x_new, y5))
         n_rhs += 6
-        y5 = y + h * float(_B5 @ k)
-        y4 = y + h * float(_B4 @ k)
-        err = abs(y5 - y4)
+        terms = (_E1 * k1, _E3 * k3, _E4 * k4, _E5 * k5, _E6 * k6, _E7 * k7)
+        err = abs(h * math.fsum(terms))
+        # An estimate within the rounding noise of the stages it combines
+        # (a few ulps of each term) says nothing about the step, so it
+        # counts as zero.  Otherwise a budget scaled by h / span can sit
+        # below that noise at every h and drive the step to underflow.
+        if err <= 4.0 * _EPS * h * math.fsum(map(abs, terms)):
+            err = 0.0
+        elif math.isnan(err):
+            # A stage left the domain of rhs, which signals that by
+            # returning NaN: reject the step and retry it 5x shorter.
+            err = math.inf
         # Error budget per unit step; the global error then tracks rel_tol.
         scale = rel_tol * max(abs(y), abs(y5)) + abs_tol
         budget = scale * (h / span)
-        if err <= budget or h <= 16.0 * np.finfo(float).eps * max(1.0, abs(x)):
-            x = x + h
-            y = y5
+        if err <= budget or h <= 16.0 * _EPS * max(1.0, abs(x)):
             n_steps += 1
-            if xe is not None:
-                if eval_idx < xe.size and x >= float(xe[eval_idx]):
-                    out_x.append(float(xe[eval_idx]))
-                    out_y.append(y)
-                    eval_idx += 1
-            else:
-                out_x.append(x)
-                out_y.append(y)
+            if xe is None:
+                out_x.append(x_new)
+                out_y.append(y5)
+            elif next_x <= x_new:
+                # Continuous extension y + sum_j q_j theta^j, by Horner.
+                r2 = y5 - y
+                r3 = h * k1 - r2
+                r4 = r2 - h * k7 - r3
+                r5 = h * (
+                    _D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6
+                    + _D7 * k7
+                )
+                q1, q2, q3 = r2 + r3, r4 + r5 - r3, -r4 - 2.0 * r5
+                stop = int(np.searchsorted(xe, x_new, side="right"))
+                th = (xe[eval_idx:stop] - x) / h
+                ye[eval_idx:stop] = y + th * (q1 + th * (q2 + th * (q3 + th * r5)))
+                if xe[stop - 1] == x_new:
+                    ye[stop - 1] = y5
+                eval_idx = stop
+                next_x = float(xe[stop]) if stop < xe.size else math.inf
+            x = x_new
+            y = y5
+            k1 = k7
         else:
             n_rejected += 1
         if n_steps + n_rejected > max_steps:
             raise NumericsError("step budget exhausted")
         ratio = budget / err if err > 0.0 else 10.0
         h = h * min(5.0, max(0.2, 0.9 * ratio ** 0.2))
+    if xe is None:
+        xe, ye = np.array(out_x), np.array(out_y)
     return OdeSolution(
-        xs=np.array(out_x),
-        ys=np.array(out_y),
+        xs=xe,
+        ys=ye,
         n_steps=n_steps,
         n_rejected=n_rejected,
         rhs_evaluations=n_rhs,
@@ -360,7 +419,9 @@ def find_root(
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    # Signs are compared directly: a product of two tiny values underflows
+    # to zero and would hide a same-sign bracket.
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
         raise NumericsError(
             f"no sign change on [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}"
         )
@@ -374,7 +435,7 @@ def find_root(
         fm = float(fn(m))
         if fm == 0.0:
             return m
-        if fa * fm < 0.0:
+        if (fm < 0.0) != (fa < 0.0):
             b, fb = m, fm
         else:
             a, fa = m, fm

@@ -13,6 +13,7 @@ from ahiso.imcf import (
     lipschitz_check,
     t_of_v,
 )
+from ahiso.numerics import NumericsError, solve_ode
 from ahiso.profiles import hyperbolic_profile, model_volume
 
 
@@ -73,6 +74,24 @@ class TestFlow:
         with pytest.raises(ValueError):
             flow_spheres(ads_one, 2.0, 1.0, 2.0)
 
+    def test_step_count_independent_of_sampling(self, ads_one, monkeypatch):
+        # The sampling interval sets output points, not steps: the solver
+        # fills samples from its continuous extension.
+        solutions = []
+
+        def recording_solve_ode(*args, **kwargs):
+            sol = solve_ode(*args, **kwargs)
+            solutions.append(sol)
+            return sol
+
+        monkeypatch.setattr("ahiso.imcf.solve_ode", recording_solve_ode)
+        flow_spheres(ads_one, 2.0, 10.0, 1e-3)
+        flow_spheres(ads_one, 2.0, 10.0, 1e-2)
+        fine, coarse = solutions
+        assert fine.xs.size == 10_001 and coarse.xs.size == 1_001
+        assert fine.n_steps == coarse.n_steps
+        assert fine.n_steps < 1_000
+
 
 class TestTimeOfVolume:
     def test_round_trips_through_samples(self, ads_one):
@@ -127,11 +146,33 @@ class TestComparisonOde:
         assert float(np.max(rel)) <= 1e-6
         assert np.all(curve.B_values <= curve.hyperbolic_values + 1e-6)
 
+    @pytest.mark.parametrize("v_end", [3e5, 1e6, 1e7])
+    def test_zero_floor_tracks_profile_at_large_volume(self, v_end):
+        # B reaches ~2 v_end, so a purely relative tolerance would let the
+        # absolute error outgrow the 1e-6 fault check.
+        curve = comparison_ode(hyperbolic_profile(1.0), 0.0, 1.0, v_end)
+        excess = curve.B_values - curve.hyperbolic_values
+        assert float(np.max(np.abs(excess))) <= 2e-7
+
     def test_positive_floor_stays_strictly_below(self):
         v0 = 5.0
         curve = comparison_ode(hyperbolic_profile(v0), 1.0, v0, 1e4)
         assert curve.B_values[0] == hyperbolic_profile(v0)
         assert np.all(curve.B_values[1:] < curve.hyperbolic_values[1:])
+
+    @pytest.mark.parametrize("v_end", [1e5, 1e7])
+    def test_floor_near_its_limit_over_long_span(self, v_end):
+        # The floor is close to the largest A_H(5) allows, so trial stages
+        # of the long first steps land outside the radicand's domain.
+        curve = comparison_ode(hyperbolic_profile(5.0), 1.0, 5.0, v_end)
+        assert np.all(curve.B_values[1:] < curve.hyperbolic_values[1:])
+
+    def test_rising_mass_curve_fails_where_radicand_turns_negative(self):
+        vs, ms = np.array([0.0, 100.0, 1e4]), np.array([0.0, 0.0, 1e6])
+        with pytest.raises(NumericsError, match=r"x=100\."):
+            comparison_ode(
+                hyperbolic_profile(5.0), 0.0, 5.0, 1e4, mass_curve=(vs, ms)
+            )
 
     def test_cubed_area_gap_is_monotone(self):
         # omega = B^{3/2} - A_H^{3/2} cannot increase once a positive

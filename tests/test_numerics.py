@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ahiso.numerics import NumericsError, QuadResult, find_root, integrate, solve_ode
@@ -159,6 +159,60 @@ def test_solve_ode_halving_tolerance_halves_error():
             assert e2 <= 0.5 * e1 or e2 <= 5e-15 * truth
 
 
+def test_solve_ode_dense_output_costs_no_extra_steps():
+    # Output points are filled from each step's continuous extension, so
+    # the step sequence is the same however many points are requested.
+    sparse = solve_ode(
+        lambda x, y: y, 1.0, 0.0, 1.0, rel_tol=1e-10,
+        x_eval=np.array([0.0, 0.5, 1.0]),
+    )
+    xs = np.linspace(0.0, 1.0, 10_001)
+    dense = solve_ode(lambda x, y: y, 1.0, 0.0, 1.0, rel_tol=1e-10, x_eval=xs)
+    assert dense.n_steps == sparse.n_steps
+    assert dense.n_rejected == sparse.n_rejected
+    assert dense.rhs_evaluations == sparse.rhs_evaluations
+    assert np.array_equal(dense.xs, xs)
+    assert np.max(np.abs(dense.ys - np.exp(xs))) <= 1e-9
+
+
+def test_solve_ode_fsal_rhs_accounting():
+    # One start-up call, then six per attempted step: the last stage of an
+    # accepted step is reused as the first stage of the next.
+    def rhs(x, y):
+        return math.cos(x) * y
+
+    for x_eval in (None, np.linspace(0.0, 6.0, 7)):
+        sol = solve_ode(rhs, 1.0, 0.0, 6.0, rel_tol=1e-9, x_eval=x_eval)
+        assert sol.rhs_evaluations == 1 + 6 * (sol.n_steps + sol.n_rejected)
+
+
+def test_solve_ode_long_span_tight_tolerance():
+    # A_H along the volume axis, dA/dv = 2 coth(rho), over v spanning 1e7.
+    # Near the start the per-unit-step budget rel_tol * |y| * h / span sits
+    # below the rounding noise of the error estimate at every h; the step
+    # must still advance instead of shrinking to underflow.
+    def rhs(v, y):
+        return math.sqrt(16.0 * math.pi + 4.0 * y) / math.sqrt(y)
+
+    y0 = 4.0 * math.pi * math.sinh(1.0) ** 2
+    truth = 4.0 * math.pi * math.sinh(8.0) ** 2
+    v0, v1 = _hyperbolic_ball_volume(1.0), _hyperbolic_ball_volume(8.0)
+    sol = solve_ode(rhs, y0, v0, v1, rel_tol=1e-11)
+    assert abs(sol.ys[-1] - truth) <= 1e-10 * truth
+
+
+def test_solve_ode_nan_stage_is_retried_shorter():
+    # y' = -50 y with NaN below zero: once |y| sits at abs_tol the step
+    # grows until trial stages overshoot zero.  Those steps must be
+    # rejected and shortened, not grown until the step budget runs out.
+    def rhs(x, y):
+        return math.nan if y < 0.0 else -50.0 * y
+
+    sol = solve_ode(rhs, 1.0, 0.0, 1.0, rel_tol=1e-9, abs_tol=1e-12)
+    assert sol.n_rejected > 0
+    assert abs(sol.ys[-1] - math.exp(-50.0)) <= 1e-12
+
+
 def test_solve_ode_step_underflow_raises():
     def rhs(x, y):
         if x > 0.5:
@@ -198,8 +252,15 @@ def test_find_root_no_sign_change_raises():
         find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
+def test_find_root_tiny_same_sign_bracket_raises():
+    # f(lo) * f(hi) underflows to 0 here; the bracket still has no root.
+    with pytest.raises(NumericsError):
+        find_root(lambda x: 1e-200, 0.0, 1.0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(r=st.floats(-1.5, 1.5))
+@example(r=5e-324)
 def test_find_root_monotone_cubic_recovers_root(r):
     target = r**3 + r
     root = find_root(lambda x: x**3 + x - target, -2.0, 2.0, tol=1e-13)
