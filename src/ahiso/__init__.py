@@ -45,7 +45,6 @@ from .spheres import (
     SphereGeometry,
     gauss_bonnet_total,
     hawking_mass,
-    hawking_mass_by_quadrature,
     jacobi_spectrum,
     sphere_data,
     sphere_data_from_profile,
@@ -74,7 +73,6 @@ __all__ = [
     "gap_table",
     "gauss_bonnet_total",
     "hawking_mass",
-    "hawking_mass_by_quadrature",
     "hyperbolic_profile",
     "hyperbolic_volume",
     "integrate",

@@ -154,8 +154,8 @@ def _ode_tol(args, default: float = 1e-9) -> float:
 # Subcommands
 
 
-def _cmd_spheres(args) -> int:
-    metric, model, digest = _require_model(args)
+def _s_grid(args, metric: RadialMetric) -> tuple[float, np.ndarray]:
+    """Resolved --s-min and the geometric radius grid of --n points."""
     s_min = metric.core_radius + 0.1 if args.s_min is None else args.s_min
     if not (s_min > metric.core_radius):
         raise ValueError(
@@ -165,8 +165,13 @@ def _cmd_spheres(args) -> int:
         raise ValueError("--s-max must exceed --s-min")
     if args.n < 1:
         raise ValueError("--n must be positive")
+    return s_min, np.geomspace(s_min, args.s_max, args.n)
+
+
+def _cmd_spheres(args) -> int:
+    metric, model, digest = _require_model(args)
+    s_min, grid = _s_grid(args, metric)
     qt = _quad_tol(args, 1e-13)
-    grid = np.geomspace(s_min, args.s_max, args.n)
     rows = []
     for s in grid:
         s = float(s)
@@ -316,16 +321,7 @@ def _cmd_renorm_vol(args) -> int:
 
 def _cmd_stability(args) -> int:
     metric, model, digest = _require_model(args)
-    s_min = metric.core_radius + 0.1 if args.s_min is None else args.s_min
-    if not (s_min > metric.core_radius):
-        raise ValueError(
-            f"--s-min must exceed the core radius {metric.core_radius!r}"
-        )
-    if not (args.s_max > s_min):
-        raise ValueError("--s-max must exceed --s-min")
-    if args.n < 1:
-        raise ValueError("--n must be positive")
-    grid = np.geomspace(s_min, args.s_max, args.n)
+    s_min, grid = _s_grid(args, metric)
     rows = []
     for s in grid:
         s = float(s)
@@ -423,39 +419,96 @@ def _criterion(measured, tolerance, ok: bool | None) -> dict:
     }
 
 
-def _summarize_hawking(runs) -> dict:
-    worst = None
-    for manifest, data in runs.get("spheres", []):
-        model = _model_of(manifest)
-        if model is None or "hawking_mass" not in data:
-            continue
-        dev = float(np.max(np.abs(data["hawking_mass"] - model["mass"])))
-        worst = dev if worst is None else max(worst, dev)
-    return _criterion(worst, 1e-9, None if worst is None else worst <= 1e-9)
+def _bounded(runs, subcommand: str, bounds: dict, measure) -> dict:
+    """Worst value of each measure over the runs, against its bound.
+
+    ``measure`` maps one run of ``subcommand`` (manifest, data) to
+    {name: value}, or to None when the run does not apply.  Every bound
+    is a ceiling except that of ``lambda_min``, which is a floor.  A
+    criterion with a single measure reports it and its bound as bare
+    numbers.
+    """
+    worst = {}
+    for manifest, data in runs.get(subcommand, []):
+        for name, val in (measure(manifest, data) or {}).items():
+            pick = min if name == "lambda_min" else max
+            worst[name] = pick(worst.get(name, val), val)
+    ok = all(
+        v >= bounds[k] if k == "lambda_min" else v <= bounds[k]
+        for k, v in worst.items()
+    )
+    if len(bounds) == 1:
+        (name, bound), = bounds.items()
+        return _criterion(worst.get(name), bound, ok if worst else None)
+    return _criterion(worst, bounds, ok if worst else None)
 
 
-def _summarize_scalar(runs) -> dict:
-    worst = None
-    for _, data in runs.get("spheres", []):
-        if "R" not in data:
-            continue
-        dev = float(np.max(np.abs(data["R"] + 6.0)))
-        worst = dev if worst is None else max(worst, dev)
-    return _criterion(worst, 1e-9, None if worst is None else worst <= 1e-9)
+def _hawking_dev(manifest, data):
+    model = _model_of(manifest)
+    if model is None or "hawking_mass" not in data:
+        return None
+    return {"dev": float(np.max(np.abs(data["hawking_mass"] - model["mass"])))}
 
 
-def _summarize_profile_ode(runs) -> dict:
-    worst = None
-    for manifest, data in runs.get("compare-ode", []):
-        if manifest.get("parameters", {}).get("mass_floor") != 0.0:
-            continue
-        mask = data["A_H"] > 0.0
-        if not np.any(mask):
-            continue
-        rel = np.abs(data["B"][mask] - data["A_H"][mask]) / data["A_H"][mask]
-        dev = float(np.max(rel))
-        worst = dev if worst is None else max(worst, dev)
-    return _criterion(worst, 1e-6, None if worst is None else worst <= 1e-6)
+def _scalar_dev(manifest, data):
+    if "R" not in data:
+        return None
+    return {"dev": float(np.max(np.abs(data["R"] + 6.0)))}
+
+
+def _profile_ode_dev(manifest, data):
+    if manifest.get("parameters", {}).get("mass_floor") != 0.0:
+        return None
+    mask = data["A_H"] > 0.0
+    if not np.any(mask):
+        return None
+    a_h = data["A_H"][mask]
+    return {"dev": float(np.max(np.abs(data["B"][mask] - a_h) / a_h))}
+
+
+def _gauss_bonnet_dev(manifest, data):
+    if "K" not in data or "area" not in data:
+        return None
+    return {"dev": float(np.max(np.abs(data["area"] * data["K"] - 4.0 * math.pi)))}
+
+
+def _flow_measures(manifest, data):
+    model = _model_of(manifest)
+    if model is None or "area" not in data:
+        return None
+    t, area = data["t"], data["area"]
+    pred = area[0] * np.exp(t - t[0])
+    flow = [
+        FlowSample(
+            t=float(t[i]),
+            s=float(data["s"][i]),
+            area=float(area[i]),
+            enclosed_volume=float(data["volume"][i]),
+            hawking=float(data["hawking"][i]),
+        )
+        for i in range(t.size)
+    ]
+    return {
+        "area_law": float(np.max(np.abs(area - pred) / pred)),
+        "mass_decrease": float(max(0.0, np.max(-np.diff(data["hawking"])))),
+        "time_bound_excess": lipschitz_check(_metric_from_model_dict(model), flow),
+    }
+
+
+def _stability_measures(manifest, data):
+    model = _model_of(manifest)
+    if model is None or "stability_total" not in data:
+        return None
+    tot = data["stability_total"]
+    if model["mass"] == 0.0 and not model.get("coeffs"):
+        return {
+            "hyperbolic_total_dev": float(np.max(np.abs(tot - EIGHT_PI))),
+            "hyperbolic_lambda1_dev": float(np.max(np.abs(data["lambda_1"]))),
+        }
+    return {
+        "genus_bound_excess": float(np.max(tot - TWELVE_PI)),
+        "lambda_min": float(np.min(np.minimum(data["lambda_1"], data["lambda_2"]))),
+    }
 
 
 def _summarize_comparison(runs) -> dict:
@@ -516,94 +569,6 @@ def _summarize_expansion(runs) -> dict:
     return _criterion(measured, tol, measured <= tol)
 
 
-def _summarize_flow(runs) -> dict:
-    measured = {}
-    ok = True
-    found = False
-    for manifest, data in runs.get("imcf", []):
-        model = _model_of(manifest)
-        if model is None or "area" not in data:
-            continue
-        found = True
-        t, area = data["t"], data["area"]
-        pred = area[0] * np.exp(t - t[0])
-        area_dev = float(np.max(np.abs(area - pred) / pred))
-        mass_drop = float(max(0.0, np.max(-np.diff(data["hawking"]))))
-        metric = _metric_from_model_dict(model)
-        flow = [
-            FlowSample(
-                t=float(t[i]),
-                s=float(data["s"][i]),
-                area=float(area[i]),
-                enclosed_volume=float(data["volume"][i]),
-                hawking=float(data["hawking"][i]),
-            )
-            for i in range(t.size)
-        ]
-        excess = lipschitz_check(metric, flow)
-        measured = {
-            "area_law": max(measured.get("area_law", 0.0), area_dev),
-            "mass_decrease": max(measured.get("mass_decrease", 0.0), mass_drop),
-            "time_bound_excess": max(
-                measured.get("time_bound_excess", -math.inf), excess
-            ),
-        }
-        ok = ok and area_dev <= 1e-7 and mass_drop <= 1e-9 and excess <= 1e-6
-    tol = {"area_law": 1e-7, "mass_decrease": 1e-9, "time_bound_excess": 1e-6}
-    return _criterion(measured or None, tol, ok if found else None)
-
-
-def _summarize_stability(runs) -> dict:
-    measured = {}
-    ok = True
-    found = False
-    for manifest, data in runs.get("stability", []):
-        model = _model_of(manifest)
-        if model is None or "stability_total" not in data:
-            continue
-        found = True
-        tot = data["stability_total"]
-        if model["mass"] == 0.0 and not model.get("coeffs"):
-            dev = float(np.max(np.abs(tot - EIGHT_PI)))
-            lam1 = float(np.max(np.abs(data["lambda_1"])))
-            measured["hyperbolic_total_dev"] = max(
-                measured.get("hyperbolic_total_dev", 0.0), dev
-            )
-            measured["hyperbolic_lambda1_dev"] = max(
-                measured.get("hyperbolic_lambda1_dev", 0.0), lam1
-            )
-            ok = ok and dev <= 1e-8 and lam1 <= 1e-9
-        else:
-            over = float(np.max(tot - TWELVE_PI))
-            lam_min = float(
-                np.min(np.minimum(data["lambda_1"], data["lambda_2"]))
-            )
-            measured["genus_bound_excess"] = max(
-                measured.get("genus_bound_excess", -math.inf), over
-            )
-            measured["lambda_min"] = min(
-                measured.get("lambda_min", math.inf), lam_min
-            )
-            ok = ok and over <= 1e-6 and lam_min >= -1e-10
-    tol = {
-        "hyperbolic_total_dev": 1e-8,
-        "hyperbolic_lambda1_dev": 1e-9,
-        "genus_bound_excess": 1e-6,
-        "lambda_min": -1e-10,
-    }
-    return _criterion(measured or None, tol, ok if found else None)
-
-
-def _summarize_gauss_bonnet(runs) -> dict:
-    worst = None
-    for _, data in runs.get("spheres", []):
-        if "K" not in data or "area" not in data:
-            continue
-        dev = float(np.max(np.abs(data["area"] * data["K"] - 4.0 * math.pi)))
-        worst = dev if worst is None else max(worst, dev)
-    return _criterion(worst, 1e-12, None if worst is None else worst <= 1e-12)
-
-
 def _summarize_renorm(runs) -> dict:
     by_mass = {}
     hyper_dev = None
@@ -639,16 +604,31 @@ def emit_summary(results_dir: str) -> dict:
     and pass/fail; criteria without matching runs are marked missing.
     """
     runs = _runs_by_subcommand(results_dir)
+    stability_bounds = {
+        "hyperbolic_total_dev": 1e-8,
+        "hyperbolic_lambda1_dev": 1e-9,
+        "genus_bound_excess": 1e-6,
+        "lambda_min": -1e-10,
+    }
     criteria = {
-        "hawking_identity": _summarize_hawking(runs),
-        "scalar_floor": _summarize_scalar(runs),
-        "profile_ode_match": _summarize_profile_ode(runs),
+        "hawking_identity": _bounded(runs, "spheres", {"dev": 1e-9}, _hawking_dev),
+        "scalar_floor": _bounded(runs, "spheres", {"dev": 1e-9}, _scalar_dev),
+        "profile_ode_match": _bounded(
+            runs, "compare-ode", {"dev": 1e-6}, _profile_ode_dev
+        ),
         "area_comparison": _summarize_comparison(runs),
         "gap_volume_limit": _summarize_gap_limit(runs),
         "expansion_coefficient": _summarize_expansion(runs),
-        "flow_laws": _summarize_flow(runs),
-        "stability_bounds": _summarize_stability(runs),
-        "gauss_bonnet": _summarize_gauss_bonnet(runs),
+        "flow_laws": _bounded(
+            runs,
+            "imcf",
+            {"area_law": 1e-7, "mass_decrease": 1e-9, "time_bound_excess": 1e-6},
+            _flow_measures,
+        ),
+        "stability_bounds": _bounded(
+            runs, "stability", stability_bounds, _stability_measures
+        ),
+        "gauss_bonnet": _bounded(runs, "spheres", {"dev": 1e-12}, _gauss_bonnet_dev),
         "renorm_volume_sign": _summarize_renorm(runs),
     }
     verdicts = {name: c["status"] for name, c in criteria.items()}

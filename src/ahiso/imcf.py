@@ -107,12 +107,8 @@ def flow_spheres(
 
     sol = solve_ode(rhs, s0, 0.0, float(ts[-1]), rel_tol=ode_tol, x_eval=ts)
     radii = sol.ys
-    v0 = model_volume(metric, s0, quad_tol)
-    if radii.size >= 2:
-        increments, _ = cumulative_volume_over_grid(metric, radii, quad_tol)
-    else:
-        increments = np.zeros(1)
-    volumes = v0 + increments
+    increments, _ = cumulative_volume_over_grid(metric, radii, quad_tol)
+    volumes = model_volume(metric, s0, quad_tol) + increments
     areas = 4.0 * math.pi * radii * radii
     hawking = -0.5 * radii * metric.deficit(radii)
     return [

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import RadialMetric, coordinate_gap, s_from_rho, validate_ah
-from .numerics import NumericsError, QuadResult, find_root, integrate
-from . import numerics as _nk
+from .numerics import NumericsError, QuadResult, find_root, gk15_panels, integrate
 
 __all__ = [
     "ProfileSample",
@@ -127,16 +126,24 @@ def _volume_integrand(metric: RadialMetric):
     return fn
 
 
-def _volume_integrand_w(metric: RadialMetric):
-    """Integrand after s = core + w^2; regular at the core for mass > 0."""
+def _volume_segment(
+    metric: RadialMetric, s0: float, s1: float, tol: float
+) -> QuadResult:
+    """Volume between the spheres at radii s0 <= s1, with its error bound.
+
+    A segment that starts on a positive core radius is integrated in w
+    with s = core + w^2, which removes the f^{-1/2} spike there.
+    """
     core = metric.core_radius
+    if s0 == core and core > 0.0:
 
-    def fn(w):
-        w = np.asarray(w, dtype=float)
-        b = core + w * w
-        return 8.0 * math.pi * b * b / np.sqrt(metric.core_quotient(w * w))
+        def fn(w):
+            w = np.asarray(w, dtype=float)
+            b = core + w * w
+            return 8.0 * math.pi * b * b / np.sqrt(metric.core_quotient(w * w))
 
-    return fn
+        return integrate(fn, 0.0, math.sqrt(s1 - core), abs_tol=tol)
+    return integrate(_volume_integrand(metric), s0, s1, abs_tol=tol)
 
 
 def model_volume_quad(
@@ -146,12 +153,7 @@ def model_volume_quad(
     core = metric.core_radius
     if not math.isfinite(s) or s < core:
         raise ValueError(f"s must lie in [{core!r}, inf), got {s!r}")
-    if s == core:
-        return QuadResult(0.0, 0.0, 0)
-    if core > 0.0:
-        w_hi = math.sqrt(s - core)
-        return integrate(_volume_integrand_w(metric), 0.0, w_hi, abs_tol=quad_tol)
-    return integrate(_volume_integrand(metric), 0.0, s, abs_tol=quad_tol)
+    return _volume_segment(metric, core, s, quad_tol)
 
 
 def model_volume(metric: RadialMetric, s: float, quad_tol: float = 1e-10) -> float:
@@ -175,39 +177,19 @@ class _VolumeCache:
         self.quad_tol = quad_tol
         self._s = [metric.core_radius]
         self._v = [0.0]
-        self._err = [0.0]
-        self.evaluations = 0
 
     def volume(self, s: float) -> float:
-        metric = self.metric
-        core = metric.core_radius
+        core = self.metric.core_radius
         if s < core:
             raise ValueError(f"s must lie in [{core!r}, inf), got {s!r}")
         i = bisect.bisect_right(self._s, s) - 1
-        s0, v0, e0 = self._s[i], self._v[i], self._err[i]
-        if s == s0:
-            return v0
-        if s0 == core and core > 0.0:
-            res = integrate(
-                _volume_integrand_w(metric),
-                0.0,
-                math.sqrt(s - core),
-                abs_tol=self.quad_tol,
-            )
-        else:
-            res = integrate(_volume_integrand(metric), s0, s, abs_tol=self.quad_tol)
-        self.evaluations += res.evaluations
-        v = v0 + res.value
-        err = e0 + res.error_bound
-        j = bisect.bisect_left(self._s, s)
-        self._s.insert(j, s)
-        self._v.insert(j, v)
-        self._err.insert(j, err)
+        if s == self._s[i]:
+            return self._v[i]
+        seg = _volume_segment(self.metric, self._s[i], s, self.quad_tol)
+        v = self._v[i] + seg.value
+        self._s.insert(i + 1, s)
+        self._v.insert(i + 1, v)
         return v
-
-    def error_at(self, s: float) -> float:
-        i = bisect.bisect_right(self._s, s) - 1
-        return self._err[i]
 
 
 def model_radius_for_volume(
@@ -455,8 +437,8 @@ def cumulative_volume_over_grid(
 
     Returns cumulative volumes relative to s_grid[0] and a total error
     bound.  Each consecutive interval gets one Gauss-Kronrod panel,
-    evaluated for the whole grid in a few vectorized sweeps; intervals
-    whose embedded error estimate is too large fall back to adaptive
+    evaluated for the whole grid in one vectorized sweep; intervals
+    whose error estimate is too large fall back to adaptive
     integration individually.  Interval count ~1e4 stays well under a
     second this way, where a per-interval adaptive call would not.
     """
@@ -467,31 +449,12 @@ def cumulative_volume_over_grid(
         raise ValueError("s_grid must be strictly increasing")
     if s[0] <= metric.core_radius:
         raise ValueError("s_grid must start above the core radius")
-    a = s[:-1]
-    b = s[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    nodes = mid[:, None] + half[:, None] * _nk._NODES[None, :]
-    flat = nodes.reshape(-1)
-    vals = (FOUR_PI * flat * flat / np.sqrt(metric.f(flat))).reshape(nodes.shape)
-    resk = half * (vals @ _nk._WKF)
-    resg = half * (vals @ _nk._WGF)
-    err = np.abs(resk - resg)
-    # Same rescaling as the scalar kernel, row-wise.
-    resasc = np.abs(half) * (np.abs(vals - (resk / (b - a))[:, None]) @ _nk._WKF)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc > 0) & (err > 0), scaled, err)
-    # Error floor per panel is ~50 eps * |integral|; the tolerance must sit
+    vals, err = gk15_panels(_volume_integrand(metric), s)
+    # Error floor per panel is 50 eps * |integral|; the tolerance must sit
     # above it or every smooth panel would take the slow path.
-    tol_vec = np.maximum(quad_tol / s.size, 2e-14 * np.abs(resk))
-    bad = np.flatnonzero(err > tol_vec)
-    for i in bad:
-        res = integrate(
-            _volume_integrand(metric), float(a[i]), float(b[i]),
-            abs_tol=float(tol_vec[i]),
-        )
-        resk[i] = res.value
-        err[i] = res.error_bound
-    out = np.concatenate([[0.0], np.cumsum(resk)])
+    tol_vec = np.maximum(quad_tol / s.size, 2e-14 * np.abs(vals))
+    for i in np.flatnonzero(err > tol_vec):
+        res = _volume_segment(metric, float(s[i]), float(s[i + 1]), float(tol_vec[i]))
+        vals[i], err[i] = res.value, res.error_bound
+    out = np.concatenate([[0.0], np.cumsum(vals)])
     return out, float(np.sum(err))

@@ -18,17 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .models import RadialMetric
-from .numerics import integrate
 
 __all__ = [
     "SphereGeometry",
     "sphere_data",
     "sphere_data_from_profile",
     "hawking_mass",
-    "hawking_mass_by_quadrature",
     "stability_total",
     "jacobi_spectrum",
     "gauss_bonnet_total",
@@ -126,27 +122,6 @@ def hawking_mass(geom: SphereGeometry) -> float:
     return (math.sqrt(geom.area) / SIXTEEN_PI ** 1.5) * (
         SIXTEEN_PI - geom.area * (geom.mean_curvature ** 2 - 4.0)
     )
-
-
-def hawking_mass_by_quadrature(
-    metric: RadialMetric, s: float, quad_tol: float = 1e-10
-) -> float:
-    """Hawking mass with the surface integral done by quadrature.
-
-    The integrand of int_Sigma (H^2 - 4) dmu is constant on coordinate
-    spheres, so this route only exercises the quadrature and the area
-    measure; it exists as an independent consistency check for perturbed
-    models, not as the production path.
-    """
-    geom = sphere_data(metric, s)
-    h2m4 = geom.mean_curvature ** 2 - 4.0
-
-    def integrand(theta):
-        theta = np.asarray(theta, dtype=float)
-        return h2m4 * 2.0 * math.pi * s * s * np.sin(theta)
-
-    total = integrate(integrand, 0.0, math.pi, abs_tol=quad_tol)
-    return (math.sqrt(geom.area) / SIXTEEN_PI ** 1.5) * (SIXTEEN_PI - total.value)
 
 
 def _stability_density(metric: RadialMetric, s: float) -> float:

@@ -202,6 +202,20 @@ class TestErrorPaths:
     def test_grid_below_core(self, ads_model):
         assert run(["spheres", "--model", ads_model, "--s-min", "0.5"]) == 1
 
+    @pytest.mark.parametrize("subcommand", ["spheres", "stability"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--s-min", "1.0"], "--s-min must exceed the core radius"),
+            (["--s-min", "3", "--s-max", "2"], "--s-max must exceed --s-min"),
+            (["--s-min", "3", "--s-max", "3"], "--s-max must exceed --s-min"),
+            (["--n", "0"], "--n must be positive"),
+        ],
+    )
+    def test_bad_radius_grid(self, capsys, ads_model, subcommand, flags, message):
+        assert run([subcommand, "--model", ads_model] + flags) == 1
+        assert message in capsys.readouterr().err
+
     def test_infeasible_mass_floor(self, capsys):
         b0 = hyperbolic_profile(1.0)
         rc = run(

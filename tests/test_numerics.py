@@ -12,7 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ahiso.numerics import NumericsError, QuadResult, find_root, integrate, solve_ode
+from ahiso.numerics import (
+    NumericsError,
+    QuadResult,
+    _gk15,
+    find_root,
+    gk15_panels,
+    integrate,
+    solve_ode,
+)
 
 
 def test_integrate_cubic_exact():
@@ -41,6 +49,14 @@ def test_integrate_sqrt_singularity():
     res = integrate(lambda u: 1.0 / np.sqrt(u), 0.0, 1.0, abs_tol=1e-10)
     assert abs(res.value - 2.0) <= 1e-9
     assert abs(res.value - 2.0) <= res.error_bound + 1e-12
+
+
+def test_integrate_constant_over_sphere_angle():
+    # A surface integral of a constant over a round sphere reduces to
+    # c * int_0^pi sin(theta) dtheta = 2c.
+    for c in (1.0, -0.37, 4.0 * math.pi * 20.0**2):
+        res = integrate(lambda t: c * np.sin(t), 0.0, math.pi)
+        assert abs(res.value - 2.0 * c) <= res.error_bound
 
 
 def test_integrate_empty_interval():
@@ -73,6 +89,42 @@ def test_integrate_budget_exhaustion_raises():
             rel_tol=1e-300,
             max_evals=500,
         )
+
+
+@pytest.mark.parametrize(
+    "fn, edges",
+    [
+        (
+            lambda u: 4.0 * math.pi * u * u / np.sqrt(1.0 + u * u),
+            np.geomspace(0.5, 300.0, 60),
+        ),
+        (lambda u: np.sqrt(u), np.linspace(0.0, 1.0, 40)),
+        (lambda u: np.exp(-u) * np.cos(7.0 * u), np.linspace(0.0, 9.0, 40)),
+    ],
+)
+def test_gk15_panels_agree_with_scalar_panel(fn, edges):
+    # Value exactly; the error to a few ulp, since numpy's power and
+    # libm's round the ** 1.5 of the error rescaling differently.
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        vals, errs = gk15_panels(fn, [lo, hi])
+        val, err, _ = _gk15(fn, lo, hi)
+        assert vals[0] == val
+        assert abs(errs[0] - err) <= 4.0 * np.spacing(err)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[1.0], [[0.0, 1.0]], [0.0, 0.0], [1.0, 0.0], [0.0, math.inf], [math.nan, 1.0]],
+)
+def test_gk15_panels_rejects_malformed_edges(edges):
+    with pytest.raises(ValueError):
+        gk15_panels(lambda u: u, edges)
+
+
+def test_gk15_panels_nonfinite_integrand_names_x():
+    # The middle node of [0, 1] is 0.5.
+    with np.errstate(divide="ignore"), pytest.raises(NumericsError, match="x=0.5"):
+        gk15_panels(lambda u: 1.0 / (u - 0.5), [0.0, 1.0])
 
 
 @settings(max_examples=60, deadline=None)

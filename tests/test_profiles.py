@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ahiso.imcf import flow_spheres
 from ahiso.models import make_ads_schwarzschild, make_perturbed
 from ahiso.profiles import (
     cumulative_volume_over_grid,
@@ -126,6 +127,14 @@ class TestCumulativeVolume:
             want = model_volume(ads_one, float(grid[k])) - base
             assert cum[k] == pytest.approx(want, rel=1e-9, abs=1e-9)
         assert 0.0 <= err < 1e-3
+
+    @pytest.mark.parametrize("dt", [1e-3, 1e-2])
+    def test_error_bound_holds_on_flow_radii(self, hyperbolic, dt):
+        # Hyperbolic volume inside area-radius s: 2 pi (s sqrt(1+s^2) - asinh s).
+        s = np.array([f.s for f in flow_spheres(hyperbolic, 2.0, 8.0, dt)])
+        cum, err = cumulative_volume_over_grid(hyperbolic, s)
+        vol = 2.0 * math.pi * (s * np.sqrt(1.0 + s * s) - np.arcsinh(s))
+        assert np.max(np.abs(cum - (vol - vol[0]))) <= err
 
     def test_grid_validation(self, ads_one):
         with pytest.raises(ValueError):

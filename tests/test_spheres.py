@@ -11,7 +11,6 @@ from ahiso.models import make_ads_schwarzschild, make_perturbed, s_from_rho
 from ahiso.spheres import (
     gauss_bonnet_total,
     hawking_mass,
-    hawking_mass_by_quadrature,
     jacobi_spectrum,
     sphere_data,
     sphere_data_from_profile,
@@ -97,12 +96,6 @@ class TestHawkingMass:
     def test_two_routes_agree_at_moderate_radius(self, ads_one):
         geom = sphere_data(ads_one, 2.0)
         assert hawking_mass(geom) == pytest.approx(geom.hawking_mass, abs=1e-12)
-
-    def test_quadrature_route_on_perturbed_model(self, perturbed_valid):
-        for s in (1.5, 4.0, 20.0):
-            geom = sphere_data(perturbed_valid, s)
-            got = hawking_mass_by_quadrature(perturbed_valid, s)
-            assert got == pytest.approx(geom.hawking_mass, rel=1e-6, abs=1e-9)
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("rho", [6.0, 8.0])
