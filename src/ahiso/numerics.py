@@ -447,11 +447,23 @@ def find_root(
     tol: float = 1e-12,
     max_iter: int = 200,
 ) -> float:
-    """Root of fn on [lo, hi] by bisection plus one secant refinement.
+    """Root of fn on [lo, hi] by Brent's method plus one secant polish.
 
-    Requires a sign change on the bracket.  Bisection runs until the
-    bracket width falls below ``tol`` (or the floating point grid), then a
-    single secant step polishes the estimate without leaving the bracket.
+    Requires a sign change on the bracket; an exact zero at an endpoint or
+    at a probe is returned at once.  Each probe is an inverse quadratic or
+    secant step through the last three iterates, taken only when it lands
+    well inside the bracket and shrinks fast enough, and a bisection
+    otherwise (Brent, *Algorithms for Minimization without Derivatives*,
+    1973, ch. 4).  A step shorter than ``tol / 2`` is lengthened to
+    ``tol / 2`` so the bracket closes around a converged iterate.  Stall
+    safeguard: whenever two probes have not halved the bracket the next
+    one bisects, so a flat root such as (x - r)^15 costs at most three
+    probes per halving.
+
+    The loop ends when the bracket is at most ``tol`` wide or its ends are
+    adjacent floats; a single secant step between its ends, kept inside
+    it, then polishes the estimate.  Running out of ``max_iter`` probes
+    before that raises :class:`NumericsError`.
     """
     if not (hi > lo):
         raise ValueError("need hi > lo")
@@ -469,23 +481,68 @@ def find_root(
         raise NumericsError(
             f"no sign change on [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}"
         )
-    a, b, fa, fb = lo, hi, flo, fhi
-    for _ in range(max_iter):
-        if b - a <= tol:
+    # b is the best iterate, c the other end of the bracket (f(c) has the
+    # opposite sign) and a the previous b.  d is the last step, e the one
+    # before it; w1 and w2 are the bracket widths one and two probes ago.
+    a, fa = lo, flo
+    b, fb, c, fc = hi, fhi, lo, flo
+    d = e = b - a
+    step_min = 0.5 * tol
+    w1 = w2 = math.inf
+    for probes in range(max_iter + 1):
+        if abs(fc) < abs(fb):
+            a, fa = b, fb
+            b, fb, c, fc = c, fc, b, fb
+        half = 0.5 * (c - b)
+        m = b + half
+        width = abs(c - b)
+        if width <= tol or not (min(b, c) < m < max(b, c)):
             break
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            break
-        fm = float(fn(m))
-        if fm == 0.0:
-            return m
-        if (fm < 0.0) != (fa < 0.0):
-            b, fb = m, fm
+        if probes == max_iter:
+            raise NumericsError(
+                f"find_root: bracket [{min(b, c)!r}, {max(b, c)!r}] is still "
+                f"wider than tol={tol!r} after {max_iter} probes"
+            )
+        stalled = width > 0.5 * w2
+        w2, w1 = w1, width
+        if not stalled and abs(e) >= step_min and abs(fa) > abs(fb):
+            # Interpolate in ratios of f values, so tiny or huge values of
+            # f cannot underflow or overflow; q == 0 falls through to
+            # bisection.
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * half * q - abs(step_min * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                e = d = half
         else:
-            a, fa = m, fm
-    # Secant refinement, clamped to the final bracket.
+            e = d = half
+        a, fa = b, fb
+        x = b + (d if abs(d) > step_min else math.copysign(step_min, half))
+        if not (min(b, c) < x < max(b, c)):
+            x = m
+        fx = float(fn(x))
+        if fx == 0.0:
+            return x
+        b, fb = x, fx
+        if (fb < 0.0) == (fc < 0.0):
+            c, fc = a, fa
+            e = d = b - a
+    # Secant polish between the final bracket ends, kept inside it.  When f
+    # at one end is already at rounding level the step rounds onto that
+    # end, which is then the answer (not the midpoint).
+    a, b, fa, fb = (b, c, fb, fc) if b < c else (c, b, fc, fb)
     if fb != fa:
         x = a - fa * (b - a) / (fb - fa)
-        if a < x < b:
+        if a <= x <= b:
             return x
     return 0.5 * (a + b)

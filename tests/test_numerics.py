@@ -317,3 +317,62 @@ def test_find_root_monotone_cubic_recovers_root(r):
     target = r**3 + r
     root = find_root(lambda x: x**3 + x - target, -2.0, 2.0, tol=1e-13)
     assert abs(root - r) <= 1e-9
+
+
+def _counted(fn):
+    """fn plus a list whose length is the number of calls made to it."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return fn(x)
+
+    return wrapped, calls
+
+
+def _unit_step(x):
+    return -1.0 if x < 0.3 else 1.0
+
+
+def test_find_root_raises_when_max_iter_runs_out():
+    # A linear fn would not do: one secant step solves it exactly.
+    with pytest.raises(NumericsError, match=r"bracket \[.*tol=1e-12"):
+        find_root(_unit_step, 0.0, 1.0, max_iter=3)
+
+
+_FLAT_ROOTS = pytest.mark.parametrize(
+    "fn",
+    [
+        lambda x: (x - 0.3) ** 3,
+        lambda x: (x - 0.3) ** 9,
+        lambda x: (x - 0.3) ** 15,
+        _unit_step,
+    ],
+    ids=["cube", "ninth", "fifteenth", "step"],
+)
+
+
+@_FLAT_ROOTS
+def test_find_root_flat_roots_cost_at_most_three_bisections(fn):
+    # Bisection on [0, 1] to 1e-12 takes 40 probes plus the two ends; the
+    # stall safeguard bounds Brent's method at three times that.
+    counted, calls = _counted(fn)
+    root = find_root(counted, 0.0, 1.0, tol=1e-12)
+    assert abs(root - 0.3) <= 2e-12
+    assert len(calls) <= 3 * 42
+
+
+@_FLAT_ROOTS
+def test_find_root_every_three_probes_halve_the_bracket(fn):
+    # Each probe lands inside the bracket and replaces the end of its sign,
+    # so the bracket after each probe can be rebuilt from the probes alone.
+    counted, calls = _counted(fn)
+    find_root(counted, 0.0, 1.0, tol=1e-12)
+    lo, hi = calls[:2]
+    widths = [hi - lo]
+    for x in calls[2:]:
+        lo, hi = (x, hi) if fn(x) < 0.0 else (lo, x)
+        widths.append(hi - lo)
+    assert len(widths) > 3
+    for before, after in zip(widths, widths[3:]):
+        assert after <= 0.5 * before
