@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Per-column digests of every job body of one benchmark workload.
+
+    python3 scripts/body_digests.py --workload geometry --seed 1 > before.txt
+    python3 scripts/body_digests.py --workload geometry --seed 1 --against before.txt
+
+Runs each job of ``perfbench.workloads.generate(workload, seed)`` once,
+in process, through ``ahiso.cli.run`` with the package imported from
+this checkout's ``src/``, in a temporary directory.  Each output's run
+manifest is stripped with ``perfbench.checks.parse_output``; the rest is
+digested column by column (a JSON payload key by key), and one line
+
+    <job> <subcommand> <model> <column> <sha256>
+
+is printed per job and column.  With ``--against FILE``, an earlier
+output of this script for the same workload and seed, it prints instead
+the job columns whose digest changed and, per subcommand and column,
+how many jobs moved.  Run it in two checkouts to see which output
+columns a change moved.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for path in (str(ROOT / "src"), str(ROOT)):
+    if path not in sys.path:
+        sys.path.insert(0, path)
+
+from ahiso.cli import run  # noqa: E402
+from perfbench import checks, workloads  # noqa: E402
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def column_digests(text: str) -> dict[str, str]:
+    """Digest of each column (CSV) or payload key (JSON) of one output."""
+    body, data = checks.parse_output(text)
+    if text.startswith("# manifest: "):
+        lines = body.splitlines()
+        header = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+        return {name: _sha("\n".join(r[j] for r in rows)) for j, name in enumerate(header)}
+    return {key: _sha(json.dumps(val, sort_keys=True)) for key, val in data.items()}
+
+
+def digest_lines(workload: str, seed: int) -> list[str]:
+    jobs = workloads.generate(workload, seed)
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        models, results, other = work / "models", work / "results", work / "other"
+        results.mkdir()
+        other.mkdir()
+        workloads.write_models(models)
+        for i, job in enumerate(jobs):
+            out = (other if job.subcommand == "summary" else results) / f"job{i:03d}"
+            rc = run(job.argv(models, results, out))
+            if rc != 0:
+                raise SystemExit(f"error: job {i} ({job.subcommand}) exited with {rc}")
+            digests = column_digests(out.read_text(encoding="utf-8"))
+            for column, digest in digests.items():
+                lines.append(f"{i:03d} {job.subcommand} {job.model or '-'} {column} {digest}")
+    return lines
+
+
+def moved(before: list[str], after: list[str]) -> list[str]:
+    """Job columns whose digest differs, then a count per subcommand and column."""
+    old = dict(line.rsplit(" ", 1) for line in before)
+    new = dict(line.rsplit(" ", 1) for line in after)
+    if old.keys() != new.keys():
+        raise SystemExit("error: the two runs do not list the same jobs and columns")
+    changed = [key for key in new if new[key] != old[key]]
+    jobs = Counter(sub for _, sub in {tuple(key.split(" ")[:2]) for key in new})
+    per_column = Counter(tuple(key.split(" ")[1::2]) for key in changed)
+    out = [f"moved {key}" for key in changed]
+    out += [
+        f"{sub} {col}: {count} of {jobs[sub]} jobs moved"
+        for (sub, col), count in sorted(per_column.items())
+    ]
+    return out or ["no column moved"]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=workloads.WORKLOADS, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--against", type=Path, help="earlier output to compare with")
+    args = parser.parse_args()
+    lines = digest_lines(args.workload, args.seed)
+    if args.against is not None:
+        lines = moved(args.against.read_text().splitlines(), lines)
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

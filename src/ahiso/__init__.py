@@ -19,6 +19,7 @@ from .models import (
     ValidationReport,
     coordinate_gap,
     default_grid,
+    gap_over_grid,
     make_ads_schwarzschild,
     make_hyperbolic,
     make_perturbed,
@@ -67,6 +68,7 @@ __all__ = [
     "__version__",
     "comparison_ode",
     "coordinate_gap",
+    "gap_over_grid",
     "default_grid",
     "find_root",
     "flow_spheres",

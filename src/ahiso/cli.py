@@ -28,10 +28,10 @@ from . import __version__
 from .imcf import FlowSample, comparison_ode, flow_spheres, lipschitz_check
 from .models import (
     RadialMetric,
+    gap_over_grid,
     make_ads_schwarzschild,
     make_hyperbolic,
     make_perturbed,
-    rho_from_s,
     validate_ah,
 )
 from .numerics import NumericsError
@@ -172,23 +172,22 @@ def _cmd_spheres(args) -> int:
     metric, model, digest = _require_model(args)
     s_min, grid = _s_grid(args, metric)
     qt = _quad_tol(args, 1e-13)
-    rows = []
-    for s in grid:
-        s = float(s)
-        g = sphere_data(metric, s)
-        rows.append(
-            (
-                s,
-                rho_from_s(metric, s, qt),
-                g.area,
-                g.mean_curvature,
-                g.ricci_normal,
-                g.gauss_curvature,
-                g.scalar,
-                g.hawking_mass,
-                stability_total(metric, s),
-            )
-        )
+    gap, _ = gap_over_grid(metric, grid, qt)
+    # math.asinh, not np.arcsinh: numpy's differs from libm by an ulp on
+    # some radii, which would move the column for hyperbolic space.
+    rho = np.array([math.asinh(s) for s in grid.tolist()]) - gap
+    g = sphere_data(metric, grid)
+    rows = zip(
+        grid,
+        rho,
+        g.area,
+        g.mean_curvature,
+        g.ricci_normal,
+        g.gauss_curvature,
+        g.scalar,
+        g.hawking_mass,
+        stability_total(metric, grid),
+    )
     params = {
         "model": model,
         "s_min": s_min,
@@ -322,11 +321,8 @@ def _cmd_renorm_vol(args) -> int:
 def _cmd_stability(args) -> int:
     metric, model, digest = _require_model(args)
     s_min, grid = _s_grid(args, metric)
-    rows = []
-    for s in grid:
-        s = float(s)
-        spec = dict(jacobi_spectrum(metric, s, l_max=2))
-        rows.append((s, stability_total(metric, s), spec[0], spec[1], spec[2]))
+    spec = dict(jacobi_spectrum(metric, grid, l_max=2))
+    rows = zip(grid, stability_total(metric, grid), spec[0], spec[1], spec[2])
     params = {"model": model, "s_min": s_min, "s_max": args.s_max, "n": args.n}
     header = ["s", "stability_total", "lambda_0", "lambda_1", "lambda_2"]
     _emit(_csv_text(_manifest("stability", digest, params), header, rows), args.out)

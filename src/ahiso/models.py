@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import QuadResult, find_root, integrate
+from .numerics import QuadResult, find_root, integrate, integrate_intervals
 
 __all__ = [
     "RadialMetric",
@@ -38,6 +38,7 @@ __all__ = [
     "scalar_curvature",
     "scalar_curvature_excess",
     "coordinate_gap",
+    "gap_over_grid",
     "rho_from_s",
     "s_from_rho",
     "validate_ah",
@@ -313,6 +314,28 @@ def _gap_integrand(metric: RadialMetric):
     return g
 
 
+def _gap_head_integrand(metric: RadialMetric):
+    """The gap integrand in w, with u = core + w^2 and du = 2 w dw.
+
+    Near the core f vanishes like f'(core)(u - core), so the integrand in
+    u carries a 1/sqrt spike; in w it is smooth, with f / w^2 taken from
+    the cancellation-free core quotient.
+    """
+    core = metric.core_radius
+
+    def g_head(w):
+        w = np.asarray(w, dtype=float)
+        delta = w * w
+        b = core + delta
+        q = 1.0 + b * b
+        d = metric.deficit(b)
+        sw = np.sqrt(metric.core_quotient(delta))
+        sq = np.sqrt(q)
+        return -2.0 * d / (sw * sq * (w * sw + sq))
+
+    return g_head
+
+
 def coordinate_gap(metric: RadialMetric, s: float, quad_tol: float = 1e-13) -> QuadResult:
     """G(s) = integral_s^inf [f(u)^{-1/2} - (1+u^2)^{-1/2}] du.
 
@@ -325,20 +348,12 @@ def coordinate_gap(metric: RadialMetric, s: float, quad_tol: float = 1e-13) -> Q
         raise ValueError(f"s must lie in [{core!r}, inf), got {s!r}")
     g = _gap_integrand(metric)
     if core > 0.0 and s < core + 1.0:
-        # Near the core f vanishes like f'(core)(s - core), so the
-        # integrand carries a 1/sqrt spike; remove it by u = core + w^2.
-        def g_head(w):
-            w = np.asarray(w, dtype=float)
-            delta = w * w
-            b = core + delta
-            q = 1.0 + b * b
-            d = metric.deficit(b)
-            sw = np.sqrt(metric.core_quotient(delta))
-            sq = np.sqrt(q)
-            return -2.0 * d / (sw * sq * (w * sw + sq))
-
         head = integrate(
-            g_head, math.sqrt(s - core), 1.0, abs_tol=1e-14, rel_tol=quad_tol
+            _gap_head_integrand(metric),
+            math.sqrt(s - core),
+            1.0,
+            abs_tol=1e-14,
+            rel_tol=quad_tol,
         )
         tail = integrate(g, core + 1.0, math.inf, abs_tol=1e-300, rel_tol=quad_tol)
         return QuadResult(
@@ -360,6 +375,63 @@ def coordinate_gap(metric: RadialMetric, s: float, quad_tol: float = 1e-13) -> Q
         head.error_bound + tail.error_bound,
         head.evaluations + tail.evaluations,
     )
+
+
+def gap_over_grid(
+    metric: RadialMetric, s, quad_tol: float = 1e-13
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate gap G and its error bound at every point of ``s``.
+
+    One outside-in sweep: a single :func:`coordinate_gap` tail integral
+    (relative tolerance ``quad_tol``) at the largest point, then one
+    panel per gap between consecutive points (:func:`integrate_intervals`
+    with tolerance ``quad_tol``), summed from the outside in.  Gaps above
+    core + 1 (above 1 when the core is 0) are integrated in x = 1/u, gaps
+    below it in w with u = core + w^2 (in u itself when the core is 0),
+    the forms :func:`coordinate_gap` uses.  The points may come in any
+    order and may repeat; each must lie in [core, inf).  A point's bound
+    is the tail's bound plus the bounds of every panel above it.
+    """
+    pts = np.asarray(s, dtype=float)
+    core = metric.core_radius
+    if pts.ndim != 1 or pts.size == 0:
+        raise ValueError("s must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(pts)) or np.any(pts < core):
+        raise ValueError(f"every s must lie in [{core!r}, inf)")
+    split = core + 1.0 if core > 0.0 else 1.0
+    u = np.sort(pts)
+    u = np.concatenate([u[:1], u[1:][np.diff(u) > 0.0]])
+    k = int(np.searchsorted(u, split))
+    if 0 < k < u.size and u[k] != split:
+        u = np.concatenate([u[:k], [split], u[k:]])
+
+    def panels(fn, t):
+        # t is nondecreasing; intervals of zero width (points that
+        # coincide after the change of variable) contribute nothing.
+        v, e = np.zeros(t.size - 1), np.zeros(t.size - 1)
+        wide = np.diff(t) > 0.0
+        if wide.any():
+            edges = np.concatenate([t[:1], t[1:][wide]])
+            v[wide], e[wide] = integrate_intervals(fn, edges, quad_tol)
+        return v, e
+
+    # The intervals [u[i], u[i + 1]] with i < n_head lie below the split.
+    n_head = min(int(np.searchsorted(u, split)), u.size - 1)
+    if core > 0.0:
+        head = panels(_gap_head_integrand(metric), np.sqrt(u[: n_head + 1] - core))
+    else:
+        head = panels(_gap_integrand(metric), u[: n_head + 1])
+    far = (np.zeros(0), np.zeros(0))
+    if n_head < u.size - 1:
+        g = _gap_integrand(metric)
+        far = panels(lambda x: g(1.0 / x) / (x * x), 1.0 / u[n_head:][::-1])
+    top = coordinate_gap(metric, float(u[-1]), quad_tol)
+    # Summed from the outside in: the x panels in x order, then the head
+    # panels downward; reversed, u ascends again.
+    gap = np.cumsum(np.concatenate([[top.value], far[0], head[0][::-1]]))[::-1]
+    bound = np.cumsum(np.concatenate([[top.error_bound], far[1], head[1][::-1]]))[::-1]
+    at = np.searchsorted(u, pts)
+    return gap[at], bound[at]
 
 
 def rho_from_s(metric: RadialMetric, s: float, quad_tol: float = 1e-13) -> float:

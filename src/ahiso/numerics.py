@@ -20,7 +20,10 @@ __all__ = [
     "QuadResult",
     "OdeSolution",
     "integrate",
+    "gk15_nodes",
+    "gk15_rule",
     "gk15_panels",
+    "integrate_intervals",
     "solve_ode",
     "find_root",
 ]
@@ -132,38 +135,42 @@ def _gk15(fn: Callable, a: float, b: float) -> tuple[float, float, np.ndarray]:
     return resk, err, fv
 
 
-def gk15_panels(fn: Callable, edges) -> tuple[np.ndarray, np.ndarray]:
-    """One Gauss-Kronrod 7-15 panel on each interval between ``edges``.
+def gk15_nodes(edges) -> np.ndarray:
+    """Gauss-Kronrod 7-15 nodes of each interval between ``edges``.
 
-    The vectorized counterpart of the panel rule inside :func:`integrate`,
-    with the same error rescaling and rounding floor: ``fn`` is called
-    once on the nodes of all panels.  Returns the Kronrod values and error
-    estimates per panel.  A single panel (two edges) reproduces the
-    scalar panel's value exactly and its error to a few ulp, since numpy
-    and libm round ``** 1.5`` differently; over many panels the row-wise
-    weight products may sum in another order and move the last bits.
+    Returns an array of shape (len(edges) - 1, 15), one row per panel in
+    ascending order.  :func:`gk15_rule` turns values sampled there into
+    panel integrals, so a caller can sample several meshes at once.
 
     Raises
     ------
     ValueError
         If ``edges`` is not a finite, strictly increasing 1-d sequence of
         at least two points.
-    NumericsError
-        If ``fn`` is not finite at a node; that x is reported.
     """
     e = np.asarray(edges, dtype=float)
     if e.ndim != 1 or e.size < 2:
         raise ValueError("edges must be a 1-d sequence of at least two points")
     if not np.all(np.isfinite(e)) or np.any(np.diff(e) <= 0.0):
         raise ValueError("edges must be finite and strictly increasing")
+    half = 0.5 * (e[1:] - e[:-1])
+    mid = 0.5 * (e[:-1] + e[1:])
+    return mid[:, None] + half[:, None] * _NODES[None, :]
+
+
+def gk15_rule(edges, fv) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod values and error estimates from values at :func:`gk15_nodes`.
+
+    The vectorized counterpart of the panel rule inside :func:`integrate`,
+    with the same error rescaling and rounding floor.  A single panel
+    reproduces the scalar panel's value exactly and its error to a few
+    ulp, since numpy and libm round ``** 1.5`` differently; over many
+    panels the row-wise weight products may sum in another order and move
+    the last bits.
+    """
+    e = np.asarray(edges, dtype=float)
     a, b = e[:-1], e[1:]
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = mid[:, None] + half[:, None] * _NODES[None, :]
-    fv = _eval_batch(fn, xs.reshape(-1)).reshape(xs.shape)
-    if not np.all(np.isfinite(fv)):
-        bad = float(xs[~np.isfinite(fv)][0])
-        raise NumericsError(f"integrand not finite at x={bad!r}")
     resk = half * (fv @ _WKF)
     resg = half * (fv @ _WGF)
     resabs = half * (np.abs(fv) @ _WKF)
@@ -173,6 +180,50 @@ def gk15_panels(fn: Callable, edges) -> tuple[np.ndarray, np.ndarray]:
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc > 0.0) & (err > 0.0), scaled, err)
     return resk, np.maximum(err, 50.0 * _EPS * resabs)
+
+
+def gk15_panels(fn: Callable, edges) -> tuple[np.ndarray, np.ndarray]:
+    """One Gauss-Kronrod 7-15 panel on each interval between ``edges``.
+
+    ``fn`` is called once on the nodes of all panels; returns the Kronrod
+    values and error estimates per panel (see :func:`gk15_rule`).
+
+    Raises
+    ------
+    ValueError
+        If ``edges`` is not a finite, strictly increasing 1-d sequence of
+        at least two points.
+    NumericsError
+        If ``fn`` is not finite at a node; that x is reported.
+    """
+    xs = gk15_nodes(edges)
+    fv = _eval_batch(fn, xs.reshape(-1)).reshape(xs.shape)
+    if not np.all(np.isfinite(fv)):
+        bad = float(xs[~np.isfinite(fv)][0])
+        raise NumericsError(f"integrand not finite at x={bad!r}")
+    return gk15_rule(edges, fv)
+
+
+def integrate_intervals(
+    fn: Callable, edges, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integral of ``fn`` over each interval between ``edges``, with bounds.
+
+    Every interval gets one GK15 panel from a single vectorized
+    :func:`gk15_panels` call.  An interval whose error estimate exceeds
+    its share of ``tol`` (``tol / len(edges)``, or 2e-14 of its own
+    value when that is larger: the panel rule's rounding floor is 50 eps
+    of it) is redone by adaptive :func:`integrate` to that share.
+    Returns the values and error bounds per interval; their cumulative
+    sums are the integral from ``edges[0]`` to each edge.
+    """
+    e = np.asarray(edges, dtype=float)
+    vals, err = gk15_panels(fn, e)
+    tol_vec = np.maximum(tol / e.size, 2e-14 * np.abs(vals))
+    for i in np.flatnonzero(err > tol_vec):
+        res = integrate(fn, float(e[i]), float(e[i + 1]), abs_tol=float(tol_vec[i]))
+        vals[i], err[i] = res.value, res.error_bound
+    return vals, err
 
 
 def integrate(
@@ -463,7 +514,8 @@ def find_root(
     The loop ends when the bracket is at most ``tol`` wide or its ends are
     adjacent floats; a single secant step between its ends, kept inside
     it, then polishes the estimate.  Running out of ``max_iter`` probes
-    before that raises :class:`NumericsError`.
+    before that, or a NaN value at an endpoint or a probe, raises
+    :class:`NumericsError`.
     """
     if not (hi > lo):
         raise ValueError("need hi > lo")
@@ -533,6 +585,11 @@ def find_root(
         fx = float(fn(x))
         if fx == 0.0:
             return x
+        if math.isnan(fx):
+            raise NumericsError(
+                f"find_root: f({x!r}) is NaN inside the bracket "
+                f"[{min(b, c)!r}, {max(b, c)!r}]"
+            )
         b, fb = x, fx
         if (fb < 0.0) == (fc < 0.0):
             c, fc = a, fa

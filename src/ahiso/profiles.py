@@ -28,8 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import RadialMetric, coordinate_gap, s_from_rho, validate_ah
-from .numerics import NumericsError, QuadResult, find_root, gk15_panels, integrate
+from .models import RadialMetric, coordinate_gap, gap_over_grid, s_from_rho, validate_ah
+from .numerics import (
+    NumericsError,
+    QuadResult,
+    find_root,
+    gk15_nodes,
+    gk15_rule,
+    integrate,
+    integrate_intervals,
+)
 
 __all__ = [
     "ProfileSample",
@@ -230,28 +238,29 @@ def model_profile(metric: RadialMetric, v: float, quad_tol: float = 1e-10) -> fl
 # Renormalized volume
 
 
-def _area_difference(metric: RadialMetric, u, quad_tol: float = 1e-13):
-    """4 pi (u^2 - sinh^2 rho(u)) without forming either square.
+def _area_difference(u, g):
+    """4 pi (u^2 - sinh^2 rho(u)) and its derivative in G, at gap values g.
 
     With G the coordinate gap, sinh rho(u) = u cosh G - sqrt(1+u^2)
     sinh G, and the difference of squares collapses to
     2 u sqrt(1+u^2) sinh G cosh G - (2 u^2 + 1) sinh^2 G, every term of
     which is O(G) small.  Direct evaluation would subtract ~u^2-sized
-    quantities to extract an O(mass) answer.
+    quantities to extract an O(mass) answer.  The derivative,
+    4 pi (2 u sqrt(1+u^2) cosh 2G - (2 u^2 + 1) sinh 2G), carries the
+    error of g into the result.
     """
-    arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr)
-    g = np.array(
-        [coordinate_gap(metric, float(x), quad_tol).value for x in flat]
-    )
     sh = np.sinh(g)
     ch = np.cosh(g)
-    out = FOUR_PI * (
-        2.0 * flat * np.sqrt(1.0 + flat * flat) * sh * ch
-        - (2.0 * flat * flat + 1.0) * sh * sh
-    )
-    return float(out[0]) if scalar else out
+    r = 2.0 * u * np.sqrt(1.0 + u * u)
+    q = 2.0 * u * u + 1.0
+    area = FOUR_PI * (r * sh * ch - q * sh * sh)
+    slope = FOUR_PI * (r * np.cosh(2.0 * g) - q * np.sinh(2.0 * g))
+    return area, slope
+
+
+# Cap on the outer mesh of renormalized_volume; every refinement round
+# bisects all panels over their share of the tolerance.
+_MAX_OUTER_PANELS = 4096
 
 
 def renormalized_volume(
@@ -265,6 +274,15 @@ def renormalized_volume(
     reports it and a truncation radius that leaves more than 10% of the
     value in the tail is rejected.
 
+    The difference is integrated on one outer mesh of GK15 panels over
+    three regions: near a positive core in w with u = core + w^2, then
+    in u up to u = 1, then in x = 1/u out to s(truncation_rho).  Each
+    round takes G at every node of every panel from one
+    :func:`gap_over_grid` sweep and bisects every panel whose Kronrod
+    error exceeds its share of the tolerance.  ``quad_error`` sums the
+    panel errors, the sweep's bounds on G carried through the integrand,
+    and the bounds of the inner-boundary terms.
+
     Nonnegative for every valid model, zero exactly for hyperbolic
     space.
     """
@@ -273,12 +291,9 @@ def renormalized_volume(
     core = metric.core_radius
     gap_tol = min(1e-13, quad_tol)
 
-    if core > 0.0:
-        rho_low = math.asinh(core) - coordinate_gap(metric, core, gap_tol).value
-        s_low = core
-    else:
-        rho_low = -coordinate_gap(metric, 0.0, gap_tol).value
-        s_low = 0.0
+    inner = coordinate_gap(metric, core, gap_tol)
+    rho_low = math.asinh(core) - inner.value
+    s_low = core
 
     if truncation_rho <= rho_low + 1e-9:
         raise ValueError(
@@ -287,66 +302,79 @@ def renormalized_volume(
         )
     s_top = s_from_rho(metric, truncation_rho, gap_tol)
 
-    pieces: list[QuadResult] = []
-    base = 0.0
     if rho_low >= 0.0:
         base = -_hyperbolic_volume_any(rho_low)
+        base_error = FOUR_PI * math.sinh(rho_low) ** 2 * inner.error_bound
     else:
         # Hyperbolic balls only exist for rho >= 0; the model region
         # below rho = 0 enters at full volume.
-        u0 = s_from_rho(metric, 0.0, gap_tol)
-        head_vol = model_volume_quad(metric, u0, quad_tol=0.25 * quad_tol)
-        pieces.append(head_vol)
-        base = head_vol.value
-        s_low = u0
+        s_low = s_from_rho(metric, 0.0, gap_tol)
+        head_vol = model_volume_quad(metric, s_low, quad_tol=0.25 * quad_tol)
+        base, base_error = head_vol.value, head_vol.error_bound
 
-    part_tol = 0.25 * quad_tol
-
-    def diff_integrand(u):
-        u = np.asarray(u, dtype=float)
-        return _area_difference(metric, u, gap_tol) / np.sqrt(metric.f(u))
-
-    total = base
+    # Regions as (lo, hi, u(t), du/dt / sqrt(f(u))) in their variable t.
+    regions = []
     if core > 0.0 and s_low == core:
         w1 = min(2.0, math.sqrt(s_top - core))
-
-        def head_integrand(w):
-            w = np.asarray(w, dtype=float)
-            b = core + w * w
-            return (
-                2.0
-                * _area_difference(metric, b, gap_tol)
-                / np.sqrt(metric.core_quotient(w * w))
-            )
-
-        head = integrate(head_integrand, 0.0, w1, abs_tol=part_tol)
-        pieces.append(head)
-        total += head.value
+        regions.append((
+            0.0, w1, lambda w: core + w * w,
+            lambda w: 2.0 / np.sqrt(metric.core_quotient(w * w)),
+        ))
         s_mid = core + w1 * w1
     else:
         s_mid = s_low
-
-    # Middle segment on [s_mid, min(s1, s_top)] in u, far tail in x = 1/u.
     s1 = max(s_mid, 1.0)
-    if s_top <= s1:
-        if s_top > s_mid:
-            mid = integrate(diff_integrand, s_mid, s_top, abs_tol=part_tol)
-            pieces.append(mid)
-            total += mid.value
-    else:
-        if s1 > s_mid:
-            mid = integrate(diff_integrand, s_mid, s1, abs_tol=part_tol)
-            pieces.append(mid)
-            total += mid.value
+    if min(s1, s_top) > s_mid:
+        regions.append((
+            s_mid, min(s1, s_top), lambda u: u, lambda u: 1.0 / np.sqrt(metric.f(u))
+        ))
+    if s_top > s1:
+        regions.append((
+            1.0 / s_top, 1.0 / s1, lambda x: 1.0 / x,
+            lambda x: 1.0 / (np.sqrt(metric.f(1.0 / x)) * (x * x)),
+        ))
 
-        def far_integrand(x):
-            x = np.asarray(x, dtype=float)
-            u = 1.0 / x
-            return _area_difference(metric, u, gap_tol) / np.sqrt(metric.f(u)) / (x * x)
-
-        far = integrate(far_integrand, 1.0 / s_top, 1.0 / s1, abs_tol=part_tol)
-        pieces.append(far)
-        total += far.value
+    tol = 0.75 * quad_tol
+    edges = [np.linspace(lo, hi, 5) for lo, hi, _, _ in regions]
+    while True:
+        nodes = [gk15_nodes(e) for e in edges]
+        us = [to_u(t) for t, (_, _, to_u, _) in zip(nodes, regions)]
+        gap, gap_err = gap_over_grid(
+            metric, np.concatenate([u.ravel() for u in us]), gap_tol
+        )
+        vals, errs, carried = [], [], 0.0
+        start = 0
+        for e, t, u, (_, _, _, jac) in zip(edges, nodes, us, regions):
+            stop = start + u.size
+            g = gap[start:stop].reshape(u.shape)
+            g_err = gap_err[start:stop].reshape(u.shape)
+            start = stop
+            area, slope = _area_difference(u, g)
+            weight = jac(t)
+            fv = area * weight
+            if not np.all(np.isfinite(fv)):
+                bad = float(u[~np.isfinite(fv)][0])
+                raise NumericsError(f"renormalized volume integrand not finite at u={bad!r}")
+            v, err = gk15_rule(e, fv)
+            vals.append(v)
+            errs.append(err)
+            carried += float(np.sum(gk15_rule(e, np.abs(slope * weight) * g_err)[0]))
+        n_panels = sum(v.size for v in vals)
+        total = math.fsum([base, *(x for v in vals for x in v.tolist())])
+        share = max(tol, 1e-13 * abs(total)) / n_panels
+        over = [err > share for err in errs]
+        if not any(o.any() for o in over):
+            break
+        if n_panels > _MAX_OUTER_PANELS:
+            raise NumericsError(
+                f"renormalized volume: error bound "
+                f"{sum(float(np.sum(x)) for x in errs):.3e} after {n_panels} "
+                f"outer panels (target {tol:.3e})"
+            )
+        edges = [
+            np.sort(np.concatenate([e, 0.5 * (e[:-1] + e[1:])[o]]))
+            for e, o in zip(edges, over)
+        ]
 
     tail = 8.0 * math.pi * metric.mass / (3.0 * math.sinh(truncation_rho))
     if metric.mass > 0.0 and tail > 0.1 * abs(total):
@@ -354,7 +382,7 @@ def renormalized_volume(
             f"truncation_rho = {truncation_rho!r} too small: tail estimate "
             f"{tail:.3e} exceeds 10% of the value {total:.6e}"
         )
-    quad_error = sum(p.error_bound for p in pieces)
+    quad_error = sum(float(np.sum(err)) for err in errs) + carried + base_error
     return RenormVolumeResult(
         value=total,
         truncation_rho=truncation_rho,
@@ -449,12 +477,6 @@ def cumulative_volume_over_grid(
         raise ValueError("s_grid must be strictly increasing")
     if s[0] <= metric.core_radius:
         raise ValueError("s_grid must start above the core radius")
-    vals, err = gk15_panels(_volume_integrand(metric), s)
-    # Error floor per panel is 50 eps * |integral|; the tolerance must sit
-    # above it or every smooth panel would take the slow path.
-    tol_vec = np.maximum(quad_tol / s.size, 2e-14 * np.abs(vals))
-    for i in np.flatnonzero(err > tol_vec):
-        res = _volume_segment(metric, float(s[i]), float(s[i + 1]), float(tol_vec[i]))
-        vals[i], err[i] = res.value, res.error_bound
+    vals, err = integrate_intervals(_volume_integrand(metric), s, quad_tol)
     out = np.concatenate([[0.0], np.cumsum(vals)])
     return out, float(np.sum(err))

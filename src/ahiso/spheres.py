@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .models import RadialMetric
 
 __all__ = [
@@ -65,50 +67,67 @@ class SphereGeometry:
         return self.gauss_curvature - rhs
 
 
-def sphere_data_from_profile(s: float, f_val: float, fp_val: float, hawking: float | None = None) -> SphereGeometry:
+def _check_radii(metric: RadialMetric, s):
+    """s as a float array, whether it was a scalar, after a domain check."""
+    arr = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(arr)) or np.any(arr <= metric.core_radius):
+        raise ValueError(
+            f"s must lie in ({metric.core_radius!r}, inf), got {s!r}"
+        )
+    return arr, arr.ndim == 0
+
+
+def sphere_data_from_profile(s, f_val, fp_val, hawking=None) -> SphereGeometry:
     """Build the geometry from raw profile samples f(s), f'(s).
 
     Useful for synthetic profiles (the flat test case f = 1) where no
     RadialMetric exists.  ``hawking`` overrides the Hawking mass field;
     when omitted it is computed from the literal defining formula.
+    Scalars give float fields; equal-shape arrays give array fields.
     """
-    if s <= 0.0 or f_val <= 0.0:
+    s = np.asarray(s, dtype=float)
+    f_val = np.asarray(f_val, dtype=float)
+    if np.any(s <= 0.0) or np.any(f_val <= 0.0):
         raise ValueError("need s > 0 and f(s) > 0")
     area = FOUR_PI * s * s
-    h = 2.0 * math.sqrt(f_val) / s
+    h = 2.0 * np.sqrt(f_val) / s
     r = (2.0 / (s * s)) * (1.0 - f_val - s * fp_val)
     ric = 0.5 * r + f_val / (s * s) - 1.0 / (s * s)
     k = 1.0 / (s * s)
     if hawking is None:
-        hawking = (math.sqrt(area) / SIXTEEN_PI ** 1.5) * (
+        hawking = (np.sqrt(area) / SIXTEEN_PI ** 1.5) * (
             SIXTEEN_PI - area * (h * h - 4.0)
         )
-    return SphereGeometry(
+    fields = dict(
         s=s,
         area=area,
         mean_curvature=h,
-        traceless_norm_sq=0.0,
+        traceless_norm_sq=np.zeros_like(s),
         second_fund_norm_sq=0.5 * h * h,
         ricci_normal=ric,
         gauss_curvature=k,
         scalar=r,
         hawking_mass=hawking,
     )
+    if s.ndim == 0:
+        fields = {name: float(val) for name, val in fields.items()}
+    return SphereGeometry(**fields)
 
 
-def sphere_data(metric: RadialMetric, s: float) -> SphereGeometry:
-    """Geometry of the coordinate sphere at area-radius s."""
-    if not math.isfinite(s) or s <= metric.core_radius:
-        raise ValueError(
-            f"s must lie in ({metric.core_radius!r}, inf), got {s!r}"
-        )
-    f_val = metric.f(s)
-    fp_val = metric.f_prime(s)
+def sphere_data(metric: RadialMetric, s) -> SphereGeometry:
+    """Geometry of the coordinate sphere at area-radius s.
+
+    ``s`` may be a float or a 1-d array of radii; an array gives one
+    :class:`SphereGeometry` whose fields are arrays over the radii.
+    """
+    arr, _ = _check_radii(metric, s)
+    f_val = metric.f(arr)
+    fp_val = metric.f_prime(arr)
     # The Hawking mass reduces to -(s/2) d(s): area*(H^2-4) = 16 pi (1 + d)
     # with d the deficit, so the 16 pi cancels exactly.  Forming H^2 - 4 in
     # floating point instead loses ~1e-7 absolute by s = 1e3.
-    hawking = -0.5 * s * metric.deficit(s)
-    return sphere_data_from_profile(s, f_val, fp_val, hawking=hawking)
+    hawking = -0.5 * arr * metric.deficit(arr)
+    return sphere_data_from_profile(arr, f_val, fp_val, hawking=hawking)
 
 
 def hawking_mass(geom: SphereGeometry) -> float:
@@ -124,7 +143,7 @@ def hawking_mass(geom: SphereGeometry) -> float:
     )
 
 
-def _stability_density(metric: RadialMetric, s: float) -> float:
+def _stability_density(metric: RadialMetric, s):
     """Ric(nu) + |A|^2 = (2 + 2 d - s d') / s^2, cancellation-free.
 
     Direct evaluation through Ric and H rounds at the 1e-16 * s^2 level,
@@ -135,38 +154,34 @@ def _stability_density(metric: RadialMetric, s: float) -> float:
     return (2.0 + 2.0 * d - s * dp) / (s * s)
 
 
-def stability_total(metric: RadialMetric, s: float) -> float:
+def stability_total(metric: RadialMetric, s):
     """int_Sigma (Ric(nu) + |A|^2) dmu = area * (Ric(nu) + H^2/2).
 
     Equals 8 pi for hyperbolic space at every radius and
-    8 pi - 24 pi m / s for AdS-Schwarzschild.
+    8 pi - 24 pi m / s for AdS-Schwarzschild.  ``s`` may be a float or
+    an array of radii.
     """
-    if not math.isfinite(s) or s <= metric.core_radius:
-        raise ValueError(
-            f"s must lie in ({metric.core_radius!r}, inf), got {s!r}"
-        )
-    return FOUR_PI * s * s * _stability_density(metric, s)
+    arr, scalar = _check_radii(metric, s)
+    out = FOUR_PI * arr * arr * _stability_density(metric, arr)
+    return float(out) if scalar else out
 
 
-def jacobi_spectrum(
-    metric: RadialMetric, s: float, l_max: int
-) -> list[tuple[int, float]]:
+def jacobi_spectrum(metric: RadialMetric, s, l_max: int) -> list[tuple[int, float]]:
     """Eigenvalues of the stability form, diagonalized by harmonics.
 
     The induced metric is the round sphere of radius s, so the quadratic
     form Q(phi) = int |grad phi|^2 - (Ric(nu) + |A|^2) phi^2 has exact
     eigenvalues lambda_l = l(l+1)/s^2 - (Ric(nu) + |A|^2), each with
-    multiplicity 2l + 1.  No discretization is involved.
+    multiplicity 2l + 1.  No discretization is involved.  For an array
+    of radii each lambda_l is an array over them.
     """
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max!r}")
-    if not math.isfinite(s) or s <= metric.core_radius:
-        raise ValueError(
-            f"s must lie in ({metric.core_radius!r}, inf), got {s!r}"
-        )
-    q = _stability_density(metric, s)
-    s2 = s * s
-    return [(l, l * (l + 1) / s2 - q) for l in range(l_max + 1)]
+    arr, scalar = _check_radii(metric, s)
+    q = _stability_density(metric, arr)
+    s2 = arr * arr
+    lams = [l * (l + 1) / s2 - q for l in range(l_max + 1)]
+    return [(l, float(lam) if scalar else lam) for l, lam in enumerate(lams)]
 
 
 def gauss_bonnet_total(metric: RadialMetric, s: float) -> float:

@@ -12,6 +12,7 @@ from ahiso.models import (
     RadialMetric,
     coordinate_gap,
     default_grid,
+    gap_over_grid,
     make_ads_schwarzschild,
     make_hyperbolic,
     make_perturbed,
@@ -253,3 +254,32 @@ class TestValidation:
         assert grid.shape == (50,)
         assert grid[0] == pytest.approx(ads_one.core_radius + 0.1)
         assert grid[-1] == pytest.approx(1e3)
+
+
+class TestGapSweep:
+    @pytest.mark.parametrize(
+        "metric",
+        [make_hyperbolic(), make_ads_schwarzschild(1.0), make_perturbed(0.5, (0.2,))],
+        ids=["hyperbolic", "ads_m1", "pert_m0.5"],
+    )
+    def test_matches_pointwise_gap_in_any_order(self, metric):
+        # Unsorted, repeated, on the core, and on both sides of core + 1
+        # where the sweep changes variable.
+        core = metric.core_radius
+        pts = np.array([core + 3.0, core, core + 1e-6, 1e4, core + 0.5, core + 3.0, core + 1.0])
+        gap, bound = gap_over_grid(metric, pts)
+        for x, g, b in zip(pts.tolist(), gap, bound):
+            res = coordinate_gap(metric, x)
+            assert abs(g - res.value) <= b + res.error_bound
+            assert b <= 1e-13
+        assert gap[0] == gap[5]
+
+    def test_single_point_is_coordinate_gap(self, ads_one):
+        gap, bound = gap_over_grid(ads_one, [2.0])
+        res = coordinate_gap(ads_one, 2.0)
+        assert (gap[0], bound[0]) == (res.value, res.error_bound)
+
+    def test_domain_checked(self, ads_one):
+        for bad in ([0.5, 2.0], [2.0, math.nan], [], [[2.0]]):
+            with pytest.raises(ValueError):
+                gap_over_grid(ads_one, bad)

@@ -310,6 +310,13 @@ def test_find_root_tiny_same_sign_bracket_raises():
         find_root(lambda x: 1e-200, 0.0, 1.0)
 
 
+def test_find_root_nan_probe_inside_bracket_raises():
+    # Treated as a sign, the NaN returned 0.45000000000027285 here.
+    fn = lambda x: math.nan if 0.45 < x < 0.55 else x - 0.5  # noqa: E731
+    with pytest.raises(NumericsError, match=r"f\(0\.5\) is NaN inside the bracket \[0\.0, 1\.0\]"):
+        find_root(fn, 0.0, 1.0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(r=st.floats(-1.5, 1.5))
 @example(r=5e-324)

@@ -1,9 +1,20 @@
 """Checks against an independent high-precision oracle (mpmath)."""
 
+import json
+
 import mpmath
 import numpy as np
+import pytest
 
-from ahiso.profiles import hyperbolic_profile
+from ahiso.cli import run
+from ahiso.models import (
+    gap_over_grid,
+    make_ads_schwarzschild,
+    make_hyperbolic,
+    make_perturbed,
+    s_from_rho,
+)
+from ahiso.profiles import hyperbolic_profile, renormalized_volume
 
 
 def _hyperbolic_profile_oracle(v):
@@ -36,3 +47,125 @@ def test_hyperbolic_profile_matches_oracle_at_pinned_volume():
     # Bisection plus a secant polish between tol-wide bracket ends gave a
     # 3.7e-12 relative error here.
     assert _relative_error(389.36723631191836) <= 1e-14
+
+
+# ----------------------------------------------------------------------
+# Coordinate gap and renormalized volume.  The oracle evaluates the model
+# as the package defines it: f from its formula, and near the stored core
+# radius c the quotient f(c + delta) / delta expanded as the divided
+# difference (f(c + delta) - f(c)) / delta, i.e. with f(c) = 0.  The
+# stored c is a float, so f(c) is only zero to rounding; the expansion
+# keeps the oracle on the same model instead of one whose root sits 1e-16
+# away, which would move G by ~1e-14 within 1e-6 of the core.
+
+ORACLE_MODELS = {
+    "hyperbolic": make_hyperbolic(),
+    "ads_m0.5": make_ads_schwarzschild(0.5),
+    "ads_m1": make_ads_schwarzschild(1.0),
+    "ads_m3": make_ads_schwarzschild(3.0),
+    "pert_m1": make_perturbed(1.0, (0.1, 0.05)),
+    # rho < 0 near its core: the renormalized volume takes its inner
+    # branch through s(rho = 0).
+    "pert_m0.5": make_perturbed(0.5, (0.2,)),
+}
+
+
+class _Oracle:
+    """High-precision G and V for one model (mpmath, at the caller's digits)."""
+
+    def __init__(self, metric):
+        self.m = mpmath.mpf(metric.mass)
+        self.coeffs = [mpmath.mpf(c) for c in metric.coeffs]
+        self.c = mpmath.mpf(metric.core_radius)
+
+    def deficit(self, u):
+        out = -2 * self.m / u
+        for k, ck in enumerate(self.coeffs, start=2):
+            out += ck / u**k
+        return out
+
+    def gap_integrand(self, u):
+        # f^{-1/2} - q^{-1/2} = -d / (sqrt f sqrt q (sqrt f + sqrt q)).
+        q = 1 + u * u
+        f = q + self.deficit(u)
+        return -self.deficit(u) / (mpmath.sqrt(f * q) * (mpmath.sqrt(f) + mpmath.sqrt(q)))
+
+    def core_quotient(self, delta):
+        c, b = self.c, self.c + delta
+        out = (2 * c + delta) + 2 * self.m / (b * c)
+        for k, ck in enumerate(self.coeffs, start=2):
+            out -= ck * sum(b**j * c ** (k - 1 - j) for j in range(k)) / (b**k * c**k)
+        return out
+
+    def gap(self, s):
+        """G(s); in w with u = c + w^2 below c + 1 when c > 0."""
+        s = mpmath.mpf(s)
+        c = self.c
+        if c == 0 or s >= c + 1:
+            # In x = 1/u the range is finite and the integrand smooth.
+            return mpmath.quad(lambda x: self.gap_integrand(1 / x) / (x * x), [0, 1 / s])
+
+        def head(w):
+            b = c + w * w
+            return 2 / mpmath.sqrt(self.core_quotient(w * w)) - 2 * w / mpmath.sqrt(1 + b * b)
+
+        return mpmath.quad(head, [mpmath.sqrt(s - c), 1]) + self.gap(c + 1)
+
+    def renormalized_volume(self, rho, s_guess):
+        """vol_g(s_T) - vol_H(rho) with asinh(s_T) - G(s_T) = rho."""
+        rho = mpmath.mpf(rho)
+        # Two Newton steps on asinh(s) - G(s) = rho (slope f^{-1/2}) square
+        # a guess good to 1e-12 twice.
+        s_t = mpmath.mpf(s_guess)
+        for _ in range(2):
+            f = 1 + s_t * s_t + self.deficit(s_t)
+            s_t -= (mpmath.asinh(s_t) - self.gap(s_t) - rho) * mpmath.sqrt(f)
+        c = self.c
+        if c > 0:
+            start = c + 1
+            vol = mpmath.quad(
+                lambda w: 8 * mpmath.pi * (c + w * w) ** 2 / mpmath.sqrt(self.core_quotient(w * w)),
+                [0, 1],
+            )
+        else:
+            start, vol = mpmath.mpf(0), mpmath.mpf(0)
+        # 4 pi u^2 f^{-1/2}: the hyperbolic part in closed form, the rest
+        # by quadrature on log-spaced pieces.
+        hyp = lambda u: 2 * mpmath.pi * (u * mpmath.sqrt(1 + u * u) - mpmath.asinh(u))  # noqa: E731
+        vol += hyp(s_t) - hyp(start)
+        pieces = [start] + [mpmath.mpf(10) ** k for k in range(1, 9) if 10**k > start + 1 and 10**k < s_t]
+        vol += mpmath.quad(lambda u: 4 * mpmath.pi * u * u * self.gap_integrand(u), pieces + [s_t])
+        return vol - mpmath.pi * (mpmath.sinh(2 * rho) - 2 * rho)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_renormalized_volume_within_quad_error_of_oracle(name):
+    metric = ORACLE_MODELS[name]
+    res = renormalized_volume(metric, 20.0)
+    with mpmath.workdps(50):
+        want = _Oracle(metric).renormalized_volume(20.0, s_from_rho(metric, 20.0))
+        err = float(abs(res.value - want))
+    # 50 digits on vol_g ~ 1e17 leave the oracle itself good to ~1e-33.
+    assert err <= res.quad_error + 1e-30
+    assert err <= 1e-14 * max(1.0, abs(float(want)))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_rho_column_within_sweep_bound_of_oracle(name, tmp_path):
+    # The spheres table's rho column on a grid that starts 1e-6 above the
+    # core, where G has its square-root behaviour.
+    metric = ORACLE_MODELS[name]
+    # Every stock model is a perturbed one with its own mass and coefficients.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"type": "perturbed", "mass": metric.mass, "coeffs": list(metric.coeffs)}))
+    out = tmp_path / "spheres.csv"
+    s_min = metric.core_radius + 1e-6
+    assert run(["spheres", "--model", str(path), "--s-min", repr(s_min), "--n", "24", "--out", str(out)]) == 0
+    data = np.genfromtxt(out, delimiter=",", names=True, skip_header=1)
+    _, bound = gap_over_grid(metric, data["s"])
+    oracle = _Oracle(metric)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.asinh(s) - oracle.gap(s)) for s in data["s"].tolist()])
+    # The sweep bounds G; asinh and the subtraction add up to one ulp each.
+    err = np.abs(data["rho"] - want)
+    assert np.all(err <= bound + 2.0 * np.spacing(np.abs(want))), np.max(err - bound)

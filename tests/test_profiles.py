@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from ahiso.imcf import flow_spheres
-from ahiso.models import make_ads_schwarzschild, make_perturbed
-from ahiso.numerics import find_root
+from ahiso.models import coordinate_gap, make_ads_schwarzschild, make_perturbed
+from ahiso.numerics import NumericsError, find_root
 from ahiso.profiles import (
     cumulative_volume_over_grid,
     gap_table,
@@ -281,3 +281,28 @@ class TestRootFindingWork:
         gap_table(metric, np.geomspace(1.0, 1e6, 60))
         assert calls
         assert len(probes) / len(calls) <= 16.0
+
+
+class TestRenormalizedVolumeWork:
+    @pytest.mark.parametrize("m", [0.5, 1.0, 3.0])
+    def test_one_gap_sweep_per_round(self, monkeypatch, m):
+        # One adaptive gap integral per outer quadrature node made 68 for
+        # unit mass; now the inner boundary, the s(rho) inversion and one
+        # sweep per refinement round remain.
+        calls = []
+
+        def counting_gap(*args, **kwargs):
+            calls.append(args[1])
+            return coordinate_gap(*args, **kwargs)
+
+        for target in ("ahiso.models.coordinate_gap", "ahiso.profiles.coordinate_gap"):
+            monkeypatch.setattr(target, counting_gap)
+        renormalized_volume(make_ads_schwarzschild(m))
+        assert len(calls) <= 12
+
+    def test_outer_mesh_budget_raises(self, monkeypatch):
+        # This model needs refinement rounds; a cap below its first mesh
+        # must end in NumericsError, not in an unconverged value.
+        monkeypatch.setattr("ahiso.profiles._MAX_OUTER_PANELS", 4)
+        with pytest.raises(NumericsError, match="outer panels"):
+            renormalized_volume(make_perturbed(0.5, (0.2,)))

@@ -192,3 +192,38 @@ class TestGaussBonnet:
         metric = make_ads_schwarzschild(m)
         s = metric.core_radius + 0.1 + frac * 1e3
         assert abs(gauss_bonnet_total(metric, s) - FOUR_PI) <= 1e-12
+
+
+_VECTOR_MODELS = {
+    "hyperbolic": (0.0, ()),
+    "ads_m1": (1.0, ()),
+    "pert_m1": (1.0, (0.1, 0.05)),
+    "pert_m0.5": (0.5, (0.2,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VECTOR_MODELS))
+def test_array_radii_match_the_scalar_path_bit_for_bit(name):
+    # The per-radius loop is the reference: the same arithmetic per
+    # element, so not even the last bit may differ.
+    metric = make_perturbed(*_VECTOR_MODELS[name])
+    grid = np.geomspace(metric.core_radius + 0.1, 1e3, 125)
+    geom = sphere_data(metric, grid)
+    spec = dict(jacobi_spectrum(metric, grid, l_max=2))
+    total = stability_total(metric, grid)
+    for i, s in enumerate(grid.tolist()):
+        one = sphere_data(metric, s)
+        for field in one.__dataclass_fields__:
+            assert getattr(geom, field)[i] == getattr(one, field), field
+        assert total[i] == stability_total(metric, s)
+        for l, lam in jacobi_spectrum(metric, s, l_max=2):
+            assert spec[l][i] == lam
+        assert type(one.hawking_mass) is float and type(stability_total(metric, s)) is float
+
+
+def test_array_radii_domain_checked(ads_one):
+    for fn in (sphere_data, stability_total):
+        with pytest.raises(ValueError):
+            fn(ads_one, np.array([2.0, 0.9]))
+    with pytest.raises(ValueError):
+        jacobi_spectrum(ads_one, np.array([2.0, math.inf]), l_max=1)
