@@ -15,8 +15,10 @@ digested column by column (a JSON payload key by key), and one line
 is printed per job and column.  With ``--against FILE``, an earlier
 output of this script for the same workload and seed, it prints instead
 the job columns whose digest changed and, per subcommand and column,
-how many jobs moved.  Run it in two checkouts to see which output
-columns a change moved.
+how many jobs moved, and exits 1 if any did ("no column moved" and 0
+otherwise).  Run it in two checkouts to see which output columns a
+change moved, or to gate a change that must keep every body
+byte-identical.
 """
 
 from __future__ import annotations
@@ -74,7 +76,10 @@ def digest_lines(workload: str, seed: int) -> list[str]:
 
 
 def moved(before: list[str], after: list[str]) -> list[str]:
-    """Job columns whose digest differs, then a count per subcommand and column."""
+    """Job columns whose digest differs, then a count per subcommand and column.
+
+    Empty when no column moved.
+    """
     old = dict(line.rsplit(" ", 1) for line in before)
     new = dict(line.rsplit(" ", 1) for line in after)
     if old.keys() != new.keys():
@@ -87,7 +92,7 @@ def moved(before: list[str], after: list[str]) -> list[str]:
         f"{sub} {col}: {count} of {jobs[sub]} jobs moved"
         for (sub, col), count in sorted(per_column.items())
     ]
-    return out or ["no column moved"]
+    return out
 
 
 def main() -> int:
@@ -97,10 +102,12 @@ def main() -> int:
     parser.add_argument("--against", type=Path, help="earlier output to compare with")
     args = parser.parse_args()
     lines = digest_lines(args.workload, args.seed)
-    if args.against is not None:
-        lines = moved(args.against.read_text().splitlines(), lines)
-    print("\n".join(lines))
-    return 0
+    if args.against is None:
+        print("\n".join(lines))
+        return 0
+    changes = moved(args.against.read_text().splitlines(), lines)
+    print("\n".join(changes or ["no column moved"]))
+    return 1 if changes else 0
 
 
 if __name__ == "__main__":

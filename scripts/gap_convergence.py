@@ -31,15 +31,12 @@ def main() -> int:
 
     grid = args.v_max * 4.0 ** -np.arange(args.n - 1, -1, -1)
     for m in args.masses:
-        rows = gap_table(make_ads_schwarzschild(m), grid)
+        table = gap_table(make_ads_schwarzschild(m), grid)
         print(f"mass {m}:")
         print(f"  {'v':>12s}  {'scaled gap':>14s}  {'per mass':>12s}")
-        for row in rows:
-            print(
-                f"  {row.v:12.5g}  {row.scaled_gap:14.6f}  "
-                f"{row.scaled_gap / m:12.6f}"
-            )
-        last = rows[-1].scaled_gap
+        for v, scaled in zip(table.v.tolist(), table.scaled_gap.tolist()):
+            print(f"  {v:12.5g}  {scaled:14.6f}  {scaled / m:12.6f}")
+        last = float(table.scaled_gap[-1])
         print(f"  candidate 8 sqrt2 pi^1.5 m  = {LOW * m:14.6f}  "
               f"(off by {abs(last - LOW * m) / (LOW * m):.2%})")
         print(f"  candidate 16 sqrt2 pi^2.5 m = {HIGH * m:14.6f}  "

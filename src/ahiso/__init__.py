@@ -13,7 +13,7 @@ The package is organized from the inside out:
 - cli: reproducible command-line runs with manifest-stamped outputs
 """
 
-from .imcf import ComparisonCurve, FlowSample, comparison_ode, flow_spheres, t_of_v
+from .imcf import ComparisonCurve, Flow, comparison_ode, flow_spheres
 from .models import (
     RadialMetric,
     ValidationReport,
@@ -31,15 +31,13 @@ from .models import (
 )
 from .numerics import NumericsError, OdeSolution, QuadResult, find_root, integrate, solve_ode
 from .profiles import (
-    ProfileSample,
+    ProfileTable,
     RenormVolumeResult,
     gap_table,
     hyperbolic_profile,
     hyperbolic_volume,
-    model_profile,
     model_radius_for_volume,
     model_volume,
-    profile_monotone_check,
     renormalized_volume,
 )
 from .spheres import (
@@ -56,10 +54,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComparisonCurve",
-    "FlowSample",
+    "Flow",
     "NumericsError",
     "OdeSolution",
-    "ProfileSample",
+    "ProfileTable",
     "QuadResult",
     "RadialMetric",
     "RenormVolumeResult",
@@ -82,10 +80,8 @@ __all__ = [
     "make_ads_schwarzschild",
     "make_hyperbolic",
     "make_perturbed",
-    "model_profile",
     "model_radius_for_volume",
     "model_volume",
-    "profile_monotone_check",
     "renormalized_volume",
     "rho_from_s",
     "s_from_rho",
@@ -95,6 +91,5 @@ __all__ = [
     "sphere_data",
     "sphere_data_from_profile",
     "stability_total",
-    "t_of_v",
     "validate_ah",
 ]

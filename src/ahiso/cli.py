@@ -6,8 +6,11 @@ of an output that varies between identical runs; the numeric body is
 byte-identical because all kernels are deterministic.
 
 CSV layout: one `# manifest: {...}` comment line, a header row, then one
-row per sample with round-trippable float formatting.  Scalar results are
-JSON objects carrying the manifest under a "manifest" key.
+row per sample with round-trippable float formatting (``repr``).  Every
+table is handed to one writer as a list of equal-length columns, the
+fields of a record of arrays such as ``Flow``, ``ProfileTable`` or
+``SphereGeometry``.  Scalar results are JSON objects carrying the
+manifest under a "manifest" key.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -25,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .imcf import FlowSample, comparison_ode, flow_spheres, lipschitz_check
+from .imcf import Flow, comparison_ode, flow_spheres, lipschitz_check
 from .models import (
     RadialMetric,
     gap_over_grid,
@@ -106,17 +108,15 @@ def _manifest(subcommand: str, digest: str, parameters: dict) -> dict:
     }
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _csv_text(manifest: dict, header: list[str], rows) -> str:
-    buf = io.StringIO()
-    buf.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(x) for x in row) + "\n")
-    return buf.getvalue()
+def _csv_text(manifest: dict, header: list[str], columns) -> str:
+    """The CSV text of equal-length float columns, in header order."""
+    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    lines = [
+        "# manifest: " + json.dumps(manifest, sort_keys=True),
+        ",".join(header),
+        *map(",".join, zip(*cells)),
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _json_text(manifest: dict, payload: dict) -> str:
@@ -177,7 +177,7 @@ def _cmd_spheres(args) -> int:
     # some radii, which would move the column for hyperbolic space.
     rho = np.array([math.asinh(s) for s in grid.tolist()]) - gap
     g = sphere_data(metric, grid)
-    rows = zip(
+    columns = [
         grid,
         rho,
         g.area,
@@ -187,7 +187,7 @@ def _cmd_spheres(args) -> int:
         g.scalar,
         g.hawking_mass,
         stability_total(metric, grid),
-    )
+    ]
     params = {
         "model": model,
         "s_min": s_min,
@@ -206,7 +206,7 @@ def _cmd_spheres(args) -> int:
         "hawking_mass",
         "stability_total",
     ]
-    _emit(_csv_text(_manifest("spheres", digest, params), header, rows), args.out)
+    _emit(_csv_text(_manifest("spheres", digest, params), header, columns), args.out)
     return 0
 
 
@@ -214,7 +214,7 @@ def _cmd_imcf(args) -> int:
     metric, model, digest = _require_model(args)
     qt, ot = _quad_tol(args), _ode_tol(args)
     flow = flow_spheres(metric, args.s0, args.t_max, args.dt, ode_tol=ot, quad_tol=qt)
-    rows = [(f.t, f.s, f.area, f.enclosed_volume, f.hawking) for f in flow]
+    columns = [flow.t, flow.s, flow.area, flow.enclosed_volume, flow.hawking]
     params = {
         "model": model,
         "s0": args.s0,
@@ -224,7 +224,7 @@ def _cmd_imcf(args) -> int:
         "quad_tol": qt,
     }
     header = ["t", "s", "area", "volume", "hawking"]
-    _emit(_csv_text(_manifest("imcf", digest, params), header, rows), args.out)
+    _emit(_csv_text(_manifest("imcf", digest, params), header, columns), args.out)
     return 0
 
 
@@ -233,7 +233,7 @@ def _cmd_compare_ode(args) -> int:
     curve = comparison_ode(
         args.b0, args.mass_floor, args.v0, args.v_end, rel_tol=ot, n_grid=args.n
     )
-    rows = list(zip(curve.v_grid, curve.B_values, curve.hyperbolic_values))
+    columns = [curve.v_grid, curve.B_values, curve.hyperbolic_values]
     params = {
         "b0": args.b0,
         "mass_floor": args.mass_floor,
@@ -243,13 +243,13 @@ def _cmd_compare_ode(args) -> int:
         "ode_tol": ot,
     }
     manifest = _manifest("compare-ode", "-", params)
-    _emit(_csv_text(manifest, ["v", "B", "A_H"], rows), args.out)
+    _emit(_csv_text(manifest, ["v", "B", "A_H"], columns), args.out)
     return 0
 
 
-def _profile_rows(metric, v_grid, qt, rho):
+def _profile_columns(metric, v_grid, qt, rho):
     table = gap_table(metric, v_grid, quad_tol=qt, truncation_rho=rho)
-    return [(r.v, r.A_g, r.A_H, r.gap, r.scaled_gap) for r in table]
+    return [table.v, table.A_g, table.A_H, table.gap, table.scaled_gap]
 
 
 _PROFILE_HEADER = ["v", "A_g", "A_H", "gap", "scaled_gap"]
@@ -266,7 +266,7 @@ def _cmd_profile(args) -> int:
         grid = np.geomspace(args.v_min, args.v_max, args.n)
     else:
         grid = np.linspace(args.v_min, args.v_max, args.n)
-    rows = _profile_rows(metric, grid, qt, args.rho)
+    columns = _profile_columns(metric, grid, qt, args.rho)
     params = {
         "model": model,
         "v_min": args.v_min,
@@ -277,7 +277,7 @@ def _cmd_profile(args) -> int:
         "quad_tol": qt,
     }
     manifest = _manifest("profile", digest, params)
-    _emit(_csv_text(manifest, _PROFILE_HEADER, rows), args.out)
+    _emit(_csv_text(manifest, _PROFILE_HEADER, columns), args.out)
     return 0
 
 
@@ -290,7 +290,7 @@ def _cmd_expansion(args) -> int:
     qt = _quad_tol(args)
     # Dyadic-in-volume grid closing in on v_max from below.
     grid = args.v_max * 4.0 ** -np.arange(args.n - 1, -1, -1, dtype=float)
-    rows = _profile_rows(metric, grid, qt, args.rho)
+    columns = _profile_columns(metric, grid, qt, args.rho)
     params = {
         "model": model,
         "v_max": args.v_max,
@@ -299,7 +299,7 @@ def _cmd_expansion(args) -> int:
         "quad_tol": qt,
     }
     manifest = _manifest("expansion", digest, params)
-    _emit(_csv_text(manifest, _PROFILE_HEADER, rows), args.out)
+    _emit(_csv_text(manifest, _PROFILE_HEADER, columns), args.out)
     return 0
 
 
@@ -322,10 +322,10 @@ def _cmd_stability(args) -> int:
     metric, model, digest = _require_model(args)
     s_min, grid = _s_grid(args, metric)
     spec = dict(jacobi_spectrum(metric, grid, l_max=2))
-    rows = zip(grid, stability_total(metric, grid), spec[0], spec[1], spec[2])
+    columns = [grid, stability_total(metric, grid), spec[0], spec[1], spec[2]]
     params = {"model": model, "s_min": s_min, "s_max": args.s_max, "n": args.n}
     header = ["s", "stability_total", "lambda_0", "lambda_1", "lambda_2"]
-    _emit(_csv_text(_manifest("stability", digest, params), header, rows), args.out)
+    _emit(_csv_text(_manifest("stability", digest, params), header, columns), args.out)
     return 0
 
 
@@ -367,6 +367,10 @@ def _read_run(path: str):
             for row in reader:
                 if not row:
                     continue
+                # A short or long row (a truncated write) would leave
+                # columns of different lengths.
+                if len(row) != len(header):
+                    return None
                 for name, val in zip(header, row):
                     cols[name].append(float(val))
         except (StopIteration, ValueError):
@@ -474,16 +478,13 @@ def _flow_measures(manifest, data):
         return None
     t, area = data["t"], data["area"]
     pred = area[0] * np.exp(t - t[0])
-    flow = [
-        FlowSample(
-            t=float(t[i]),
-            s=float(data["s"][i]),
-            area=float(area[i]),
-            enclosed_volume=float(data["volume"][i]),
-            hawking=float(data["hawking"][i]),
-        )
-        for i in range(t.size)
-    ]
+    flow = Flow(
+        t=t,
+        s=data["s"],
+        area=area,
+        enclosed_volume=data["volume"],
+        hawking=data["hawking"],
+    )
     return {
         "area_law": float(np.max(np.abs(area - pred) / pred)),
         "mass_decrease": float(max(0.0, np.max(-np.diff(data["hawking"])))),

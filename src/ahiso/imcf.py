@@ -28,10 +28,9 @@ from .numerics import NumericsError, solve_ode
 from .profiles import cumulative_volume_over_grid, hyperbolic_profile, model_volume
 
 __all__ = [
-    "FlowSample",
+    "Flow",
     "ComparisonCurve",
     "flow_spheres",
-    "t_of_v",
     "lipschitz_check",
     "comparison_ode",
 ]
@@ -44,14 +43,20 @@ _PROFILE_FAULT = 1e-6
 
 
 @dataclass(frozen=True)
-class FlowSample:
-    """State of the expanding sphere at one flow time."""
+class Flow:
+    """States of the expanding sphere, one array element per flow time."""
 
-    t: float
-    s: float
-    area: float
-    enclosed_volume: float
-    hawking: float
+    t: np.ndarray
+    s: np.ndarray
+    area: np.ndarray
+    enclosed_volume: np.ndarray
+    hawking: np.ndarray
+
+    def __post_init__(self):
+        n = self.t.shape
+        rest = (self.s, self.area, self.enclosed_volume, self.hawking)
+        if any(x.shape != n for x in rest):
+            raise ValueError("flow arrays must share one shape")
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ def flow_spheres(
     dt: float,
     ode_tol: float = 1e-9,
     quad_tol: float = 1e-10,
-) -> list[FlowSample]:
+) -> Flow:
     """Flow the centered sphere of initial radius s0 for time t_max.
 
     Samples every dt flow-time units (plus the final time).  Enclosed
@@ -109,47 +114,26 @@ def flow_spheres(
     radii = sol.ys
     increments, _ = cumulative_volume_over_grid(metric, radii, quad_tol)
     volumes = model_volume(metric, s0, quad_tol) + increments
-    areas = 4.0 * math.pi * radii * radii
-    hawking = -0.5 * radii * metric.deficit(radii)
-    return [
-        FlowSample(
-            t=float(ts[i]),
-            s=float(radii[i]),
-            area=float(areas[i]),
-            enclosed_volume=float(volumes[i]),
-            hawking=float(hawking[i]),
-        )
-        for i in range(len(ts))
-    ]
+    return Flow(
+        t=ts,
+        s=radii,
+        area=4.0 * math.pi * radii * radii,
+        enclosed_volume=volumes,
+        hawking=-0.5 * radii * metric.deficit(radii),
+    )
 
 
-def t_of_v(flow: list[FlowSample], v: float) -> float:
-    """Flow time at which the enclosed volume reaches v, by interpolation."""
-    if len(flow) < 2:
-        raise ValueError("flow must contain at least two samples")
-    vs = np.array([f.enclosed_volume for f in flow])
-    ts = np.array([f.t for f in flow])
-    if not (vs[0] <= v <= vs[-1]):
-        raise ValueError(
-            f"v = {v!r} outside the flow's volume range [{vs[0]!r}, {vs[-1]!r}]"
-        )
-    return float(np.interp(v, vs, ts))
-
-
-def lipschitz_check(metric: RadialMetric, flow: list[FlowSample]) -> float:
+def lipschitz_check(metric: RadialMetric, flow: Flow) -> float:
     """Largest violation of dt/dv <= (int H^2)^{1/2} area^{-3/2}.
 
     On round spheres the bound holds with equality (both sides reduce to
     H / area), so the returned maximum is finite-difference noise for a
     correct flow.  Positive values mean the inequality failed.
     """
-    if len(flow) < 3:
+    if flow.t.size < 3:
         raise ValueError("flow must contain at least three samples")
-    ts = np.array([f.t for f in flow])
-    vs = np.array([f.enclosed_volume for f in flow])
-    ss = np.array([f.s for f in flow])
-    areas = np.array([f.area for f in flow])
-    h = 2.0 * np.sqrt(metric.f(ss)) / ss
+    ts, vs, areas = flow.t, flow.enclosed_volume, flow.area
+    h = 2.0 * np.sqrt(metric.f(flow.s)) / flow.s
     dtdv = (ts[2:] - ts[:-2]) / (vs[2:] - vs[:-2])
     bound = (np.sqrt(h * h * areas) * areas ** -1.5)[1:-1]
     return float(np.max(dtdv - bound))

@@ -40,37 +40,29 @@ from .numerics import (
 )
 
 __all__ = [
-    "ProfileSample",
+    "ProfileTable",
     "RenormVolumeResult",
     "hyperbolic_volume",
     "hyperbolic_profile",
     "model_volume",
     "model_volume_quad",
-    "model_profile",
     "model_radius_for_volume",
     "renormalized_volume",
     "gap_table",
-    "profile_monotone_check",
 ]
 
 FOUR_PI = 4.0 * math.pi
 
 
 @dataclass(frozen=True)
-class ProfileSample:
-    """One row of the profile comparison table."""
+class ProfileTable:
+    """Profile comparison columns, one array element per volume."""
 
-    v: float
-    A_g: float
-    A_H: float
-    gap: float
-    scaled_gap: float
-
-    def __post_init__(self):
-        if self.v <= 0.0:
-            raise ValueError("v must be positive")
-        if self.A_H <= 0.0:
-            raise ValueError("A_H must be positive for v > 0")
+    v: np.ndarray
+    A_g: np.ndarray
+    A_H: np.ndarray
+    gap: np.ndarray
+    scaled_gap: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -87,8 +79,27 @@ class RenormVolumeResult:
 # Hyperbolic closed forms
 
 
+# (3 / (4 pi))^{1/3}: the Euclidean ball of volume v has radius this * v^{1/3}.
+_EUCLID_RADIUS = float(np.cbrt(0.75 / math.pi))
+
+# Taylor coefficients 6 / (2j + 3)! of 6 (sinh x - x) / x^3 in z = x^2.
+_SINH_EXCESS_COEFFS = tuple(6 / math.factorial(2 * j + 3) for j in range(8))
+
+
+def _sinh_excess_ratio(z: float) -> float:
+    """6 (sinh x - x) / x^3 at z = x^2 <= 0.36, where the first term left
+    out of the series is below 2e-20."""
+    out = 0.0
+    for c in reversed(_SINH_EXCESS_COEFFS):
+        out = out * z + c
+    return out
+
+
 def _hyperbolic_volume_any(rho: float) -> float:
-    # Antiderivative of 4 pi sinh^2; valid for any real rho.
+    # Antiderivative of 4 pi sinh^2; valid for any real rho.  Below 0.1
+    # the closed form would subtract O(1) terms to get an O(rho^3) volume.
+    if abs(rho) < 0.1:
+        return FOUR_PI / 3.0 * rho**3 * _sinh_excess_ratio(4.0 * rho * rho)
     return FOUR_PI * (
         0.5 * math.sinh(rho) ** 2 + 0.25 - 0.5 * rho - 0.25 * math.exp(-2.0 * rho)
     )
@@ -102,7 +113,23 @@ def hyperbolic_volume(rho: float) -> float:
 
 
 def _hyperbolic_rho(v: float) -> float:
-    """Radius of the hyperbolic ball of volume v > 0, to 1e-12."""
+    """Radius of the hyperbolic ball of volume v > 0.
+
+    For v < 0.1 (rho < 0.29) to a few ulp relative, from the series of
+    the volume; above, to 1e-12 absolute from the closed form.
+    """
+    if v < 0.1:
+        # A hyperbolic ball holds more volume than the Euclidean one of
+        # the same radius r_e, so rho_v <= r_e.  Solving for rho_v / r_e
+        # keeps the tolerance relative and every probe clear of underflow.
+        r_e = _EUCLID_RADIUS * float(np.cbrt(v))
+        y = find_root(
+            lambda y: y**3 * _sinh_excess_ratio(4.0 * (r_e * y) ** 2) - 1.0,
+            0.0,
+            1.0,
+            tol=1e-15,
+        )
+        return r_e * y
     hi = 1.0
     for _ in range(80):
         if _hyperbolic_volume_any(hi) >= v:
@@ -222,16 +249,6 @@ def model_radius_for_volume(
     return find_root(
         lambda s: cache.volume(s) - v, core, hi, tol=1e-12 * max(1.0, hi)
     )
-
-
-def model_profile(metric: RadialMetric, v: float, quad_tol: float = 1e-10) -> float:
-    """Centered-sphere profile A_hat(v) = 4 pi s_v^2.
-
-    Upper-bounds the isoperimetric profile of the model; for
-    AdS-Schwarzschild at large volume the bound is attained.
-    """
-    s_v = model_radius_for_volume(metric, v, quad_tol)
-    return FOUR_PI * s_v * s_v
 
 
 # ----------------------------------------------------------------------
@@ -400,13 +417,13 @@ def gap_table(
     v_grid,
     quad_tol: float = 1e-10,
     truncation_rho: float = 20.0,
-) -> list[ProfileSample]:
-    """Profile comparison rows on an increasing positive volume grid.
+) -> ProfileTable:
+    """Profile comparison columns on an increasing positive volume grid.
 
     scaled_gap is (gap + 2V) sqrt(v); along a growing grid it tends to a
     constant proportional to the mass.
     """
-    grid = np.asarray(v_grid, dtype=float)
+    grid = np.array(v_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("v_grid must be nonempty")
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
@@ -418,40 +435,20 @@ def gap_table(
         )
     v_ren = renormalized_volume(metric, truncation_rho, quad_tol=min(quad_tol, 1e-9))
     cache = _VolumeCache(metric, quad_tol)
-    rows = []
-    for v in grid:
-        v = float(v)
-        s_v = model_radius_for_volume(metric, v, quad_tol, cache=cache)
-        a_g = FOUR_PI * s_v * s_v
-        a_h = hyperbolic_profile(v)
-        gap = a_g - a_h
-        rows.append(
-            ProfileSample(
-                v=v,
-                A_g=a_g,
-                A_H=a_h,
-                gap=gap,
-                scaled_gap=(gap + 2.0 * v_ren.value) * math.sqrt(v),
-            )
-        )
-    return rows
-
-
-def profile_monotone_check(
-    metric: RadialMetric, v_grid, quad_tol: float = 1e-10
-) -> bool:
-    """True when the centered-sphere profile is nondecreasing on the grid."""
-    grid = np.asarray(v_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("v_grid must be nonempty")
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("v_grid must be positive and strictly increasing")
-    cache = _VolumeCache(metric, quad_tol)
-    areas = []
-    for v in grid:
-        s_v = model_radius_for_volume(metric, float(v), quad_tol, cache=cache)
-        areas.append(FOUR_PI * s_v * s_v)
-    return bool(np.all(np.diff(areas) >= 0.0))
+    vs = grid.tolist()
+    s_v = np.array([model_radius_for_volume(metric, v, quad_tol, cache) for v in vs])
+    a_g = FOUR_PI * s_v * s_v
+    a_h = np.array([hyperbolic_profile(v) for v in vs])
+    if np.any(a_h <= 0.0):
+        raise ValueError("A_H must be positive for v > 0")
+    gap = a_g - a_h
+    return ProfileTable(
+        v=grid,
+        A_g=a_g,
+        A_H=a_h,
+        gap=gap,
+        scaled_gap=(gap + 2.0 * v_ren.value) * np.sqrt(grid),
+    )
 
 
 # ----------------------------------------------------------------------

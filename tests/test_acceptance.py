@@ -79,14 +79,14 @@ def test_04_area_comparison_bound():
     grid = np.geomspace(1.0, 1e6, 60)
     reports = []
     for m in MASSES:
-        rows = gap_table(make_ads_schwarzschild(m), grid)
-        bad = [r for r in rows if r.gap >= 0.0]
-        if bad:
-            first_ok = next((r.v for r in rows if r.gap < 0.0), None)
-            worst = max(bad, key=lambda r: r.gap)
+        table = gap_table(make_ads_schwarzschild(m), grid)
+        bad = table.gap >= 0.0
+        if np.any(bad):
+            first_ok = table.v[~bad][0] if not np.all(bad) else None
+            worst = int(np.argmax(table.gap))
             reports.append(
-                f"m = {m}: {len(bad)} of {len(rows)} rows have gap >= 0 "
-                f"(worst gap {worst.gap:+.4e} at v = {worst.v:.4g}; "
+                f"m = {m}: {np.count_nonzero(bad)} of {bad.size} rows have gap >= 0 "
+                f"(worst gap {table.gap[worst]:+.4e} at v = {table.v[worst]:.4g}; "
                 f"first negative row at v = {first_ok:.4g})"
             )
     elapsed = time.perf_counter() - start
@@ -104,9 +104,9 @@ def test_05_gap_matches_renormalized_volume():
     start = time.perf_counter()
     metric = make_ads_schwarzschild(1.0)
     res = renormalized_volume(metric, truncation_rho=20.0)
-    row = gap_table(metric, np.array([1e6]))[0]
+    gap = gap_table(metric, np.array([1e6])).gap[0]
     target = 2.0 * res.value
-    defect = abs(row.gap + target)
+    defect = abs(gap + target)
     elapsed = time.perf_counter() - start
     # propagated quadrature error must be dominated by the tolerance
     assert res.quad_error + res.tail_estimate < 0.02 * target
@@ -123,14 +123,15 @@ def test_06_scaled_gap_coefficient():
     derived = 8.0 * math.sqrt(2.0) * math.pi**1.5
     reports = []
     for m in (0.5, 1.0):
-        row = gap_table(make_ads_schwarzschild(m), np.array([1e6]))[0]
+        table = gap_table(make_ads_schwarzschild(m), np.array([1e6]))
+        scaled_gap = table.scaled_gap[0]
         target = pinned * m
-        if abs(row.scaled_gap - target) > 0.05 * target:
+        if abs(scaled_gap - target) > 0.05 * target:
             reports.append(
-                f"m = {m}: measured {row.scaled_gap:.4f}, pinned target "
-                f"{target:.4f}; measured/m = {row.scaled_gap / m:.4f} agrees "
+                f"m = {m}: measured {scaled_gap:.4f}, pinned target "
+                f"{target:.4f}; measured/m = {scaled_gap / m:.4f} agrees "
                 f"with {derived:.4f} = pinned/(2 pi) to "
-                f"{abs(row.scaled_gap / m - derived) / derived:.1%}"
+                f"{abs(scaled_gap / m - derived) / derived:.1%}"
             )
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"runtime budget exceeded: {elapsed:.2f}s"
@@ -146,11 +147,10 @@ def test_07_flow_laws():
     for metric in (make_ads_schwarzschild(1.0), make_hyperbolic()):
         s0 = metric.core_radius + 1.0
         flow = flow_spheres(metric, s0, 10.0, 1e-3)
-        ts = np.array([f.t for f in flow])
-        areas = np.array([f.area for f in flow])
+        ts, areas = flow.t, flow.area
         rel = float(np.max(np.abs(areas / (areas[0] * np.exp(ts)) - 1.0)))
         assert rel <= 1e-7, f"area law violated: {rel:.3e}"
-        hs = np.array([f.hawking for f in flow])
+        hs = flow.hawking
         assert float(np.min(np.diff(hs))) >= -1e-9, "Hawking mass decreased"
         if metric.mass > 0.0:
             assert float(np.max(np.abs(hs - metric.mass))) <= 1e-9

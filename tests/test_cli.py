@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from ahiso.cli import emit_summary, run
-from ahiso.profiles import hyperbolic_profile
+from ahiso.imcf import flow_spheres
+from ahiso.models import make_ads_schwarzschild
+from ahiso.profiles import gap_table, hyperbolic_profile
 
 FOUR_PI = 4.0 * math.pi
 
@@ -154,6 +156,30 @@ class TestTables:
         manifest, _, body = _parse_csv(dest.read_text())
         assert body.shape == (5, 9)
         assert manifest["model_digest"] != "-"
+
+    @pytest.mark.parametrize(
+        "argv, compute",
+        [
+            (
+                ["imcf", "--s0", "2", "--t-max", "2", "--dt", "0.25"],
+                lambda metric: flow_spheres(metric, 2.0, 2.0, 0.25),
+            ),
+            (
+                ["profile", "--v-min", "10", "--n", "12"],
+                lambda metric: gap_table(metric, np.geomspace(10.0, 1e6, 12)),
+            ),
+        ],
+        ids=["imcf", "profile"],
+    )
+    def test_cells_are_repr_of_the_record_fields(
+        self, capsys, ads_model, argv, compute
+    ):
+        out = _capture(capsys, argv + ["--model", ads_model])
+        cells = [line.split(",") for line in out.splitlines()[2:]]
+        columns = list(vars(compute(make_ads_schwarzschild(1.0))).values())
+        assert len(cells) == columns[0].size
+        want = [[repr(float(col[i])) for col in columns] for i in range(len(cells))]
+        assert cells == want
 
     def test_deterministic_bodies(self, capsys, ads_model):
         argv = ["spheres", "--model", ads_model, "--n", "15"]
@@ -350,6 +376,21 @@ class TestSummary:
         doc = emit_summary(str(hyp_suite))
         for record in doc["criteria"].values():
             assert set(record) >= {"measured", "tolerance", "status"}
+
+    def test_ragged_file_is_skipped(self, tmp_path, hyp_model):
+        # A truncated last row left columns of unequal length, and the
+        # Hawking-mass check failed to broadcast them.
+        res = tmp_path / "res"
+        res.mkdir()
+        whole, cut = res / "whole.csv", res / "cut.csv"
+        argv = ["spheres", "--model", hyp_model, "--n", "5", "--out", str(whole)]
+        assert run(argv) == 0
+        lines = whole.read_text().splitlines()
+        lines[-1] = ",".join(lines[-1].split(",")[:4])
+        cut.write_text("\n".join(lines) + "\n")
+        doc = emit_summary(str(res))
+        assert doc["n_runs"] == 1
+        assert doc["verdicts"]["hawking_identity"] == "pass"
 
     def test_empty_directory_rejected(self, tmp_path):
         empty = tmp_path / "empty"

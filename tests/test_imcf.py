@@ -7,11 +7,10 @@ import pytest
 
 from ahiso.imcf import (
     ComparisonCurve,
-    FlowSample,
+    Flow,
     comparison_ode,
     flow_spheres,
     lipschitz_check,
-    t_of_v,
 )
 from ahiso.numerics import NumericsError, solve_ode
 from ahiso.profiles import hyperbolic_profile, model_volume
@@ -20,49 +19,50 @@ from ahiso.profiles import hyperbolic_profile, model_volume
 class TestFlow:
     def test_hyperbolic_exponential_law(self, hyperbolic):
         flow = flow_spheres(hyperbolic, 1.0, 2.0, 0.1)
-        last = flow[-1]
-        assert last.t == 2.0
+        assert flow.t[-1] == 2.0
         # ds/dt = sqrt(f)/H = s/2 for every model in the family.
-        assert last.s == pytest.approx(math.e, rel=1e-9)
-        assert last.area == pytest.approx(4.0 * math.pi * math.e**2, rel=1e-9)
+        assert flow.s[-1] == pytest.approx(math.e, rel=1e-9)
+        assert flow.area[-1] == pytest.approx(4.0 * math.pi * math.e**2, rel=1e-9)
 
     @pytest.mark.parametrize("name", ["hyperbolic", "ads_one"])
     def test_area_grows_exactly_exponentially(self, request, name):
         metric = request.getfixturevalue(name)
         s0 = metric.core_radius + 1.0
         flow = flow_spheres(metric, s0, 10.0, 1e-2)
-        ts = np.array([f.t for f in flow])
-        areas = np.array([f.area for f in flow])
+        ts, areas = flow.t, flow.area
         rel = np.abs(areas / areas[0] - np.exp(ts))
         assert float(np.max(rel / np.exp(ts))) <= 1e-7
 
     def test_hawking_mass_constant_on_ads(self, ads_one):
         flow = flow_spheres(ads_one, 2.0, 5.0, 0.05)
-        for sample in flow:
-            assert abs(sample.hawking - 1.0) <= 1e-12
+        assert np.all(np.abs(flow.hawking - 1.0) <= 1e-12)
 
     def test_hawking_mass_nondecreasing_on_perturbed(self, perturbed_valid):
         flow = flow_spheres(perturbed_valid, 1.5, 8.0, 0.05)
-        hs = [f.hawking for f in flow]
-        assert all(b >= a - 1e-8 for a, b in zip(hs, hs[1:]))
+        assert np.all(np.diff(flow.hawking) >= -1e-8)
 
     def test_volumes_track_the_static_measure(self, ads_one):
         flow = flow_spheres(ads_one, 2.0, 4.0, 0.5)
-        for sample in flow[:: len(flow) // 4]:
-            want = model_volume(ads_one, sample.s)
-            assert sample.enclosed_volume == pytest.approx(want, rel=1e-9)
+        step = flow.s.size // 4
+        for s, vol in zip(flow.s[::step].tolist(), flow.enclosed_volume[::step].tolist()):
+            assert vol == pytest.approx(model_volume(ads_one, s), rel=1e-9)
 
     def test_initial_sample_carries_core_volume(self, ads_one):
         flow = flow_spheres(ads_one, 3.0, 1.0, 0.5)
-        assert flow[0].t == 0.0
-        assert flow[0].s == 3.0
-        assert flow[0].enclosed_volume == pytest.approx(
+        assert flow.t[0] == 0.0
+        assert flow.s[0] == 3.0
+        assert flow.enclosed_volume[0] == pytest.approx(
             model_volume(ads_one, 3.0), rel=1e-10
         )
 
     def test_final_time_always_sampled(self, hyperbolic):
         flow = flow_spheres(hyperbolic, 1.0, 1.0, 0.3)
-        assert flow[-1].t == 1.0
+        assert flow.t[-1] == 1.0
+
+    def test_column_shape_mismatch_rejected(self):
+        col = np.array([1.0, 2.0])
+        with pytest.raises(ValueError):
+            Flow(t=col, s=col, area=col, enclosed_volume=col[:1], hawking=col)
 
     def test_input_validation(self, ads_one):
         with pytest.raises(ValueError):
@@ -93,33 +93,6 @@ class TestFlow:
         assert fine.n_steps < 1_000
 
 
-class TestTimeOfVolume:
-    def test_round_trips_through_samples(self, ads_one):
-        flow = flow_spheres(ads_one, 2.0, 3.0, 0.25)
-        for sample in flow:
-            assert t_of_v(flow, sample.enclosed_volume) == pytest.approx(
-                sample.t, abs=1e-12
-            )
-
-    def test_monotone_between_samples(self, hyperbolic):
-        flow = flow_spheres(hyperbolic, 1.0, 2.0, 0.5)
-        vs = np.linspace(flow[0].enclosed_volume, flow[-1].enclosed_volume, 20)
-        ts = [t_of_v(flow, float(v)) for v in vs]
-        assert all(b >= a for a, b in zip(ts, ts[1:]))
-
-    def test_out_of_range_rejected(self, hyperbolic):
-        flow = flow_spheres(hyperbolic, 1.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            t_of_v(flow, flow[-1].enclosed_volume * 2.0)
-        with pytest.raises(ValueError):
-            t_of_v(flow, flow[0].enclosed_volume * 0.5)
-
-    def test_short_flow_rejected(self, hyperbolic):
-        flow = flow_spheres(hyperbolic, 1.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            t_of_v(flow[:1], flow[0].enclosed_volume)
-
-
 class TestLipschitzBound:
     def test_equality_case_leaves_only_noise(self, hyperbolic):
         flow = flow_spheres(hyperbolic, 1.0, 5.0, 0.01)
@@ -133,8 +106,9 @@ class TestLipschitzBound:
 
     def test_needs_three_samples(self, hyperbolic):
         flow = flow_spheres(hyperbolic, 1.0, 1.0, 0.5)
+        short = Flow(**{k: v[:2] for k, v in vars(flow).items()})
         with pytest.raises(ValueError):
-            lipschitz_check(hyperbolic, flow[:2])
+            lipschitz_check(hyperbolic, short)
 
 
 class TestComparisonOde:
@@ -259,10 +233,10 @@ class TestComparisonOde:
 
 class TestFlowDomainExit:
     def test_flow_sample_fields_are_frozen(self, hyperbolic):
-        sample = flow_spheres(hyperbolic, 1.0, 1.0, 0.5)[0]
-        assert isinstance(sample, FlowSample)
+        flow = flow_spheres(hyperbolic, 1.0, 1.0, 0.5)
+        assert isinstance(flow, Flow)
         with pytest.raises(AttributeError):
-            sample.s = 2.0
+            flow.s = np.array([2.0, 2.0, 2.0])
 
     def test_mass_floor_error_names_failing_volume(self):
         with pytest.raises(ValueError) as err:

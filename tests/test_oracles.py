@@ -18,18 +18,27 @@ from ahiso.profiles import hyperbolic_profile, renormalized_volume
 
 
 def _hyperbolic_profile_oracle(v):
-    """4 pi sinh^2 rho with pi (sinh 2 rho - 2 rho) = v, at 40 digits."""
-    with mpmath.workdps(40):
+    """4 pi sinh^2 rho with pi (sinh 2 rho - 2 rho) = v, at 60 digits.
+
+    sinh 2 rho - 2 rho cancels about 2 log10(1 / rho) digits, so 60 leave
+    more than 35 down to v = 1e-30.  Newton's method on the convex volume
+    converges monotonically from any start above the root: (3v / 4 pi)^{1/3}
+    below v = 1 (a hyperbolic ball outweighs the Euclidean one of the same
+    radius) and log(2v / pi) / 2 + 1 above.
+    """
+    with mpmath.workdps(60):
         v = mpmath.mpf(v)
-        hi = mpmath.mpf(1)
-        while mpmath.pi * (mpmath.sinh(2 * hi) - 2 * hi) < v:
-            hi *= 2
-        rho = mpmath.findroot(
-            lambda r: mpmath.pi * (mpmath.sinh(2 * r) - 2 * r) - v,
-            (mpmath.mpf(0), hi),
-            solver="illinois",
-        )
-        return 4 * mpmath.pi * mpmath.sinh(rho) ** 2
+        if v < 1:
+            rho = mpmath.cbrt(3 * v / (4 * mpmath.pi))
+        else:
+            rho = mpmath.log(2 * v / mpmath.pi) / 2 + 1
+        for _ in range(200):
+            excess = mpmath.pi * (mpmath.sinh(2 * rho) - 2 * rho) - v
+            step = excess / (4 * mpmath.pi * mpmath.sinh(rho) ** 2)
+            rho -= step
+            if abs(step) <= mpmath.mpf(10) ** -35 * rho:
+                return 4 * mpmath.pi * mpmath.sinh(rho) ** 2
+        raise AssertionError(f"oracle did not converge at v = {v}")
 
 
 def _relative_error(v):
@@ -37,10 +46,21 @@ def _relative_error(v):
     return float(abs(hyperbolic_profile(v) - want) / want)
 
 
-def test_hyperbolic_profile_matches_oracle_over_volume_range():
-    errors = {v: _relative_error(v) for v in np.geomspace(0.1, 1e7, 200).tolist()}
+def _assert_matches_oracle(volumes):
+    errors = {v: _relative_error(v) for v in volumes.tolist()}
     worst = max(errors, key=errors.get)
     assert errors[worst] <= 1e-14, f"relative error {errors[worst]:.3g} at v={worst!r}"
+
+
+def test_hyperbolic_profile_matches_oracle_over_volume_range():
+    _assert_matches_oracle(np.geomspace(0.1, 1e7, 200))
+
+
+def test_hyperbolic_profile_matches_oracle_at_small_volume():
+    # The closed-form volume cancels O(1) terms here, and an absolute
+    # 1e-12 tolerance on rho is no longer relative: A_H(1e-20) came out
+    # 100x too large.
+    _assert_matches_oracle(np.geomspace(1e-30, 0.1, 200))
 
 
 def test_hyperbolic_profile_matches_oracle_at_pinned_volume():
