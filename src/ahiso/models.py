@@ -27,7 +27,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import QuadResult, find_root, integrate, integrate_intervals
+from .numerics import (
+    QuadResult,
+    find_root,
+    integrate,
+    integrate_intervals,
+    solve_increasing,
+)
 
 __all__ = [
     "RadialMetric",
@@ -449,29 +455,48 @@ def rho_from_s(metric: RadialMetric, s: float, quad_tol: float = 1e-13) -> float
 
 
 def s_from_rho(metric: RadialMetric, rho: float, quad_tol: float = 1e-13) -> float:
-    """Numerical inverse of rho_from_s."""
+    """Numerical inverse of rho_from_s.
+
+    Newton's method on rho(s) = rho (:func:`solve_increasing`) with
+    d rho / d s = f^{-1/2}, in w with s = core + w^2 above a positive
+    core, where d rho / d w = 2 (f / w^2)^{-1/2} stays finite.  It starts
+    1e-12 below s = sinh(rho), or at the core when that lies below it,
+    with rho there from one :func:`coordinate_gap` tail; every step adds
+    one GK15 panel of the derivative.  Where G >= 0 the start lies below
+    the root by more than the rounding of asinh, and rho(s) is concave
+    wherever f grows, so the steps approach the root from below.  A start
+    above the root (G < 0 there) is bracketed from below by the bottom of
+    the domain, after one more tail integral checks that rho lies in its
+    image.  ``quad_tol`` is the tails' relative tolerance and the
+    absolute tolerance of the panels' sum.
+    """
     if not math.isfinite(rho):
         raise ValueError(f"rho must be finite, got {rho!r}")
     core = metric.core_radius
-    lo = core + 1e-12 * (1.0 + core) if core > 0.0 else 1e-300
-    if core > 0.0 and rho_from_s(metric, lo, quad_tol) >= rho:
-        raise ValueError(f"rho = {rho!r} is below the image of the domain")
-    # s > sinh(rho) whenever the gap is positive; expand upward regardless.
-    hi = max(math.sinh(max(rho, 0.0)) + 1.0, lo * 2.0, 1.0)
-    for _ in range(200):
-        if rho_from_s(metric, hi, quad_tol) >= rho:
-            break
-        hi *= 2.0
+    if core > 0.0:
+
+        def density(w):
+            return 2.0 / np.sqrt(metric.core_quotient(w * w))
+
     else:
-        raise ValueError(f"failed to bracket s for rho = {rho!r}")
-    if core == 0.0 and rho_from_s(metric, lo, quad_tol) > rho:
-        raise ValueError(f"rho = {rho!r} is below the image of the domain")
-    return find_root(
-        lambda s: rho_from_s(metric, s, quad_tol) - rho,
-        lo,
-        hi,
-        tol=1e-12 * max(1.0, hi),
-    )
+
+        def density(s):
+            return 1.0 / np.sqrt(metric.f(s))
+
+    s0 = max(math.sinh(rho) * (1.0 - 1e-12), core)
+    t0 = math.sqrt(s0 - core) if core > 0.0 else s0
+    rho0 = math.asinh(s0) - coordinate_gap(metric, s0, quad_tol).value
+    lo, hi = t0, math.inf
+    if rho0 >= rho:
+        # rho at the bottom of the domain: the core, or s = 0.
+        bottom = rho0
+        if s0 > core:
+            bottom = math.asinh(core) - coordinate_gap(metric, core, quad_tol).value
+        if bottom >= rho:
+            raise ValueError(f"rho = {rho!r} is below the image of the domain")
+        lo, hi = 0.0, t0
+    t = float(solve_increasing(density, [rho], [t0], [rho0], [lo], [hi], quad_tol)[0])
+    return core + t * t if core > 0.0 else t
 
 
 # ----------------------------------------------------------------------

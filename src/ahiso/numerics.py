@@ -1,7 +1,8 @@
 """Deterministic numeric kernels: adaptive quadrature, an embedded
-Runge-Kutta integrator, and bracketed root finding.
+Runge-Kutta integrator, bracketed root finding, and a safeguarded Newton
+inversion of integrals, vectorized over rows.
 
-All three routines are reproducible bit for bit across runs: there is no
+All routines are reproducible bit for bit across runs: there is no
 randomness, no thread-order dependence, and refinement always proceeds in
 a fixed order.  Convergence failures raise :class:`NumericsError` rather
 than returning a degraded result.
@@ -23,7 +24,9 @@ __all__ = [
     "gk15_nodes",
     "gk15_rule",
     "gk15_panels",
+    "integrate_panels",
     "integrate_intervals",
+    "solve_increasing",
     "solve_ode",
     "find_root",
 ]
@@ -135,6 +138,34 @@ def _gk15(fn: Callable, a: float, b: float) -> tuple[float, float, np.ndarray]:
     return resk, err, fv
 
 
+def _edges(edges) -> np.ndarray:
+    e = np.asarray(edges, dtype=float)
+    if e.ndim != 1 or e.size < 2:
+        raise ValueError("edges must be a 1-d sequence of at least two points")
+    if not np.all(np.isfinite(e)) or np.any(np.diff(e) <= 0.0):
+        raise ValueError("edges must be finite and strictly increasing")
+    return e
+
+
+def _pair_nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return mid[:, None] + half[:, None] * _NODES[None, :]
+
+
+def _pair_rule(a: np.ndarray, b: np.ndarray, fv: np.ndarray):
+    half = 0.5 * (b - a)
+    resk = half * (fv @ _WKF)
+    resg = half * (fv @ _WGF)
+    resabs = half * (np.abs(fv) @ _WKF)
+    resasc = half * (np.abs(fv - (resk / (b - a))[:, None]) @ _WKF)
+    err = np.abs(resk - resg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc > 0.0) & (err > 0.0), scaled, err)
+    return resk, np.maximum(err, 50.0 * _EPS * resabs)
+
+
 def gk15_nodes(edges) -> np.ndarray:
     """Gauss-Kronrod 7-15 nodes of each interval between ``edges``.
 
@@ -148,14 +179,8 @@ def gk15_nodes(edges) -> np.ndarray:
         If ``edges`` is not a finite, strictly increasing 1-d sequence of
         at least two points.
     """
-    e = np.asarray(edges, dtype=float)
-    if e.ndim != 1 or e.size < 2:
-        raise ValueError("edges must be a 1-d sequence of at least two points")
-    if not np.all(np.isfinite(e)) or np.any(np.diff(e) <= 0.0):
-        raise ValueError("edges must be finite and strictly increasing")
-    half = 0.5 * (e[1:] - e[:-1])
-    mid = 0.5 * (e[:-1] + e[1:])
-    return mid[:, None] + half[:, None] * _NODES[None, :]
+    e = _edges(edges)
+    return _pair_nodes(e[:-1], e[1:])
 
 
 def gk15_rule(edges, fv) -> tuple[np.ndarray, np.ndarray]:
@@ -169,17 +194,7 @@ def gk15_rule(edges, fv) -> tuple[np.ndarray, np.ndarray]:
     the last bits.
     """
     e = np.asarray(edges, dtype=float)
-    a, b = e[:-1], e[1:]
-    half = 0.5 * (b - a)
-    resk = half * (fv @ _WKF)
-    resg = half * (fv @ _WGF)
-    resabs = half * (np.abs(fv) @ _WKF)
-    resasc = half * (np.abs(fv - (resk / (b - a))[:, None]) @ _WKF)
-    err = np.abs(resk - resg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc > 0.0) & (err > 0.0), scaled, err)
-    return resk, np.maximum(err, 50.0 * _EPS * resabs)
+    return _pair_rule(e[:-1], e[1:], fv)
 
 
 def gk15_panels(fn: Callable, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -196,12 +211,50 @@ def gk15_panels(fn: Callable, edges) -> tuple[np.ndarray, np.ndarray]:
     NumericsError
         If ``fn`` is not finite at a node; that x is reported.
     """
-    xs = gk15_nodes(edges)
+    e = _edges(edges)
+    return _sampled_rule(fn, e[:-1], e[1:])
+
+
+def _sampled_rule(fn: Callable, a: np.ndarray, b: np.ndarray):
+    xs = _pair_nodes(a, b)
     fv = _eval_batch(fn, xs.reshape(-1)).reshape(xs.shape)
     if not np.all(np.isfinite(fv)):
         bad = float(xs[~np.isfinite(fv)][0])
         raise NumericsError(f"integrand not finite at x={bad!r}")
-    return gk15_rule(edges, fv)
+    return _pair_rule(a, b, fv)
+
+
+def integrate_panels(
+    fn: Callable, a, b, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integral of ``fn`` over each interval [a[i], b[i]], with bounds.
+
+    Every interval gets one GK15 panel from a single vectorized call of
+    ``fn``.  An interval whose error estimate exceeds ``tol``, or 2e-14
+    of its own value when that is larger (the panel rule's rounding floor
+    is 50 eps of it), is redone by adaptive :func:`integrate` to that
+    tolerance.  The intervals may overlap and come in any order.
+
+    Raises
+    ------
+    ValueError
+        If ``a`` and ``b`` are not finite 1-d arrays of one length with
+        ``a < b`` elementwise.
+    NumericsError
+        If ``fn`` is not finite at a node, or a fallback fails.
+    """
+    lo = np.asarray(a, dtype=float)
+    hi = np.asarray(b, dtype=float)
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise ValueError("a and b must be 1-d arrays of one length")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
+        raise ValueError("intervals must be finite with a < b")
+    vals, err = _sampled_rule(fn, lo, hi)
+    tol_vec = np.maximum(tol, 2e-14 * np.abs(vals))
+    for i in np.flatnonzero(err > tol_vec):
+        res = integrate(fn, float(lo[i]), float(hi[i]), abs_tol=float(tol_vec[i]))
+        vals[i], err[i] = res.value, res.error_bound
+    return vals, err
 
 
 def integrate_intervals(
@@ -209,21 +262,106 @@ def integrate_intervals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integral of ``fn`` over each interval between ``edges``, with bounds.
 
-    Every interval gets one GK15 panel from a single vectorized
-    :func:`gk15_panels` call.  An interval whose error estimate exceeds
-    its share of ``tol`` (``tol / len(edges)``, or 2e-14 of its own
-    value when that is larger: the panel rule's rounding floor is 50 eps
-    of it) is redone by adaptive :func:`integrate` to that share.
-    Returns the values and error bounds per interval; their cumulative
-    sums are the integral from ``edges[0]`` to each edge.
+    :func:`integrate_panels` on consecutive edges, each interval held to
+    its share ``tol / len(edges)`` of the tolerance.  Returns the values
+    and error bounds per interval; their cumulative sums are the integral
+    from ``edges[0]`` to each edge.
     """
-    e = np.asarray(edges, dtype=float)
-    vals, err = gk15_panels(fn, e)
-    tol_vec = np.maximum(tol / e.size, 2e-14 * np.abs(vals))
-    for i in np.flatnonzero(err > tol_vec):
-        res = integrate(fn, float(e[i]), float(e[i + 1]), abs_tol=float(tol_vec[i]))
-        vals[i], err[i] = res.value, res.error_bound
-    return vals, err
+    e = _edges(edges)
+    return integrate_panels(fn, e[:-1], e[1:], tol / e.size)
+
+
+# A row of solve_increasing takes at most this many Newton rounds, and
+# each of its panels is held to this fraction of the tolerance, so the
+# panel errors along a row sum to at most the tolerance (or their
+# relative floors).
+_NEWTON_ROUNDS = 64
+# A row stops once its raw Newton step is at most this fraction of the
+# iterate; the step is then applied, which leaves an error of the order
+# of its square.
+_NEWTON_RTOL = 1e-10
+
+
+def solve_increasing(
+    density: Callable,
+    target,
+    t,
+    value,
+    lo,
+    hi,
+    tol: float,
+) -> np.ndarray:
+    """Roots of F(t) = target, row by row, for increasing F with F' = density.
+
+    Row i starts at ``t[i]``, where F is known to be ``value[i]``, and
+    its bracket ``[lo[i], hi[i]]`` holds the root (``hi`` may be inf; the
+    start is then ``lo``).  Every round, all rows still active take one
+    Newton step (target - F) / density together.  A row whose raw step is
+    at most 1e-10 of its iterate stops there and returns the iterate plus
+    that step; the test comes before the safeguard, so a rounding-level
+    step that would land on a bracket end does not bisect.  Otherwise a
+    step that leaves the open bracket goes to the bracket midpoint
+    instead, F at the new iterate is F at the old one plus one GK15 panel
+    of ``density`` between them (:func:`integrate_panels`, all rows in one
+    call, each panel held to ``tol / 64``), and the new iterate replaces
+    the bracket end on its side of the root.
+
+    ``density`` must accept arrays and be positive where the rows go.
+
+    Raises
+    ------
+    NumericsError
+        If a row is still active after 64 rounds, if its bracket closes
+        without its step falling below the tolerance, or if a step leaves
+        a bracket that has no upper end.
+    """
+    target = np.array(target, dtype=float)
+    t = np.array(t, dtype=float)
+    value = np.array(value, dtype=float)
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    out = np.empty_like(t)
+    rows = np.arange(t.size)
+    for _ in range(_NEWTON_ROUNDS):
+        step = (target - value) / density(t)
+        done = np.abs(step) <= _NEWTON_RTOL * np.abs(t)
+        out[rows[done]] = t[done] + step[done]
+        if done.all():
+            return out
+        keep = ~done
+        rows, t, step, value, target, lo, hi = (
+            x[keep] for x in (rows, t, step, value, target, lo, hi)
+        )
+        new = t + step
+        outside = ~((lo < new) & (new < hi))
+        if np.any(outside & np.isinf(hi)):
+            i = int(np.flatnonzero(outside & np.isinf(hi))[0])
+            raise NumericsError(
+                f"solve_increasing: step from t={float(t[i])!r} leaves "
+                f"[{float(lo[i])!r}, inf) for target {float(target[i])!r}"
+            )
+        new = np.where(outside, 0.5 * (lo + hi), new)
+        if np.any(new == t):
+            i = int(np.flatnonzero(new == t)[0])
+            raise NumericsError(
+                f"solve_increasing: bracket [{float(lo[i])!r}, {float(hi[i])!r}] "
+                f"closed with a step of {float(step[i])!r} left for target "
+                f"{float(target[i])!r}"
+            )
+        up = new > t
+        vals, _ = integrate_panels(
+            density, np.where(up, t, new), np.where(up, new, t), tol / _NEWTON_ROUNDS
+        )
+        value = value + np.where(up, vals, -vals)
+        below = value < target
+        lo = np.where(below, new, lo)
+        hi = np.where(below, hi, new)
+        t = new
+    i = int(rows[0])
+    raise NumericsError(
+        f"solve_increasing: row {i} (target {float(target[0])!r}) still "
+        f"active after {_NEWTON_ROUNDS} rounds in [{float(lo[0])!r}, {float(hi[0])!r}]"
+    )
 
 
 def integrate(

@@ -19,6 +19,8 @@ from ahiso.numerics import (
     find_root,
     gk15_panels,
     integrate,
+    integrate_panels,
+    solve_increasing,
     solve_ode,
 )
 
@@ -125,6 +127,71 @@ def test_gk15_panels_nonfinite_integrand_names_x():
     # The middle node of [0, 1] is 0.5.
     with np.errstate(divide="ignore"), pytest.raises(NumericsError, match="x=0.5"):
         gk15_panels(lambda u: 1.0 / (u - 0.5), [0.0, 1.0])
+
+
+def test_integrate_panels_match_single_panels_in_any_order():
+    # Overlapping, unordered intervals; the sqrt panel from 0 is over its
+    # share and is redone adaptively to it.  Many panels at once may sum
+    # the weight products in another order, so values agree to a few ulp.
+    fn = lambda u: np.sqrt(u) * np.exp(-u)  # noqa: E731
+    a = np.array([2.0, 0.0, 1.0, 0.5])
+    b = np.array([3.0, 1.0, 2.5, 0.75])
+    vals, errs = integrate_panels(fn, a, b, 1e-13)
+    for lo, hi, val, err in zip(a, b, vals, errs):
+        one, one_err = gk15_panels(fn, [lo, hi])
+        if one_err[0] <= max(1e-13, 2e-14 * abs(one[0])):
+            assert abs(val - one[0]) <= 4.0 * np.spacing(val)
+            assert abs(err - one_err[0]) <= 1e-12 * err
+        else:
+            assert err <= max(1e-13, 2e-14 * abs(val))
+            assert abs(val - integrate(fn, lo, hi, abs_tol=1e-15).value) <= 2e-13
+    assert errs[1] <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [([0.0], [0.0]), ([1.0], [0.0]), ([0.0, 1.0], [1.0]), ([0.0], [math.inf]), ([[0.0]], [[1.0]])],
+)
+def test_integrate_panels_rejects_malformed_intervals(a, b):
+    with pytest.raises(ValueError):
+        integrate_panels(lambda u: u, a, b, 1e-10)
+
+
+def test_solve_increasing_inverts_a_cube_row_by_row():
+    # F(t) = t^3 from F(lo) = lo^3, brackets [lo, 2 lo] and [lo, inf).
+    target = np.geomspace(1e-30, 1e30, 25)
+    root = np.cbrt(target)
+    lo = 0.6 * root
+    hi = np.where(np.arange(25) % 2 == 0, 2.0 * root, np.inf)
+    got = solve_increasing(lambda t: 3.0 * t * t, target, lo, lo**3, lo, hi, 1e-300)
+    assert np.all(np.abs(got - root) <= 4e-16 * root)
+
+
+def test_solve_increasing_rounding_level_step_does_not_bisect():
+    # Started on the root, which is also the bracket's upper end, with F
+    # there a rounding error low: the raw step points out of the bracket
+    # but is at rounding level, so the row stops at once, without a panel.
+    calls = []
+
+    def density(t):
+        calls.append(np.size(t))
+        return 3.0 * t * t
+
+    got = solve_increasing(density, [8.0], [2.0], [8.0 - 1e-15], [1.0], [2.0], 1e-12)
+    assert got[0] == 2.0
+    assert calls == [1]
+
+
+def test_solve_increasing_wrong_density_raises():
+    # A density 1000x too small overshoots every time; the bracket closes
+    # while the raw step stays large.
+    with pytest.raises(NumericsError, match="bracket"):
+        solve_increasing(lambda t: 3e-3 * t * t, [8.0], [1.0], [1.0], [1.0], [3.0], 1e-12)
+
+
+def test_solve_increasing_step_out_of_an_open_bracket_raises():
+    with pytest.raises(NumericsError, match="inf"):
+        solve_increasing(lambda t: -np.ones_like(t), [8.0], [1.0], [1.0], [1.0], [np.inf], 1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """Checks against an independent high-precision oracle (mpmath)."""
 
+import functools
 import json
 
 import mpmath
@@ -14,7 +15,13 @@ from ahiso.models import (
     make_perturbed,
     s_from_rho,
 )
-from ahiso.profiles import hyperbolic_profile, renormalized_volume
+from ahiso.profiles import (
+    hyperbolic_profile,
+    hyperbolic_volume,
+    model_radius_for_volume,
+    model_volume_quad,
+    renormalized_volume,
+)
 
 
 def _hyperbolic_profile_oracle(v):
@@ -61,6 +68,17 @@ def test_hyperbolic_profile_matches_oracle_at_small_volume():
     # 1e-12 tolerance on rho is no longer relative: A_H(1e-20) came out
     # 100x too large.
     _assert_matches_oracle(np.geomspace(1e-30, 0.1, 200))
+
+
+def test_hyperbolic_volume_matches_oracle_below_rho_three_tenths():
+    # The closed form 4 pi (sinh^2 / 2 + 1/4 - rho / 2 - e^{-2 rho} / 4)
+    # cancels O(1) terms here: 1.2e-13 relative error at rho = 0.101.
+    rhos = np.linspace(0.1, 0.3, 2001).tolist()
+    with mpmath.workdps(50):
+        want = [mpmath.pi * (mpmath.sinh(2 * mpmath.mpf(r)) - 2 * mpmath.mpf(r)) for r in rhos]
+        errors = [float(abs(hyperbolic_volume(r) - w) / w) for r, w in zip(rhos, want)]
+    worst = int(np.argmax(errors))
+    assert errors[worst] <= 2e-15, f"relative error {errors[worst]:.3g} at rho={rhos[worst]!r}"
 
 
 def test_hyperbolic_profile_matches_oracle_at_pinned_volume():
@@ -140,22 +158,31 @@ class _Oracle:
         for _ in range(2):
             f = 1 + s_t * s_t + self.deficit(s_t)
             s_t -= (mpmath.asinh(s_t) - self.gap(s_t) - rho) * mpmath.sqrt(f)
+        return self.volume(s_t) - mpmath.pi * (mpmath.sinh(2 * rho) - 2 * rho)
+
+    def volume_element_in_w(self, w):
+        """4 pi u^2 f^{-1/2} du/dw with u = c + w^2."""
+        b = self.c + w * w
+        return 8 * mpmath.pi * b * b / mpmath.sqrt(self.core_quotient(w * w))
+
+    def volume(self, s):
+        """vol_g(s): in w below c + 1 when c > 0, then closed form plus gap part."""
+        s = mpmath.mpf(s)
         c = self.c
+        if c > 0 and s <= c + 1:
+            return mpmath.quad(self.volume_element_in_w, [0, mpmath.sqrt(s - c)])
         if c > 0:
             start = c + 1
-            vol = mpmath.quad(
-                lambda w: 8 * mpmath.pi * (c + w * w) ** 2 / mpmath.sqrt(self.core_quotient(w * w)),
-                [0, 1],
-            )
+            vol = mpmath.quad(self.volume_element_in_w, [0, 1])
         else:
             start, vol = mpmath.mpf(0), mpmath.mpf(0)
         # 4 pi u^2 f^{-1/2}: the hyperbolic part in closed form, the rest
         # by quadrature on log-spaced pieces.
         hyp = lambda u: 2 * mpmath.pi * (u * mpmath.sqrt(1 + u * u) - mpmath.asinh(u))  # noqa: E731
-        vol += hyp(s_t) - hyp(start)
-        pieces = [start] + [mpmath.mpf(10) ** k for k in range(1, 9) if 10**k > start + 1 and 10**k < s_t]
-        vol += mpmath.quad(lambda u: 4 * mpmath.pi * u * u * self.gap_integrand(u), pieces + [s_t])
-        return vol - mpmath.pi * (mpmath.sinh(2 * rho) - 2 * rho)
+        vol += hyp(s) - hyp(start)
+        pieces = [start] + [mpmath.mpf(10) ** k for k in range(1, 9) if 10**k > start + 1 and 10**k < s]
+        vol += mpmath.quad(lambda u: 4 * mpmath.pi * u * u * self.gap_integrand(u), pieces + [s])
+        return vol
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
@@ -189,3 +216,103 @@ def test_rho_column_within_sweep_bound_of_oracle(name, tmp_path):
     # The sweep bounds G; asinh and the subtraction add up to one ulp each.
     err = np.abs(data["rho"] - want)
     assert np.all(err <= bound + 2.0 * np.spacing(np.abs(want))), np.max(err - bound)
+
+
+# ----------------------------------------------------------------------
+# Model volume and its inverse.
+
+ORACLE_VOLUMES = np.geomspace(1e-6, 1e7, 14)
+
+
+@functools.lru_cache(maxsize=None)
+def _volume_oracle(name):
+    """s_v from the package, vol_g(s_v) at 40 digits, and the exact s_v.
+
+    The exact s_v is one Newton step from the package's, in w = sqrt(s - c)
+    when c > 0 (where the volume element stays finite) and in s otherwise;
+    from a start good to ~1e-15 the step leaves an error of ~1e-30.
+    """
+    metric = ORACLE_MODELS[name]
+    oracle = _Oracle(metric)
+    radii = [model_radius_for_volume(metric, v) for v in ORACLE_VOLUMES.tolist()]
+    vols, exact = [], []
+    with mpmath.workdps(40):
+        c = oracle.c
+        for v, s_v in zip(ORACLE_VOLUMES.tolist(), radii):
+            vol = oracle.volume(s_v)
+            x = mpmath.mpf(s_v)
+            if c > 0:
+                w = mpmath.sqrt(x - c)
+                w -= (vol - v) / oracle.volume_element_in_w(w)
+                exact.append(c + w * w)
+            else:
+                f = 1 + x * x + oracle.deficit(x)
+                exact.append(x - (vol - v) * mpmath.sqrt(f) / (4 * mpmath.pi * x * x))
+            vols.append(vol)
+    return radii, vols, exact
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_model_volume_quad_within_error_bound_of_oracle(name):
+    metric = ORACLE_MODELS[name]
+    radii, vols, _ = _volume_oracle(name)
+    for s_v, want in zip(radii, vols):
+        res = model_volume_quad(metric, s_v)
+        assert float(abs(res.value - want)) <= res.error_bound, s_v
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_model_radius_for_volume_matches_oracle(name):
+    # The absolute 1e-12 stopping rule of the Brent inversion left errors
+    # up to 3.7e-13 relative here.
+    radii, _, exact = _volume_oracle(name)
+    errors = [float(abs(s - want) / want) for s, want in zip(radii, exact)]
+    worst = int(np.argmax(errors))
+    assert errors[worst] <= 1e-14, f"relative error {errors[worst]:.3g} at v={ORACLE_VOLUMES[worst]!r}"
+
+
+def test_model_radius_for_volume_at_small_volume():
+    # Hyperbolic space holds 2 pi (s sqrt(1 + s^2) - asinh s) inside area
+    # radius s.  An absolute 1e-12 stopping rule on s returned 9.5e-17 at
+    # v = 1e-40, where s_v is 2.9e-14.
+    vols = np.geomspace(1e-40, 1e-3, 38)
+    radii = [model_radius_for_volume(make_hyperbolic(), v) for v in vols.tolist()]
+    errors = []
+    with mpmath.workdps(120):
+        for v, s_v in zip(vols.tolist(), radii):
+            # Newton from the Euclidean radius, which lies below s_v.
+            x = mpmath.cbrt(3 * mpmath.mpf(v) / (4 * mpmath.pi))
+            for _ in range(100):
+                vol = 2 * mpmath.pi * (x * mpmath.sqrt(1 + x * x) - mpmath.asinh(x))
+                step = (vol - v) * mpmath.sqrt(1 + x * x) / (4 * mpmath.pi * x * x)
+                x -= step
+                if abs(step) <= mpmath.mpf(10) ** -40 * x:
+                    break
+            errors.append(float(abs(s_v - x) / x))
+    worst = int(np.argmax(errors))
+    assert errors[worst] <= 1e-14, f"relative error {errors[worst]:.3g} at v={vols[worst]!r}"
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_s_from_rho_matches_oracle(name):
+    # The exact s is one Newton step on asinh(s) - G(s) = rho (slope
+    # f^{-1/2}) from the package's answer.  rho = 0 lies below the image
+    # of every stock model but pert(0.5, [0.2]), whose rho is negative at
+    # its core.
+    metric = ORACLE_MODELS[name]
+    oracle = _Oracle(metric)
+    inner = float(mpmath.asinh(oracle.c) - oracle.gap(oracle.c)) if oracle.c > 0 else 0.0
+    errors = {}
+    for rho in (0.0, 0.7, 1.0, 5.0, 20.0):
+        if rho <= inner:
+            with pytest.raises(ValueError, match="below the image"):
+                s_from_rho(metric, rho)
+            continue
+        s = s_from_rho(metric, rho)
+        with mpmath.workdps(40):
+            x = mpmath.mpf(s)
+            f = 1 + x * x + oracle.deficit(x)
+            exact = x - (mpmath.asinh(x) - oracle.gap(x) - rho) * mpmath.sqrt(f)
+            errors[rho] = float(abs(x - exact) / exact)
+    worst = max(errors, key=errors.get)
+    assert errors[worst] <= 2e-15, f"relative error {errors[worst]:.3g} at rho={worst!r}"

@@ -5,10 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import ahiso.numerics
 from ahiso.imcf import flow_spheres
-from ahiso.models import coordinate_gap, make_ads_schwarzschild, make_perturbed
-from ahiso.numerics import NumericsError, find_root
+from ahiso.models import (
+    coordinate_gap,
+    make_ads_schwarzschild,
+    make_perturbed,
+    validate_ah,
+)
+from ahiso.numerics import NumericsError, find_root, integrate, solve_increasing
 from ahiso.profiles import (
     cumulative_volume_over_grid,
     gap_table,
@@ -115,6 +123,20 @@ class TestModelVolume:
     def test_nonpositive_volume_rejected(self, ads_one):
         with pytest.raises(ValueError):
             model_radius_for_volume(ads_one, 0.0)
+        with pytest.raises(ValueError):
+            model_radius_for_volume(ads_one, np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("name", ["hyperbolic", "ads_one", "perturbed_valid"])
+    def test_volumes_in_any_order_match_one_at_a_time(self, request, name):
+        # Together the rows bracket one another, so the iterates differ;
+        # each row still stops within its own tolerance of the root.
+        metric = request.getfixturevalue(name)
+        vols = np.array([3e4, 0.2, 7.0, 1e-9, 250.0, 7.5])
+        together = model_radius_for_volume(metric, vols)
+        alone = np.array([model_radius_for_volume(metric, v) for v in vols.tolist()])
+        assert together.shape == vols.shape
+        assert np.all(np.abs(together - alone) <= 4e-16 * alone)
+        assert isinstance(model_radius_for_volume(metric, 7.0), float)
 
 
 class TestCumulativeVolume:
@@ -277,6 +299,77 @@ class TestRootFindingWork:
         gap_table(metric, np.geomspace(1.0, 1e6, 60))
         assert calls
         assert len(probes) / len(calls) <= 16.0
+
+
+class TestNewtonInversionWork:
+    def test_gap_table_rounds_and_integrals(self, monkeypatch):
+        # Brent over adaptive volume segments made 14,099 integrate calls
+        # in a traced profile pass; Newton takes one panel per row per round.
+        rounds, integrals, panel_calls = [], [], []
+
+        def counting_integrate(*args, **kwargs):
+            integrals.append(1)
+            return integrate(*args, **kwargs)
+
+        def counting_panels(*args, **kwargs):
+            panel_calls.append(1)
+            return panels(*args, **kwargs)
+
+        def counting_solve(*args, **kwargs):
+            before = len(panel_calls)
+            out = solve_increasing(*args, **kwargs)
+            # One panel call per round but the last, which finds every
+            # remaining step below the tolerance.
+            rounds.append(len(panel_calls) - before + 1)
+            return out
+
+        panels = ahiso.numerics.integrate_panels
+        monkeypatch.setattr("ahiso.numerics.integrate_panels", counting_panels)
+        for module in ("numerics", "models", "profiles"):
+            monkeypatch.setattr(f"ahiso.{module}.integrate", counting_integrate)
+        monkeypatch.setattr("ahiso.profiles.solve_increasing", counting_solve)
+        gap_table(make_ads_schwarzschild(1.0), np.geomspace(1.0, 1e6, 60))
+        assert len(rounds) == 1
+        assert rounds[0] <= 12
+        assert len(integrals) <= 150
+
+    def test_renormalized_volume_gap_integrals(self, monkeypatch):
+        # Brent on rho(s) took one adaptive gap integral per probe: 9 per V.
+        calls = []
+
+        def counting_gap(*args, **kwargs):
+            calls.append(args[1])
+            return coordinate_gap(*args, **kwargs)
+
+        for target in ("ahiso.models.coordinate_gap", "ahiso.profiles.coordinate_gap"):
+            monkeypatch.setattr(target, counting_gap)
+        renormalized_volume(make_ads_schwarzschild(1.0))
+        assert len(calls) <= 4
+
+
+@st.composite
+def _valid_perturbed_models(draw):
+    """Seeded random perturbed models that pass validate_ah."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mass = float(rng.uniform(0.05, 3.0))
+    coeffs = rng.uniform(-0.3, 0.3, size=int(rng.integers(0, 4))) * mass
+    try:
+        metric = make_perturbed(mass, coeffs.tolist())
+    except ValueError:
+        metric = None
+    assume(metric is not None and validate_ah(metric).is_ah)
+    return metric
+
+
+class TestProperties:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(metric=_valid_perturbed_models())
+    def test_profile_increasing_and_renormalized_volume_nonnegative(self, metric):
+        # Both are claimed for every valid model: A_g = 4 pi s_v^2 with s_v
+        # increasing in v, and V >= 0 (zero only for hyperbolic space).
+        table = gap_table(metric, np.geomspace(1e-3, 1e6, 40))
+        assert np.all(np.diff(table.A_g) > 0.0)
+        assert renormalized_volume(metric).value >= 0.0
 
 
 class TestRenormalizedVolumeWork:
