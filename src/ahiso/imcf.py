@@ -225,7 +225,8 @@ def comparison_ode(
         grid = np.linspace(v0, v_end, n_grid)
     grid[0], grid[-1] = v0, v_end
 
-    a_h = np.array([hyperbolic_profile(float(v)) if v > 0.0 else 0.0 for v in grid])
+    a_h = np.zeros_like(grid)
+    a_h[grid > 0.0] = hyperbolic_profile(grid[grid > 0.0])
     # The solver's global error is about 0.2 * tol * B, so this cap keeps it
     # near 1e-7, 10x below the fault scale, however large B grows.
     tol = min(rel_tol, 0.5 * _PROFILE_FAULT / max(B0, float(a_h[-1])))

@@ -175,9 +175,10 @@ def _mass_horizon(mass: float) -> float:
 
 def _largest_root(mass: float, coeffs: tuple[float, ...]) -> float:
     """Largest positive root of the full profile f, or 0 if none."""
+    f = RadialMetric(mass=mass, coeffs=coeffs).f
     hi = 1.0 + 2.0 * mass + sum(abs(c) for c in coeffs)
     for _ in range(60):
-        if _profile_value(mass, coeffs, hi) > 0.0:
+        if f(hi) > 0.0:
             break
         hi *= 2.0
     else:
@@ -193,31 +194,18 @@ def _largest_root(mass: float, coeffs: tuple[float, ...]) -> float:
     lo = 1e-9
     for _ in range(10):
         grid = np.geomspace(lo, hi, 4096)
-        vals = _profile_value(mass, coeffs, grid)
+        vals = f(grid)
         nonpos = np.flatnonzero(vals <= 0.0)
         if nonpos.size:
             i = int(nonpos[-1])
             if i + 1 >= grid.size:
                 raise ValueError("profile f is not eventually positive")
             a, b = float(grid[i]), float(grid[i + 1])
-            return find_root(
-                lambda s: _profile_value(mass, coeffs, s), a, b, tol=1e-15 * b
-            )
+            return find_root(f, a, b, tol=1e-15 * b)
         if not diverges_down:
             return 0.0
         lo *= 1e-6
     raise ValueError("failed to bracket the core root")
-
-
-def _profile_value(mass, coeffs, s):
-    arr = np.asarray(s, dtype=float)
-    out = 1.0 + arr * arr
-    if mass:
-        out = out - 2.0 * mass / arr
-    for k, c in enumerate(coeffs, start=2):
-        if c:
-            out = out + c * arr ** (-k)
-    return out if arr.ndim else float(out)
 
 
 def make_hyperbolic() -> RadialMetric:

@@ -27,11 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import RadialMetric, coordinate_gap, gap_over_grid, s_from_rho, validate_ah
+from .models import (
+    RadialMetric,
+    coordinate_gap,
+    gap_over_grid,
+    make_hyperbolic,
+    s_from_rho,
+    validate_ah,
+)
 from .numerics import (
     NumericsError,
     QuadResult,
-    find_root,
     gk15_nodes,
     gk15_rule,
     integrate,
@@ -87,8 +93,8 @@ _SINH_EXCESS_COEFFS = tuple(6 / math.factorial(2 * j + 3) for j in range(8))
 
 
 def _sinh_excess_ratio(z: float) -> float:
-    """6 (sinh x - x) / x^3 at z = x^2 <= 0.36, where the first term left
-    out of the series is below 2e-20."""
+    """6 (sinh x - x) / x^3 at z = x^2 <= 0.64, where the first term left
+    out of the series is below 2e-18."""
     out = 0.0
     for c in reversed(_SINH_EXCESS_COEFFS):
         out = out * z + c
@@ -96,11 +102,11 @@ def _sinh_excess_ratio(z: float) -> float:
 
 
 def _hyperbolic_volume_any(rho: float) -> float:
-    # Antiderivative of 4 pi sinh^2; valid for any real rho.  Below 0.3
+    # Antiderivative of 4 pi sinh^2; valid for any real rho.  Below 0.4
     # the closed form would subtract O(1) terms to get an O(rho^3) volume
-    # (1.2e-13 relative error at 0.101); the series is exact to rounding
-    # up to z = 4 rho^2 = 0.36.
-    if abs(rho) <= 0.3:
+    # (1.2e-13 relative error at 0.101, 4.3e-15 on [0.3, 0.4]); the series
+    # is exact to rounding up to z = 4 rho^2 = 0.64.
+    if abs(rho) <= 0.4:
         return FOUR_PI / 3.0 * rho**3 * _sinh_excess_ratio(4.0 * rho * rho)
     return FOUR_PI * (
         0.5 * math.sinh(rho) ** 2 + 0.25 - 0.5 * rho - 0.25 * math.exp(-2.0 * rho)
@@ -114,41 +120,18 @@ def hyperbolic_volume(rho: float) -> float:
     return _hyperbolic_volume_any(rho)
 
 
-def _hyperbolic_rho(v: float) -> float:
-    """Radius of the hyperbolic ball of volume v > 0.
+_HYPERBOLIC = make_hyperbolic()
 
-    For v < 0.1 (rho < 0.29) to a few ulp relative, from the series of
-    the volume; above, to 1e-12 absolute from the volume itself.
+
+def hyperbolic_profile(v):
+    """Hyperbolic isoperimetric profile A_H(v) = 4 pi sinh^2 rho_v.
+
+    Hyperbolic space is the model f = 1 + s^2 with s = sinh rho, so this
+    is 4 pi s_v^2 from :func:`model_radius_for_volume` on it: ``v`` may be
+    a scalar or an array of volumes, inverted together.
     """
-    if v < 0.1:
-        # A hyperbolic ball holds more volume than the Euclidean one of
-        # the same radius r_e, so rho_v <= r_e.  Solving for rho_v / r_e
-        # keeps the tolerance relative and every probe clear of underflow.
-        r_e = _EUCLID_RADIUS * float(np.cbrt(v))
-        y = find_root(
-            lambda y: y**3 * _sinh_excess_ratio(4.0 * (r_e * y) ** 2) - 1.0,
-            0.0,
-            1.0,
-            tol=1e-15,
-        )
-        return r_e * y
-    hi = 1.0
-    for _ in range(80):
-        if _hyperbolic_volume_any(hi) >= v:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError(f"failed to bracket rho for v = {v!r}")
-    return find_root(
-        lambda r: _hyperbolic_volume_any(r) - v, 0.0, hi, tol=1e-12 * max(1.0, hi)
-    )
-
-
-def hyperbolic_profile(v: float) -> float:
-    """Hyperbolic isoperimetric profile A_H(v) = 4 pi sinh^2 rho_v."""
-    if not math.isfinite(v) or v <= 0.0:
-        raise ValueError(f"v must be finite and > 0, got {v!r}")
-    return FOUR_PI * math.sinh(_hyperbolic_rho(v)) ** 2
+    s = model_radius_for_volume(_HYPERBOLIC, v)
+    return FOUR_PI * s * s
 
 
 # ----------------------------------------------------------------------
@@ -452,7 +435,7 @@ def gap_table(
     v_ren = renormalized_volume(metric, truncation_rho, quad_tol=min(quad_tol, 1e-9))
     s_v = model_radius_for_volume(metric, grid, quad_tol)
     a_g = FOUR_PI * s_v * s_v
-    a_h = np.array([hyperbolic_profile(v) for v in grid.tolist()])
+    a_h = hyperbolic_profile(grid)
     if np.any(a_h <= 0.0):
         raise ValueError("A_H must be positive for v > 0")
     gap = a_g - a_h

@@ -69,8 +69,10 @@ class TestHyperbolicClosedForms:
         assert hyperbolic_profile(v) / euclid == pytest.approx(1.0, abs=1e-4)
 
     def test_profile_linear_growth(self):
-        # A_H(v) = 2v + O(log v) at large volume.
-        assert abs(hyperbolic_profile(1e8) / 1e8 - 2.0) <= 1e-5
+        # A_H(v) = 2v + O(log v) at large volume.  From v ~ 1e250 up, a
+        # search on the closed-form volume raised OverflowError in sinh.
+        for v in (1e8, 1e300):
+            assert abs(hyperbolic_profile(v) / v - 2.0) <= 1e-5
 
     def test_profile_rejects_nonpositive_volume(self):
         with pytest.raises(ValueError):
@@ -281,24 +283,21 @@ class TestGapTable:
 
 class TestRootFindingWork:
     def test_gap_table_probes_per_root(self, monkeypatch):
-        # Probe counts are deterministic; bisection averaged 41.9 per call.
-        calls, probes = [], []
+        # Brent once made one hyperbolic radius root per row, 16,072 probes
+        # in a traced profile pass; both profiles now come from Newton.
+        calls = []
 
-        def counting_find_root(fn, *args, **kwargs):
+        def counting_find_root(*args, **kwargs):
             calls.append(1)
-
-            def counted(x):
-                probes.append(x)
-                return fn(x)
-
-            return find_root(counted, *args, **kwargs)
+            return find_root(*args, **kwargs)
 
         metric = make_ads_schwarzschild(1.0)
-        for target in ("ahiso.models.find_root", "ahiso.profiles.find_root"):
+        for target in ("ahiso.numerics.find_root", "ahiso.models.find_root"):
             monkeypatch.setattr(target, counting_find_root)
+        # profiles no longer imports it; a root search put back there counts.
+        monkeypatch.setattr("ahiso.profiles.find_root", counting_find_root, raising=False)
         gap_table(metric, np.geomspace(1.0, 1e6, 60))
-        assert calls
-        assert len(probes) / len(calls) <= 16.0
+        assert not calls
 
 
 class TestNewtonInversionWork:
@@ -329,8 +328,9 @@ class TestNewtonInversionWork:
             monkeypatch.setattr(f"ahiso.{module}.integrate", counting_integrate)
         monkeypatch.setattr("ahiso.profiles.solve_increasing", counting_solve)
         gap_table(make_ads_schwarzschild(1.0), np.geomspace(1.0, 1e6, 60))
-        assert len(rounds) == 1
-        assert rounds[0] <= 12
+        # One inversion for A_g, one on hyperbolic space for A_H.
+        assert len(rounds) == 2
+        assert max(rounds) <= 12
         assert len(integrals) <= 150
 
     def test_renormalized_volume_gap_integrals(self, monkeypatch):
