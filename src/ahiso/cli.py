@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -647,7 +648,15 @@ def _cmd_summary(args) -> int:
 # Argument wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process.
+
+    Building it costs more than twenty parses, and in-process batch callers
+    run many subcommands.  Reuse is safe: parsing leaves the parser
+    unchanged, and every ``parse_args`` fills a fresh ``Namespace`` with
+    the defaults.
+    """
     common = _Parser(add_help=False)
     common.add_argument("--model", help="path to a model JSON file")
     common.add_argument("--out", help="output file (default: stdout)")

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 SIXTEEN_PI = 16.0 * math.pi
+# (16 pi)^{3/2}, taken once instead of on every radicand evaluation.
+_SIXTEEN_PI_3_2 = SIXTEEN_PI ** 1.5
 
 # Absolute scale at which a comparison curve started on the hyperbolic
 # profile may exceed it before the excess counts as an integrator fault.
@@ -107,8 +109,9 @@ def flow_spheres(
         fv = metric.f(s)
         if fv <= 0.0:
             raise NumericsError(f"flow left the domain at s = {s!r}")
-        h = 2.0 * math.sqrt(fv) / s
-        return math.sqrt(fv) / h
+        root = math.sqrt(fv)
+        h = 2.0 * root / s
+        return root / h
 
     sol = solve_ode(rhs, s0, 0.0, float(ts[-1]), rel_tol=ode_tol, x_eval=ts)
     radii = sol.ys
@@ -203,7 +206,7 @@ def comparison_ode(
             return mass_floor
 
     def radicand(v: float, B: float) -> float:
-        return SIXTEEN_PI + 4.0 * B - SIXTEEN_PI ** 1.5 * mu(v) / math.sqrt(B)
+        return SIXTEEN_PI + 4.0 * B - _SIXTEEN_PI_3_2 * mu(v) / math.sqrt(B)
 
     if radicand(v0, B0) < 0.0:
         raise ValueError(

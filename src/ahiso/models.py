@@ -52,8 +52,21 @@ __all__ = [
 
 
 def _as_float_array(s):
+    """``(np.float64, True)`` for a scalar ``s``, else ``(array, False)``.
+
+    A numpy scalar costs a fraction of a 0-d array and, unlike a Python
+    float, keeps the array path's IEEE results (inf or nan, never an
+    exception).  Callers start sums at 0.0 for a scalar and take powers
+    with ``np.power``: on a scalar, ``**`` calls the C library's pow,
+    which differs from numpy's array kernel in the last bit for a few
+    percent of inputs.
+    """
+    if isinstance(s, float):
+        return np.float64(s), True
     arr = np.asarray(s, dtype=float)
-    return arr, arr.ndim == 0
+    if arr.ndim == 0:
+        return arr[()], True
+    return arr, False
 
 
 @dataclass(frozen=True)
@@ -91,23 +104,23 @@ class RadialMetric:
     def deficit(self, s):
         """f(s) - (1 + s^2), evaluated without cancellation."""
         arr, scalar = _as_float_array(s)
-        out = np.zeros_like(arr)
+        out = 0.0 if scalar else np.zeros_like(arr)
         if self.mass:
             out = out - 2.0 * self.mass / arr
         for k, c in enumerate(self.coeffs, start=2):
             if c:
-                out = out + c * arr ** (-k)
+                out = out + c * np.power(arr, -k)
         return float(out) if scalar else out
 
     def deficit_prime(self, s):
         """d/ds of the deficit."""
         arr, scalar = _as_float_array(s)
-        out = np.zeros_like(arr)
+        out = 0.0 if scalar else np.zeros_like(arr)
         if self.mass:
-            out = out + 2.0 * self.mass / arr ** 2
+            out = out + 2.0 * self.mass / (arr * arr)
         for k, c in enumerate(self.coeffs, start=2):
             if c:
-                out = out - k * c * arr ** (-k - 1)
+                out = out - k * c * np.power(arr, -k - 1)
         return float(out) if scalar else out
 
     def f(self, s):
@@ -137,10 +150,10 @@ class RadialMetric:
         out = (2.0 * sh + arr) + 2.0 * self.mass / (b * sh)
         for k, c in enumerate(self.coeffs, start=2):
             if c:
-                ladder = np.zeros_like(arr)
+                ladder = 0.0 if scalar else np.zeros_like(arr)
                 for j in range(k):
-                    ladder = ladder + b ** j * sh ** (k - 1 - j)
-                out = out - c * ladder / (b ** k * sh ** k)
+                    ladder = ladder + np.power(b, j) * sh ** (k - 1 - j)
+                out = out - c * ladder / (np.power(b, k) * sh ** k)
         return float(out) if scalar else out
 
     def describe(self) -> dict:
@@ -270,10 +283,10 @@ def scalar_curvature_excess(metric: RadialMetric, s):
     """
     arr, scalar = _as_float_array(s)
     _check_domain(metric, arr)
-    out = np.zeros_like(arr)
+    out = 0.0 if scalar else np.zeros_like(arr)
     for k, c in enumerate(metric.coeffs, start=2):
         if c:
-            out = out + 2.0 * (k - 1) * c * arr ** (-k - 2)
+            out = out + 2.0 * (k - 1) * c * np.power(arr, -k - 2)
     return float(out) if scalar else out
 
 
@@ -460,6 +473,19 @@ def s_from_rho(metric: RadialMetric, rho: float, quad_tol: float = 1e-13) -> flo
     """
     if not math.isfinite(rho):
         raise ValueError(f"rho must be finite, got {rho!r}")
+    s0 = max(math.sinh(rho) * (1.0 - 1e-12), metric.core_radius)
+    rho0 = math.asinh(s0) - coordinate_gap(metric, s0, quad_tol).value
+    return _s_from_rho_at(metric, rho, s0, rho0, quad_tol)
+
+
+def _s_from_rho_at(
+    metric: RadialMetric, rho: float, s0: float, rho0: float, quad_tol: float
+) -> float:
+    """:func:`s_from_rho` from its start s0, where rho(s0) = rho0 is known.
+
+    A caller that already holds rho at the start (``renormalized_volume``
+    at the core, for rho = 0) saves the start's tail integral.
+    """
     core = metric.core_radius
     if core > 0.0:
 
@@ -471,9 +497,7 @@ def s_from_rho(metric: RadialMetric, rho: float, quad_tol: float = 1e-13) -> flo
         def density(s):
             return 1.0 / np.sqrt(metric.f(s))
 
-    s0 = max(math.sinh(rho) * (1.0 - 1e-12), core)
     t0 = math.sqrt(s0 - core) if core > 0.0 else s0
-    rho0 = math.asinh(s0) - coordinate_gap(metric, s0, quad_tol).value
     lo, hi = t0, math.inf
     if rho0 >= rho:
         # rho at the bottom of the domain: the core, or s = 0.

@@ -29,6 +29,7 @@ import numpy as np
 
 from .models import (
     RadialMetric,
+    _s_from_rho_at,
     coordinate_gap,
     gap_over_grid,
     make_hyperbolic,
@@ -324,7 +325,9 @@ def renormalized_volume(
     else:
         # Hyperbolic balls only exist for rho >= 0; the model region
         # below rho = 0 enters at full volume.
-        s_low = s_from_rho(metric, 0.0, gap_tol)
+        # s_from_rho(metric, 0.0) would start at the core and integrate G
+        # there again; rho_low is rho at the core.
+        s_low = _s_from_rho_at(metric, 0.0, core, rho_low, gap_tol)
         head_vol = model_volume_quad(metric, s_low, quad_tol=0.25 * quad_tol)
         base, base_error = head_vol.value, head_vol.error_bound
 

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ahiso.cli import emit_summary, run
+from ahiso.cli import _build_parser, emit_summary, run
 from ahiso.imcf import flow_spheres
 from ahiso.models import make_ads_schwarzschild
 from ahiso.profiles import gap_table, hyperbolic_profile
@@ -280,6 +284,36 @@ class TestErrorPaths:
 
     def test_no_subcommand(self):
         assert run([]) == 1
+
+
+class TestParserReuse:
+    """One parser serves every call in a process; calls stay independent."""
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_calls_do_not_leak_into_each_other(self, capsys, ads_model):
+        imcf = ["imcf", "--model", ads_model, "--s0", "2", "--t-max", "1"]
+        manifest, _, body = _parse_csv(_capture(capsys, imcf + ["--dt", "0.5"]))
+        assert manifest["parameters"]["dt"] == 0.5
+        assert body.shape[0] == 3
+        assert run(imcf + ["--bogus"]) == 1
+        assert run([]) == 1
+        manifest, _, body = _parse_csv(_capture(capsys, imcf))
+        assert manifest["parameters"]["dt"] == 0.01
+        assert body.shape[0] == 101
+
+    def test_subprocess_body_matches_in_process(self, capsys, ads_model):
+        argv = ["imcf", "--model", ads_model, "--s0", "2", "--t-max", "0.5", "--dt", "0.1"]
+        here = _capture(capsys, argv)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-m", "ahiso.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert child.stdout.split("\n", 1)[1] == here.split("\n", 1)[1]
 
 
 def _build_suite(root, model_path, tag):

@@ -2,6 +2,7 @@
 AH validation."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -105,6 +106,45 @@ class TestConstruction:
             RadialMetric(mass=0.0, core_radius=-0.5)
         with pytest.raises(ValueError):
             RadialMetric(mass=math.nan)
+
+
+_PROFILE_MODELS = {
+    "hyperbolic": make_hyperbolic(),
+    "ads_m0.5": make_ads_schwarzschild(0.5),
+    "ads_m1": make_ads_schwarzschild(1.0),
+    "ads_m2": make_ads_schwarzschild(2.0),
+    "pert_m1": make_perturbed(1.0, (0.1, 0.05)),
+    "pert_m0.5": make_perturbed(0.5, (0.2,)),
+    # No mass term: at s = 0 the only pole is the power c s^{-2}.
+    "c2_only": RadialMetric(0.0, (0.3,)),
+}
+
+
+def _assert_scalar_matches_array(metric, s):
+    # NaN-aware bitwise equality: NaNs may differ in sign or payload.
+    with np.errstate(all="ignore"):
+        for name in ("deficit", "deficit_prime", "f", "f_prime"):
+            method = getattr(metric, name)
+            got = method(s)
+            want = float(method(np.array([s]))[0])
+            assert type(got) is float, (name, s)
+            same = struct.pack("<d", got) == struct.pack("<d", want)
+            assert same or (math.isnan(got) and math.isnan(want)), (name, s, got, want)
+
+
+class TestScalarPath:
+    """A scalar takes no array detour but must match the array path bit for bit."""
+
+    @pytest.mark.parametrize("metric", _PROFILE_MODELS.values(), ids=_PROFILE_MODELS.keys())
+    @pytest.mark.parametrize("s", [0.0, -0.0, 5e-324, 1e-200, 1e300, math.inf, math.nan])
+    def test_edge_values(self, metric, s):
+        _assert_scalar_matches_array(metric, s)
+
+    @pytest.mark.parametrize("metric", _PROFILE_MODELS.values(), ids=_PROFILE_MODELS.keys())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(s=st.one_of(st.floats(), st.floats(1e-3, 1e4)))
+    def test_drawn_values(self, metric, s):
+        _assert_scalar_matches_array(metric, s)
 
 
 class TestCurvature:

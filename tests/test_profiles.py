@@ -333,8 +333,9 @@ class TestNewtonInversionWork:
         assert max(rounds) <= 12
         assert len(integrals) <= 150
 
-    def test_renormalized_volume_gap_integrals(self, monkeypatch):
-        # Brent on rho(s) took one adaptive gap integral per probe: 9 per V.
+    @staticmethod
+    def _gap_points(monkeypatch, metric):
+        """Points of every coordinate_gap call one renormalized_volume makes."""
         calls = []
 
         def counting_gap(*args, **kwargs):
@@ -343,8 +344,21 @@ class TestNewtonInversionWork:
 
         for target in ("ahiso.models.coordinate_gap", "ahiso.profiles.coordinate_gap"):
             monkeypatch.setattr(target, counting_gap)
-        renormalized_volume(make_ads_schwarzschild(1.0))
-        assert len(calls) <= 4
+        renormalized_volume(metric)
+        return calls
+
+    def test_renormalized_volume_gap_integrals(self, monkeypatch):
+        # Brent on rho(s) took one adaptive gap integral per probe: 9 per V.
+        assert len(self._gap_points(monkeypatch, make_ads_schwarzschild(1.0))) <= 4
+
+    def test_renormalized_volume_below_rho_zero_reuses_the_core_gap(self, monkeypatch):
+        # rho < 0 at the core: the search for s(rho = 0) starts there from
+        # the G(core) already taken for rho_low instead of integrating it
+        # again (6 calls per V when it did).
+        metric = make_perturbed(0.5, (0.2,))
+        calls = self._gap_points(monkeypatch, metric)
+        assert calls.count(metric.core_radius) == 1
+        assert len(calls) <= 5
 
 
 @st.composite
