@@ -7,7 +7,7 @@ The package is organized from the inside out:
 - models: radial metrics in area-radius form and their validation
 - spheres: geometry of the centered spheres (curvatures, Hawking mass,
   stability)
-- imcf: inverse mean curvature flow and the area comparison ODE
+- imcf: inverse mean curvature flow and the area comparison curve
 - profiles: isoperimetric profiles, renormalized volume, and the
   large-volume gap
 - cli: reproducible command-line runs with manifest-stamped outputs

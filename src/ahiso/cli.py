@@ -110,8 +110,15 @@ def _manifest(subcommand: str, digest: str, parameters: dict) -> dict:
 
 
 def _csv_text(manifest: dict, header: list[str], columns) -> str:
-    """The CSV text of equal-length float columns, in header order."""
-    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    """The CSV text of equal-length float columns, in header order.
+
+    Raises NumericsError, naming the column, if a value is not finite.
+    """
+    arrays = [np.asarray(col, dtype=float) for col in columns]
+    for name, arr in zip(header, arrays):
+        if not np.all(np.isfinite(arr)):
+            raise NumericsError(f"column {name!r} holds a non-finite value")
+    cells = [map(repr, arr.tolist()) for arr in arrays]
     lines = [
         "# manifest: " + json.dumps(manifest, sort_keys=True),
         ",".join(header),
@@ -141,6 +148,18 @@ def _require_model(args) -> tuple[RadialMetric, dict, str]:
     if not args.model:
         raise ValueError(f"subcommand {args.subcommand!r} needs --model")
     return _load_model(args.model)
+
+
+def _tolerance(text: str) -> float:
+    """A --quad-tol or --ode-tol value, which must lie in (0, 1).
+
+    Zero or nan would run a kernel until its budget gives out, and a
+    tolerance of 1 or more lets it accept any first panel or step.
+    """
+    tol = float(text)
+    if not 0.0 < tol < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+    return tol
 
 
 def _quad_tol(args, default: float = 1e-10) -> float:
@@ -230,9 +249,9 @@ def _cmd_imcf(args) -> int:
 
 
 def _cmd_compare_ode(args) -> int:
-    ot = _ode_tol(args, 1e-11)
+    qt = _quad_tol(args)
     curve = comparison_ode(
-        args.b0, args.mass_floor, args.v0, args.v_end, rel_tol=ot, n_grid=args.n
+        args.b0, args.mass_floor, args.v0, args.v_end, quad_tol=qt, n_grid=args.n
     )
     columns = [curve.v_grid, curve.B_values, curve.hyperbolic_values]
     params = {
@@ -241,7 +260,7 @@ def _cmd_compare_ode(args) -> int:
         "v0": args.v0,
         "v_end": args.v_end,
         "n": args.n,
-        "ode_tol": ot,
+        "quad_tol": qt,
     }
     manifest = _manifest("compare-ode", "-", params)
     _emit(_csv_text(manifest, ["v", "B", "A_H"], columns), args.out)
@@ -660,8 +679,8 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--model", help="path to a model JSON file")
     common.add_argument("--out", help="output file (default: stdout)")
-    common.add_argument("--quad-tol", type=float, default=None)
-    common.add_argument("--ode-tol", type=float, default=None)
+    common.add_argument("--quad-tol", type=_tolerance, default=None)
+    common.add_argument("--ode-tol", type=_tolerance, default=None)
 
     parser = _Parser(prog="ahiso", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -1,5 +1,5 @@
 """Inverse mean curvature flow of centered spheres, and the area
-comparison ODE it feeds.
+comparison curve it feeds.
 
 For round spheres in a radial model the flow stays round, so the whole
 evolution reduces to the scalar law ds/dt = sqrt(f(s)) / H(s).  The
@@ -7,13 +7,16 @@ closed-form consequence B(t) = B(0) e^t is deliberately NOT used by the
 integrator; it serves as an oracle in the test suite to bound the
 integrator's error.
 
-The comparison ODE integrates the Hawking-mass area inequality with
-equality,
+The comparison ODE is the Hawking-mass area inequality with equality,
 
-    dB/dv = B^{-1/2} (16 pi + 4 B - (16 pi)^{3/2} mu(v) B^{-1/2})^{1/2},
+    dB/dv = B^{-1/2} (16 pi + 4 B - (16 pi)^{3/2} mu B^{-1/2})^{1/2},
 
-with mu a constant mass floor (or a sampled Hawking-mass curve).  With
-mu = 0 it reproduces the hyperbolic profile exactly.
+with mu a constant mass floor (IMCF never lowers the Hawking mass).  It
+is not integrated: with B = 4 pi s^2 it reads dv/ds = 4 pi s^2 /
+sqrt(f_mu), the volume element of the AdS-Schwarzschild slice of mass
+mu, so its solution is that model's centered-sphere profile shifted in
+volume (the hyperbolic profile at mu = 0), and one volume inversion
+gives it.
 """
 
 from __future__ import annotations
@@ -23,9 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import RadialMetric
+from .models import RadialMetric, make_ads_schwarzschild, make_hyperbolic
 from .numerics import NumericsError, solve_ode
-from .profiles import cumulative_volume_over_grid, hyperbolic_profile, model_volume
+from .profiles import (
+    cumulative_volume_over_grid,
+    hyperbolic_profile,
+    model_radius_for_volume,
+    model_volume,
+)
 
 __all__ = [
     "Flow",
@@ -35,12 +43,10 @@ __all__ = [
     "comparison_ode",
 ]
 
-SIXTEEN_PI = 16.0 * math.pi
-# (16 pi)^{3/2}, taken once instead of on every radicand evaluation.
-_SIXTEEN_PI_3_2 = SIXTEEN_PI ** 1.5
+FOUR_PI = 4.0 * math.pi
 
 # Absolute scale at which a comparison curve started on the hyperbolic
-# profile may exceed it before the excess counts as an integrator fault.
+# profile may exceed it before the excess counts as a numerical fault.
 _PROFILE_FAULT = 1e-6
 
 
@@ -63,7 +69,7 @@ class Flow:
 
 @dataclass(frozen=True)
 class ComparisonCurve:
-    """Comparison ODE solution alongside the hyperbolic profile."""
+    """Comparison curve alongside the hyperbolic profile."""
 
     v_grid: np.ndarray
     B_values: np.ndarray
@@ -96,6 +102,8 @@ def flow_spheres(
         )
     if not (t_max > 0.0) or not (0.0 < dt <= t_max):
         raise ValueError("need t_max > 0 and 0 < dt <= t_max")
+    if not math.isfinite(t_max / dt):
+        raise ValueError(f"t_max / dt must be finite, got {t_max!r} / {dt!r}")
 
     n = int(math.floor(t_max / dt + 1e-9))
     ts = [i * dt for i in range(n + 1)]
@@ -120,7 +128,7 @@ def flow_spheres(
     return Flow(
         t=ts,
         s=radii,
-        area=4.0 * math.pi * radii * radii,
+        area=FOUR_PI * radii * radii,
         enclosed_volume=volumes,
         hawking=-0.5 * radii * metric.deficit(radii),
     )
@@ -147,11 +155,18 @@ def comparison_ode(
     mass_floor: float,
     v0: float,
     v_end: float,
-    rel_tol: float = 1e-11,
+    quad_tol: float = 1e-10,
     n_grid: int = 200,
-    mass_curve: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ComparisonCurve:
-    """Integrate the equality case of the Hawking-mass area inequality.
+    """Solve the equality case of the Hawking-mass area inequality.
+
+    With B = 4 pi s^2 the radicand is 16 pi f_mu(s), f_mu = 1 + s^2 -
+    2 mu / s, so dv/ds = 4 pi s^2 / sqrt(f_mu): the curve is the
+    centered-sphere profile of the AdS-Schwarzschild slice of mass mu
+    (hyperbolic space at mu = 0), shifted to pass through (v0, B0).  Row
+    0 is B0; every later row is 4 pi s^2 with s from one batched
+    :func:`model_radius_for_volume` of vol_mu(s0) + (v - v0), where
+    s0 = sqrt(B0 / 4 pi), held to ``quad_tol``.
 
     Parameters
     ----------
@@ -160,16 +175,6 @@ def comparison_ode(
         linear instead of logarithmic.
     mass_floor : float
         Constant mu >= 0 standing in for the Hawking mass along the flow.
-    mass_curve : (v_array, m_array), optional
-        Sampled Hawking-mass curve (for instance from flow_spheres);
-        overrides the constant floor via linear interpolation, clamped
-        at the curve ends.
-    rel_tol : float
-        Integration tolerance.  The default is tight because the result
-        is compared against closed forms at absolute scale ~1e-6 while
-        B itself reaches ~1e4.  For larger areas the tolerance passed to
-        the solver is tightened further, to 5e-7 / max(B0, A_H(v_end)),
-        so that the absolute error stays well below that scale.
 
     Raises
     ------
@@ -177,50 +182,27 @@ def comparison_ode(
         If the radicand is negative at v0 (mass floor too large for B0);
         v0 is reported.
     NumericsError
-        If a sampled mass curve drives the radicand negative later on
-        (the step size underflows there, and that v is reported), or if
-        a curve started on the hyperbolic profile exceeds it by more
-        than 1e-6.
+        If a curve started on the hyperbolic profile exceeds it by more
+        than 1e-6, or the volume element overflows (areas past ~1e308).
     """
     if not math.isfinite(B0) or B0 <= 0.0:
         raise ValueError(f"B0 must be finite and > 0, got {B0!r}")
     if not math.isfinite(mass_floor) or mass_floor < 0.0:
         raise ValueError(f"mass_floor must be >= 0, got {mass_floor!r}")
-    if v0 < 0.0 or not (v_end > v0):
-        raise ValueError("need v_end > v0 >= 0")
+    if not (0.0 <= v0 < v_end < math.inf):
+        raise ValueError("need finite v_end > v0 >= 0")
     if n_grid < 2:
         raise ValueError("n_grid must be at least 2")
-    if mass_curve is not None:
-        mv, mm = (np.asarray(x, dtype=float) for x in mass_curve)
-        if mv.shape != mm.shape or mv.ndim != 1 or mv.size < 2:
-            raise ValueError("mass_curve must be two matching 1-d arrays")
-        if np.any(np.diff(mv) <= 0.0):
-            raise ValueError("mass_curve volumes must be strictly increasing")
-
-        def mu(v: float) -> float:
-            return float(np.interp(v, mv, mm))
-
-    else:
-
-        def mu(v: float) -> float:
-            return mass_floor
-
-    def radicand(v: float, B: float) -> float:
-        return SIXTEEN_PI + 4.0 * B - _SIXTEEN_PI_3_2 * mu(v) / math.sqrt(B)
-
-    if radicand(v0, B0) < 0.0:
+    metric = make_ads_schwarzschild(mass_floor) if mass_floor else make_hyperbolic()
+    s0 = math.sqrt(B0 / FOUR_PI)
+    if metric.f(s0) < 0.0:
         raise ValueError(
             f"comparison ODE radicand negative at v = {v0:.6g}: "
             f"mass floor too large for area {B0:.6g}"
         )
-
-    def rhs(v: float, B: float) -> float:
-        # A trial stage of a long step can land where the area or the
-        # radicand is negative; NaN makes the solver retry it shorter.
-        if B <= 0.0:
-            return math.nan
-        rad = radicand(v, B)
-        return math.sqrt(rad) / math.sqrt(B) if rad >= 0.0 else math.nan
+    # f_mu(s0) >= 0 puts s0 on or above the horizon, up to the rounding of
+    # the computed horizon radius.
+    s0 = max(s0, metric.core_radius)
 
     if v0 > 0.0:
         grid = np.geomspace(v0, v_end, n_grid)
@@ -230,17 +212,16 @@ def comparison_ode(
 
     a_h = np.zeros_like(grid)
     a_h[grid > 0.0] = hyperbolic_profile(grid[grid > 0.0])
-    # The solver's global error is about 0.2 * tol * B, so this cap keeps it
-    # near 1e-7, 10x below the fault scale, however large B grows.
-    tol = min(rel_tol, 0.5 * _PROFILE_FAULT / max(B0, float(a_h[-1])))
-    b_vals = solve_ode(rhs, B0, v0, v_end, rel_tol=tol, x_eval=grid).ys
+    base = model_volume(metric, s0, quad_tol)
+    s = model_radius_for_volume(metric, base + (grid[1:] - v0), quad_tol)
+    b_vals = np.concatenate([[B0], FOUR_PI * s * s])
 
     curve = ComparisonCurve(
         v_grid=grid, B_values=b_vals, hyperbolic_values=a_h, mass_floor=mass_floor
     )
     # Under the profile at the start and a nonnegative floor, the curve
-    # can never cross A_H; a crossing would be an integrator fault.
-    if mass_curve is None and B0 <= a_h[0] + _PROFILE_FAULT:
+    # can never cross A_H; a crossing would be a fault of the inversion.
+    if B0 <= a_h[0] + _PROFILE_FAULT:
         excess = float(np.max(b_vals - a_h))
         if excess > _PROFILE_FAULT:
             raise NumericsError(

@@ -156,13 +156,6 @@ class RadialMetric:
                 out = out - c * ladder / (np.power(b, k) * sh ** k)
         return float(out) if scalar else out
 
-    def describe(self) -> dict:
-        return {
-            "mass": self.mass,
-            "coeffs": list(self.coeffs),
-            "core_radius": self.core_radius,
-        }
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -455,6 +448,10 @@ def rho_from_s(metric: RadialMetric, s: float, quad_tol: float = 1e-13) -> float
     return math.asinh(s) - coordinate_gap(metric, s, quad_tol).value
 
 
+# Largest rho with a finite sinh(rho); no float area radius lies beyond it.
+_RHO_MAX = math.asinh(np.finfo(float).max)
+
+
 def s_from_rho(metric: RadialMetric, rho: float, quad_tol: float = 1e-13) -> float:
     """Numerical inverse of rho_from_s.
 
@@ -471,9 +468,10 @@ def s_from_rho(metric: RadialMetric, rho: float, quad_tol: float = 1e-13) -> flo
     image.  ``quad_tol`` is the tails' relative tolerance and the
     absolute tolerance of the panels' sum.
     """
-    if not math.isfinite(rho):
-        raise ValueError(f"rho must be finite, got {rho!r}")
-    s0 = max(math.sinh(rho) * (1.0 - 1e-12), metric.core_radius)
+    if not math.isfinite(rho) or rho > _RHO_MAX:
+        raise ValueError(f"rho must be finite and <= {_RHO_MAX!r}, got {rho!r}")
+    # Below rho = 0 the start is the core, and sinh need not overflow.
+    s0 = max(math.sinh(max(rho, 0.0)) * (1.0 - 1e-12), metric.core_radius)
     rho0 = math.asinh(s0) - coordinate_gap(metric, s0, quad_tol).value
     return _s_from_rho_at(metric, rho, s0, rho0, quad_tol)
 

@@ -23,7 +23,6 @@ __all__ = [
     "integrate",
     "gk15_nodes",
     "gk15_rule",
-    "gk15_panels",
     "integrate_panels",
     "integrate_intervals",
     "solve_increasing",
@@ -197,33 +196,6 @@ def gk15_rule(edges, fv) -> tuple[np.ndarray, np.ndarray]:
     return _pair_rule(e[:-1], e[1:], fv)
 
 
-def gk15_panels(fn: Callable, edges) -> tuple[np.ndarray, np.ndarray]:
-    """One Gauss-Kronrod 7-15 panel on each interval between ``edges``.
-
-    ``fn`` is called once on the nodes of all panels; returns the Kronrod
-    values and error estimates per panel (see :func:`gk15_rule`).
-
-    Raises
-    ------
-    ValueError
-        If ``edges`` is not a finite, strictly increasing 1-d sequence of
-        at least two points.
-    NumericsError
-        If ``fn`` is not finite at a node; that x is reported.
-    """
-    e = _edges(edges)
-    return _sampled_rule(fn, e[:-1], e[1:])
-
-
-def _sampled_rule(fn: Callable, a: np.ndarray, b: np.ndarray):
-    xs = _pair_nodes(a, b)
-    fv = _eval_batch(fn, xs.reshape(-1)).reshape(xs.shape)
-    if not np.all(np.isfinite(fv)):
-        bad = float(xs[~np.isfinite(fv)][0])
-        raise NumericsError(f"integrand not finite at x={bad!r}")
-    return _pair_rule(a, b, fv)
-
-
 def integrate_panels(
     fn: Callable, a, b, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +221,12 @@ def integrate_panels(
         raise ValueError("a and b must be 1-d arrays of one length")
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
         raise ValueError("intervals must be finite with a < b")
-    vals, err = _sampled_rule(fn, lo, hi)
+    xs = _pair_nodes(lo, hi)
+    fv = _eval_batch(fn, xs.reshape(-1)).reshape(xs.shape)
+    if not np.all(np.isfinite(fv)):
+        bad = float(xs[~np.isfinite(fv)][0])
+        raise NumericsError(f"integrand not finite at x={bad!r}")
+    vals, err = _pair_rule(lo, hi, fv)
     tol_vec = np.maximum(tol, 2e-14 * np.abs(vals))
     for i in np.flatnonzero(err > tol_vec):
         res = integrate(fn, float(lo[i]), float(hi[i]), abs_tol=float(tol_vec[i]))

@@ -56,16 +56,6 @@ class SphereGeometry:
     scalar: float
     hawking_mass: float
 
-    def gauss_equation_residual(self) -> float:
-        """K - (R/2 - Ric(nu) + H^2/4 - |Aring|^2/2); zero in exact arithmetic."""
-        rhs = (
-            0.5 * self.scalar
-            - self.ricci_normal
-            + 0.25 * self.mean_curvature ** 2
-            - 0.5 * self.traceless_norm_sq
-        )
-        return self.gauss_curvature - rhs
-
 
 def _check_radii(metric: RadialMetric, s):
     """s as a float array, whether it was a scalar, after a domain check."""

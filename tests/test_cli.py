@@ -1,5 +1,6 @@
 """Command-line surface, exercised in process through run()."""
 
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ahiso.cli import _build_parser, emit_summary, run
+from ahiso.cli import _build_parser, _load_model, _metric_from_model_dict, emit_summary, run
 from ahiso.imcf import flow_spheres
 from ahiso.models import make_ads_schwarzschild
 from ahiso.profiles import gap_table, hyperbolic_profile
@@ -105,6 +106,14 @@ class TestTables:
         assert header == ["v", "B", "A_H"]
         rel = np.abs(body[:, 1] - body[:, 2]) / body[:, 2]
         assert float(np.max(rel)) <= 1e-6
+
+    def test_compare_ode_reads_quad_tol(self, capsys):
+        argv = ["compare-ode", "--b0", "12", "--v-end", "10", "--n", "3"]
+        manifest, _, _ = _parse_csv(_capture(capsys, argv))
+        assert manifest["parameters"]["quad_tol"] == 1e-10
+        assert "ode_tol" not in manifest["parameters"]
+        manifest, _, _ = _parse_csv(_capture(capsys, argv + ["--quad-tol", "1e-12"]))
+        assert manifest["parameters"]["quad_tol"] == 1e-12
 
     def test_profile(self, capsys, ads_model):
         out = _capture(
@@ -285,6 +294,73 @@ class TestErrorPaths:
     def test_no_subcommand(self):
         assert run([]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["imcf", "--s0", "2", "--t-max", "inf"],
+            ["imcf", "--s0", "2", "--t-max", "1e308", "--dt", "0.5"],
+            ["renorm-vol", "--rho", "711"],
+            ["profile", "--rho", "1e308"],
+            ["spheres", "--quad-tol", "nan"],
+            ["renorm-vol", "--quad-tol", "0"],
+            ["imcf", "--s0", "2", "--ode-tol", "nan"],
+        ],
+    )
+    def test_out_of_range_input_exits_one(self, capsys, ads_model, argv):
+        assert run(argv + ["--model", ads_model]) == 1
+        assert "error: " in capsys.readouterr().err
+
+
+def _float_flags(subparser):
+    """The option strings of ``subparser`` that parse to a float."""
+    for action in subparser._actions:
+        try:
+            parsed = action.type("0.5") if action.type else None
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            parsed = None
+        if action.option_strings and isinstance(parsed, float):
+            yield action.option_strings[0]
+
+
+def test_every_float_flag_rejects_nonfinite_and_huge_values(tmp_path, capsys):
+    # Flags are read from the parser, so a new one is swept too.  Each
+    # base command runs in milliseconds; one flag at a time is set to nan,
+    # inf or 1e308 (and 0 for a tolerance), which must exit 1 or 2 without
+    # an exception escaping.
+    model = tmp_path / "ads_m1.json"
+    model.write_text(json.dumps({"type": "ads_schwarzschild", "mass": 1.0}))
+    m = ["--model", str(model)]
+    base = {
+        "spheres": m + ["--n", "3"],
+        "imcf": m + ["--s0", "2", "--t-max", "1", "--dt", "0.5"],
+        "compare-ode": ["--b0", "12", "--v-end", "10", "--n", "3"],
+        "profile": m + ["--v-max", "10", "--n", "2"],
+        "expansion": m + ["--v-max", "10", "--n", "2"],
+        "renorm-vol": m,
+        "stability": m + ["--n", "3"],
+        "validate": m,
+        "summary": [str(tmp_path)],
+    }
+    parser = _build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    assert set(subparsers) == set(base)
+    swept, bad = 0, []
+    for name, subparser in subparsers.items():
+        assert run([name] + base[name]) in (0, 1), name
+        for flag in _float_flags(subparser):
+            for value in ["nan", "inf", "1e308"] + (["0"] if "tol" in flag else []):
+                argv = [name] + base[name] + [flag, value]
+                with np.errstate(all="ignore"):
+                    rc = run(argv)
+                swept += 1
+                if rc not in (1, 2):
+                    bad.append((argv[0], flag, value, rc))
+    capsys.readouterr()
+    assert swept >= 100
+    assert not bad
+
 
 class TestParserReuse:
     """One parser serves every call in a process; calls stay independent."""
@@ -430,3 +506,10 @@ class TestSummary:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert run(["summary", str(empty)]) == 1
+
+    def test_manifest_model_round_trips_parameters(self, tmp_path):
+        path = tmp_path / "pert.json"
+        path.write_text(json.dumps({"type": "perturbed", "mass": 1.0, "coeffs": [0.1, 0.05]}))
+        metric, model, _ = _load_model(str(path))
+        assert model["core_radius"] == metric.core_radius
+        assert _metric_from_model_dict(json.loads(json.dumps(model))) == metric

@@ -1,4 +1,4 @@
-"""Expanding flow of centered spheres and the area comparison ODE."""
+"""Expanding flow of centered spheres and the area comparison curve."""
 
 import math
 
@@ -74,6 +74,11 @@ class TestFlow:
         with pytest.raises(ValueError):
             flow_spheres(ads_one, 2.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("t_max, dt", [(math.inf, 0.5), (1e308, 0.5), (math.inf, math.inf)])
+    def test_sample_count_must_be_finite(self, ads_one, t_max, dt):
+        with pytest.raises(ValueError, match="t_max / dt"):
+            flow_spheres(ads_one, 2.0, t_max, dt)
+
     def test_step_count_independent_of_sampling(self, ads_one, monkeypatch):
         # The sampling interval sets output points, not steps: the solver
         # fills samples from its continuous extension.
@@ -122,8 +127,8 @@ class TestComparisonOde:
 
     @pytest.mark.parametrize("v_end", [3e5, 1e6, 1e7])
     def test_zero_floor_tracks_profile_at_large_volume(self, v_end):
-        # B reaches ~2 v_end, so a purely relative tolerance would let the
-        # absolute error outgrow the 1e-6 fault check.
+        # B reaches ~2 v_end; its absolute error must stay well below the
+        # 1e-6 fault check.
         curve = comparison_ode(hyperbolic_profile(1.0), 0.0, 1.0, v_end)
         excess = curve.B_values - curve.hyperbolic_values
         assert float(np.max(np.abs(excess))) <= 2e-7
@@ -136,17 +141,10 @@ class TestComparisonOde:
 
     @pytest.mark.parametrize("v_end", [1e5, 1e7])
     def test_floor_near_its_limit_over_long_span(self, v_end):
-        # The floor is close to the largest A_H(5) allows, so trial stages
-        # of the long first steps land outside the radicand's domain.
+        # The floor is close to the largest A_H(5) allows (1.37), so the
+        # curve starts near the horizon of the AdS-Schwarzschild slice.
         curve = comparison_ode(hyperbolic_profile(5.0), 1.0, 5.0, v_end)
         assert np.all(curve.B_values[1:] < curve.hyperbolic_values[1:])
-
-    def test_rising_mass_curve_fails_where_radicand_turns_negative(self):
-        vs, ms = np.array([0.0, 100.0, 1e4]), np.array([0.0, 0.0, 1e6])
-        with pytest.raises(NumericsError, match=r"x=100\."):
-            comparison_ode(
-                hyperbolic_profile(5.0), 0.0, 5.0, 1e4, mass_curve=(vs, ms)
-            )
 
     def test_cubed_area_gap_is_monotone(self):
         # omega = B^{3/2} - A_H^{3/2} cannot increase once a positive
@@ -181,36 +179,6 @@ class TestComparisonOde:
         with pytest.raises(ValueError, match="radicand negative"):
             comparison_ode(hyperbolic_profile(1.0), 1.0, 1.0, 100.0)
 
-    def test_mass_curve_matches_constant_floor(self):
-        v0, v_end = 5.0, 1e3
-        const = comparison_ode(hyperbolic_profile(v0), 1.0, v0, v_end)
-        sampled = comparison_ode(
-            hyperbolic_profile(v0),
-            0.0,
-            v0,
-            v_end,
-            mass_curve=(np.array([0.0, 1e4]), np.array([1.0, 1.0])),
-        )
-        assert np.allclose(sampled.B_values, const.B_values, rtol=1e-9, atol=0)
-
-    def test_mass_curve_shape_errors(self):
-        with pytest.raises(ValueError):
-            comparison_ode(
-                100.0,
-                0.0,
-                5.0,
-                10.0,
-                mass_curve=(np.array([0.0, 1.0]), np.array([1.0])),
-            )
-        with pytest.raises(ValueError):
-            comparison_ode(
-                100.0,
-                0.0,
-                5.0,
-                10.0,
-                mass_curve=(np.array([1.0, 1.0]), np.array([0.5, 0.5])),
-            )
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             comparison_ode(-1.0, 0.0, 1.0, 10.0)
@@ -220,6 +188,35 @@ class TestComparisonOde:
             comparison_ode(10.0, 0.0, 5.0, 5.0)
         with pytest.raises(ValueError):
             comparison_ode(10.0, 0.0, 1.0, 10.0, n_grid=1)
+        with pytest.raises(ValueError):
+            comparison_ode(10.0, 0.0, 1.0, math.inf)
+        with pytest.raises(ValueError):
+            comparison_ode(10.0, 0.0, math.nan, 10.0)
+
+    def test_no_ode_is_integrated(self, monkeypatch):
+        calls = []
+
+        def counting_solve_ode(*args, **kwargs):
+            calls.append(args)
+            return solve_ode(*args, **kwargs)
+
+        monkeypatch.setattr("ahiso.imcf.solve_ode", counting_solve_ode)
+        comparison_ode(hyperbolic_profile(1.0), 0.0, 1.0, 1e4)
+        comparison_ode(hyperbolic_profile(5.0), 1.0, 5.0, 1e4)
+        assert calls == []
+
+    def test_horizon_start_rises(self, ads_one):
+        # B0 is the horizon area, where the radicand vanishes: B = B0 is a
+        # stationary solution of the ODE, but the comparison curve is the
+        # AdS-Schwarzschild profile, which leaves the horizon at once.
+        b0 = 4.0 * math.pi * ads_one.core_radius ** 2
+        curve = comparison_ode(b0, 1.0, 0.0, 1e3, n_grid=50)
+        assert curve.B_values[0] == b0
+        assert np.all(np.diff(curve.B_values) > 0.0)
+
+    def test_areas_past_the_float_range_fail(self):
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="not finite"):
+            comparison_ode(hyperbolic_profile(1.0), 0.0, 1.0, 1e308)
 
     def test_curve_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -94,11 +94,6 @@ class TestConstruction:
         want = ads_one.f_prime(ads_one.core_radius)
         assert ads_one.core_quotient(1e-12) == pytest.approx(want, rel=1e-6)
 
-    def test_describe_round_trips_parameters(self, ads_one):
-        d = ads_one.describe()
-        assert d["mass"] == 1.0
-        assert d["core_radius"] == ads_one.core_radius
-
     def test_invalid_fields_rejected(self):
         with pytest.raises(ValueError):
             RadialMetric(mass=-1.0)
@@ -238,6 +233,12 @@ class TestGeodesicCoordinate:
         horizon_rho = math.asinh(1.0) - coordinate_gap(ads_one, 1.0).value
         with pytest.raises(ValueError):
             s_from_rho(ads_one, horizon_rho - 0.5)
+
+    @pytest.mark.parametrize("rho", [711.0, 1e308, math.inf, math.nan])
+    def test_rho_past_sinh_overflow_raises(self, ads_one, rho):
+        # sinh overflows above rho = 710.47..., where no float radius lies.
+        with pytest.raises(ValueError, match="rho must be finite and <= 710.47"):
+            s_from_rho(ads_one, rho)
 
     def test_domain_violations_raise(self, ads_one):
         with pytest.raises(ValueError):

@@ -17,7 +17,8 @@ from ahiso.numerics import (
     QuadResult,
     _gk15,
     find_root,
-    gk15_panels,
+    gk15_nodes,
+    gk15_rule,
     integrate,
     integrate_panels,
     solve_increasing,
@@ -93,6 +94,11 @@ def test_integrate_budget_exhaustion_raises():
         )
 
 
+def _panels(fn, edges):
+    """One GK15 panel per interval between ``edges``, by the public rule."""
+    return gk15_rule(edges, fn(gk15_nodes(edges)))
+
+
 @pytest.mark.parametrize(
     "fn, edges",
     [
@@ -105,10 +111,11 @@ def test_integrate_budget_exhaustion_raises():
     ],
 )
 def test_gk15_panels_agree_with_scalar_panel(fn, edges):
-    # Value exactly; the error to a few ulp, since numpy's power and
-    # libm's round the ** 1.5 of the error rescaling differently.
+    # The vectorized panel rule, sampled at its nodes, against the scalar
+    # panel: value exactly; the error to a few ulp, since numpy's power
+    # and libm's round the ** 1.5 of the error rescaling differently.
     for lo, hi in zip(edges[:-1], edges[1:]):
-        vals, errs = gk15_panels(fn, [lo, hi])
+        vals, errs = _panels(fn, [lo, hi])
         val, err, _ = _gk15(fn, lo, hi)
         assert vals[0] == val
         assert abs(errs[0] - err) <= 4.0 * np.spacing(err)
@@ -120,13 +127,13 @@ def test_gk15_panels_agree_with_scalar_panel(fn, edges):
 )
 def test_gk15_panels_rejects_malformed_edges(edges):
     with pytest.raises(ValueError):
-        gk15_panels(lambda u: u, edges)
+        gk15_nodes(edges)
 
 
 def test_gk15_panels_nonfinite_integrand_names_x():
     # The middle node of [0, 1] is 0.5.
     with np.errstate(divide="ignore"), pytest.raises(NumericsError, match="x=0.5"):
-        gk15_panels(lambda u: 1.0 / (u - 0.5), [0.0, 1.0])
+        integrate_panels(lambda u: 1.0 / (u - 0.5), [0.0], [1.0], 1e-10)
 
 
 def test_integrate_panels_match_single_panels_in_any_order():
@@ -138,7 +145,7 @@ def test_integrate_panels_match_single_panels_in_any_order():
     b = np.array([3.0, 1.0, 2.5, 0.75])
     vals, errs = integrate_panels(fn, a, b, 1e-13)
     for lo, hi, val, err in zip(a, b, vals, errs):
-        one, one_err = gk15_panels(fn, [lo, hi])
+        one, one_err = _panels(fn, [lo, hi])
         if one_err[0] <= max(1e-13, 2e-14 * abs(one[0])):
             assert abs(val - one[0]) <= 4.0 * np.spacing(val)
             assert abs(err - one_err[0]) <= 1e-12 * err

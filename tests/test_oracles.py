@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ahiso.cli import run
+from ahiso.imcf import comparison_ode
 from ahiso.models import (
     gap_over_grid,
     make_ads_schwarzschild,
@@ -325,3 +326,54 @@ def test_s_from_rho_matches_oracle(name):
             errors[rho] = float(abs(x - exact) / exact)
     worst = max(errors, key=errors.get)
     assert errors[worst] <= 2e-15, f"relative error {errors[worst]:.3g} at rho={worst!r}"
+
+
+# ----------------------------------------------------------------------
+# Comparison curve.
+
+
+def _comparison_oracle(B0, mu, vs):
+    """B at each volume of ``vs`` (vs[0] = v0, B(v0) = B0), at 40 digits.
+
+    It solves the comparison ODE itself, dv/dB = B^{1/2} (16 pi + 4 B -
+    (16 pi)^{3/2} mu B^{-1/2})^{-1/2}, row after row: Newton on
+    int_{B_prev}^{B} dv/dB = v - v_prev, started one Euler step from the
+    row before.  The integral rises strictly with B, so a step that
+    converges has found the one root.
+    """
+    with mpmath.workdps(40):
+        sixteen_pi = 16 * mpmath.pi
+        mu = mpmath.mpf(mu)
+
+        def dv_db(b):
+            return mpmath.sqrt(b / (sixteen_pi + 4 * b - sixteen_pi ** 1.5 * mu / mpmath.sqrt(b)))
+
+        out = [mpmath.mpf(B0)]
+        for v_prev, v in zip(vs[:-1], vs[1:]):
+            gain = mpmath.mpf(v) - mpmath.mpf(v_prev)
+            lo = out[-1]
+            b = lo + gain / dv_db(lo)
+            for _ in range(100):
+                step = (mpmath.quad(dv_db, [lo, b]) - gain) / dv_db(b)
+                b -= step
+                if abs(step) <= mpmath.mpf(10) ** -35 * b:
+                    break
+            else:
+                raise AssertionError(f"oracle did not converge at v = {v!r}")
+            out.append(b)
+        return out
+
+
+@pytest.mark.parametrize(
+    "mu, v0, v_end",
+    [(0.0, 1.0, 1e4), (0.0, 1.0, 1e9), (0.0, 1e-6, 1e-5), (1.0, 5.0, 1e6), (2.0, 50.0, 1e8)],
+)
+def test_comparison_curve_matches_ode_oracle(mu, v0, v_end):
+    # The Dormand-Prince integration of the ODE erred up to 1.9e-10 here.
+    curve = comparison_ode(hyperbolic_profile(v0), mu, v0, v_end)
+    rows = list(range(0, curve.v_grid.size, 18)) + [curve.v_grid.size - 1]
+    vs = [float(curve.v_grid[i]) for i in rows]
+    want = _comparison_oracle(float(curve.B_values[0]), mu, vs)
+    errors = [float(abs(curve.B_values[i] - w) / w) for i, w in zip(rows, want)]
+    worst = int(np.argmax(errors))
+    assert errors[worst] <= 1e-14, f"relative error {errors[worst]:.3g} at v={vs[worst]!r}"

@@ -69,17 +69,28 @@ class TestSphereData:
             sphere_data_from_profile(1.0, -1.0, 0.0)
 
 
+def _gauss_equation_residual(g):
+    """K - (R/2 - Ric(nu) + H^2/4 - |Aring|^2/2); zero in exact arithmetic."""
+    rhs = (
+        0.5 * g.scalar
+        - g.ricci_normal
+        + 0.25 * g.mean_curvature ** 2
+        - 0.5 * g.traceless_norm_sq
+    )
+    return g.gauss_curvature - rhs
+
+
 class TestGaussEquation:
     @pytest.mark.parametrize("s", [0.5, 2.0, 30.0])
     def test_residual_vanishes_hyperbolic(self, hyperbolic, s):
-        assert abs(sphere_data(hyperbolic, s).gauss_equation_residual()) <= 1e-12
+        assert abs(_gauss_equation_residual(sphere_data(hyperbolic, s))) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(m=st.floats(0.1, 3.0), frac=st.floats(0.0, 1.0))
     def test_residual_vanishes_in_family(self, m, frac):
         metric = make_ads_schwarzschild(m)
         s = metric.core_radius + 0.1 + frac * 50.0
-        assert abs(sphere_data(metric, s).gauss_equation_residual()) <= 1e-12
+        assert abs(_gauss_equation_residual(sphere_data(metric, s))) <= 1e-12
 
 
 class TestHawkingMass:
