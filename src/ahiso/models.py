@@ -171,47 +171,54 @@ class ValidationReport:
 # Constructors
 
 
-def _mass_horizon(mass: float) -> float:
-    """Root of s^3 + s = 2m; the AdS-Schwarzschild horizon radius."""
-    if mass == 0.0:
-        return 0.0
-    hi = max(1.0, (2.0 * mass) ** (1.0 / 3.0) + 1.0)
-    return find_root(lambda s: s * (1.0 + s * s) - 2.0 * mass, 0.0, hi, tol=1e-15 * hi)
+def _core_radius(mass: float, coeffs: tuple[float, ...]) -> float:
+    """Largest positive root of f, or 0 if none.
 
+    s^n f(s), n = 1 + len(coeffs), is the monic polynomial P = [1, 0, 1,
+    -2m, c_2, ...], so f > 0 above its largest root.  Roots are companion
+    eigenvalues, real when |imag| <= 1e-7 |z| (so a near-double root split
+    into a complex pair is kept), and accurate to about eps of the largest
+    modulus (>= ~1): the root, if below 1e-6, is 1/w, w the least root
+    above 1e6 of the reversed polynomial.  :func:`find_root` on P polishes
+    it within 1e-9; where P keeps its sign there, it is a double root.
+    """
+    name = f"the model with mass {mass!r} and coeffs {list(coeffs)!r}"
+    if math.isinf(2.0 * mass):
+        raise ValueError(f"-2m overflows for {name}")
+    coef = [1.0, 0.0, 1.0, -2.0 * mass, *coeffs]
+    # Divide out s^k: a zero root is not positive, P would underflow near a
+    # tiny root, and the reversed polynomial is normalized by coef[-1].
+    while coef[-1] == 0.0:
+        coef.pop()
+    p = np.array(coef)
 
-def _largest_root(mass: float, coeffs: tuple[float, ...]) -> float:
-    """Largest positive root of the full profile f, or 0 if none."""
-    f = RadialMetric(mass=mass, coeffs=coeffs).f
-    hi = 1.0 + 2.0 * mass + sum(abs(c) for c in coeffs)
-    for _ in range(60):
-        if f(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("profile f is not eventually positive")
-    # Sign of f as s -> 0+: the stiffest term wins.  Positive limit means a
-    # grid with no nonpositive values can be trusted; a negative limit means
-    # a root is hiding below the scan floor and the floor must come down.
-    trailing = coeffs[-1] if coeffs else 0.0
-    if trailing:
-        diverges_down = trailing < 0.0
-    else:
-        diverges_down = mass > 0.0
-    lo = 1e-9
-    for _ in range(10):
-        grid = np.geomspace(lo, hi, 4096)
-        vals = f(grid)
-        nonpos = np.flatnonzero(vals <= 0.0)
-        if nonpos.size:
-            i = int(nonpos[-1])
-            if i + 1 >= grid.size:
-                raise ValueError("profile f is not eventually positive")
-            a, b = float(grid[i]), float(grid[i + 1])
-            return find_root(f, a, b, tol=1e-15 * b)
-        if not diverges_down:
-            return 0.0
-        lo *= 1e-6
-    raise ValueError("failed to bracket the core root")
+    def positive_roots(monic):
+        # np.roots' companion matrix, without its input checks and trimming.
+        companion = np.eye(monic.size - 1, k=-1)
+        companion[0] = -monic[1:]
+        z = np.linalg.eigvals(companion)
+        real = z.real[np.abs(z.imag) <= 1e-7 * np.abs(z)]
+        return real[real > 0.0]
+
+    r = float(positive_roots(p).max(initial=0.0))
+    if r < 1e-6:
+        with np.errstate(over="ignore"):
+            q = p[::-1] / p[-1]
+        if not np.all(np.isfinite(q)):
+            raise ValueError(f"cannot normalize the reversed polynomial of {name}")
+        w = positive_roots(q)
+        r = 1.0 / float(w[w > 1e6].min(initial=math.inf))
+
+    def poly(s):
+        out = 0.0
+        for c in coef:
+            out = out * s + c
+        return out
+
+    lo, hi = r * (1.0 - 1e-9), r * (1.0 + 1e-9)
+    if r == 0.0 or (poly(lo) < 0.0) == (poly(hi) < 0.0):
+        return r
+    return find_root(poly, lo, hi, tol=1e-15 * hi)
 
 
 def make_hyperbolic() -> RadialMetric:
@@ -223,7 +230,7 @@ def make_ads_schwarzschild(mass: float) -> RadialMetric:
     """AdS-Schwarzschild slice of mass m > 0: f = 1 + s^2 - 2m/s."""
     if not math.isfinite(mass) or mass <= 0.0:
         raise ValueError(f"mass must be finite and > 0, got {mass!r}")
-    return RadialMetric(mass=mass, coeffs=(), core_radius=_mass_horizon(mass))
+    return RadialMetric(mass=mass, coeffs=(), core_radius=_core_radius(mass, ()))
 
 
 def make_perturbed(mass: float, coeffs: Sequence[float]) -> RadialMetric:
@@ -234,17 +241,14 @@ def make_perturbed(mass: float, coeffs: Sequence[float]) -> RadialMetric:
     beyond the mass horizon removes part of the model's domain and is
     rejected.
     """
-    if not math.isfinite(mass) or mass < 0.0:
-        raise ValueError(f"mass must be finite and >= 0, got {mass!r}")
-    coeffs = tuple(float(c) for c in coeffs)
-    if any(not math.isfinite(c) for c in coeffs):
-        raise ValueError("perturbation coefficients must be finite")
-    base = _mass_horizon(mass)
-    core = _largest_root(mass, coeffs) if coeffs else base
+    # The record checks the mass and the coefficients before any root is taken.
+    coeffs = RadialMetric(mass=mass, coeffs=tuple(coeffs)).coeffs
+    base = _core_radius(mass, ())
+    core = _core_radius(mass, coeffs) if coeffs else base
     if core > base * (1.0 + 1e-9) + 1e-12:
         raise ValueError(
-            f"perturbation removes the positive domain near s = {core:.4g} "
-            f"(mass horizon is at s = {base:.4g})"
+            f"coefficients {list(coeffs)!r} remove the positive domain near "
+            f"s = {core:.4g} (the horizon of mass {mass!r} is at s = {base:.4g})"
         )
     return RadialMetric(mass=mass, coeffs=coeffs, core_radius=core)
 
@@ -348,28 +352,20 @@ def coordinate_gap(metric: RadialMetric, s: float, quad_tol: float = 1e-13) -> Q
         raise ValueError(f"s must lie in [{core!r}, inf), got {s!r}")
     g = _gap_integrand(metric)
     if core > 0.0 and s < core + 1.0:
-        head = integrate(
-            _gap_head_integrand(metric),
-            math.sqrt(s - core),
-            1.0,
-            abs_tol=1e-14,
-            rel_tol=quad_tol,
-        )
-        tail = integrate(g, core + 1.0, math.inf, abs_tol=1e-300, rel_tol=quad_tol)
-        return QuadResult(
-            head.value + tail.value,
-            head.error_bound + tail.error_bound,
-            head.evaluations + tail.evaluations,
-        )
-    if s > 0.0:
+        split, head_fn = core + 1.0, _gap_head_integrand(metric)
+        w0 = math.sqrt(s - core)
+        head = integrate(head_fn, w0, 1.0, abs_tol=1e-14, rel_tol=quad_tol)
+    elif s > 0.0:
         # The relative floor, not abs_tol, is what matters here: G decays
         # like m/s^2 and is consumed relatively by downstream expansions.
         return integrate(g, s, math.inf, abs_tol=1e-300, rel_tol=quad_tol)
-    # s == core == 0: the integrand is bounded but f may still blow up
-    # at the origin when tail coefficients are present; keep the origin
-    # panel separate with an absolute floor.
-    head = integrate(g, 0.0, 1.0, abs_tol=1e-14, rel_tol=quad_tol)
-    tail = integrate(g, 1.0, math.inf, abs_tol=1e-300, rel_tol=quad_tol)
+    else:
+        # s == core == 0: the integrand is bounded but f may still blow up
+        # at the origin when tail coefficients are present; keep the origin
+        # panel separate with an absolute floor.
+        split = 1.0
+        head = integrate(g, 0.0, 1.0, abs_tol=1e-14, rel_tol=quad_tol)
+    tail = integrate(g, split, math.inf, abs_tol=1e-300, rel_tol=quad_tol)
     return QuadResult(
         head.value + tail.value,
         head.error_bound + tail.error_bound,
@@ -514,9 +510,9 @@ def _s_from_rho_at(
 
 
 def default_grid(metric: RadialMetric, n: int = 50, s_max: float = 1e3) -> np.ndarray:
-    """Log-spaced sample grid [core + 0.1, s_max] used by validation."""
-    lo = metric.core_radius + 0.1
-    return np.geomspace(lo, s_max, n)
+    """Log-spaced validation grid [core + 0.1 max(1, core), max(s_max, 1e3 core)]."""
+    core = metric.core_radius
+    return np.geomspace(core + 0.1 * max(1.0, core), max(s_max, 1e3 * core), n)
 
 
 def validate_ah(

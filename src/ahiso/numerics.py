@@ -137,6 +137,13 @@ def _gk15(fn: Callable, a: float, b: float) -> tuple[float, float, np.ndarray]:
     return resk, err, fv
 
 
+def _check_tol(name: str, tol: float, zero_ok: bool = False) -> None:
+    """ValueError unless ``tol`` is finite and > 0 (or 0 if ``zero_ok``)."""
+    if not (math.isfinite(tol) and (tol > 0.0 or zero_ok and tol == 0.0)):
+        sign = ">=" if zero_ok else ">"
+        raise ValueError(f"{name} must be finite and {sign} 0, got {tol!r}")
+
+
 def _edges(edges) -> np.ndarray:
     e = np.asarray(edges, dtype=float)
     if e.ndim != 1 or e.size < 2:
@@ -215,6 +222,7 @@ def integrate_panels(
     NumericsError
         If ``fn`` is not finite at a node, or a fallback fails.
     """
+    _check_tol("tol", tol)
     lo = np.asarray(a, dtype=float)
     hi = np.asarray(b, dtype=float)
     if lo.ndim != 1 or lo.shape != hi.shape:
@@ -292,6 +300,7 @@ def solve_increasing(
         without its step falling below the tolerance, or if a step leaves
         a bracket that has no upper end.
     """
+    _check_tol("tol", tol)
     target = np.array(target, dtype=float)
     t = np.array(t, dtype=float)
     value = np.array(value, dtype=float)
@@ -378,8 +387,8 @@ def integrate(
         raise ValueError("lower limit must be finite")
     if b < a:
         raise ValueError(f"integration limits must satisfy a <= b, got [{a!r}, {b!r}]")
-    if abs_tol <= 0.0:
-        raise ValueError("abs_tol must be positive")
+    _check_tol("abs_tol", abs_tol)
+    _check_tol("rel_tol", rel_tol, zero_ok=True)
     if math.isinf(b):
         if b < 0:
             raise ValueError("lower-infinite limits are not supported")
@@ -498,8 +507,8 @@ def solve_ode(
     """
     if not (x1 > x0):
         raise ValueError("x1 must exceed x0")
-    if rel_tol <= 0.0 or abs_tol < 0.0:
-        raise ValueError("tolerances must be positive")
+    _check_tol("rel_tol", rel_tol)
+    _check_tol("abs_tol", abs_tol, zero_ok=True)
     if x_eval is not None:
         xe = np.array(x_eval, dtype=float)
         if xe.ndim != 1 or xe.size == 0:
@@ -634,8 +643,7 @@ def find_root(
     """
     if not (hi > lo):
         raise ValueError("need hi > lo")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol("tol", tol)
     flo = float(fn(lo))
     fhi = float(fn(hi))
     if flo == 0.0:

@@ -221,6 +221,39 @@ class TestValidate:
         assert any("scalar curvature" in m for m in doc["messages"])
 
 
+def _extreme_model_files():
+    for kind in ("hyperbolic", "ads_schwarzschild", "perturbed"):
+        for x in (1e308, 1e300, 1e-300, 5e-324, -1e308):
+            yield {"type": kind, "mass": x}
+            yield {"type": kind, "mass": 0.5, "coeffs": [x]}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("model", list(_extreme_model_files()), ids=repr)
+def test_validate_sweeps_extreme_model_files(capsys, tmp_path, model):
+    # A valid model gets a report (exit 0, or 1 when it is not AH) and a
+    # core above which f > 0; an invalid one exits 1 naming the offending
+    # number, never 2 or with an exception.  ads m = 1e300 (core 1.26e100)
+    # and m = 1e308 (-2m overflows) used to exit 2, and ads m = 5e-324
+    # passed with core 0 although f(5e-324) = -1.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    rc = run(["validate", "--model", str(path)])
+    out, err = capsys.readouterr()
+    assert rc in (0, 1), err
+    if out:
+        doc = json.loads(out)
+        assert doc["is_ah"] is (rc == 0)
+        metric = _metric_from_model_dict(doc["manifest"]["parameters"]["model"])
+        # f is nan where its terms overflow, as at 5e-324 for c_2 = 1e308.
+        with np.errstate(all="ignore"):
+            assert not metric.f(max(metric.core_radius * (1.0 + 1e-9), 5e-324)) <= 0.0
+    else:
+        assert rc == 1
+        value = model["coeffs"][0] if "coeffs" in model else model["mass"]
+        assert repr(value) in err, err
+
+
 class TestErrorPaths:
     def test_unknown_flag(self, hyp_model):
         assert run(["spheres", "--model", hyp_model, "--bogus"]) == 1

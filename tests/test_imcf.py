@@ -12,6 +12,7 @@ from ahiso.imcf import (
     flow_spheres,
     lipschitz_check,
 )
+from ahiso.models import RadialMetric
 from ahiso.numerics import NumericsError, solve_ode
 from ahiso.profiles import hyperbolic_profile, model_volume
 
@@ -78,6 +79,29 @@ class TestFlow:
     def test_sample_count_must_be_finite(self, ads_one, t_max, dt):
         with pytest.raises(ValueError, match="t_max / dt"):
             flow_spheres(ads_one, 2.0, t_max, dt)
+
+    def test_ode_never_evaluates_the_metric(self, perturbed_valid, monkeypatch):
+        # ds/dt = sqrt(f) / H = s / 2: the metric enters only the volumes
+        # and Hawking masses, after the ODE.
+        calls = {"inside": False, "f": 0}
+        f = RadialMetric.f
+
+        def counting_f(metric, s):
+            calls["f"] += calls["inside"]
+            return f(metric, s)
+
+        def flagged_solve_ode(*args, **kwargs):
+            calls["inside"] = True
+            try:
+                return solve_ode(*args, **kwargs)
+            finally:
+                calls["inside"] = False
+
+        monkeypatch.setattr(RadialMetric, "f", counting_f)
+        monkeypatch.setattr("ahiso.imcf.solve_ode", flagged_solve_ode)
+        flow = flow_spheres(perturbed_valid, 1.5, 4.0, 0.01)
+        assert calls["f"] == 0
+        assert flow.s[-1] == pytest.approx(1.5 * math.e**2, rel=1e-9)
 
     def test_step_count_independent_of_sampling(self, ads_one, monkeypatch):
         # The sampling interval sets output points, not steps: the solver

@@ -83,6 +83,33 @@ class TestConstruction:
         assert 0.0 < metric.core_radius < 1.0
         assert abs(metric.f(metric.core_radius)) <= 1e-10
 
+    def test_perturbed_rejects_a_dip_narrower_than_any_scan_step(self):
+        # s^3 f = (s^2 - 2s + 1 - 1e-8)(s^3 + 2s^2 + c s + d) is negative on
+        # (0.9999, 1.0001), beyond the mass horizon at 0.68.
+        with pytest.raises(ValueError, match="remove the positive domain near s = 1"):
+            make_perturbed(0.5, (-6.00000011, 4.99999999))
+
+    @pytest.mark.parametrize("mass, a", [(0.5, 1.0), (0.1, 3.0), (2.0, 5.0)])
+    @pytest.mark.parametrize("e", [1e-4, 1e-8, 1e-12, 1e-16, 0.0, -1e-12, -1e-8])
+    def test_double_root_family(self, mass, a, e):
+        # s^3 f = (s^2 - 2as + a^2 - e)(s^3 + 2as^2 + cs + d), with c and d
+        # set so that the s^3 and s^2 coefficients are 1 and -2m.  The
+        # cubic's coefficients are positive, so f has the roots a +- sqrt(e)
+        # for e >= 0, beyond the mass horizon, and none for e < 0.
+        q = a * a - e
+        c = 1.0 + 3.0 * a * a + e
+        d = -2.0 * mass + 2.0 * a * c - 2.0 * a * q
+        coeffs = (-2.0 * a * d + q * c, q * d)
+        if e >= 0.0:
+            with pytest.raises(ValueError, match="remove the positive domain"):
+                make_perturbed(mass, coeffs)
+            return
+        metric = make_perturbed(mass, coeffs)
+        assert metric.core_radius == 0.0
+        near_a = a + np.linspace(-1e-5, 1e-5, 2001)
+        s = np.concatenate([np.geomspace(1e-3, 1e3, 2001), near_a])
+        assert np.all(metric.f(s) > 0.0)
+
     def test_core_quotient_matches_direct_ratio(self, ads_one):
         delta = 1e-3
         direct = ads_one.f(ads_one.core_radius + delta) / delta
@@ -289,6 +316,15 @@ class TestValidation:
     def test_unsorted_grid_rejected(self, ads_one):
         with pytest.raises(ValueError):
             validate_ah(ads_one, np.array([2.0, 1.5, 3.0]))
+
+    @pytest.mark.parametrize("mass", [6e8, 1e9, 1e300])
+    def test_large_core_report(self, mass):
+        # The grid starts above the core and ends three decades beyond it.
+        metric = make_ads_schwarzschild(mass)
+        grid = default_grid(metric)
+        assert grid[0] > metric.core_radius
+        assert grid[-1] == pytest.approx(1e3 * metric.core_radius)
+        assert validate_ah(metric).is_ah
 
     def test_default_grid_shape(self, ads_one):
         grid = default_grid(ads_one)

@@ -6,6 +6,7 @@ never copied from the implementation's own output.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,10 +21,13 @@ from ahiso.numerics import (
     gk15_nodes,
     gk15_rule,
     integrate,
+    integrate_intervals,
     integrate_panels,
     solve_increasing,
     solve_ode,
 )
+from ahiso.models import make_ads_schwarzschild
+from ahiso.profiles import model_radius_for_volume
 
 
 def test_integrate_cubic_exact():
@@ -162,6 +166,46 @@ def test_integrate_panels_match_single_panels_in_any_order():
 def test_integrate_panels_rejects_malformed_intervals(a, b):
     with pytest.raises(ValueError):
         integrate_panels(lambda u: u, a, b, 1e-10)
+
+
+def _square(x):
+    return x * x
+
+
+# One call per tolerance argument; tol is the only argument that varies.
+_TOLERANCE_CALLS = {
+    "integrate abs_tol": lambda tol: integrate(_square, 0.0, 1.0, abs_tol=tol),
+    "integrate rel_tol": lambda tol: integrate(_square, 0.0, 1.0, rel_tol=tol),
+    "integrate_panels": lambda tol: integrate_panels(_square, [0.0], [1.0], tol),
+    "integrate_intervals": lambda tol: integrate_intervals(_square, [0.0, 0.5, 1.0], tol),
+    "solve_increasing": lambda tol: solve_increasing(
+        lambda t: 3.0 * t * t, [8.0], [1.0], [1.0], [1.0], [3.0], tol
+    ),
+    "solve_ode rel_tol": lambda tol: solve_ode(lambda x, y: y, 1.0, 0.0, 1.0, rel_tol=tol),
+    "solve_ode abs_tol": lambda tol: solve_ode(lambda x, y: y, 1.0, 0.0, 1.0, abs_tol=tol),
+    "find_root": lambda tol: find_root(lambda x: x - 0.5, 0.0, 1.0, tol=tol),
+    "model_radius_for_volume": lambda tol: model_radius_for_volume(
+        make_ads_schwarzschild(1.0), 1e4, quad_tol=tol
+    ),
+}
+# A relative floor of 0 in integrate, or an absolute one in solve_ode,
+# leaves the other tolerance in charge.
+_ZERO_OK = {"integrate rel_tol", "solve_ode abs_tol"}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("kernel", sorted(_TOLERANCE_CALLS))
+def test_nonfinite_or_nonpositive_tolerance_raises_at_once(kernel, bad):
+    # A nan tolerance used to pass every error test or none: integrate ran
+    # 20 s to its budget and model_radius_for_volume returned a wrong root.
+    call = _TOLERANCE_CALLS[kernel]
+    start = time.perf_counter()
+    if bad == 0.0 and kernel in _ZERO_OK:
+        call(bad)
+    else:
+        with pytest.raises(ValueError, match="must be finite and >=? 0, got"):
+            call(bad)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_solve_increasing_inverts_a_cube_row_by_row():
