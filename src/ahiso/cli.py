@@ -7,16 +7,14 @@ byte-identical because all kernels are deterministic.
 
 CSV layout: one `# manifest: {...}` comment line, a header row, then one
 row per sample with round-trippable float formatting (``repr``).  Every
-table is handed to one writer as a list of equal-length columns, the
-fields of a record of arrays such as ``Flow``, ``ProfileTable`` or
-``SphereGeometry``.  Scalar results are JSON objects carrying the
+table is handed to one writer as a ``{header: column}`` dict of
+equal-length arrays.  Scalar results are JSON objects carrying the
 manifest under a "manifest" key.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -31,6 +29,7 @@ from . import __version__
 from .imcf import Flow, comparison_ode, flow_spheres, lipschitz_check
 from .models import (
     RadialMetric,
+    default_grid,
     gap_over_grid,
     make_ads_schwarzschild,
     make_hyperbolic,
@@ -109,19 +108,19 @@ def _manifest(subcommand: str, digest: str, parameters: dict) -> dict:
     }
 
 
-def _csv_text(manifest: dict, header: list[str], columns) -> str:
-    """The CSV text of equal-length float columns, in header order.
+def _csv_text(manifest: dict, table: dict) -> str:
+    """The CSV text of a {header: column} table of equal-length float columns.
 
     Raises NumericsError, naming the column, if a value is not finite.
     """
-    arrays = [np.asarray(col, dtype=float) for col in columns]
-    for name, arr in zip(header, arrays):
+    arrays = [np.asarray(col, dtype=float) for col in table.values()]
+    for name, arr in zip(table, arrays):
         if not np.all(np.isfinite(arr)):
             raise NumericsError(f"column {name!r} holds a non-finite value")
     cells = [map(repr, arr.tolist()) for arr in arrays]
     lines = [
         "# manifest: " + json.dumps(manifest, sort_keys=True),
-        ",".join(header),
+        ",".join(table),
         *map(",".join, zip(*cells)),
     ]
     return "\n".join(lines) + "\n"
@@ -144,12 +143,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _require_model(args) -> tuple[RadialMetric, dict, str]:
-    if not args.model:
-        raise ValueError(f"subcommand {args.subcommand!r} needs --model")
-    return _load_model(args.model)
-
-
 def _tolerance(text: str) -> float:
     """A --quad-tol or --ode-tol value, which must lie in (0, 1).
 
@@ -162,205 +155,117 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _quad_tol(args, default: float = 1e-10) -> float:
-    return default if args.quad_tol is None else args.quad_tol
-
-
-def _ode_tol(args, default: float = 1e-9) -> float:
-    return default if args.ode_tol is None else args.ode_tol
-
-
 # ----------------------------------------------------------------------
 # Subcommands
+#
+# A handler takes the parsed flags and the metric of --model (None for a
+# subcommand without one) and returns its output: a {header: column}
+# table or a JSON payload.
 
 
-def _s_grid(args, metric: RadialMetric) -> tuple[float, np.ndarray]:
-    """Resolved --s-min and the geometric radius grid of --n points."""
-    s_min = metric.core_radius + 0.1 if args.s_min is None else args.s_min
-    if not (s_min > metric.core_radius):
+def _s_grid(args, metric: RadialMetric) -> np.ndarray:
+    """The geometric radius grid of --n points from --s-min to --s-max.
+
+    An omitted end is :func:`default_grid`'s, core + 0.1 max(1, core) or
+    max(1e3, 1e3 core), and is written back to ``args`` for the manifest.
+    """
+    lo, hi = default_grid(metric, 2).tolist()
+    if args.s_min is None:
+        args.s_min = lo
+    if args.s_max is None:
+        args.s_max = hi
+    if not (args.s_min > metric.core_radius):
         raise ValueError(
             f"--s-min must exceed the core radius {metric.core_radius!r}"
         )
-    if not (args.s_max > s_min):
+    if not (args.s_max > args.s_min):
         raise ValueError("--s-max must exceed --s-min")
     if args.n < 1:
         raise ValueError("--n must be positive")
-    return s_min, np.geomspace(s_min, args.s_max, args.n)
+    return np.geomspace(args.s_min, args.s_max, args.n)
 
 
-def _cmd_spheres(args) -> int:
-    metric, model, digest = _require_model(args)
-    s_min, grid = _s_grid(args, metric)
-    qt = _quad_tol(args, 1e-13)
-    gap, _ = gap_over_grid(metric, grid, qt)
-    # math.asinh, not np.arcsinh: numpy's differs from libm by an ulp on
-    # some radii, which would move the column for hyperbolic space.
-    rho = np.array([math.asinh(s) for s in grid.tolist()]) - gap
+def _cmd_spheres(args, metric):
+    grid = _s_grid(args, metric)
+    gap, _ = gap_over_grid(metric, grid, args.quad_tol)
     g = sphere_data(metric, grid)
-    columns = [
-        grid,
-        rho,
-        g.area,
-        g.mean_curvature,
-        g.ricci_normal,
-        g.gauss_curvature,
-        g.scalar,
-        g.hawking_mass,
-        stability_total(metric, grid),
-    ]
-    params = {
-        "model": model,
-        "s_min": s_min,
-        "s_max": args.s_max,
-        "n": args.n,
-        "quad_tol": qt,
+    return {
+        "s": grid,
+        # math.asinh, not np.arcsinh: numpy's differs from libm by an ulp
+        # on some radii, which would move the column for hyperbolic space.
+        "rho": np.array([math.asinh(s) for s in grid.tolist()]) - gap,
+        "area": g.area,
+        "H": g.mean_curvature,
+        "Ric_nu": g.ricci_normal,
+        "K": g.gauss_curvature,
+        "R": g.scalar,
+        "hawking_mass": g.hawking_mass,
+        "stability_total": stability_total(metric, grid),
     }
-    header = [
-        "s",
-        "rho",
-        "area",
-        "H",
-        "Ric_nu",
-        "K",
-        "R",
-        "hawking_mass",
-        "stability_total",
-    ]
-    _emit(_csv_text(_manifest("spheres", digest, params), header, columns), args.out)
-    return 0
 
 
-def _cmd_imcf(args) -> int:
-    metric, model, digest = _require_model(args)
-    qt, ot = _quad_tol(args), _ode_tol(args)
-    flow = flow_spheres(metric, args.s0, args.t_max, args.dt, ode_tol=ot, quad_tol=qt)
-    columns = [flow.t, flow.s, flow.area, flow.enclosed_volume, flow.hawking]
-    params = {
-        "model": model,
-        "s0": args.s0,
-        "t_max": args.t_max,
-        "dt": args.dt,
-        "ode_tol": ot,
-        "quad_tol": qt,
-    }
-    header = ["t", "s", "area", "volume", "hawking"]
-    _emit(_csv_text(_manifest("imcf", digest, params), header, columns), args.out)
-    return 0
-
-
-def _cmd_compare_ode(args) -> int:
-    qt = _quad_tol(args)
-    curve = comparison_ode(
-        args.b0, args.mass_floor, args.v0, args.v_end, quad_tol=qt, n_grid=args.n
+def _cmd_imcf(args, metric):
+    flow = flow_spheres(
+        metric, args.s0, args.t_max, args.dt, ode_tol=args.ode_tol, quad_tol=args.quad_tol
     )
-    columns = [curve.v_grid, curve.B_values, curve.hyperbolic_values]
-    params = {
-        "b0": args.b0,
-        "mass_floor": args.mass_floor,
-        "v0": args.v0,
-        "v_end": args.v_end,
-        "n": args.n,
-        "quad_tol": qt,
+    return {
+        "t": flow.t,
+        "s": flow.s,
+        "area": flow.area,
+        "volume": flow.enclosed_volume,
+        "hawking": flow.hawking,
     }
-    manifest = _manifest("compare-ode", "-", params)
-    _emit(_csv_text(manifest, ["v", "B", "A_H"], columns), args.out)
-    return 0
 
 
-def _profile_columns(metric, v_grid, qt, rho):
-    table = gap_table(metric, v_grid, quad_tol=qt, truncation_rho=rho)
-    return [table.v, table.A_g, table.A_H, table.gap, table.scaled_gap]
+def _cmd_compare_ode(args, metric):
+    curve = comparison_ode(
+        args.b0, args.mass_floor, args.v0, args.v_end, quad_tol=args.quad_tol, n_grid=args.n
+    )
+    return {"v": curve.v_grid, "B": curve.B_values, "A_H": curve.hyperbolic_values}
 
 
-_PROFILE_HEADER = ["v", "A_g", "A_H", "gap", "scaled_gap"]
+def _gap_table(args, metric, v_grid):
+    # The ProfileTable fields are the column headers.
+    return vars(gap_table(metric, v_grid, quad_tol=args.quad_tol, truncation_rho=args.rho))
 
 
-def _cmd_profile(args) -> int:
-    metric, model, digest = _require_model(args)
+def _cmd_profile(args, metric):
     if not (0.0 < args.v_min < args.v_max):
         raise ValueError("need 0 < --v-min < --v-max")
     if args.n < 2:
         raise ValueError("--n must be at least 2")
-    qt = _quad_tol(args)
-    if args.log_grid:
-        grid = np.geomspace(args.v_min, args.v_max, args.n)
-    else:
-        grid = np.linspace(args.v_min, args.v_max, args.n)
-    columns = _profile_columns(metric, grid, qt, args.rho)
-    params = {
-        "model": model,
-        "v_min": args.v_min,
-        "v_max": args.v_max,
-        "n": args.n,
-        "log_grid": bool(args.log_grid),
-        "rho": args.rho,
-        "quad_tol": qt,
-    }
-    manifest = _manifest("profile", digest, params)
-    _emit(_csv_text(manifest, _PROFILE_HEADER, columns), args.out)
-    return 0
+    space = np.geomspace if args.log_grid else np.linspace
+    return _gap_table(args, metric, space(args.v_min, args.v_max, args.n))
 
 
-def _cmd_expansion(args) -> int:
-    metric, model, digest = _require_model(args)
+def _cmd_expansion(args, metric):
     if not (args.v_max > 0.0):
         raise ValueError("--v-max must be positive")
     if args.n < 1:
         raise ValueError("--n must be positive")
-    qt = _quad_tol(args)
     # Dyadic-in-volume grid closing in on v_max from below.
     grid = args.v_max * 4.0 ** -np.arange(args.n - 1, -1, -1, dtype=float)
-    columns = _profile_columns(metric, grid, qt, args.rho)
-    params = {
-        "model": model,
-        "v_max": args.v_max,
-        "n": args.n,
-        "rho": args.rho,
-        "quad_tol": qt,
-    }
-    manifest = _manifest("expansion", digest, params)
-    _emit(_csv_text(manifest, _PROFILE_HEADER, columns), args.out)
-    return 0
+    return _gap_table(args, metric, grid)
 
 
-def _cmd_renorm_vol(args) -> int:
-    metric, model, digest = _require_model(args)
-    qt = _quad_tol(args, 1e-9)
-    res = renormalized_volume(metric, args.rho, quad_tol=qt)
-    params = {"model": model, "rho": args.rho, "quad_tol": qt}
-    payload = {
-        "value": res.value,
-        "truncation_rho": res.truncation_rho,
-        "tail_estimate": res.tail_estimate,
-        "quad_error": res.quad_error,
-    }
-    _emit(_json_text(_manifest("renorm-vol", digest, params), payload), args.out)
-    return 0
+def _cmd_renorm_vol(args, metric):
+    return vars(renormalized_volume(metric, args.rho, quad_tol=args.quad_tol))
 
 
-def _cmd_stability(args) -> int:
-    metric, model, digest = _require_model(args)
-    s_min, grid = _s_grid(args, metric)
+def _cmd_stability(args, metric):
+    grid = _s_grid(args, metric)
     spec = dict(jacobi_spectrum(metric, grid, l_max=2))
-    columns = [grid, stability_total(metric, grid), spec[0], spec[1], spec[2]]
-    params = {"model": model, "s_min": s_min, "s_max": args.s_max, "n": args.n}
-    header = ["s", "stability_total", "lambda_0", "lambda_1", "lambda_2"]
-    _emit(_csv_text(_manifest("stability", digest, params), header, columns), args.out)
-    return 0
-
-
-def _cmd_validate(args) -> int:
-    metric, model, digest = _require_model(args)
-    report = validate_ah(metric)
-    params = {"model": model}
-    payload = {
-        "is_ah": report.is_ah,
-        "min_scalar_curvature_excess": report.min_scalar_curvature_excess,
-        "decay_exponent_estimate": report.decay_exponent_estimate,
-        "messages": list(report.messages),
+    return {
+        "s": grid,
+        "stability_total": stability_total(metric, grid),
+        "lambda_0": spec[0],
+        "lambda_1": spec[1],
+        "lambda_2": spec[2],
     }
-    _emit(_json_text(_manifest("validate", digest, params), payload), args.out)
-    return 0 if report.is_ah else 1
+
+
+def _cmd_validate(args, metric):
+    return vars(validate_ah(metric))
 
 
 # ----------------------------------------------------------------------
@@ -380,23 +285,20 @@ def _read_run(path: str):
             manifest = json.loads(lines[0][len("# manifest: ") :])
         except json.JSONDecodeError:
             return None
-        reader = csv.reader(lines[1:])
-        try:
-            header = next(reader)
-            cols = {name: [] for name in header}
-            for row in reader:
-                if not row:
-                    continue
-                # A short or long row (a truncated write) would leave
-                # columns of different lengths.
-                if len(row) != len(header):
-                    return None
-                for name, val in zip(header, row):
-                    cols[name].append(float(val))
-        except (StopIteration, ValueError):
+        if len(lines) < 2:
             return None
-        data = {name: np.asarray(vals) for name, vals in cols.items()}
-        return manifest, "csv", data
+        header = lines[1].split(",")
+        # A ragged table (a truncated write) or a non-numeric cell raises.
+        try:
+            if len(lines) > 2:
+                table = np.loadtxt(lines[2:], delimiter=",", ndmin=2)
+            else:
+                table = np.empty((0, len(header)))
+        except ValueError:
+            return None
+        if table.shape[1] != len(header):
+            return None
+        return manifest, "csv", dict(zip(header, table.T))
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
@@ -656,11 +558,8 @@ def emit_summary(results_dir: str) -> dict:
     }
 
 
-def _cmd_summary(args) -> int:
-    summary = emit_summary(args.results_dir)
-    manifest = _manifest("summary", "-", {"results_dir": args.results_dir})
-    _emit(_json_text(manifest, summary), args.out)
-    return 0
+def _cmd_summary(args, metric):
+    return emit_summary(args.results_dir)
 
 
 # ----------------------------------------------------------------------
@@ -674,40 +573,47 @@ def _build_parser() -> _Parser:
     Building it costs more than twenty parses, and in-process batch callers
     run many subcommands.  Reuse is safe: parsing leaves the parser
     unchanged, and every ``parse_args`` fills a fresh ``Namespace`` with
-    the defaults.
+    the defaults.  Each subparser declares exactly the flags its handler
+    reads, so an unread flag is an error, and every flag but --out is a
+    manifest parameter.
     """
     common = _Parser(add_help=False)
-    common.add_argument("--model", help="path to a model JSON file")
     common.add_argument("--out", help="output file (default: stdout)")
-    common.add_argument("--quad-tol", type=_tolerance, default=None)
-    common.add_argument("--ode-tol", type=_tolerance, default=None)
 
     parser = _Parser(prog="ahiso", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("spheres", parents=[common], help="sphere geometry table")
-    p.add_argument("--s-min", type=float, default=None)
-    p.add_argument("--s-max", type=float, default=1e3)
-    p.add_argument("--n", type=int, default=200)
-    p.set_defaults(handler=_cmd_spheres)
+    def add(name, handler, help, model=True, quad_tol=None):
+        p = sub.add_parser(name, parents=[common], help=help)
+        if model:
+            p.add_argument("--model", required=True, help="path to a model JSON file")
+        if quad_tol is not None:
+            p.add_argument("--quad-tol", type=_tolerance, default=quad_tol)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("imcf", parents=[common], help="inverse mean curvature flow")
+    p = add("spheres", _cmd_spheres, "sphere geometry table", quad_tol=1e-13)
+    p.add_argument("--s-min", type=float, default=None)
+    p.add_argument("--s-max", type=float, default=None)
+    p.add_argument("--n", type=int, default=200)
+
+    p = add("imcf", _cmd_imcf, "inverse mean curvature flow", quad_tol=1e-10)
+    p.add_argument("--ode-tol", type=_tolerance, default=1e-9)
     p.add_argument("--s0", type=float, required=True)
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=1e-2)
-    p.set_defaults(handler=_cmd_imcf)
 
-    p = sub.add_parser(
-        "compare-ode", parents=[common], help="area comparison ODE curve"
+    p = add(
+        "compare-ode", _cmd_compare_ode, "area comparison ODE curve",
+        model=False, quad_tol=1e-10,
     )
     p.add_argument("--b0", type=float, required=True)
     p.add_argument("--v0", type=float, default=1.0)
     p.add_argument("--v-end", type=float, required=True)
     p.add_argument("--mass-floor", type=float, default=0.0)
     p.add_argument("--n", type=int, default=200)
-    p.set_defaults(handler=_cmd_compare_ode)
 
-    p = sub.add_parser("profile", parents=[common], help="isoperimetric gap table")
+    p = add("profile", _cmd_profile, "isoperimetric gap table", quad_tol=1e-10)
     p.add_argument("--v-min", type=float, default=1.0)
     p.add_argument("--v-max", type=float, default=1e6)
     p.add_argument("--n", type=int, default=60)
@@ -715,47 +621,57 @@ def _build_parser() -> _Parser:
         "--log-grid", action=argparse.BooleanOptionalAction, default=True
     )
     p.add_argument("--rho", type=float, default=20.0, help="truncation radius")
-    p.set_defaults(handler=_cmd_profile)
 
-    p = sub.add_parser(
-        "expansion", parents=[common], help="scaled gap on a dyadic volume grid"
+    p = add(
+        "expansion", _cmd_expansion, "scaled gap on a dyadic volume grid",
+        quad_tol=1e-10,
     )
     p.add_argument("--v-max", type=float, default=1e6)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--rho", type=float, default=20.0, help="truncation radius")
-    p.set_defaults(handler=_cmd_expansion)
 
-    p = sub.add_parser("renorm-vol", parents=[common], help="renormalized volume")
+    p = add("renorm-vol", _cmd_renorm_vol, "renormalized volume", quad_tol=1e-9)
     p.add_argument("--rho", type=float, default=20.0, help="truncation radius")
-    p.set_defaults(handler=_cmd_renorm_vol)
 
-    p = sub.add_parser("stability", parents=[common], help="Jacobi spectrum table")
+    p = add("stability", _cmd_stability, "Jacobi spectrum table")
     p.add_argument("--s-min", type=float, default=None)
-    p.add_argument("--s-max", type=float, default=1e3)
+    p.add_argument("--s-max", type=float, default=None)
     p.add_argument("--n", type=int, default=50)
-    p.set_defaults(handler=_cmd_stability)
 
-    p = sub.add_parser("validate", parents=[common], help="model validation report")
-    p.set_defaults(handler=_cmd_validate)
+    add("validate", _cmd_validate, "model validation report")
 
-    p = sub.add_parser(
-        "summary", parents=[common], help="aggregate checks over run outputs"
-    )
+    p = add("summary", _cmd_summary, "aggregate checks over run outputs", model=False)
     p.add_argument("results_dir")
-    p.set_defaults(handler=_cmd_summary)
 
     return parser
+
+
+# Namespace entries that are not manifest parameters.
+_NOT_PARAMETERS = ("subcommand", "handler", "out")
 
 
 def run(argv: list[str]) -> int:
     """Parse argv, execute one subcommand, return the exit code.
 
-    0 on success, 1 on validation failure, 2 on numeric failure.
+    The metric of --model is loaded for a subcommand that declares it.
+    The handler's output is written as CSV when every value is an array
+    (a table), else as JSON, with the parsed flags (after the handler
+    resolved its defaults) as the manifest's parameters.  Exit codes: 0
+    on success, 1 on validation failure or a model that ``validate``
+    finds not AH, 2 on numeric failure.
     """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        metric, digest = None, "-"
+        if "model" in args:
+            metric, args.model, digest = _load_model(args.model)
+        body = args.handler(args, metric)
+        params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+        manifest = _manifest(args.subcommand, digest, params)
+        table = all(isinstance(col, np.ndarray) for col in body.values())
+        _emit((_csv_text if table else _json_text)(manifest, body), args.out)
+        return 0 if body.get("is_ah", True) else 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -51,24 +51,6 @@ __all__ = [
 ]
 
 
-def _as_float_array(s):
-    """``(np.float64, True)`` for a scalar ``s``, else ``(array, False)``.
-
-    A numpy scalar costs a fraction of a 0-d array and, unlike a Python
-    float, keeps the array path's IEEE results (inf or nan, never an
-    exception).  Callers start sums at 0.0 for a scalar and take powers
-    with ``np.power``: on a scalar, ``**`` calls the C library's pow,
-    which differs from numpy's array kernel in the last bit for a few
-    percent of inputs.
-    """
-    if isinstance(s, float):
-        return np.float64(s), True
-    arr = np.asarray(s, dtype=float)
-    if arr.ndim == 0:
-        return arr[()], True
-    return arr, False
-
-
 @dataclass(frozen=True)
 class RadialMetric:
     """One member of the radial model family.
@@ -82,6 +64,10 @@ class RadialMetric:
     core_radius : float
         Largest positive root of f, or 0 when f > 0 on all of (0, inf).
         Computed by the constructors; do not pass by hand.
+
+    The methods take a scalar or an array.  A scalar is evaluated as a 0-d
+    array and returned as a float, so it gets the array path's bits, inf
+    and nan included.
     """
 
     mass: float
@@ -103,35 +89,35 @@ class RadialMetric:
 
     def deficit(self, s):
         """f(s) - (1 + s^2), evaluated without cancellation."""
-        arr, scalar = _as_float_array(s)
-        out = 0.0 if scalar else np.zeros_like(arr)
+        arr = np.asarray(s, dtype=float)
+        out = np.zeros_like(arr)
         if self.mass:
             out = out - 2.0 * self.mass / arr
         for k, c in enumerate(self.coeffs, start=2):
             if c:
                 out = out + c * np.power(arr, -k)
-        return float(out) if scalar else out
+        return float(out) if arr.ndim == 0 else out
 
     def deficit_prime(self, s):
         """d/ds of the deficit."""
-        arr, scalar = _as_float_array(s)
-        out = 0.0 if scalar else np.zeros_like(arr)
+        arr = np.asarray(s, dtype=float)
+        out = np.zeros_like(arr)
         if self.mass:
             out = out + 2.0 * self.mass / (arr * arr)
         for k, c in enumerate(self.coeffs, start=2):
             if c:
                 out = out - k * c * np.power(arr, -k - 1)
-        return float(out) if scalar else out
+        return float(out) if arr.ndim == 0 else out
 
     def f(self, s):
-        arr, scalar = _as_float_array(s)
+        arr = np.asarray(s, dtype=float)
         out = 1.0 + arr * arr + self.deficit(arr)
-        return float(out) if scalar else out
+        return float(out) if arr.ndim == 0 else out
 
     def f_prime(self, s):
-        arr, scalar = _as_float_array(s)
+        arr = np.asarray(s, dtype=float)
         out = 2.0 * arr + self.deficit_prime(arr)
-        return float(out) if scalar else out
+        return float(out) if arr.ndim == 0 else out
 
     def core_quotient(self, delta):
         """f(core_radius + delta) / delta for delta > 0, without cancellation.
@@ -143,18 +129,18 @@ class RadialMetric:
         """
         if self.core_radius <= 0.0:
             raise ValueError("core_quotient requires a positive core_radius")
-        arr, scalar = _as_float_array(delta)
+        arr = np.asarray(delta, dtype=float)
         sh = self.core_radius
         b = sh + arr
         # (f(b) - f(sh)) / delta with f(sh) = 0, expanded term by term.
         out = (2.0 * sh + arr) + 2.0 * self.mass / (b * sh)
         for k, c in enumerate(self.coeffs, start=2):
             if c:
-                ladder = 0.0 if scalar else np.zeros_like(arr)
+                ladder = np.zeros_like(arr)
                 for j in range(k):
                     ladder = ladder + np.power(b, j) * sh ** (k - 1 - j)
                 out = out - c * ladder / (np.power(b, k) * sh ** k)
-        return float(out) if scalar else out
+        return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -262,12 +248,12 @@ def scalar_curvature(metric: RadialMetric, s):
 
     Equals -6 identically for hyperbolic space and AdS-Schwarzschild.
     """
-    arr, scalar = _as_float_array(s)
+    arr = np.asarray(s, dtype=float)
     _check_domain(metric, arr)
     fv = metric.f(arr)
     fp = metric.f_prime(arr)
     out = (2.0 / (arr * arr)) * (1.0 - fv - arr * fp)
-    return float(out) if scalar else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def scalar_curvature_excess(metric: RadialMetric, s):
@@ -278,13 +264,13 @@ def scalar_curvature_excess(metric: RadialMetric, s):
     The direct route through scalar_curvature loses the excess to
     rounding once it falls below ~1e-15 * s^0, this one does not.
     """
-    arr, scalar = _as_float_array(s)
+    arr = np.asarray(s, dtype=float)
     _check_domain(metric, arr)
-    out = 0.0 if scalar else np.zeros_like(arr)
+    out = np.zeros_like(arr)
     for k, c in enumerate(metric.coeffs, start=2):
         if c:
             out = out + 2.0 * (k - 1) * c * np.power(arr, -k - 2)
-    return float(out) if scalar else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def _check_domain(metric: RadialMetric, arr: np.ndarray):

@@ -100,14 +100,13 @@ class OdeSolution:
 
 
 def _eval_batch(fn: Callable, xs: np.ndarray) -> np.ndarray:
-    """Evaluate fn on an array, falling back to a scalar loop."""
-    try:
-        out = np.asarray(fn(xs), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(x)) for x in xs], dtype=float)
+    """fn on an array of nodes, which must give one value per node."""
+    out = np.asarray(fn(xs), dtype=float)
+    if out.shape != xs.shape:
+        raise ValueError(
+            f"integrand returned shape {out.shape} for nodes of shape {xs.shape}"
+        )
+    return out
 
 
 def _gk15(fn: Callable, a: float, b: float) -> tuple[float, float, np.ndarray]:
@@ -218,7 +217,7 @@ def integrate_panels(
     ------
     ValueError
         If ``a`` and ``b`` are not finite 1-d arrays of one length with
-        ``a < b`` elementwise.
+        ``a < b`` elementwise, or ``fn`` does not give one value per node.
     NumericsError
         If ``fn`` is not finite at a node, or a fallback fails.
     """
@@ -363,8 +362,8 @@ def integrate(
     Parameters
     ----------
     fn : callable
-        Integrand.  May accept numpy arrays; a scalar-only callable is
-        handled by an internal loop.
+        Integrand.  Takes a 1-d array of nodes and returns an array of
+        the same shape; any other shape raises ``ValueError``.
     a, b : float
         Integration limits.  ``b = math.inf`` is handled by the u = 1/s
         substitution, which requires ``a > 0``.

@@ -11,9 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ahiso.cli import _build_parser, _load_model, _metric_from_model_dict, emit_summary, run
+from ahiso.cli import (
+    _build_parser,
+    _load_model,
+    _metric_from_model_dict,
+    _read_run,
+    emit_summary,
+    run,
+)
 from ahiso.imcf import flow_spheres
-from ahiso.models import make_ads_schwarzschild
+from ahiso.models import default_grid, make_ads_schwarzschild
 from ahiso.profiles import gap_table, hyperbolic_profile
 
 FOUR_PI = 4.0 * math.pi
@@ -288,6 +295,27 @@ class TestErrorPaths:
         assert run([subcommand, "--model", ads_model] + flags) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "subcommand, mass", [("spheres", 6e8), ("stability", 6e8), ("stability", 1e300)]
+    )
+    def test_default_radius_grid_scales_with_the_core(
+        self, capsys, tmp_path, subcommand, mass
+    ):
+        # Omitted ends are default_grid's, core + 0.1 max(1, core) and
+        # max(1e3, 1e3 core).  Fixed ends core + 0.1 and 1e3 made these
+        # exit 1: core 1062.7 lies above 1e3, and at core 1.26e100,
+        # core + 0.1 == core.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"type": "ads_schwarzschild", "mass": mass}))
+        out = _capture(capsys, [subcommand, "--model", str(path), "--n", "4"])
+        manifest, _, body = _parse_csv(out)
+        params = manifest["parameters"]
+        core = params["model"]["core_radius"]
+        assert core > 1e3
+        want = default_grid(_metric_from_model_dict(params["model"]), 4)
+        assert [params["s_min"], params["s_max"]] == [core + 0.1 * core, 1e3 * core]
+        assert body[:, 0].tolist() == want.tolist()
+
     def test_infeasible_mass_floor(self, capsys):
         b0 = hyperbolic_profile(1.0)
         rc = run(
@@ -344,6 +372,22 @@ class TestErrorPaths:
         assert "error: " in capsys.readouterr().err
 
 
+def _base_argv(model, results_dir):
+    """A valid argv tail per subcommand that runs in milliseconds."""
+    m = ["--model", str(model)]
+    return {
+        "spheres": m + ["--n", "3"],
+        "imcf": m + ["--s0", "2", "--t-max", "1", "--dt", "0.5"],
+        "compare-ode": ["--b0", "12", "--v-end", "10", "--n", "3"],
+        "profile": m + ["--v-max", "10", "--n", "2"],
+        "expansion": m + ["--v-max", "10", "--n", "2"],
+        "renorm-vol": m,
+        "stability": m + ["--n", "3"],
+        "validate": m,
+        "summary": [str(results_dir)],
+    }
+
+
 def _float_flags(subparser):
     """The option strings of ``subparser`` that parse to a float."""
     for action in subparser._actions:
@@ -355,44 +399,103 @@ def _float_flags(subparser):
             yield action.option_strings[0]
 
 
-def test_every_float_flag_rejects_nonfinite_and_huge_values(tmp_path, capsys):
-    # Flags are read from the parser, so a new one is swept too.  Each
-    # base command runs in milliseconds; one flag at a time is set to nan,
-    # inf or 1e308 (and 0 for a tolerance), which must exit 1 or 2 without
-    # an exception escaping.
-    model = tmp_path / "ads_m1.json"
-    model.write_text(json.dumps({"type": "ads_schwarzschild", "mass": 1.0}))
-    m = ["--model", str(model)]
-    base = {
-        "spheres": m + ["--n", "3"],
-        "imcf": m + ["--s0", "2", "--t-max", "1", "--dt", "0.5"],
-        "compare-ode": ["--b0", "12", "--v-end", "10", "--n", "3"],
-        "profile": m + ["--v-max", "10", "--n", "2"],
-        "expansion": m + ["--v-max", "10", "--n", "2"],
-        "renorm-vol": m,
-        "stability": m + ["--n", "3"],
-        "validate": m,
-        "summary": [str(tmp_path)],
-    }
+# Every float flag, by subcommand: the sweep below reads them from the
+# parser and must find exactly these.
+_FLOAT_FLAGS = {
+    ("spheres", "--quad-tol"), ("spheres", "--s-min"), ("spheres", "--s-max"),
+    ("imcf", "--quad-tol"), ("imcf", "--ode-tol"), ("imcf", "--s0"),
+    ("imcf", "--t-max"), ("imcf", "--dt"),
+    ("compare-ode", "--quad-tol"), ("compare-ode", "--b0"), ("compare-ode", "--v0"),
+    ("compare-ode", "--v-end"), ("compare-ode", "--mass-floor"),
+    ("profile", "--quad-tol"), ("profile", "--v-min"), ("profile", "--v-max"),
+    ("profile", "--rho"),
+    ("expansion", "--quad-tol"), ("expansion", "--v-max"), ("expansion", "--rho"),
+    ("renorm-vol", "--quad-tol"), ("renorm-vol", "--rho"),
+    ("stability", "--s-min"), ("stability", "--s-max"),
+}
+
+
+def _subparsers():
     parser = _build_parser()
-    subparsers = next(
+    return next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ).choices
+
+
+def test_every_float_flag_rejects_nonfinite_and_huge_values(tmp_path, capsys):
+    # Flags are read from the parser, so a new one is swept too (and must
+    # be added to _FLOAT_FLAGS).  Each base command runs in milliseconds;
+    # one flag at a time is set to nan, inf or 1e308 (and 0 for a
+    # tolerance), which must exit 1 or 2 without an exception escaping.
+    model = tmp_path / "ads_m1.json"
+    model.write_text(json.dumps({"type": "ads_schwarzschild", "mass": 1.0}))
+    base = _base_argv(model, tmp_path)
+    subparsers = _subparsers()
     assert set(subparsers) == set(base)
-    swept, bad = 0, []
+    swept, runs, bad = set(), 0, []
     for name, subparser in subparsers.items():
         assert run([name] + base[name]) in (0, 1), name
         for flag in _float_flags(subparser):
+            swept.add((name, flag))
             for value in ["nan", "inf", "1e308"] + (["0"] if "tol" in flag else []):
                 argv = [name] + base[name] + [flag, value]
                 with np.errstate(all="ignore"):
                     rc = run(argv)
-                swept += 1
+                runs += 1
                 if rc not in (1, 2):
                     bad.append((argv[0], flag, value, rc))
     capsys.readouterr()
-    assert swept >= 100
+    assert swept == _FLOAT_FLAGS
+    assert runs == 79
     assert not bad
+
+
+def _declared(subparser):
+    """The dest of every flag or positional of ``subparser`` but --out."""
+    return {a.dest for a in subparser._actions if a.dest not in ("help", "out")}
+
+
+def test_manifest_parameters_are_the_declared_flags(tmp_path):
+    # The manifest records every flag a subcommand declares (--model as
+    # the model record) and nothing else, defaults resolved.
+    model = tmp_path / "ads_m1.json"
+    model.write_text(json.dumps({"type": "ads_schwarzschild", "mass": 1.0}))
+    res = tmp_path / "res"
+    res.mkdir()
+    base = _base_argv(model, res)
+    subparsers = _subparsers()
+    assert list(subparsers)[-1] == "summary"  # it reads the others' outputs
+    for name, subparser in subparsers.items():
+        out = res / f"{name}.out"
+        assert run([name] + base[name] + ["--out", str(out)]) == 0, name
+        manifest, _, _ = _read_run(str(out))
+        assert set(manifest["parameters"]) == _declared(subparser), name
+        assert (manifest["model_digest"] == "-") == ("model" not in _declared(subparser))
+
+
+# Flags that other subcommands declare but these do not read: each must
+# be rejected, not ignored.
+_UNREAD_FLAGS = [
+    ("compare-ode", "--model"),
+    ("summary", "--model"),
+    ("stability", "--quad-tol"),
+    ("validate", "--quad-tol"),
+    ("summary", "--quad-tol"),
+] + [
+    (name, "--ode-tol")
+    for name in (
+        "spheres", "compare-ode", "profile", "expansion",
+        "renorm-vol", "stability", "validate", "summary",
+    )
+]
+
+
+@pytest.mark.parametrize("name, flag", _UNREAD_FLAGS)
+def test_a_flag_the_subcommand_does_not_read_exits_one(capsys, tmp_path, ads_model, name, flag):
+    argv = _base_argv(ads_model, tmp_path)[name]
+    value = ads_model if flag == "--model" else "1e-3"
+    assert run([name] + argv + [flag, value]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestParserReuse:
@@ -534,6 +637,24 @@ class TestSummary:
         doc = emit_summary(str(res))
         assert doc["n_runs"] == 1
         assert doc["verdicts"]["hawking_identity"] == "pass"
+
+    def test_header_only_table_has_empty_columns(self, tmp_path, hyp_model):
+        path = tmp_path / "spheres.csv"
+        assert run(["spheres", "--model", hyp_model, "--n", "2", "--out", str(path)]) == 0
+        path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
+        manifest, kind, data = _read_run(str(path))
+        assert (manifest["subcommand"], kind) == ("spheres", "csv")
+        assert list(data) == ["s", "rho", "area", "H", "Ric_nu", "K", "R",
+                              "hawking_mass", "stability_total"]
+        assert all(col.shape == (0,) for col in data.values())
+
+    def test_non_numeric_cell_is_skipped(self, tmp_path, hyp_model):
+        path = tmp_path / "spheres.csv"
+        assert run(["spheres", "--model", hyp_model, "--n", "2", "--out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        lines[-1] = "x" + lines[-1][lines[-1].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        assert _read_run(str(path)) is None
 
     def test_empty_directory_rejected(self, tmp_path):
         empty = tmp_path / "empty"

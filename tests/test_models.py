@@ -155,7 +155,7 @@ def _assert_scalar_matches_array(metric, s):
 
 
 class TestScalarPath:
-    """A scalar takes no array detour but must match the array path bit for bit."""
+    """A scalar, evaluated as a 0-d array, matches the array path bit for bit."""
 
     @pytest.mark.parametrize("metric", _PROFILE_MODELS.values(), ids=_PROFILE_MODELS.keys())
     @pytest.mark.parametrize("s", [0.0, -0.0, 5e-324, 1e-200, 1e300, math.inf, math.nan])

@@ -76,6 +76,13 @@ def test_integrate_rejects_reversed_interval():
         integrate(lambda u: u, 1.0, 0.0)
 
 
+def test_integrate_rejects_an_integrand_of_the_wrong_shape():
+    # No per-node loop stands behind the array call: a constant that
+    # ignores its nodes is an error naming both shapes.
+    with pytest.raises(ValueError, match=r"shape \(\) for nodes of shape \(15,\)"):
+        integrate(lambda u: 1.0, 0.0, 1.0)
+
+
 def test_integrate_infinite_tail_needs_positive_start():
     with pytest.raises((ValueError, NumericsError)):
         integrate(lambda u: np.exp(-u), 0.0, math.inf)
