@@ -284,8 +284,8 @@ def _check_domain(metric: RadialMetric, arr: np.ndarray):
 # Geodesic coordinate
 
 
-def _gap_integrand(metric: RadialMetric):
-    """Integrand of the coordinate gap, stable at every scale.
+def _gap_integrand(metric: RadialMetric, k: int = 0):
+    """Integrand of the coordinate gap, stable at every scale, times u^k.
 
     f^{-1/2} - (1+u^2)^{-1/2} rewritten as -d / (sqrt(f) sqrt(q)
     (sqrt(f) + sqrt(q))) with q = 1 + u^2; the subtraction form loses
@@ -299,13 +299,14 @@ def _gap_integrand(metric: RadialMetric):
         d = metric.deficit(u)
         sf = np.sqrt(fv)
         sq = np.sqrt(q)
-        return -d / (sf * sq * (sf + sq))
+        out = -d / (sf * sq * (sf + sq))
+        return out * u**k if k else out
 
     return g
 
 
-def _gap_head_integrand(metric: RadialMetric):
-    """The gap integrand in w, with u = core + w^2 and du = 2 w dw.
+def _gap_head_integrand(metric: RadialMetric, k: int = 0):
+    """The gap integrand times u^k in w, with u = core + w^2, du = 2 w dw.
 
     Near the core f vanishes like f'(core)(u - core), so the integrand in
     u carries a 1/sqrt spike; in w it is smooth, with f / w^2 taken from
@@ -321,29 +322,31 @@ def _gap_head_integrand(metric: RadialMetric):
         d = metric.deficit(b)
         sw = np.sqrt(metric.core_quotient(delta))
         sq = np.sqrt(q)
-        return -2.0 * d / (sw * sq * (w * sw + sq))
+        out = -2.0 * d / (sw * sq * (w * sw + sq))
+        return out * b**k if k else out
 
     return g_head
 
 
-def coordinate_gap(metric: RadialMetric, s: float, quad_tol: float = 1e-13) -> QuadResult:
-    """G(s) = integral_s^inf [f(u)^{-1/2} - (1+u^2)^{-1/2}] du.
+def _gap_moment(metric: RadialMetric, s: float, k: int, quad_tol: float) -> QuadResult:
+    """integral_s^inf u^k [f(u)^{-1/2} - (1+u^2)^{-1/2}] du, for s >= core.
 
-    Defined for s >= core_radius.  At s = core_radius (mass > 0) the
-    integrand has an integrable 1/sqrt singularity which is removed by
-    the substitution u = core + w^2.
+    Below core + 1 it is integrated in w with u = core + w^2, which
+    removes the integrable 1/sqrt spike at a positive core; above, by
+    :func:`integrate`'s 1/u tail, to relative tolerance ``quad_tol``.
     """
     core = metric.core_radius
     if not math.isfinite(s) or s < core:
         raise ValueError(f"s must lie in [{core!r}, inf), got {s!r}")
-    g = _gap_integrand(metric)
+    g = _gap_integrand(metric, k)
     if core > 0.0 and s < core + 1.0:
-        split, head_fn = core + 1.0, _gap_head_integrand(metric)
+        split, head_fn = core + 1.0, _gap_head_integrand(metric, k)
         w0 = math.sqrt(s - core)
         head = integrate(head_fn, w0, 1.0, abs_tol=1e-14, rel_tol=quad_tol)
     elif s > 0.0:
-        # The relative floor, not abs_tol, is what matters here: G decays
-        # like m/s^2 and is consumed relatively by downstream expansions.
+        # The relative floor, not abs_tol, is what matters here: the moment
+        # decays like m / s^(3 - k) and is consumed relatively by
+        # downstream expansions.
         return integrate(g, s, math.inf, abs_tol=1e-300, rel_tol=quad_tol)
     else:
         # s == core == 0: the integrand is bounded but f may still blow up
@@ -357,6 +360,16 @@ def coordinate_gap(metric: RadialMetric, s: float, quad_tol: float = 1e-13) -> Q
         head.error_bound + tail.error_bound,
         head.evaluations + tail.evaluations,
     )
+
+
+def coordinate_gap(metric: RadialMetric, s: float, quad_tol: float = 1e-13) -> QuadResult:
+    """G(s) = integral_s^inf [f(u)^{-1/2} - (1+u^2)^{-1/2}] du.
+
+    Defined for s >= core_radius.  At s = core_radius (mass > 0) the
+    integrand has an integrable 1/sqrt singularity which is removed by
+    the substitution u = core + w^2.
+    """
+    return _gap_moment(metric, s, 0, quad_tol)
 
 
 def gap_over_grid(
@@ -452,21 +465,10 @@ def s_from_rho(metric: RadialMetric, rho: float, quad_tol: float = 1e-13) -> flo
     """
     if not math.isfinite(rho) or rho > _RHO_MAX:
         raise ValueError(f"rho must be finite and <= {_RHO_MAX!r}, got {rho!r}")
-    # Below rho = 0 the start is the core, and sinh need not overflow.
-    s0 = max(math.sinh(max(rho, 0.0)) * (1.0 - 1e-12), metric.core_radius)
-    rho0 = math.asinh(s0) - coordinate_gap(metric, s0, quad_tol).value
-    return _s_from_rho_at(metric, rho, s0, rho0, quad_tol)
-
-
-def _s_from_rho_at(
-    metric: RadialMetric, rho: float, s0: float, rho0: float, quad_tol: float
-) -> float:
-    """:func:`s_from_rho` from its start s0, where rho(s0) = rho0 is known.
-
-    A caller that already holds rho at the start (``renormalized_volume``
-    at the core, for rho = 0) saves the start's tail integral.
-    """
     core = metric.core_radius
+    # Below rho = 0 the start is the core, and sinh need not overflow.
+    s0 = max(math.sinh(max(rho, 0.0)) * (1.0 - 1e-12), core)
+    rho0 = math.asinh(s0) - coordinate_gap(metric, s0, quad_tol).value
     if core > 0.0:
 
         def density(w):

@@ -21,8 +21,6 @@ __all__ = [
     "QuadResult",
     "OdeSolution",
     "integrate",
-    "gk15_nodes",
-    "gk15_rule",
     "integrate_panels",
     "integrate_intervals",
     "solve_increasing",
@@ -169,37 +167,6 @@ def _pair_rule(a: np.ndarray, b: np.ndarray, fv: np.ndarray):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc > 0.0) & (err > 0.0), scaled, err)
     return resk, np.maximum(err, 50.0 * _EPS * resabs)
-
-
-def gk15_nodes(edges) -> np.ndarray:
-    """Gauss-Kronrod 7-15 nodes of each interval between ``edges``.
-
-    Returns an array of shape (len(edges) - 1, 15), one row per panel in
-    ascending order.  :func:`gk15_rule` turns values sampled there into
-    panel integrals, so a caller can sample several meshes at once.
-
-    Raises
-    ------
-    ValueError
-        If ``edges`` is not a finite, strictly increasing 1-d sequence of
-        at least two points.
-    """
-    e = _edges(edges)
-    return _pair_nodes(e[:-1], e[1:])
-
-
-def gk15_rule(edges, fv) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod values and error estimates from values at :func:`gk15_nodes`.
-
-    The vectorized counterpart of the panel rule inside :func:`integrate`,
-    with the same error rescaling and rounding floor.  A single panel
-    reproduces the scalar panel's value exactly and its error to a few
-    ulp, since numpy and libm round ``** 1.5`` differently; over many
-    panels the row-wise weight products may sum in another order and move
-    the last bits.
-    """
-    e = np.asarray(edges, dtype=float)
-    return _pair_rule(e[:-1], e[1:], fv)
 
 
 def integrate_panels(

@@ -15,9 +15,14 @@ here:
 
 The renormalized volume is never formed by subtracting two large
 volumes: at rho = 20 both terms are ~1e17 and float64 would leave no
-digits.  Instead the difference of volume elements is integrated
-directly via 4 pi (u^2 - sinh^2 rho(u)), expanded in the coordinate gap
-G so that every factor is evaluated at its own scale.
+digits.  Instead it comes from the volume deficit
+
+    W(s) = integral_s^inf 4 pi u^2 [f(u)^{-1/2} - (1+u^2)^{-1/2}] du,
+
+whose integrand decays like 4 pi m / u^2.  The model volume is
+vol(s) = v_H(asinh s) - v_H(asinh core) + W(core) - W(s), so
+W(core) - v_H(asinh core) is the limit of vol(s(rho)) - v_H(rho), and at
+a finite rho only W(s) and a hyperbolic shell of width G(s) are added.
 """
 
 from __future__ import annotations
@@ -29,9 +34,8 @@ import numpy as np
 
 from .models import (
     RadialMetric,
-    _s_from_rho_at,
+    _gap_moment,
     coordinate_gap,
-    gap_over_grid,
     make_hyperbolic,
     s_from_rho,
     validate_ah,
@@ -39,8 +43,6 @@ from .models import (
 from .numerics import (
     NumericsError,
     QuadResult,
-    gk15_nodes,
-    gk15_rule,
     integrate,
     integrate_intervals,
     solve_increasing,
@@ -102,23 +104,18 @@ def _sinh_excess_ratio(z: float) -> float:
     return out
 
 
-def _hyperbolic_volume_any(rho: float) -> float:
-    # Antiderivative of 4 pi sinh^2; valid for any real rho.  Below 0.4
-    # the closed form would subtract O(1) terms to get an O(rho^3) volume
-    # (1.2e-13 relative error at 0.101, 4.3e-15 on [0.3, 0.4]); the series
-    # is exact to rounding up to z = 4 rho^2 = 0.64.
-    if abs(rho) <= 0.4:
-        return FOUR_PI / 3.0 * rho**3 * _sinh_excess_ratio(4.0 * rho * rho)
-    return FOUR_PI * (
-        0.5 * math.sinh(rho) ** 2 + 0.25 - 0.5 * rho - 0.25 * math.exp(-2.0 * rho)
-    )
-
-
 def hyperbolic_volume(rho: float) -> float:
     """Volume of the hyperbolic ball of geodesic radius rho >= 0."""
     if not math.isfinite(rho) or rho < 0.0:
         raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
-    return _hyperbolic_volume_any(rho)
+    # Below 0.4 the closed form would subtract O(1) terms to get an
+    # O(rho^3) volume (1.2e-13 relative error at 0.101, 4.3e-15 on
+    # [0.3, 0.4]); the series is exact to rounding up to z = 4 rho^2 = 0.64.
+    if rho <= 0.4:
+        return FOUR_PI / 3.0 * rho**3 * _sinh_excess_ratio(4.0 * rho * rho)
+    return FOUR_PI * (
+        0.5 * math.sinh(rho) ** 2 + 0.25 - 0.5 * rho - 0.25 * math.exp(-2.0 * rho)
+    )
 
 
 _HYPERBOLIC = make_hyperbolic()
@@ -255,50 +252,27 @@ def model_radius_for_volume(metric: RadialMetric, v, quad_tol: float = 1e-10):
 # Renormalized volume
 
 
-def _area_difference(u, g):
-    """4 pi (u^2 - sinh^2 rho(u)) and its derivative in G, at gap values g.
-
-    With G the coordinate gap, sinh rho(u) = u cosh G - sqrt(1+u^2)
-    sinh G, and the difference of squares collapses to
-    2 u sqrt(1+u^2) sinh G cosh G - (2 u^2 + 1) sinh^2 G, every term of
-    which is O(G) small.  Direct evaluation would subtract ~u^2-sized
-    quantities to extract an O(mass) answer.  The derivative,
-    4 pi (2 u sqrt(1+u^2) cosh 2G - (2 u^2 + 1) sinh 2G), carries the
-    error of g into the result.
-    """
-    sh = np.sinh(g)
-    ch = np.cosh(g)
-    r = 2.0 * u * np.sqrt(1.0 + u * u)
-    q = 2.0 * u * u + 1.0
-    area = FOUR_PI * (r * sh * ch - q * sh * sh)
-    slope = FOUR_PI * (r * np.cosh(2.0 * g) - q * np.sinh(2.0 * g))
-    return area, slope
-
-
-# Cap on the outer mesh of renormalized_volume; every refinement round
-# bisects all panels over their share of the tolerance.
-_MAX_OUTER_PANELS = 4096
-
-
 def renormalized_volume(
     metric: RadialMetric, truncation_rho: float = 20.0, quad_tol: float = 1e-9
 ) -> RenormVolumeResult:
     """Renormalized volume V = lim [vol_g(rho) - vol_H(rho)].
 
-    Evaluated at ``truncation_rho`` by integrating the difference of
-    volume elements out to s(truncation_rho).  The neglected tail decays
+    Evaluated at ``truncation_rho`` = rho_T.  The neglected tail decays
     like 1/sinh(rho) with coefficient 8 pi m / 3; ``tail_estimate``
     reports it and a truncation radius that leaves more than 10% of the
     value in the tail is rejected.
 
-    The difference is integrated on one outer mesh of GK15 panels over
-    three regions: near a positive core in w with u = core + w^2, then
-    in u up to u = 1, then in x = 1/u out to s(truncation_rho).  Each
-    round takes G at every node of every panel from one
-    :func:`gap_over_grid` sweep and bisects every panel whose Kronrod
-    error exceeds its share of the tolerance.  ``quad_error`` sums the
-    panel errors, the sweep's bounds on G carried through the integrand,
-    and the bounds of the inner-boundary terms.
+    With s_T = s(rho_T) and G_T = G(s_T), so that asinh s_T = rho_T + G_T,
+    and W the volume deficit (module docstring),
+
+        V(rho_T) = W(core) - W(s_T) - vol_H(asinh core)
+                   + 4 pi integral_{rho_T}^{rho_T + G_T} sinh^2 r dr.
+
+    Both W values are semi-infinite :func:`_gap_moment` integrals, and
+    the shell is 2 pi [(cosh(2 rho_T + G_T) - 1) sinh G_T + (sinh G_T - G_T)],
+    whose two terms have the sign of G_T.  ``quad_error`` sums the bounds
+    of the two W integrals and the bound of G_T times the shell's slope
+    4 pi sinh^2(rho_T + G_T).
 
     Nonnegative for every valid model, zero exactly for hyperbolic
     space.
@@ -308,92 +282,28 @@ def renormalized_volume(
     core = metric.core_radius
     gap_tol = min(1e-13, quad_tol)
 
-    inner = coordinate_gap(metric, core, gap_tol)
-    rho_low = math.asinh(core) - inner.value
-    s_low = core
-
+    rho_low = math.asinh(core) - coordinate_gap(metric, core, gap_tol).value
     if truncation_rho <= rho_low + 1e-9:
         raise ValueError(
             f"truncation_rho = {truncation_rho!r} does not exceed the inner "
             f"boundary radius {rho_low!r}"
         )
     s_top = s_from_rho(metric, truncation_rho, gap_tol)
+    gap_top = coordinate_gap(metric, s_top, gap_tol)
+    w_core = _gap_moment(metric, core, 2, gap_tol)
+    w_top = _gap_moment(metric, s_top, 2, gap_tol)
 
-    if rho_low >= 0.0:
-        base = -_hyperbolic_volume_any(rho_low)
-        base_error = FOUR_PI * math.sinh(rho_low) ** 2 * inner.error_bound
-    else:
-        # Hyperbolic balls only exist for rho >= 0; the model region
-        # below rho = 0 enters at full volume.
-        # s_from_rho(metric, 0.0) would start at the core and integrate G
-        # there again; rho_low is rho at the core.
-        s_low = _s_from_rho_at(metric, 0.0, core, rho_low, gap_tol)
-        head_vol = model_volume_quad(metric, s_low, quad_tol=0.25 * quad_tol)
-        base, base_error = head_vol.value, head_vol.error_bound
-
-    # Regions as (lo, hi, u(t), du/dt / sqrt(f(u))) in their variable t.
-    regions = []
-    if core > 0.0 and s_low == core:
-        w1 = min(2.0, math.sqrt(s_top - core))
-        regions.append((
-            0.0, w1, lambda w: core + w * w,
-            lambda w: 2.0 / np.sqrt(metric.core_quotient(w * w)),
-        ))
-        s_mid = core + w1 * w1
-    else:
-        s_mid = s_low
-    s1 = max(s_mid, 1.0)
-    if min(s1, s_top) > s_mid:
-        regions.append((
-            s_mid, min(s1, s_top), lambda u: u, lambda u: 1.0 / np.sqrt(metric.f(u))
-        ))
-    if s_top > s1:
-        regions.append((
-            1.0 / s_top, 1.0 / s1, lambda x: 1.0 / x,
-            lambda x: 1.0 / (np.sqrt(metric.f(1.0 / x)) * (x * x)),
-        ))
-
-    tol = 0.75 * quad_tol
-    edges = [np.linspace(lo, hi, 5) for lo, hi, _, _ in regions]
-    while True:
-        nodes = [gk15_nodes(e) for e in edges]
-        us = [to_u(t) for t, (_, _, to_u, _) in zip(nodes, regions)]
-        gap, gap_err = gap_over_grid(
-            metric, np.concatenate([u.ravel() for u in us]), gap_tol
-        )
-        vals, errs, carried = [], [], 0.0
-        start = 0
-        for e, t, u, (_, _, _, jac) in zip(edges, nodes, us, regions):
-            stop = start + u.size
-            g = gap[start:stop].reshape(u.shape)
-            g_err = gap_err[start:stop].reshape(u.shape)
-            start = stop
-            area, slope = _area_difference(u, g)
-            weight = jac(t)
-            fv = area * weight
-            if not np.all(np.isfinite(fv)):
-                bad = float(u[~np.isfinite(fv)][0])
-                raise NumericsError(f"renormalized volume integrand not finite at u={bad!r}")
-            v, err = gk15_rule(e, fv)
-            vals.append(v)
-            errs.append(err)
-            carried += float(np.sum(gk15_rule(e, np.abs(slope * weight) * g_err)[0]))
-        n_panels = sum(v.size for v in vals)
-        total = math.fsum([base, *(x for v in vals for x in v.tolist())])
-        share = max(tol, 1e-13 * abs(total)) / n_panels
-        over = [err > share for err in errs]
-        if not any(o.any() for o in over):
-            break
-        if n_panels > _MAX_OUTER_PANELS:
-            raise NumericsError(
-                f"renormalized volume: error bound "
-                f"{sum(float(np.sum(x)) for x in errs):.3e} after {n_panels} "
-                f"outer panels (target {tol:.3e})"
-            )
-        edges = [
-            np.sort(np.concatenate([e, 0.5 * (e[:-1] + e[1:])[o]]))
-            for e, o in zip(edges, over)
-        ]
+    g = gap_top.value
+    sh = math.sinh(g)
+    shell = 2.0 * math.pi * (
+        (math.cosh(2.0 * truncation_rho + g) - 1.0) * sh + (sh - g)
+    )
+    total = math.fsum([
+        FOUR_PI * w_core.value,
+        -FOUR_PI * w_top.value,
+        -hyperbolic_volume(math.asinh(core)),
+        shell,
+    ])
 
     tail = 8.0 * math.pi * metric.mass / (3.0 * math.sinh(truncation_rho))
     if metric.mass > 0.0 and tail > 0.1 * abs(total):
@@ -401,7 +311,10 @@ def renormalized_volume(
             f"truncation_rho = {truncation_rho!r} too small: tail estimate "
             f"{tail:.3e} exceeds 10% of the value {total:.6e}"
         )
-    quad_error = sum(float(np.sum(err)) for err in errs) + carried + base_error
+    quad_error = (
+        FOUR_PI * (w_core.error_bound + w_top.error_bound)
+        + FOUR_PI * math.sinh(truncation_rho + g) ** 2 * gap_top.error_bound
+    )
     return RenormVolumeResult(
         value=total,
         truncation_rho=truncation_rho,

@@ -8,6 +8,7 @@ never copied from the implementation's own output.
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,10 +17,9 @@ from hypothesis import strategies as st
 from ahiso.numerics import (
     NumericsError,
     QuadResult,
+    _NODES,
     _gk15,
     find_root,
-    gk15_nodes,
-    gk15_rule,
     integrate,
     integrate_intervals,
     integrate_panels,
@@ -105,9 +105,11 @@ def test_integrate_budget_exhaustion_raises():
         )
 
 
-def _panels(fn, edges):
-    """One GK15 panel per interval between ``edges``, by the public rule."""
-    return gk15_rule(edges, fn(gk15_nodes(edges)))
+def _panel(fn, lo, hi):
+    """One GK15 panel on [lo, hi] from the vectorized rule, never redone:
+    no panel's error estimate exceeds the tolerance 1e300."""
+    vals, errs = integrate_panels(fn, [lo], [hi], 1e300)
+    return vals[0], errs[0]
 
 
 @pytest.mark.parametrize(
@@ -121,27 +123,28 @@ def _panels(fn, edges):
         (lambda u: np.exp(-u) * np.cos(7.0 * u), np.linspace(0.0, 9.0, 40)),
     ],
 )
-def test_gk15_panels_agree_with_scalar_panel(fn, edges):
-    # The vectorized panel rule, sampled at its nodes, against the scalar
-    # panel: value exactly; the error to a few ulp, since numpy's power
-    # and libm's round the ** 1.5 of the error rescaling differently.
+def test_vectorized_panel_agrees_with_scalar_panel(fn, edges):
+    # The vectorized panel rule of integrate_panels against the scalar
+    # panel of integrate: value exactly; the error to a few ulp, since
+    # numpy's power and libm's round the ** 1.5 of the error rescaling
+    # differently.
     for lo, hi in zip(edges[:-1], edges[1:]):
-        vals, errs = _panels(fn, [lo, hi])
+        val_vec, err_vec = _panel(fn, lo, hi)
         val, err, _ = _gk15(fn, lo, hi)
-        assert vals[0] == val
-        assert abs(errs[0] - err) <= 4.0 * np.spacing(err)
+        assert val_vec == val
+        assert abs(err_vec - err) <= 4.0 * np.spacing(err)
 
 
 @pytest.mark.parametrize(
     "edges",
     [[1.0], [[0.0, 1.0]], [0.0, 0.0], [1.0, 0.0], [0.0, math.inf], [math.nan, 1.0]],
 )
-def test_gk15_panels_rejects_malformed_edges(edges):
+def test_integrate_intervals_rejects_malformed_edges(edges):
     with pytest.raises(ValueError):
-        gk15_nodes(edges)
+        integrate_intervals(lambda u: u, edges, 1e-10)
 
 
-def test_gk15_panels_nonfinite_integrand_names_x():
+def test_integrate_panels_nonfinite_integrand_names_x():
     # The middle node of [0, 1] is 0.5.
     with np.errstate(divide="ignore"), pytest.raises(NumericsError, match="x=0.5"):
         integrate_panels(lambda u: 1.0 / (u - 0.5), [0.0], [1.0], 1e-10)
@@ -156,10 +159,10 @@ def test_integrate_panels_match_single_panels_in_any_order():
     b = np.array([3.0, 1.0, 2.5, 0.75])
     vals, errs = integrate_panels(fn, a, b, 1e-13)
     for lo, hi, val, err in zip(a, b, vals, errs):
-        one, one_err = _panels(fn, [lo, hi])
-        if one_err[0] <= max(1e-13, 2e-14 * abs(one[0])):
-            assert abs(val - one[0]) <= 4.0 * np.spacing(val)
-            assert abs(err - one_err[0]) <= 1e-12 * err
+        one, one_err = _panel(fn, lo, hi)
+        if one_err <= max(1e-13, 2e-14 * abs(one)):
+            assert abs(val - one) <= 4.0 * np.spacing(val)
+            assert abs(err - one_err) <= 1e-12 * err
         else:
             assert err <= max(1e-13, 2e-14 * abs(val))
             assert abs(val - integrate(fn, lo, hi, abs_tol=1e-15).value) <= 2e-13
@@ -268,6 +271,89 @@ def test_integrate_polynomials_to_error_bound(coeffs, b):
     truth = c0 * b + c1 * b**2 / 2 + c2 * b**3 / 3 + c3 * b**4 / 4
     res = integrate(fn, 0.0, b, abs_tol=1e-11)
     assert abs(res.value - truth) <= res.error_bound + 1e-10
+
+
+# Fault injection.  A poison value replaces the integrand on a short
+# interval around one node of a first panel, so the kernel always samples
+# it.  A nan or an infinity must raise.  A subnormal makes a legitimate,
+# if discontinuous, integrand: the kernel must return a bound that meets
+# the tolerance and holds against the unpoisoned answer, which the notch
+# moves by at most its width times max |f| = 3.
+
+_POISONS = st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 1e-310])
+
+
+def _wave(x):
+    return 2.0 + np.cos(3.0 * x)
+
+
+def _wave_integral(a, b):
+    # At 30 digits: in floats, sin(3 b) alone errs by ~eps * 3 |b|.
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        return float(2 * (b - a) + (mpmath.sin(3 * b) - mpmath.sin(3 * a)) / 3)
+
+
+def _poisoned(x0, half_width, poison):
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x - x0) <= half_width, poison, _wave(x))
+
+    return fn
+
+
+def _panel_node(a, b, node):
+    """Node ``node`` of the GK15 panel on [a, b], bit for bit as sampled."""
+    return 0.5 * (a + b) + 0.5 * (b - a) * _NODES[node]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    a=st.floats(-3.0, 3.0),
+    length=st.floats(0.1, 10.0),
+    node=st.integers(0, 14),
+    rel_width=st.floats(0.0, 1e-13),
+    poison=_POISONS,
+)
+def test_integrate_poisoned_interval_raises_or_stays_in_bound(a, length, node, rel_width, poison):
+    b = a + length
+    half_width = rel_width * length
+    fn = _poisoned(_panel_node(a, b, node), half_width, poison)
+    if not math.isfinite(poison):
+        with pytest.raises(NumericsError, match="not finite"):
+            integrate(fn, a, b)
+        return
+    res = integrate(fn, a, b, abs_tol=1e-10)
+    assert res.error_bound <= 1e-10
+    assert abs(res.value - _wave_integral(a, b)) <= res.error_bound + 6.0 * half_width
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    a=st.floats(-3.0, 3.0),
+    widths=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=6),
+    panel=st.integers(0, 5),
+    node=st.integers(0, 14),
+    rel_width=st.floats(0.0, 1e-13),
+    poison=_POISONS,
+)
+def test_integrate_panels_poisoned_interval_raises_or_stays_in_bound(
+    a, widths, panel, node, rel_width, poison
+):
+    edges = a + np.concatenate([[0.0], np.cumsum(widths)])
+    lo, hi = edges[:-1], edges[1:]
+    i = panel % lo.size
+    half_width = rel_width * (hi[i] - lo[i])
+    fn = _poisoned(_panel_node(lo[i], hi[i], node), half_width, poison)
+    if not math.isfinite(poison):
+        with pytest.raises(NumericsError, match="not finite"):
+            integrate_panels(fn, lo, hi, 1e-10)
+        return
+    vals, errs = integrate_panels(fn, lo, hi, 1e-10)
+    assert np.all(errs <= 1e-10)
+    for j, (x, y) in enumerate(zip(lo.tolist(), hi.tolist())):
+        notch = 6.0 * half_width if j == i else 0.0
+        assert abs(vals[j] - _wave_integral(x, y)) <= errs[j] + notch
 
 
 def test_solve_ode_exponential():

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from ahiso.cli import run
 from ahiso.imcf import comparison_ode
 from ahiso.models import (
     _core_radius,
+    _gap_moment,
     gap_over_grid,
     make_ads_schwarzschild,
     make_hyperbolic,
@@ -115,8 +117,8 @@ ORACLE_MODELS = {
     "ads_m1": make_ads_schwarzschild(1.0),
     "ads_m3": make_ads_schwarzschild(3.0),
     "pert_m1": make_perturbed(1.0, (0.1, 0.05)),
-    # rho < 0 near its core: the renormalized volume takes its inner
-    # branch through s(rho = 0).
+    # rho < 0 near its core, where no hyperbolic ball matches; the volume
+    # deficit starts at the core all the same.
     "pert_m0.5": make_perturbed(0.5, (0.2,)),
 }
 
@@ -198,16 +200,44 @@ class _Oracle:
         return vol
 
 
+@pytest.mark.parametrize("rho", [12.0, 20.0, 30.0])
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
-def test_renormalized_volume_within_quad_error_of_oracle(name):
+def test_renormalized_volume_within_quad_error_of_oracle(name, rho):
+    # At rho = 12 the shell term sinh(G_T) of the truncation is ~5e-5 m.
     metric = ORACLE_MODELS[name]
-    res = renormalized_volume(metric, 20.0)
-    with mpmath.workdps(50):
-        want = _Oracle(metric).renormalized_volume(20.0, s_from_rho(metric, 20.0))
+    res = renormalized_volume(metric, rho)
+    with mpmath.workdps(60):
+        want = _Oracle(metric).renormalized_volume(rho, s_from_rho(metric, rho))
         err = float(abs(res.value - want))
-    # 50 digits on vol_g ~ 1e17 leave the oracle itself good to ~1e-33.
+    # 60 digits on vol_g <= ~2e26 (rho = 30) leave the oracle itself good
+    # to ~1e-33.
     assert err <= res.quad_error + 1e-30
     assert err <= 1e-14 * max(1.0, abs(float(want)))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_volume_deficit_matches_model_volume(name):
+    # vol(s) = v_H(asinh s) - v_H(asinh core) + 4 pi (W(core) - W(s)), with
+    # W the second moment of the gap integrand, against the volume
+    # integrated directly from the core.
+    metric = ORACLE_MODELS[name]
+    core = metric.core_radius
+    w_core = _gap_moment(metric, core, 2, 1e-13)
+    for s in (core + 1e-3, core + 0.5, core + 1.0, 3.0, 1e2, 1e5):
+        vol = model_volume_quad(metric, s)
+        w_s = _gap_moment(metric, s, 2, 1e-13)
+        got = math.fsum([
+            hyperbolic_volume(math.asinh(s)),
+            -hyperbolic_volume(math.asinh(core)),
+            4.0 * math.pi * w_core.value,
+            -4.0 * math.pi * w_s.value,
+        ])
+        bound = (
+            vol.error_bound
+            + 4.0 * math.pi * (w_core.error_bound + w_s.error_bound)
+            + 8.0 * np.spacing(vol.value)
+        )
+        assert abs(got - vol.value) <= bound, (s, got - vol.value, bound)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))

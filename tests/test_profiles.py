@@ -12,11 +12,12 @@ import ahiso.numerics
 from ahiso.imcf import flow_spheres
 from ahiso.models import (
     coordinate_gap,
+    gap_over_grid,
     make_ads_schwarzschild,
     make_perturbed,
     validate_ah,
 )
-from ahiso.numerics import NumericsError, find_root, integrate, solve_increasing
+from ahiso.numerics import find_root, integrate, solve_increasing
 from ahiso.profiles import (
     cumulative_volume_over_grid,
     gap_table,
@@ -403,9 +404,30 @@ class TestRenormalizedVolumeWork:
         renormalized_volume(make_ads_schwarzschild(m))
         assert len(calls) <= 12
 
-    def test_outer_mesh_budget_raises(self, monkeypatch):
-        # This model needs refinement rounds; a cap below its first mesh
-        # must end in NumericsError, not in an unconverged value.
-        monkeypatch.setattr("ahiso.profiles._MAX_OUTER_PANELS", 4)
-        with pytest.raises(NumericsError, match="outer panels"):
-            renormalized_volume(make_perturbed(0.5, (0.2,)))
+    @pytest.mark.parametrize(
+        "metric",
+        [make_ads_schwarzschild(1.0), make_perturbed(0.5, (0.2,))],
+        ids=["ads_m1", "pert_m0.5"],
+    )
+    def test_three_gap_integrals_and_no_sweep(self, monkeypatch, metric):
+        # The outer mesh took one gap_over_grid sweep per refinement round
+        # (1 and 3 here) and 3 and 5 gap integrals.  The volume deficit
+        # needs G only at the core, at the s(rho) start and at s_T.
+        gaps, sweeps = [], []
+
+        def counting_gap(*args, **kwargs):
+            gaps.append(args[1])
+            return coordinate_gap(*args, **kwargs)
+
+        def counting_sweep(*args, **kwargs):
+            sweeps.append(1)
+            return gap_over_grid(*args, **kwargs)
+
+        for module in ("models", "profiles"):
+            monkeypatch.setattr(f"ahiso.{module}.coordinate_gap", counting_gap)
+            # profiles no longer imports it; a sweep put back there counts.
+            monkeypatch.setattr(f"ahiso.{module}.gap_over_grid", counting_sweep, raising=False)
+        renormalized_volume(metric)
+        assert not sweeps
+        assert len(gaps) == 3
+        assert gaps[0] == metric.core_radius
