@@ -249,7 +249,7 @@ def _cmd_expansion(args, metric):
 
 
 def _cmd_renorm_vol(args, metric):
-    return vars(renormalized_volume(metric, args.rho, quad_tol=args.quad_tol))
+    return vars(renormalized_volume(metric, args.rho))
 
 
 def _cmd_stability(args, metric):
@@ -630,7 +630,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--rho", type=float, default=20.0, help="truncation radius")
 
-    p = add("renorm-vol", _cmd_renorm_vol, "renormalized volume", quad_tol=1e-9)
+    p = add("renorm-vol", _cmd_renorm_vol, "renormalized volume")
     p.add_argument("--rho", type=float, default=20.0, help="truncation radius")
 
     p = add("stability", _cmd_stability, "Jacobi spectrum table")

@@ -300,7 +300,7 @@ def _gap_integrand(metric: RadialMetric, k: int = 0):
         sf = np.sqrt(fv)
         sq = np.sqrt(q)
         out = -d / (sf * sq * (sf + sq))
-        return out * u**k if k else out
+        return out * u**k
 
     return g
 
@@ -323,7 +323,7 @@ def _gap_head_integrand(metric: RadialMetric, k: int = 0):
         sw = np.sqrt(metric.core_quotient(delta))
         sq = np.sqrt(q)
         out = -2.0 * d / (sw * sq * (w * sw + sq))
-        return out * b**k if k else out
+        return out * b**k
 
     return g_head
 

@@ -251,9 +251,13 @@ def model_radius_for_volume(metric: RadialMetric, v, quad_tol: float = 1e-10):
 # ----------------------------------------------------------------------
 # Renormalized volume
 
+# Relative tolerance of the G and W integrals behind V (a few dozen
+# evaluations each on ads m = 1).
+_RENORM_TOL = 1e-13
+
 
 def renormalized_volume(
-    metric: RadialMetric, truncation_rho: float = 20.0, quad_tol: float = 1e-9
+    metric: RadialMetric, truncation_rho: float = 20.0
 ) -> RenormVolumeResult:
     """Renormalized volume V = lim [vol_g(rho) - vol_H(rho)].
 
@@ -280,18 +284,17 @@ def renormalized_volume(
     if not math.isfinite(truncation_rho):
         raise ValueError("truncation_rho must be finite")
     core = metric.core_radius
-    gap_tol = min(1e-13, quad_tol)
 
-    rho_low = math.asinh(core) - coordinate_gap(metric, core, gap_tol).value
+    rho_low = math.asinh(core) - coordinate_gap(metric, core, _RENORM_TOL).value
     if truncation_rho <= rho_low + 1e-9:
         raise ValueError(
             f"truncation_rho = {truncation_rho!r} does not exceed the inner "
             f"boundary radius {rho_low!r}"
         )
-    s_top = s_from_rho(metric, truncation_rho, gap_tol)
-    gap_top = coordinate_gap(metric, s_top, gap_tol)
-    w_core = _gap_moment(metric, core, 2, gap_tol)
-    w_top = _gap_moment(metric, s_top, 2, gap_tol)
+    s_top = s_from_rho(metric, truncation_rho, _RENORM_TOL)
+    gap_top = coordinate_gap(metric, s_top, _RENORM_TOL)
+    w_core = _gap_moment(metric, core, 2, _RENORM_TOL)
+    w_top = _gap_moment(metric, s_top, 2, _RENORM_TOL)
 
     g = gap_top.value
     sh = math.sinh(g)
@@ -348,7 +351,7 @@ def gap_table(
         raise ValueError(
             "model fails AH validation: " + "; ".join(report.messages)
         )
-    v_ren = renormalized_volume(metric, truncation_rho, quad_tol=min(quad_tol, 1e-9))
+    v_ren = renormalized_volume(metric, truncation_rho)
     s_v = model_radius_for_volume(metric, grid, quad_tol)
     a_g = FOUR_PI * s_v * s_v
     a_h = hyperbolic_profile(grid)
