@@ -48,6 +48,11 @@ FOUR_PI = 4.0 * math.pi
 # Absolute scale at which a comparison curve started on the hyperbolic
 # profile may exceed it before the excess counts as a numerical fault.
 _PROFILE_FAULT = 1e-6
+# Relative part of that allowance.  B and A_H come from two different
+# inversions, each within 1e-14 of the exact area (the oracle tests), so
+# at floor 0 they may differ by that much: past A_H ~ 5e9 an ulp of the
+# area alone exceeds 1e-6.
+_PROFILE_FAULT_REL = 2e-14
 
 
 @dataclass(frozen=True)
@@ -178,7 +183,8 @@ def comparison_ode(
         v0 is reported.
     NumericsError
         If a curve started on the hyperbolic profile exceeds it by more
-        than 1e-6, or the volume element overflows (areas past ~1e308).
+        than 1e-6 + 2e-14 A_H, or the volume element overflows (areas
+        past ~1e308).
     """
     if not math.isfinite(B0) or B0 <= 0.0:
         raise ValueError(f"B0 must be finite and > 0, got {B0!r}")
@@ -217,7 +223,7 @@ def comparison_ode(
     # Under the profile at the start and a nonnegative floor, the curve
     # can never cross A_H; a crossing would be a fault of the inversion.
     if B0 <= a_h[0] + _PROFILE_FAULT:
-        excess = float(np.max(b_vals - a_h))
+        excess = float(np.max(b_vals - a_h - _PROFILE_FAULT_REL * a_h))
         if excess > _PROFILE_FAULT:
             raise NumericsError(
                 f"comparison curve exceeded the hyperbolic profile by {excess:.3e}"

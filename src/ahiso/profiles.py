@@ -10,7 +10,7 @@ here:
 * The model profile is the centered-sphere one: A_hat(v) = 4 pi s_v^2
   with vol(s_v) = v.  It upper-bounds the true isoperimetric profile.
 * The renormalized volume is the large-radius limit of
-  vol(s(rho)) - v_H(rho), evaluated at a finite truncation radius with
+  vol(s(rho)) - V_H(sinh rho), evaluated at a finite truncation radius with
   an explicit tail estimate.
 
 The renormalized volume is never formed by subtracting two large
@@ -19,10 +19,11 @@ digits.  Instead it comes from the volume deficit
 
     W(s) = integral_s^inf 4 pi u^2 [f(u)^{-1/2} - (1+u^2)^{-1/2}] du,
 
-whose integrand decays like 4 pi m / u^2.  The model volume is
-vol(s) = v_H(asinh s) - v_H(asinh core) + W(core) - W(s), so
-W(core) - v_H(asinh core) is the limit of vol(s(rho)) - v_H(rho), and at
-a finite rho only W(s) and a hyperbolic shell of width G(s) are added.
+whose integrand decays like 4 pi m / u^2.  With V_H(s) the hyperbolic
+ball volume at area-radius s, the model volume is
+vol(s) = V_H(s) - V_H(core) + W(core) - W(s), so W(core) - V_H(core) is
+the limit of vol(s(rho)) - V_H(sinh rho), and at a finite rho only W(s) and a
+hyperbolic shell of width G(s) are added.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .models import (
     RadialMetric,
     _gap_moment,
     coordinate_gap,
-    make_hyperbolic,
     s_from_rho,
     validate_ah,
 )
@@ -86,50 +86,133 @@ class RenormVolumeResult:
 
 # ----------------------------------------------------------------------
 # Hyperbolic closed forms
+#
+# Hyperbolic space is the model f = 1 + s^2 with s = sinh rho.  Its ball
+# of area-radius s has volume V_H(s) = 2 pi (s sqrt(1 + s^2) - asinh s),
+# whose derivative is the volume element 4 pi s^2 / sqrt(1 + s^2).
 
 
 # (3 / (4 pi))^{1/3}: the Euclidean ball of volume v has radius this * v^{1/3}.
 _EUCLID_RADIUS = float(np.cbrt(0.75 / math.pi))
 
-# Taylor coefficients 6 / (2j + 3)! of 6 (sinh x - x) / x^3 in z = x^2.
-_SINH_EXCESS_COEFFS = tuple(6 / math.factorial(2 * j + 3) for j in range(8))
+# Below s = 0.6 the closed form cancels O(s) terms to an O(s^3) volume.
+# There V_H(s) = (4 pi / 3) s^3 sum_j c_j s^{2j}, the integral of the
+# binomial series of the volume element, with c_j = 3 C(-1/2, j) / (2j + 3);
+# at s^2 = 0.36 the first term left out is below 1e-20.
+_SERIES_TOP = 0.6
+_SERIES_POWERS = np.arange(40.0)
+_SERIES_COEFFS = np.array(
+    [(-1) ** j * 3 * math.comb(2 * j, j) / (4**j * (2 * j + 3)) for j in range(40)]
+)
 
 
-def _sinh_excess_ratio(z: float) -> float:
-    """6 (sinh x - x) / x^3 at z = x^2 <= 0.64, where the first term left
-    out of the series is below 2e-18."""
-    out = 0.0
-    for c in reversed(_SINH_EXCESS_COEFFS):
-        out = out * z + c
+def _hyperbolic_volume_over_s(s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """V_H(s) / s for a 1-d array of area radii s >= 0, with q = sqrt(1 + s^2).
+
+    Unlike V_H itself it is a normal float for the radii of subnormal
+    volumes (s ~ 1e-108).
+    """
+    big = s >= _SERIES_TOP
+    if big.all():
+        return 2.0 * math.pi * (q - np.arcsinh(s) / s)
+    out = np.empty_like(s)
+    sb = s[big]
+    out[big] = 2.0 * math.pi * (q[big] - np.arcsinh(sb) / sb)
+    z = s[~big] ** 2
+    # All terms at once: a Horner loop would cost one array pass per term.
+    acc = (np.power.outer(z, _SERIES_POWERS) * _SERIES_COEFFS).sum(axis=1)
+    out[~big] = FOUR_PI / 3.0 * z * acc
     return out
 
 
+def _ball_volume(s: float) -> float:
+    """V_H(s), the volume of the hyperbolic ball of area-radius s >= 0."""
+    ratio = _hyperbolic_volume_over_s(np.array([s]), np.array([math.sqrt(1.0 + s * s)]))
+    return s * float(ratio[0])
+
+
 def hyperbolic_volume(rho: float) -> float:
-    """Volume of the hyperbolic ball of geodesic radius rho >= 0."""
+    """Volume V_H(sinh rho) of the hyperbolic ball of geodesic radius rho >= 0.
+
+    Raises ``ValueError`` past rho ~ 354.7, where the volume exceeds the
+    float range.
+    """
     if not math.isfinite(rho) or rho < 0.0:
         raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
-    # Below 0.4 the closed form would subtract O(1) terms to get an
-    # O(rho^3) volume (1.2e-13 relative error at 0.101, 4.3e-15 on
-    # [0.3, 0.4]); the series is exact to rounding up to z = 4 rho^2 = 0.64.
-    if rho <= 0.4:
-        return FOUR_PI / 3.0 * rho**3 * _sinh_excess_ratio(4.0 * rho * rho)
-    return FOUR_PI * (
-        0.5 * math.sinh(rho) ** 2 + 0.25 - 0.5 * rho - 0.25 * math.exp(-2.0 * rho)
-    )
+    vol = _ball_volume(math.sinh(rho)) if rho < 710.0 else math.inf
+    if math.isinf(vol):
+        raise ValueError(f"the hyperbolic volume at rho = {rho!r} overflows")
+    return vol
 
 
-_HYPERBOLIC = make_hyperbolic()
+# (3 sqrt 2 / 4 pi)^{1/3}: a start s = this * v^{1/3} <= 1 is above the
+# root, since V_H(s) >= 4 pi s^3 / (3 sqrt 2) = v for s <= 1.
+_SMALL_START = float(np.cbrt(3.0 * math.sqrt(2.0) / FOUR_PI))
+# Newton rounds after which hyperbolic_profile gives up.
+_PROFILE_ROUNDS = 64
 
 
 def hyperbolic_profile(v):
-    """Hyperbolic isoperimetric profile A_H(v) = 4 pi sinh^2 rho_v.
+    """Hyperbolic isoperimetric profile A_H(v) = 4 pi s_v^2, V_H(s_v) = v.
 
-    Hyperbolic space is the model f = 1 + s^2 with s = sinh rho, so this
-    is 4 pi s_v^2 from :func:`model_radius_for_volume` on it: ``v`` may be
-    a scalar or an array of volumes, inverted together.
+    ``v`` may be a scalar (a float comes back) or an array of volumes.
+    No quadrature: Newton's method on the closed form V_H, all rows
+    together, each started above its root.  That start is
+    (3 sqrt 2 v / 4 pi)^{1/3} when at most 1, else, with t^2 = v / 2 pi
+    and b = 1 + sqrt(1 + t^2), the smaller of b and
+    sqrt(t^2 + asinh b - 1/2 + 1 / (8 (t^2 + 0.9375))), by
+    V_H(s) >= 2 pi (s^2 + 1/2 - 1 / (8 s^2) - asinh s).  V_H is convex,
+    so the iterates descend monotonically with no bracket.  The step
+    (V_H(s) / s - v / s) sqrt(1 + s^2) / (4 pi s) stays in range from
+    subnormal v up.  A row stops once its step is at most 4 ulp of s
+    (applied) or no longer positive, and is not touched again, so each
+    volume's A_H does not depend on the batch.
+
+    Raises
+    ------
+    ValueError
+        If a volume is not finite and > 0.
+    NumericsError
+        If a row still moves after 64 rounds, or an A_H exceeds the float
+        range (v above ~9e307).
     """
-    s = model_radius_for_volume(_HYPERBOLIC, v)
-    return FOUR_PI * s * s
+    arr = np.asarray(v, dtype=float)
+    scalar = arr.ndim == 0
+    vols = arr.reshape(-1)
+    if vols.size == 0 or not np.all(np.isfinite(vols)) or np.any(vols <= 0.0):
+        raise ValueError(f"v must be finite and > 0, got {v!r}")
+    small = _SMALL_START * np.cbrt(vols)
+    t2 = vols / (2.0 * math.pi)
+    b = 1.0 + np.sqrt(1.0 + t2)
+    s = np.where(
+        small <= 1.0,
+        small,
+        np.minimum(b, np.sqrt(t2 + np.arcsinh(b) - 0.5 + 0.125 / (t2 + 0.9375))),
+    )
+    out = np.empty_like(s)
+    rows = np.arange(s.size)
+    for _ in range(_PROFILE_ROUNDS):
+        q = np.sqrt(1.0 + s * s)
+        step = (_hyperbolic_volume_over_s(s, q) - vols / s) * q / (FOUR_PI * s)
+        done = step <= 4.0 * np.spacing(s)
+        s = s - np.maximum(step, 0.0)
+        if done.any():
+            out[rows[done]] = s[done]
+            if done.all():
+                break
+            keep = ~done
+            rows, s, vols = rows[keep], s[keep], vols[keep]
+    else:
+        raise NumericsError(
+            f"hyperbolic_profile: s = {float(s[0])!r} still moving for "
+            f"v = {float(vols[0])!r} after {_PROFILE_ROUNDS} rounds"
+        )
+    with np.errstate(over="ignore"):
+        area = FOUR_PI * out * out
+    if np.any(np.isinf(area)):
+        bad = float(arr.reshape(-1)[np.isinf(area)][0])
+        raise NumericsError(f"hyperbolic_profile: A_H not finite for v = {bad!r}")
+    return float(area[0]) if scalar else area.reshape(arr.shape)
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +352,7 @@ def renormalized_volume(
     With s_T = s(rho_T) and G_T = G(s_T), so that asinh s_T = rho_T + G_T,
     and W the volume deficit (module docstring),
 
-        V(rho_T) = W(core) - W(s_T) - vol_H(asinh core)
+        V(rho_T) = W(core) - W(s_T) - V_H(core)
                    + 4 pi integral_{rho_T}^{rho_T + G_T} sinh^2 r dr.
 
     Both W values are semi-infinite :func:`_gap_moment` integrals, and
@@ -278,8 +361,10 @@ def renormalized_volume(
     of the two W integrals and the bound of G_T times the shell's slope
     4 pi sinh^2(rho_T + G_T).
 
-    Nonnegative for every valid model, zero exactly for hyperbolic
-    space.
+    Nonnegative for every valid model of mass > 0, zero exactly for
+    hyperbolic space.  A massless model singular at the origin can pass
+    :func:`validate_ah` with V < 0: f = 1 + s^2 + 0.05 / s^2 has
+    V = -0.2437.
     """
     if not math.isfinite(truncation_rho):
         raise ValueError("truncation_rho must be finite")
@@ -304,7 +389,7 @@ def renormalized_volume(
     total = math.fsum([
         FOUR_PI * w_core.value,
         -FOUR_PI * w_top.value,
-        -hyperbolic_volume(math.asinh(core)),
+        -_ball_volume(core),
         shell,
     ])
 

@@ -157,6 +157,23 @@ class TestComparisonOde:
         excess = curve.B_values - curve.hyperbolic_values
         assert float(np.max(np.abs(excess))) <= 2e-7
 
+    @pytest.mark.parametrize("v0", [1e-6, 1.0, 5.0, 389.36723631191836])
+    def test_row_zero_is_its_own_hyperbolic_profile(self, v0):
+        # A_H of v0 alone and as row 0 of the grid's batch are one number,
+        # so a curve started on the profile starts exactly on its A_H
+        # column (7.1e-15 above it at v0 = 5 when the batch moved A_H).
+        curve = comparison_ode(hyperbolic_profile(v0), 0.0, v0, 1e4)
+        assert curve.B_values[0] == curve.hyperbolic_values[0]
+
+    @pytest.mark.parametrize("v_end", [1e10, 1e14, 1e100])
+    def test_zero_floor_past_the_absolute_fault_scale(self, v_end):
+        # B (the volume inversion) and A_H (Newton on the closed form)
+        # differ by an ulp or two of areas whose ulp exceeds the absolute
+        # 1e-6; that is rounding, not a crossing.
+        curve = comparison_ode(hyperbolic_profile(1.0), 0.0, 1.0, v_end)
+        rel = np.abs(curve.B_values - curve.hyperbolic_values) / curve.hyperbolic_values
+        assert float(np.max(rel)) <= 2e-14
+
     def test_positive_floor_stays_strictly_below(self):
         v0 = 5.0
         curve = comparison_ode(hyperbolic_profile(v0), 1.0, v0, 1e4)

@@ -356,6 +356,49 @@ def test_integrate_panels_poisoned_interval_raises_or_stays_in_bound(
         assert abs(vals[j] - _wave_integral(x, y)) <= errs[j] + notch
 
 
+def _wave_antiderivative(t):
+    """F(t) = 2 t + sin(3 t) / 3, the integral of _wave from 0, at 30 digits."""
+    with mpmath.workdps(30):
+        return 2 * mpmath.mpf(t) + mpmath.sin(3 * mpmath.mpf(t)) / 3
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    starts=st.lists(st.floats(0.5, 3.0), min_size=1, max_size=4),
+    length=st.floats(0.05, 3.0),
+    row=st.integers(0, 3),
+    node=st.integers(0, 14),
+    rel_width=st.floats(0.0, 1e-13),
+    poison=_POISONS,
+)
+def test_solve_increasing_poisoned_density_raises_or_stays_in_tolerance(
+    starts, length, row, node, rel_width, poison
+):
+    # Every row inverts F = int _wave from its start t0, where F is known,
+    # for the target F(t0 + length) with the bracket [t0, inf).  The poison
+    # sits on a node of one row's first panel, which runs from t0 to
+    # t0 + (target - F(t0)) / _wave(t0), so the kernel always samples it.
+    t0 = np.array(starts)
+    value = np.array([float(_wave_antiderivative(t)) for t in starts])
+    target = np.array([float(_wave_antiderivative(t + length)) for t in starts])
+    i = row % t0.size
+    first = t0 + (target - value) / _wave(t0)
+    half_width = rel_width * (first[i] - t0[i])
+    fn = _poisoned(_panel_node(t0[i], first[i], node), half_width, poison)
+    tol = 1e-10
+    args = (target, t0, value, t0, np.full(t0.size, np.inf), tol)
+    if not math.isfinite(poison):
+        with pytest.raises(NumericsError, match="not finite"):
+            solve_increasing(fn, *args)
+        return
+    got = solve_increasing(fn, *args)
+    # F errs by at most tol plus the notch, 6 half_width; F' >= 1.
+    for t, goal, x in zip(starts, target.tolist(), got.tolist()):
+        with mpmath.workdps(30):
+            root = mpmath.findroot(lambda u: _wave_antiderivative(u) - goal, t + length)
+        assert abs(x - float(root)) <= tol + 6.0 * half_width
+
+
 def test_solve_ode_exponential():
     sol = solve_ode(lambda x, y: y, 1.0, 0.0, 1.0, rel_tol=1e-9)
     assert abs(sol.ys[-1] - math.e) <= 1e-9

@@ -20,6 +20,7 @@ from ahiso.models import (
     make_hyperbolic,
     make_perturbed,
     s_from_rho,
+    validate_ah,
 )
 from ahiso.profiles import (
     hyperbolic_profile,
@@ -213,6 +214,22 @@ def test_renormalized_volume_within_quad_error_of_oracle(name, rho):
     # to ~1e-33.
     assert err <= res.quad_error + 1e-30
     assert err <= 1e-14 * max(1.0, abs(float(want)))
+
+
+def test_renormalized_volume_negative_without_mass():
+    # f = 1 + s^2 + 0.05 / s^2 passes validate_ah (R + 6 = 0.1 / s^4), but
+    # f blows up at s = 0: the origin is singular, rho grows like s^2 there,
+    # and the volume falls behind the hyperbolic one.  V >= 0 is claimed
+    # only for mass > 0.
+    metric = make_perturbed(0.0, (0.05,))
+    assert validate_ah(metric).is_ah
+    res = renormalized_volume(metric)
+    with mpmath.workdps(60):
+        want = _Oracle(metric).renormalized_volume(20.0, s_from_rho(metric, 20.0))
+        err = float(abs(res.value - want))
+    assert float(want) == pytest.approx(-0.24370448253268756, rel=1e-15)
+    assert err <= res.quad_error + 1e-30
+    assert err <= 1e-15
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))

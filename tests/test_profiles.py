@@ -17,7 +17,7 @@ from ahiso.models import (
     make_perturbed,
     validate_ah,
 )
-from ahiso.numerics import find_root, integrate, solve_increasing
+from ahiso.numerics import NumericsError, find_root, integrate, solve_increasing
 from ahiso.profiles import (
     cumulative_volume_over_grid,
     gap_table,
@@ -58,6 +58,13 @@ class TestHyperbolicClosedForms:
         with pytest.raises(ValueError):
             hyperbolic_volume(-0.1)
 
+    def test_volume_past_the_float_range_raises(self):
+        # pi sinh(2 rho) / 2 passes 1.8e308 near rho = 354.7.
+        assert math.isfinite(hyperbolic_volume(354.0))
+        for rho in (355.0, 709.0, 711.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                hyperbolic_volume(rho)
+
     def test_profile_inverts_the_volume(self):
         v = hyperbolic_volume(1.0)
         assert hyperbolic_profile(v) == pytest.approx(
@@ -80,6 +87,42 @@ class TestHyperbolicClosedForms:
             hyperbolic_profile(0.0)
         with pytest.raises(ValueError):
             hyperbolic_profile(-1.0)
+
+    @pytest.mark.parametrize("v", [-5e-324, math.nan, math.inf, -math.inf])
+    def test_profile_rejects_nonfinite_volume_alone_or_in_a_batch(self, v):
+        with pytest.raises(ValueError):
+            hyperbolic_profile(v)
+        with pytest.raises(ValueError):
+            hyperbolic_profile(np.array([1.0, v]))
+
+    @pytest.mark.parametrize("v", [5e-324, 1e-310, 1e-300])
+    def test_profile_at_subnormal_and_tiny_volume(self, v):
+        # Here A_H is the Euclidean (36 pi v^2)^{1/3} to ~v^{2/3} relative.
+        # Formed from v / s and V_H(s) / s, the Newton step stays normal;
+        # 3 v / 4 pi itself underflows to 0 at v = 5e-324.
+        want = np.cbrt(36.0 * math.pi) * np.cbrt(v) ** 2
+        assert abs(hyperbolic_profile(v) - want) <= 1e-15 * want
+
+    def test_profile_near_the_float_maximum(self):
+        # A_H(8e307) ~ 1.6e308 is finite and comes back; from v ~ 8.99e307
+        # on, A_H exceeds the float range and raises instead of giving inf.
+        assert abs(hyperbolic_profile(8e307) / 8e307 - 2.0) <= 1e-5
+        for v in (9e307, 1.7e308, np.finfo(float).max):
+            with pytest.raises(NumericsError, match="not finite"):
+                hyperbolic_profile(v)
+        with pytest.raises(NumericsError, match="v = 1.7e"):
+            hyperbolic_profile(np.array([1.0, 1.7e308, 2.0]))
+
+    def test_profile_is_independent_of_the_batch(self):
+        # Each volume's A_H is bitwise the same alone, in a batch and in a
+        # shuffled batch.  The quadrature inversion moved 96 of these 200
+        # volumes by an ulp between the batch and single calls.
+        vols = np.concatenate([np.geomspace(5.0, 1e6, 200), np.geomspace(1e-30, 5.0, 40)])
+        batch = hyperbolic_profile(vols)
+        alone = np.array([hyperbolic_profile(v) for v in vols.tolist()])
+        order = np.random.default_rng(7).permutation(vols.size)
+        assert np.array_equal(batch, alone)
+        assert np.array_equal(hyperbolic_profile(vols[order]), batch[order])
 
 
 class TestModelVolume:
@@ -329,10 +372,20 @@ class TestNewtonInversionWork:
             monkeypatch.setattr(f"ahiso.{module}.integrate", counting_integrate)
         monkeypatch.setattr("ahiso.profiles.solve_increasing", counting_solve)
         gap_table(make_ads_schwarzschild(1.0), np.geomspace(1.0, 1e6, 60))
-        # One inversion for A_g, one on hyperbolic space for A_H.
-        assert len(rounds) == 2
+        # One inversion for A_g; A_H comes from the closed-form volume.
+        assert len(rounds) == 1
         assert max(rounds) <= 12
         assert len(integrals) <= 150
+
+    def test_hyperbolic_profile_makes_no_quadrature(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        for name in ("integrate", "integrate_panels", "integrate_intervals", "solve_increasing"):
+            monkeypatch.setattr(f"ahiso.numerics.{name}", forbidden)
+            monkeypatch.setattr(f"ahiso.profiles.{name}", forbidden, raising=False)
+        hyperbolic_profile(np.geomspace(1e-30, 1e30, 61))
+        hyperbolic_profile(1.0)
 
     @staticmethod
     def _gap_points(monkeypatch, metric):
@@ -380,8 +433,9 @@ class TestProperties:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(metric=_valid_perturbed_models())
     def test_profile_increasing_and_renormalized_volume_nonnegative(self, metric):
-        # Both are claimed for every valid model: A_g = 4 pi s_v^2 with s_v
-        # increasing in v, and V >= 0 (zero only for hyperbolic space).
+        # Both are claimed for every valid model of mass > 0 (these have
+        # mass >= 0.05): A_g = 4 pi s_v^2 with s_v increasing in v, and
+        # V >= 0.  Without mass V can be negative (test_oracles).
         table = gap_table(metric, np.geomspace(1e-3, 1e6, 40))
         assert np.all(np.diff(table.A_g) > 0.0)
         assert renormalized_volume(metric).value >= 0.0
