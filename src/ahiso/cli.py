@@ -224,18 +224,14 @@ def _cmd_compare_ode(args, metric):
     return {"v": curve.v_grid, "B": curve.B_values, "A_H": curve.hyperbolic_values}
 
 
-def _gap_table(args, metric, v_grid):
-    # The ProfileTable fields are the column headers.
-    return vars(gap_table(metric, v_grid, quad_tol=args.quad_tol, truncation_rho=args.rho))
-
-
 def _cmd_profile(args, metric):
     if not (0.0 < args.v_min < args.v_max):
         raise ValueError("need 0 < --v-min < --v-max")
     if args.n < 2:
         raise ValueError("--n must be at least 2")
     space = np.geomspace if args.log_grid else np.linspace
-    return _gap_table(args, metric, space(args.v_min, args.v_max, args.n))
+    # The ProfileTable fields are the column headers.
+    return vars(gap_table(metric, space(args.v_min, args.v_max, args.n), args.quad_tol))
 
 
 def _cmd_expansion(args, metric):
@@ -245,7 +241,7 @@ def _cmd_expansion(args, metric):
         raise ValueError("--n must be positive")
     # Dyadic-in-volume grid closing in on v_max from below.
     grid = args.v_max * 4.0 ** -np.arange(args.n - 1, -1, -1, dtype=float)
-    return _gap_table(args, metric, grid)
+    return vars(gap_table(metric, grid, args.quad_tol))
 
 
 def _cmd_renorm_vol(args, metric):
@@ -620,7 +616,6 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--log-grid", action=argparse.BooleanOptionalAction, default=True
     )
-    p.add_argument("--rho", type=float, default=20.0, help="truncation radius")
 
     p = add(
         "expansion", _cmd_expansion, "scaled gap on a dyadic volume grid",
@@ -628,7 +623,6 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--v-max", type=float, default=1e6)
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--rho", type=float, default=20.0, help="truncation radius")
 
     p = add("renorm-vol", _cmd_renorm_vol, "renormalized volume")
     p.add_argument("--rho", type=float, default=20.0, help="truncation radius")

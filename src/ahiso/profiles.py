@@ -10,8 +10,9 @@ here:
 * The model profile is the centered-sphere one: A_hat(v) = 4 pi s_v^2
   with vol(s_v) = v.  It upper-bounds the true isoperimetric profile.
 * The renormalized volume is the large-radius limit of
-  vol(s(rho)) - V_H(sinh rho), evaluated at a finite truncation radius with
-  an explicit tail estimate.
+  vol(s(rho)) - V_H(sinh rho).  renormalized_volume evaluates it at a
+  finite truncation radius with an explicit tail estimate; gap_table
+  takes the limit K itself.
 
 The renormalized volume is never formed by subtracting two large
 volumes: at rho = 20 both terms are ~1e17 and float64 would leave no
@@ -21,9 +22,9 @@ digits.  Instead it comes from the volume deficit
 
 whose integrand decays like 4 pi m / u^2.  With V_H(s) the hyperbolic
 ball volume at area-radius s, the model volume is
-vol(s) = V_H(s) - V_H(core) + W(core) - W(s), so W(core) - V_H(core) is
-the limit of vol(s(rho)) - V_H(sinh rho), and at a finite rho only W(s) and a
-hyperbolic shell of width G(s) are added.
+vol(s) = V_H(s) - V_H(core) + W(core) - W(s), so K = W(core) - V_H(core)
+is the limit of vol(s(rho)) - V_H(sinh rho), and at a finite rho only W(s) and
+a hyperbolic shell of width G(s) are added.
 """
 
 from __future__ import annotations
@@ -222,7 +223,10 @@ def hyperbolic_profile(v):
 def _volume_integrand(metric: RadialMetric):
     def fn(u):
         u = np.asarray(u, dtype=float)
-        return FOUR_PI * u * u / np.sqrt(metric.f(u))
+        # Past u ~ 1.3e154 this is inf / inf (in w too, past b ~ 1.3e154),
+        # which the kernels' finite checks turn into a NumericsError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return FOUR_PI * u * u / np.sqrt(metric.f(u))
 
     return fn
 
@@ -238,7 +242,8 @@ def _volume_head_integrand(metric: RadialMetric):
     def fn(w):
         w = np.asarray(w, dtype=float)
         b = core + w * w
-        return 8.0 * math.pi * b * b / np.sqrt(metric.core_quotient(w * w))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return 8.0 * math.pi * b * b / np.sqrt(metric.core_quotient(w * w))
 
     return fn
 
@@ -411,20 +416,23 @@ def renormalized_volume(
     )
 
 
+def _renormalized_limit(metric: RadialMetric) -> float:
+    """K = W(core) - V_H(core), the rho_T -> inf limit of V(rho_T); 0.0 on H^3."""
+    core = metric.core_radius
+    w_core = _gap_moment(metric, core, 2, _RENORM_TOL)
+    return math.fsum([FOUR_PI * w_core.value, -_ball_volume(core)])
+
+
 # ----------------------------------------------------------------------
 # Gap table
 
 
-def gap_table(
-    metric: RadialMetric,
-    v_grid,
-    quad_tol: float = 1e-10,
-    truncation_rho: float = 20.0,
-) -> ProfileTable:
+def gap_table(metric: RadialMetric, v_grid, quad_tol: float = 1e-10) -> ProfileTable:
     """Profile comparison columns on an increasing positive volume grid.
 
-    scaled_gap is (gap + 2V) sqrt(v); along a growing grid it tends to a
-    constant proportional to the mass.
+    scaled_gap is (gap + 2K) sqrt(v), with K = W(core) - V_H(core) the
+    renormalized volume itself (no truncation radius, no tail); along a
+    growing grid it tends to a constant proportional to the mass.
     """
     grid = np.array(v_grid, dtype=float)
     if grid.size == 0:
@@ -436,7 +444,7 @@ def gap_table(
         raise ValueError(
             "model fails AH validation: " + "; ".join(report.messages)
         )
-    v_ren = renormalized_volume(metric, truncation_rho)
+    limit = _renormalized_limit(metric)
     s_v = model_radius_for_volume(metric, grid, quad_tol)
     a_g = FOUR_PI * s_v * s_v
     a_h = hyperbolic_profile(grid)
@@ -448,7 +456,7 @@ def gap_table(
         A_g=a_g,
         A_H=a_h,
         gap=gap,
-        scaled_gap=(gap + 2.0 * v_ren.value) * np.sqrt(grid),
+        scaled_gap=(gap + 2.0 * limit) * np.sqrt(grid),
     )
 
 

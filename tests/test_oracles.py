@@ -23,6 +23,7 @@ from ahiso.models import (
     validate_ah,
 )
 from ahiso.profiles import (
+    _renormalized_limit,
     hyperbolic_profile,
     hyperbolic_volume,
     model_radius_for_volume,
@@ -200,6 +201,17 @@ class _Oracle:
         vol += mpmath.quad(lambda u: 4 * mpmath.pi * u * u * self.gap_integrand(u), pieces + [s])
         return vol
 
+    def limit(self):
+        """K = W(core) - V_H(core) as vol_g(S) - V_H(S) + W(S), S = core + 1.
+
+        W(S) = 4 pi integral_S^inf u^2 (f^{-1/2} - q^{-1/2}) du, in x = 1/u,
+        where its integrand tends to 4 pi m.
+        """
+        s = self.c + 1
+        hyp = 2 * mpmath.pi * (s * mpmath.sqrt(1 + s * s) - mpmath.asinh(s))
+        w_s = mpmath.quad(lambda x: 4 * mpmath.pi * self.gap_integrand(1 / x) / x**4, [0, 1 / s])
+        return self.volume(s) - hyp + w_s
+
 
 @pytest.mark.parametrize("rho", [12.0, 20.0, 30.0])
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
@@ -213,6 +225,17 @@ def test_renormalized_volume_within_quad_error_of_oracle(name, rho):
     # 60 digits on vol_g <= ~2e26 (rho = 30) leave the oracle itself good
     # to ~1e-33.
     assert err <= res.quad_error + 1e-30
+    assert err <= 1e-14 * max(1.0, abs(float(want)))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_renormalized_limit_matches_oracle(name):
+    # The scaled_gap column adds 2K, the rho_T -> inf limit of V(rho_T).
+    metric = ORACLE_MODELS[name]
+    got = _renormalized_limit(metric)
+    with mpmath.workdps(60):
+        want = _Oracle(metric).limit()
+        err = float(abs(got - want))
     assert err <= 1e-14 * max(1.0, abs(float(want)))
 
 

@@ -11,14 +11,17 @@ from hypothesis import strategies as st
 import ahiso.numerics
 from ahiso.imcf import flow_spheres
 from ahiso.models import (
+    _gap_moment,
     coordinate_gap,
     gap_over_grid,
     make_ads_schwarzschild,
     make_perturbed,
+    s_from_rho,
     validate_ah,
 )
 from ahiso.numerics import NumericsError, find_root, integrate, solve_increasing
 from ahiso.profiles import (
+    _renormalized_limit,
     cumulative_volume_over_grid,
     gap_table,
     hyperbolic_profile,
@@ -263,6 +266,30 @@ class TestRenormalizedVolume:
         with pytest.raises(ValueError):
             renormalized_volume(ads_one, truncation_rho=math.inf)
 
+    def test_hyperbolic_limit_is_exactly_zero(self, hyperbolic):
+        assert _renormalized_limit(hyperbolic) == 0.0
+
+    @pytest.mark.parametrize("rho", [12.0, 20.0])
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            make_ads_schwarzschild(0.5),
+            make_ads_schwarzschild(1.0),
+            make_ads_schwarzschild(2.0),
+            make_perturbed(1.0, (0.1, 0.05)),
+            make_perturbed(0.5, (0.2,)),
+        ],
+        ids=["ads_m0.5", "ads_m1", "ads_m2", "pert_m1", "pert_m0.5"],
+    )
+    def test_limit_exceeds_truncated_value_by_the_tail(self, metric, rho):
+        # K takes W(core) alone; V(rho_T) adds W(s_T), the shell of width
+        # G(s_T) and the s(rho) inversion.  Their difference is the tail
+        # 8 pi m / (3 sinh rho_T) up to O(1 / sinh^2): 9.2e-7 of it at
+        # worst at rho_T = 12.
+        res = renormalized_volume(metric, rho)
+        miss = abs(_renormalized_limit(metric) - res.value - res.tail_estimate)
+        assert miss <= 1e-5 * res.tail_estimate + res.quad_error
+
 
 class TestGapTable:
     def test_hyperbolic_gap_is_numerical_zero(self, hyperbolic):
@@ -317,11 +344,11 @@ class TestGapTable:
             gap_table(metric, np.array([1.0, 10.0]))
 
     def test_row_fields_are_consistent(self, ads_one):
-        renorm = renormalized_volume(ads_one).value
+        limit = _renormalized_limit(ads_one)
         table = gap_table(ads_one, np.array([100.0]))
         assert table.gap[0] == table.A_g[0] - table.A_H[0]
         assert table.scaled_gap[0] == pytest.approx(
-            (table.gap[0] + 2.0 * renorm) * math.sqrt(table.v[0]), rel=1e-9
+            (table.gap[0] + 2.0 * limit) * math.sqrt(table.v[0]), rel=1e-9
         )
 
 
@@ -376,6 +403,37 @@ class TestNewtonInversionWork:
         assert len(rounds) == 1
         assert max(rounds) <= 12
         assert len(integrals) <= 150
+
+    def test_gap_table_takes_one_deficit_integral(self, monkeypatch):
+        # The truncated V cost three coordinate_gap tails, an s(rho)
+        # inversion and two W integrals per table; the limit K needs only
+        # W(core).
+        forbidden, moments = [], []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                forbidden.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def counting_moment(*args, **kwargs):
+            moments.append(args[1:3])
+            return _gap_moment(*args, **kwargs)
+
+        for name, fn in (
+            ("renormalized_volume", renormalized_volume),
+            ("s_from_rho", s_from_rho),
+            ("coordinate_gap", coordinate_gap),
+        ):
+            for module in ("models", "profiles"):
+                monkeypatch.setattr(f"ahiso.{module}.{name}", counting(name, fn), raising=False)
+        for module in ("models", "profiles"):
+            monkeypatch.setattr(f"ahiso.{module}._gap_moment", counting_moment)
+        metric = make_ads_schwarzschild(1.0)
+        gap_table(metric, np.geomspace(1.0, 1e6, 60))
+        assert not forbidden
+        assert moments == [(metric.core_radius, 2)]
 
     def test_hyperbolic_profile_makes_no_quadrature(self, monkeypatch):
         def forbidden(*args, **kwargs):
