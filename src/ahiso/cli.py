@@ -143,18 +143,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _tolerance(text: str) -> float:
-    """A --quad-tol or --ode-tol value, which must lie in (0, 1).
-
-    Zero or nan would run a kernel until its budget gives out, and a
-    tolerance of 1 or more lets it accept any first panel or step.
-    """
-    tol = float(text)
-    if not 0.0 < tol < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
-    return tol
-
-
 # ----------------------------------------------------------------------
 # Subcommands
 #
@@ -187,7 +175,7 @@ def _s_grid(args, metric: RadialMetric) -> np.ndarray:
 
 def _cmd_spheres(args, metric):
     grid = _s_grid(args, metric)
-    gap, _ = gap_over_grid(metric, grid, args.quad_tol)
+    gap, _ = gap_over_grid(metric, grid)
     g = sphere_data(metric, grid)
     return {
         "s": grid,
@@ -205,9 +193,7 @@ def _cmd_spheres(args, metric):
 
 
 def _cmd_imcf(args, metric):
-    flow = flow_spheres(
-        metric, args.s0, args.t_max, args.dt, ode_tol=args.ode_tol, quad_tol=args.quad_tol
-    )
+    flow = flow_spheres(metric, args.s0, args.t_max, args.dt)
     return {
         "t": flow.t,
         "s": flow.s,
@@ -218,9 +204,7 @@ def _cmd_imcf(args, metric):
 
 
 def _cmd_compare_ode(args, metric):
-    curve = comparison_ode(
-        args.b0, args.mass_floor, args.v0, args.v_end, quad_tol=args.quad_tol, n_grid=args.n
-    )
+    curve = comparison_ode(args.b0, args.mass_floor, args.v0, args.v_end, n_grid=args.n)
     return {"v": curve.v_grid, "B": curve.B_values, "A_H": curve.hyperbolic_values}
 
 
@@ -231,7 +215,7 @@ def _cmd_profile(args, metric):
         raise ValueError("--n must be at least 2")
     space = np.geomspace if args.log_grid else np.linspace
     # The ProfileTable fields are the column headers.
-    return vars(gap_table(metric, space(args.v_min, args.v_max, args.n), args.quad_tol))
+    return vars(gap_table(metric, space(args.v_min, args.v_max, args.n)))
 
 
 def _cmd_expansion(args, metric):
@@ -241,7 +225,7 @@ def _cmd_expansion(args, metric):
         raise ValueError("--n must be positive")
     # Dyadic-in-volume grid closing in on v_max from below.
     grid = args.v_max * 4.0 ** -np.arange(args.n - 1, -1, -1, dtype=float)
-    return vars(gap_table(metric, grid, args.quad_tol))
+    return vars(gap_table(metric, grid))
 
 
 def _cmd_renorm_vol(args, metric):
@@ -579,37 +563,31 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ahiso", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, handler, help, model=True, quad_tol=None):
+    def add(name, handler, help, model=True):
         p = sub.add_parser(name, parents=[common], help=help)
         if model:
             p.add_argument("--model", required=True, help="path to a model JSON file")
-        if quad_tol is not None:
-            p.add_argument("--quad-tol", type=_tolerance, default=quad_tol)
         p.set_defaults(handler=handler)
         return p
 
-    p = add("spheres", _cmd_spheres, "sphere geometry table", quad_tol=1e-13)
+    p = add("spheres", _cmd_spheres, "sphere geometry table")
     p.add_argument("--s-min", type=float, default=None)
     p.add_argument("--s-max", type=float, default=None)
     p.add_argument("--n", type=int, default=200)
 
-    p = add("imcf", _cmd_imcf, "inverse mean curvature flow", quad_tol=1e-10)
-    p.add_argument("--ode-tol", type=_tolerance, default=1e-9)
+    p = add("imcf", _cmd_imcf, "inverse mean curvature flow")
     p.add_argument("--s0", type=float, required=True)
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=1e-2)
 
-    p = add(
-        "compare-ode", _cmd_compare_ode, "area comparison ODE curve",
-        model=False, quad_tol=1e-10,
-    )
+    p = add("compare-ode", _cmd_compare_ode, "area comparison ODE curve", model=False)
     p.add_argument("--b0", type=float, required=True)
     p.add_argument("--v0", type=float, default=1.0)
     p.add_argument("--v-end", type=float, required=True)
     p.add_argument("--mass-floor", type=float, default=0.0)
     p.add_argument("--n", type=int, default=200)
 
-    p = add("profile", _cmd_profile, "isoperimetric gap table", quad_tol=1e-10)
+    p = add("profile", _cmd_profile, "isoperimetric gap table")
     p.add_argument("--v-min", type=float, default=1.0)
     p.add_argument("--v-max", type=float, default=1e6)
     p.add_argument("--n", type=int, default=60)
@@ -617,10 +595,7 @@ def _build_parser() -> _Parser:
         "--log-grid", action=argparse.BooleanOptionalAction, default=True
     )
 
-    p = add(
-        "expansion", _cmd_expansion, "scaled gap on a dyadic volume grid",
-        quad_tol=1e-10,
-    )
+    p = add("expansion", _cmd_expansion, "scaled gap on a dyadic volume grid")
     p.add_argument("--v-max", type=float, default=1e6)
     p.add_argument("--n", type=int, default=8)
 

@@ -92,14 +92,13 @@ def flow_spheres(
     s0: float,
     t_max: float,
     dt: float,
-    ode_tol: float = 1e-9,
-    quad_tol: float = 1e-10,
 ) -> Flow:
     """Flow the centered sphere of initial radius s0 for time t_max.
 
     Samples every dt flow-time units (plus the final time).  Enclosed
     volumes are measured from the core, so the t = 0 sample already
-    carries the volume inside s0.
+    carries the volume inside s0.  The radius ODE runs at
+    :func:`solve_ode`'s relative tolerance 1e-9, the volumes at 1e-10.
     """
     if not math.isfinite(s0) or s0 <= metric.core_radius:
         raise ValueError(
@@ -119,12 +118,10 @@ def flow_spheres(
     ts = np.asarray(ts)
 
     # ds/dt = sqrt(f) / H = s / 2, with H = 2 sqrt(f) / s; f > 0 on s >= s0 > core.
-    sol = solve_ode(
-        lambda t, s: 0.5 * s, s0, 0.0, float(ts[-1]), rel_tol=ode_tol, x_eval=ts
-    )
+    sol = solve_ode(lambda t, s: 0.5 * s, s0, 0.0, float(ts[-1]), x_eval=ts)
     radii = sol.ys
-    increments, _ = cumulative_volume_over_grid(metric, radii, quad_tol)
-    volumes = model_volume(metric, s0, quad_tol) + increments
+    increments, _ = cumulative_volume_over_grid(metric, radii)
+    volumes = model_volume(metric, s0) + increments
     return Flow(
         t=ts,
         s=radii,
@@ -155,7 +152,6 @@ def comparison_ode(
     mass_floor: float,
     v0: float,
     v_end: float,
-    quad_tol: float = 1e-10,
     n_grid: int = 200,
 ) -> ComparisonCurve:
     """Solve the equality case of the Hawking-mass area inequality.
@@ -166,7 +162,7 @@ def comparison_ode(
     (hyperbolic space at mu = 0), shifted to pass through (v0, B0).  Row
     0 is B0; every later row is 4 pi s^2 with s from one batched
     :func:`model_radius_for_volume` of vol_mu(s0) + (v - v0), where
-    s0 = sqrt(B0 / 4 pi), held to ``quad_tol``.
+    s0 = sqrt(B0 / 4 pi).
 
     Parameters
     ----------
@@ -213,8 +209,8 @@ def comparison_ode(
 
     a_h = np.zeros_like(grid)
     a_h[grid > 0.0] = hyperbolic_profile(grid[grid > 0.0])
-    base = model_volume(metric, s0, quad_tol)
-    s = model_radius_for_volume(metric, base + (grid[1:] - v0), quad_tol)
+    base = model_volume(metric, s0)
+    s = model_radius_for_volume(metric, base + (grid[1:] - v0))
     b_vals = np.concatenate([[B0], FOUR_PI * s * s])
 
     curve = ComparisonCurve(

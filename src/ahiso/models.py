@@ -328,12 +328,17 @@ def _gap_head_integrand(metric: RadialMetric, k: int = 0):
     return g_head
 
 
-def _gap_moment(metric: RadialMetric, s: float, k: int, quad_tol: float) -> QuadResult:
+# Relative tolerance of every coordinate-gap and volume-deficit integral
+# (G, W and the geodesic radius; a few dozen evaluations each on ads m = 1).
+_GAP_TOL = 1e-13
+
+
+def _gap_moment(metric: RadialMetric, s: float, k: int) -> QuadResult:
     """integral_s^inf u^k [f(u)^{-1/2} - (1+u^2)^{-1/2}] du, for s >= core.
 
     Below core + 1 it is integrated in w with u = core + w^2, which
     removes the integrable 1/sqrt spike at a positive core; above, by
-    :func:`integrate`'s 1/u tail, to relative tolerance ``quad_tol``.
+    :func:`integrate`'s 1/u tail, to relative tolerance ``_GAP_TOL``.
     """
     core = metric.core_radius
     if not math.isfinite(s) or s < core:
@@ -342,19 +347,19 @@ def _gap_moment(metric: RadialMetric, s: float, k: int, quad_tol: float) -> Quad
     if core > 0.0 and s < core + 1.0:
         split, head_fn = core + 1.0, _gap_head_integrand(metric, k)
         w0 = math.sqrt(s - core)
-        head = integrate(head_fn, w0, 1.0, abs_tol=1e-14, rel_tol=quad_tol)
+        head = integrate(head_fn, w0, 1.0, abs_tol=1e-14, rel_tol=_GAP_TOL)
     elif s > 0.0:
         # The relative floor, not abs_tol, is what matters here: the moment
         # decays like m / s^(3 - k) and is consumed relatively by
         # downstream expansions.
-        return integrate(g, s, math.inf, abs_tol=1e-300, rel_tol=quad_tol)
+        return integrate(g, s, math.inf, abs_tol=1e-300, rel_tol=_GAP_TOL)
     else:
         # s == core == 0: the integrand is bounded but f may still blow up
         # at the origin when tail coefficients are present; keep the origin
         # panel separate with an absolute floor.
         split = 1.0
-        head = integrate(g, 0.0, 1.0, abs_tol=1e-14, rel_tol=quad_tol)
-    tail = integrate(g, split, math.inf, abs_tol=1e-300, rel_tol=quad_tol)
+        head = integrate(g, 0.0, 1.0, abs_tol=1e-14, rel_tol=_GAP_TOL)
+    tail = integrate(g, split, math.inf, abs_tol=1e-300, rel_tol=_GAP_TOL)
     return QuadResult(
         head.value + tail.value,
         head.error_bound + tail.error_bound,
@@ -362,30 +367,29 @@ def _gap_moment(metric: RadialMetric, s: float, k: int, quad_tol: float) -> Quad
     )
 
 
-def coordinate_gap(metric: RadialMetric, s: float, quad_tol: float = 1e-13) -> QuadResult:
+def coordinate_gap(metric: RadialMetric, s: float) -> QuadResult:
     """G(s) = integral_s^inf [f(u)^{-1/2} - (1+u^2)^{-1/2}] du.
 
     Defined for s >= core_radius.  At s = core_radius (mass > 0) the
     integrand has an integrable 1/sqrt singularity which is removed by
     the substitution u = core + w^2.
     """
-    return _gap_moment(metric, s, 0, quad_tol)
+    return _gap_moment(metric, s, 0)
 
 
-def gap_over_grid(
-    metric: RadialMetric, s, quad_tol: float = 1e-13
-) -> tuple[np.ndarray, np.ndarray]:
+def gap_over_grid(metric: RadialMetric, s) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate gap G and its error bound at every point of ``s``.
 
     One outside-in sweep: a single :func:`coordinate_gap` tail integral
-    (relative tolerance ``quad_tol``) at the largest point, then one
-    panel per gap between consecutive points (:func:`integrate_intervals`
-    with tolerance ``quad_tol``), summed from the outside in.  Gaps above
-    core + 1 (above 1 when the core is 0) are integrated in x = 1/u, gaps
-    below it in w with u = core + w^2 (in u itself when the core is 0),
-    the forms :func:`coordinate_gap` uses.  The points may come in any
-    order and may repeat; each must lie in [core, inf).  A point's bound
-    is the tail's bound plus the bounds of every panel above it.
+    (relative tolerance 1e-13, ``_GAP_TOL``) at the largest point, then
+    one panel per gap between consecutive points
+    (:func:`integrate_intervals` at the same tolerance), summed from the
+    outside in.  Gaps above core + 1 (above 1 when the core is 0) are
+    integrated in x = 1/u, gaps below it in w with u = core + w^2 (in u
+    itself when the core is 0), the forms :func:`coordinate_gap` uses.
+    The points may come in any order and may repeat; each must lie in
+    [core, inf).  A point's bound is the tail's bound plus the bounds of
+    every panel above it.
     """
     pts = np.asarray(s, dtype=float)
     core = metric.core_radius
@@ -407,7 +411,7 @@ def gap_over_grid(
         wide = np.diff(t) > 0.0
         if wide.any():
             edges = np.concatenate([t[:1], t[1:][wide]])
-            v[wide], e[wide] = integrate_intervals(fn, edges, quad_tol)
+            v[wide], e[wide] = integrate_intervals(fn, edges, _GAP_TOL)
         return v, e
 
     # The intervals [u[i], u[i + 1]] with i < n_head lie below the split.
@@ -420,7 +424,7 @@ def gap_over_grid(
     if n_head < u.size - 1:
         g = _gap_integrand(metric)
         far = panels(lambda x: g(1.0 / x) / (x * x), 1.0 / u[n_head:][::-1])
-    top = coordinate_gap(metric, float(u[-1]), quad_tol)
+    top = coordinate_gap(metric, float(u[-1]))
     # Summed from the outside in: the x panels in x order, then the head
     # panels downward; reversed, u ascends again.
     gap = np.cumsum(np.concatenate([[top.value], far[0], head[0][::-1]]))[::-1]
@@ -429,7 +433,7 @@ def gap_over_grid(
     return gap[at], bound[at]
 
 
-def rho_from_s(metric: RadialMetric, s: float, quad_tol: float = 1e-13) -> float:
+def rho_from_s(metric: RadialMetric, s: float) -> float:
     """Geodesic radius of the sphere at area-radius s.
 
     rho(s) = arcsinh(s) - G(s) with G the coordinate gap, so that
@@ -440,14 +444,14 @@ def rho_from_s(metric: RadialMetric, s: float, quad_tol: float = 1e-13) -> float
         raise ValueError(
             f"s must lie in ({metric.core_radius!r}, inf), got {s!r}"
         )
-    return math.asinh(s) - coordinate_gap(metric, s, quad_tol).value
+    return math.asinh(s) - coordinate_gap(metric, s).value
 
 
 # Largest rho with a finite sinh(rho); no float area radius lies beyond it.
 _RHO_MAX = math.asinh(np.finfo(float).max)
 
 
-def s_from_rho(metric: RadialMetric, rho: float, quad_tol: float = 1e-13) -> float:
+def s_from_rho(metric: RadialMetric, rho: float) -> float:
     """Numerical inverse of rho_from_s.
 
     Newton's method on rho(s) = rho (:func:`solve_increasing`) with
@@ -460,15 +464,15 @@ def s_from_rho(metric: RadialMetric, rho: float, quad_tol: float = 1e-13) -> flo
     wherever f grows, so the steps approach the root from below.  A start
     above the root (G < 0 there) is bracketed from below by the bottom of
     the domain, after one more tail integral checks that rho lies in its
-    image.  ``quad_tol`` is the tails' relative tolerance and the
-    absolute tolerance of the panels' sum.
+    image.  The tails' relative tolerance and the absolute tolerance of
+    the panels' sum are both 1e-13 (``_GAP_TOL``).
     """
     if not math.isfinite(rho) or rho > _RHO_MAX:
         raise ValueError(f"rho must be finite and <= {_RHO_MAX!r}, got {rho!r}")
     core = metric.core_radius
     # Below rho = 0 the start is the core, and sinh need not overflow.
     s0 = max(math.sinh(max(rho, 0.0)) * (1.0 - 1e-12), core)
-    rho0 = math.asinh(s0) - coordinate_gap(metric, s0, quad_tol).value
+    rho0 = math.asinh(s0) - coordinate_gap(metric, s0).value
     if core > 0.0:
 
         def density(w):
@@ -485,11 +489,11 @@ def s_from_rho(metric: RadialMetric, rho: float, quad_tol: float = 1e-13) -> flo
         # rho at the bottom of the domain: the core, or s = 0.
         bottom = rho0
         if s0 > core:
-            bottom = math.asinh(core) - coordinate_gap(metric, core, quad_tol).value
+            bottom = math.asinh(core) - coordinate_gap(metric, core).value
         if bottom >= rho:
             raise ValueError(f"rho = {rho!r} is below the image of the domain")
         lo, hi = 0.0, t0
-    t = float(solve_increasing(density, [rho], [t0], [rho0], [lo], [hi], quad_tol)[0])
+    t = float(solve_increasing(density, [rho], [t0], [rho0], [lo], [hi], _GAP_TOL)[0])
     return core + t * t if core > 0.0 else t
 
 
@@ -497,38 +501,28 @@ def s_from_rho(metric: RadialMetric, rho: float, quad_tol: float = 1e-13) -> flo
 # Validation
 
 
-def default_grid(metric: RadialMetric, n: int = 50, s_max: float = 1e3) -> np.ndarray:
-    """Log-spaced validation grid [core + 0.1 max(1, core), max(s_max, 1e3 core)]."""
+def default_grid(metric: RadialMetric, n: int = 50) -> np.ndarray:
+    """Log-spaced validation grid [core + 0.1 max(1, core), max(1e3, 1e3 core)]."""
     core = metric.core_radius
-    return np.geomspace(core + 0.1 * max(1.0, core), max(s_max, 1e3 * core), n)
+    return np.geomspace(core + 0.1 * max(1.0, core), max(1e3, 1e3 * core), n)
 
 
-def validate_ah(
-    metric: RadialMetric,
-    s_grid=None,
-    tolerance: float = 1e-9,
-) -> ValidationReport:
-    """Check the asymptotically hyperbolic model requirements on a grid.
+def validate_ah(metric: RadialMetric) -> ValidationReport:
+    """Check the asymptotically hyperbolic model requirements.
 
-    Two properties are examined: the scalar curvature excess R + 6 must
-    be nonnegative up to ``tolerance``, and the perturbation part of the
-    profile, f - (1 + s^2 - 2m/s), must decay at least like s^{-2}.
-    The decay exponent is fit by log-log regression on the tail half of
-    the grid and is +inf when the perturbation vanishes.
+    Two properties are examined on :func:`default_grid`: the scalar
+    curvature excess R + 6 must be nonnegative up to 1e-9, and the
+    perturbation part of the profile, f - (1 + s^2 - 2m/s), must decay at
+    least like s^{-2}.  The decay exponent is fit by log-log regression on
+    the tail half of the grid and is +inf when the perturbation vanishes.
     """
-    if s_grid is None:
-        s_grid = default_grid(metric)
-    grid = np.asarray(s_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("s_grid must be nonempty")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValueError("s_grid must be strictly increasing")
+    grid = default_grid(metric)
     _check_domain(metric, grid)
 
     excess = scalar_curvature_excess(metric, grid)
     min_excess = float(np.min(excess))
     messages: list[str] = []
-    if min_excess < -tolerance:
+    if min_excess < -1e-9:
         messages.append(
             f"scalar curvature dips below -6: min excess {min_excess:.3e}"
         )

@@ -107,12 +107,12 @@ def _eval_batch(fn: Callable, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gk15(fn: Callable, a: float, b: float) -> tuple[float, float, np.ndarray]:
+def _gk15(fn: Callable, a: float, b: float) -> tuple[float, float]:
     """One Gauss-Kronrod 7-15 panel on [a, b].
 
-    Returns (kronrod value, error estimate, sampled values).  The error
-    estimate follows the usual rescaled |K15 - G7| rule, which is sharp on
-    smooth integrands and conservative near integrable singularities.
+    Returns (kronrod value, error estimate).  The estimate follows the
+    usual rescaled |K15 - G7| rule, which is sharp on smooth integrands
+    and conservative near integrable singularities.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -131,7 +131,7 @@ def _gk15(fn: Callable, a: float, b: float) -> tuple[float, float, np.ndarray]:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     # Guard against an error estimate below attainable rounding.
     err = max(err, 50.0 * np.finfo(float).eps * resabs)
-    return resk, err, fv
+    return resk, err
 
 
 def _check_tol(name: str, tol: float, zero_ok: bool = False) -> None:
@@ -371,7 +371,7 @@ def integrate(
     if a == b:
         return QuadResult(0.0, 0.0, 0)
 
-    val, err, _ = _gk15(fn, a, b)
+    val, err = _gk15(fn, a, b)
     # Interval records: (error, left, right, value).  Worst-first refinement;
     # ties are broken by insertion order, which is deterministic.
     intervals = [(err, a, b, val)]
@@ -393,8 +393,8 @@ def integrate(
             raise NumericsError(
                 f"interval [{lo!r}, {hi!r}] cannot be subdivided further"
             )
-        v1, e1, _ = _gk15(fn, lo, mid)
-        v2, e2, _ = _gk15(fn, mid, hi)
+        v1, e1 = _gk15(fn, lo, mid)
+        v2, e2 = _gk15(fn, mid, hi)
         intervals.append((e1, lo, mid, v1))
         intervals.append((e2, mid, hi, v2))
         evals += 30

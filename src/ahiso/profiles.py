@@ -248,9 +248,12 @@ def _volume_head_integrand(metric: RadialMetric):
     return fn
 
 
-def model_volume_quad(
-    metric: RadialMetric, s: float, quad_tol: float = 1e-10
-) -> QuadResult:
+# Absolute tolerance of every model volume: a volume, a flow's volume
+# increments, and a volume inversion's sweep and Newton panels.
+_VOLUME_TOL = 1e-10
+
+
+def model_volume_quad(metric: RadialMetric, s: float) -> QuadResult:
     """Volume from the core out to area-radius s, with its error bound.
 
     Above a positive core the volume is integrated in w with
@@ -260,18 +263,17 @@ def model_volume_quad(
     if not math.isfinite(s) or s < core:
         raise ValueError(f"s must lie in [{core!r}, inf), got {s!r}")
     if core > 0.0:
-        return integrate(
-            _volume_head_integrand(metric), 0.0, math.sqrt(s - core), abs_tol=quad_tol
-        )
-    return integrate(_volume_integrand(metric), 0.0, s, abs_tol=quad_tol)
+        head = _volume_head_integrand(metric)
+        return integrate(head, 0.0, math.sqrt(s - core), abs_tol=_VOLUME_TOL)
+    return integrate(_volume_integrand(metric), 0.0, s, abs_tol=_VOLUME_TOL)
 
 
-def model_volume(metric: RadialMetric, s: float, quad_tol: float = 1e-10) -> float:
+def model_volume(metric: RadialMetric, s: float) -> float:
     """Volume of the centered region bounded by the sphere at radius s."""
-    return model_volume_quad(metric, s, quad_tol).value
+    return model_volume_quad(metric, s).value
 
 
-def model_radius_for_volume(metric: RadialMetric, v, quad_tol: float = 1e-10):
+def model_radius_for_volume(metric: RadialMetric, v):
     """Area-radius s_v of the centered region of volume v > 0.
 
     ``v`` may be a scalar (a float comes back) or a 1-d array of volumes
@@ -281,12 +283,13 @@ def model_radius_for_volume(metric: RadialMetric, v, quad_tol: float = 1e-10):
     (:func:`integrate_intervals`) gives the volume at a ladder of
     starting guesses, the Euclidean radius of v or sqrt(v / 2 pi),
     whichever is larger, and at twice the largest of them (doubled again
-    until it encloses every v); each volume is bracketed between two
+    until it encloses every v; a rung in w where the element would
+    overflow doubles s - core instead); each volume is bracketed between two
     ladder points and starts at the one whose volume is closer.
     :func:`solve_increasing` then takes Newton steps with the volume
     element as the derivative, all volumes together, one GK15 panel per
     step.  The sweep, and the panels of each volume together, are held to
-    ``quad_tol``.
+    1e-10 (``_VOLUME_TOL``).
     """
     arr = np.asarray(v, dtype=float)
     scalar = arr.ndim == 0
@@ -305,19 +308,28 @@ def model_radius_for_volume(metric: RadialMetric, v, quad_tol: float = 1e-10):
     else:
         density = _volume_integrand(metric)
         start = guess
+
+    def above(t):
+        # The next rung, 2t.  In w, where the element 8 pi b^2 would
+        # overflow there, sqrt(2) t instead, which doubles s - core.
+        up = 2.0 * t
+        if core > 0.0 and not np.isfinite(density(up)):
+            up = math.sqrt(2.0) * t
+        return up
+
     # A start that underflows to zero would repeat the ladder's first point.
     ladder = np.sort(np.maximum(start, np.finfo(float).tiny))
     ladder = np.concatenate([[0.0], ladder[:1], ladder[1:][np.diff(ladder) > 0.0]])
-    ladder = np.append(ladder, 2.0 * ladder[-1])
-    vals, _ = integrate_intervals(density, ladder, quad_tol)
+    ladder = np.append(ladder, above(ladder[-1]))
+    vals, _ = integrate_intervals(density, ladder, _VOLUME_TOL)
     cum = np.concatenate([[0.0], np.cumsum(vals)])
     v_max = float(np.max(vols))
     for _ in range(80):
         if cum[-1] >= v_max:
             break
-        top = float(ladder[-1])
-        more, _ = integrate_intervals(density, [top, 2.0 * top], quad_tol)
-        ladder = np.append(ladder, 2.0 * top)
+        top = above(float(ladder[-1]))
+        more, _ = integrate_intervals(density, [ladder[-1], top], _VOLUME_TOL)
+        ladder = np.append(ladder, top)
         cum = np.append(cum, cum[-1] + more[0])
     else:
         raise NumericsError(f"failed to bracket s for v = {v_max!r}")
@@ -330,7 +342,7 @@ def model_radius_for_volume(metric: RadialMetric, v, quad_tol: float = 1e-10):
         np.where(from_lo, cum[k - 1], cum[k]),
         ladder[k - 1],
         ladder[k],
-        quad_tol,
+        _VOLUME_TOL,
     )
     s = core + t * t if core > 0.0 else t
     return float(s[0]) if scalar else s.reshape(arr.shape)
@@ -338,11 +350,6 @@ def model_radius_for_volume(metric: RadialMetric, v, quad_tol: float = 1e-10):
 
 # ----------------------------------------------------------------------
 # Renormalized volume
-
-# Relative tolerance of the G and W integrals behind V (a few dozen
-# evaluations each on ads m = 1).
-_RENORM_TOL = 1e-13
-
 
 def renormalized_volume(
     metric: RadialMetric, truncation_rho: float = 20.0
@@ -375,16 +382,16 @@ def renormalized_volume(
         raise ValueError("truncation_rho must be finite")
     core = metric.core_radius
 
-    rho_low = math.asinh(core) - coordinate_gap(metric, core, _RENORM_TOL).value
+    rho_low = math.asinh(core) - coordinate_gap(metric, core).value
     if truncation_rho <= rho_low + 1e-9:
         raise ValueError(
             f"truncation_rho = {truncation_rho!r} does not exceed the inner "
             f"boundary radius {rho_low!r}"
         )
-    s_top = s_from_rho(metric, truncation_rho, _RENORM_TOL)
-    gap_top = coordinate_gap(metric, s_top, _RENORM_TOL)
-    w_core = _gap_moment(metric, core, 2, _RENORM_TOL)
-    w_top = _gap_moment(metric, s_top, 2, _RENORM_TOL)
+    s_top = s_from_rho(metric, truncation_rho)
+    gap_top = coordinate_gap(metric, s_top)
+    w_core = _gap_moment(metric, core, 2)
+    w_top = _gap_moment(metric, s_top, 2)
 
     g = gap_top.value
     sh = math.sinh(g)
@@ -419,7 +426,7 @@ def renormalized_volume(
 def _renormalized_limit(metric: RadialMetric) -> float:
     """K = W(core) - V_H(core), the rho_T -> inf limit of V(rho_T); 0.0 on H^3."""
     core = metric.core_radius
-    w_core = _gap_moment(metric, core, 2, _RENORM_TOL)
+    w_core = _gap_moment(metric, core, 2)
     return math.fsum([FOUR_PI * w_core.value, -_ball_volume(core)])
 
 
@@ -427,7 +434,7 @@ def _renormalized_limit(metric: RadialMetric) -> float:
 # Gap table
 
 
-def gap_table(metric: RadialMetric, v_grid, quad_tol: float = 1e-10) -> ProfileTable:
+def gap_table(metric: RadialMetric, v_grid) -> ProfileTable:
     """Profile comparison columns on an increasing positive volume grid.
 
     scaled_gap is (gap + 2K) sqrt(v), with K = W(core) - V_H(core) the
@@ -445,7 +452,7 @@ def gap_table(metric: RadialMetric, v_grid, quad_tol: float = 1e-10) -> ProfileT
             "model fails AH validation: " + "; ".join(report.messages)
         )
     limit = _renormalized_limit(metric)
-    s_v = model_radius_for_volume(metric, grid, quad_tol)
+    s_v = model_radius_for_volume(metric, grid)
     a_g = FOUR_PI * s_v * s_v
     a_h = hyperbolic_profile(grid)
     if np.any(a_h <= 0.0):
@@ -465,7 +472,7 @@ def gap_table(metric: RadialMetric, v_grid, quad_tol: float = 1e-10) -> ProfileT
 
 
 def cumulative_volume_over_grid(
-    metric: RadialMetric, s_grid: np.ndarray, quad_tol: float = 1e-10
+    metric: RadialMetric, s_grid: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Volume increments along a dense increasing radius grid.
 
@@ -483,6 +490,6 @@ def cumulative_volume_over_grid(
         raise ValueError("s_grid must be strictly increasing")
     if s[0] <= metric.core_radius:
         raise ValueError("s_grid must start above the core radius")
-    vals, err = integrate_intervals(_volume_integrand(metric), s, quad_tol)
+    vals, err = integrate_intervals(_volume_integrand(metric), s, _VOLUME_TOL)
     out = np.concatenate([[0.0], np.cumsum(vals)])
     return out, float(np.sum(err))

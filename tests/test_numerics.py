@@ -26,8 +26,6 @@ from ahiso.numerics import (
     solve_increasing,
     solve_ode,
 )
-from ahiso.models import make_ads_schwarzschild
-from ahiso.profiles import model_radius_for_volume
 
 
 def test_integrate_cubic_exact():
@@ -130,7 +128,7 @@ def test_vectorized_panel_agrees_with_scalar_panel(fn, edges):
     # differently.
     for lo, hi in zip(edges[:-1], edges[1:]):
         val_vec, err_vec = _panel(fn, lo, hi)
-        val, err, _ = _gk15(fn, lo, hi)
+        val, err = _gk15(fn, lo, hi)
         assert val_vec == val
         assert abs(err_vec - err) <= 4.0 * np.spacing(err)
 
@@ -194,9 +192,6 @@ _TOLERANCE_CALLS = {
     "solve_ode rel_tol": lambda tol: solve_ode(lambda x, y: y, 1.0, 0.0, 1.0, rel_tol=tol),
     "solve_ode abs_tol": lambda tol: solve_ode(lambda x, y: y, 1.0, 0.0, 1.0, abs_tol=tol),
     "find_root": lambda tol: find_root(lambda x: x - 0.5, 0.0, 1.0, tol=tol),
-    "model_radius_for_volume": lambda tol: model_radius_for_volume(
-        make_ads_schwarzschild(1.0), 1e4, quad_tol=tol
-    ),
 }
 # A relative floor of 0 in integrate, or an absolute one in solve_ode,
 # leaves the other tolerance in charge.
@@ -207,7 +202,7 @@ _ZERO_OK = {"integrate rel_tol", "solve_ode abs_tol"}
 @pytest.mark.parametrize("kernel", sorted(_TOLERANCE_CALLS))
 def test_nonfinite_or_nonpositive_tolerance_raises_at_once(kernel, bad):
     # A nan tolerance used to pass every error test or none: integrate ran
-    # 20 s to its budget and model_radius_for_volume returned a wrong root.
+    # 20 s to its budget and a volume inversion returned a wrong root.
     call = _TOLERANCE_CALLS[kernel]
     start = time.perf_counter()
     if bad == 0.0 and kernel in _ZERO_OK:
