@@ -36,7 +36,7 @@ def main() -> int:
     for m in args.masses:
         metric = make_ads_schwarzschild(m)
         table = gap_table(metric, grid)
-        print(f"mass {m}: K = {_renormalized_limit(metric)!r}")
+        print(f"mass {m}: K = {_renormalized_limit(metric).value!r}")
         print(f"  {'v':>12s}  {'(gap + 2K) sqrt(v)':>18s}  {'per mass':>12s}")
         for v, scaled in zip(table.v.tolist(), table.scaled_gap.tolist()):
             print(f"  {v:12.5g}  {scaled:18.6f}  {scaled / m:12.6f}")

@@ -213,9 +213,8 @@ def _cmd_profile(args, metric):
         raise ValueError("need 0 < --v-min < --v-max")
     if args.n < 2:
         raise ValueError("--n must be at least 2")
-    space = np.geomspace if args.log_grid else np.linspace
     # The ProfileTable fields are the column headers.
-    return vars(gap_table(metric, space(args.v_min, args.v_max, args.n)))
+    return vars(gap_table(metric, np.geomspace(args.v_min, args.v_max, args.n)))
 
 
 def _cmd_expansion(args, metric):
@@ -591,9 +590,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--v-min", type=float, default=1.0)
     p.add_argument("--v-max", type=float, default=1e6)
     p.add_argument("--n", type=int, default=60)
-    p.add_argument(
-        "--log-grid", action=argparse.BooleanOptionalAction, default=True
-    )
 
     p = add("expansion", _cmd_expansion, "scaled gap on a dyadic volume grid")
     p.add_argument("--v-max", type=float, default=1e6)

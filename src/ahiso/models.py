@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -281,51 +281,71 @@ def _check_domain(metric: RadialMetric, arr: np.ndarray):
 
 
 # ----------------------------------------------------------------------
-# Geodesic coordinate
+# Radial chart and elements
 
 
-def _gap_integrand(metric: RadialMetric, k: int = 0):
-    """Integrand of the coordinate gap, stable at every scale, times u^k.
+class _Chart(NamedTuple):
+    """A radial coordinate t of one model (see :func:`_chart`)."""
 
-    f^{-1/2} - (1+u^2)^{-1/2} rewritten as -d / (sqrt(f) sqrt(q)
-    (sqrt(f) + sqrt(q))) with q = 1 + u^2; the subtraction form loses
-    relative accuracy like u^2/d once u is large.
+    metric: RadialMetric
+    # t -> (s, ds / (sqrt(f) dt), sqrt(f)) on an array of chart points.
+    point: Callable
+    # s -> t and t -> s.
+    to_t: Callable
+    to_s: Callable
+
+
+def _chart(metric: RadialMetric, head: bool = True) -> _Chart:
+    """The coordinate in which a radial integral over the area radius runs.
+
+    Above a positive core (``head``) it is w with s = core + w^2: there
+    ds = 2 w dw and sqrt(f) = w sqrt(f / w^2), with f / w^2 the
+    cancellation-free :meth:`RadialMetric.core_quotient`, so
+    ds / (sqrt(f) dw) = 2 / sqrt(f / w^2) stays finite at the core, where
+    f^{-1/2} in s has an integrable spike.  Otherwise (core 0, or a tail
+    above the core + 1 split) it is s itself.  This is the only code that
+    knows the substitution; every radial element is written in s through
+    ``point``.
+    """
+    core = metric.core_radius
+    if head and core > 0.0:
+
+        def point(w):
+            w = np.asarray(w, dtype=float)
+            delta = w * w
+            root = np.sqrt(metric.core_quotient(delta))
+            return core + delta, 2.0 / root, w * root
+
+        return _Chart(metric, point, lambda s: np.sqrt(s - core), lambda w: core + w * w)
+
+    def point(s):
+        s = np.asarray(s, dtype=float)
+        root = np.sqrt(metric.f(s))
+        return s, 1.0 / root, root
+
+    return _Chart(metric, point, lambda s: s, lambda s: s)
+
+
+def _gap_element(chart: _Chart, k: int = 0):
+    """s^k [f(s)^{-1/2} - (1 + s^2)^{-1/2}] ds/dt at chart points t.
+
+    The difference is taken as -d / (sqrt(f) sqrt(q) (sqrt(f) + sqrt(q))),
+    q = 1 + s^2 and d the deficit, since the subtraction loses relative
+    accuracy like s^2 / d once s is large; the chart's ds / (sqrt(f) dt)
+    carries the 1 / sqrt(f), so no product of three roots is formed.
     """
 
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        q = 1.0 + u * u
-        fv = metric.f(u)
-        d = metric.deficit(u)
-        sf = np.sqrt(fv)
-        sq = np.sqrt(q)
-        out = -d / (sf * sq * (sf + sq))
-        return out * u**k
+    def g(t):
+        s, jac, root = chart.point(t)
+        sq = np.sqrt(1.0 + s * s)
+        return -chart.metric.deficit(s) * jac / (sq * (root + sq)) * s**k
 
     return g
 
 
-def _gap_head_integrand(metric: RadialMetric, k: int = 0):
-    """The gap integrand times u^k in w, with u = core + w^2, du = 2 w dw.
-
-    Near the core f vanishes like f'(core)(u - core), so the integrand in
-    u carries a 1/sqrt spike; in w it is smooth, with f / w^2 taken from
-    the cancellation-free core quotient.
-    """
-    core = metric.core_radius
-
-    def g_head(w):
-        w = np.asarray(w, dtype=float)
-        delta = w * w
-        b = core + delta
-        q = 1.0 + b * b
-        d = metric.deficit(b)
-        sw = np.sqrt(metric.core_quotient(delta))
-        sq = np.sqrt(q)
-        out = -2.0 * d / (sw * sq * (w * sw + sq))
-        return out * b**k
-
-    return g_head
+def _geodesic_element(chart: _Chart):
+    """d rho / dt = ds / (sqrt(f) dt) at chart points t."""
+    return lambda t: chart.point(t)[1]
 
 
 # Relative tolerance of every coordinate-gap and volume-deficit integral
@@ -336,30 +356,28 @@ _GAP_TOL = 1e-13
 def _gap_moment(metric: RadialMetric, s: float, k: int) -> QuadResult:
     """integral_s^inf u^k [f(u)^{-1/2} - (1+u^2)^{-1/2}] du, for s >= core.
 
-    Below core + 1 it is integrated in w with u = core + w^2, which
-    removes the integrable 1/sqrt spike at a positive core; above, by
+    Below the split core + 1 (at a zero core, only from s = 0) it is
+    integrated in the chart of :func:`_chart`, which removes the
+    integrable 1/sqrt spike at a positive core; above, in s by
     :func:`integrate`'s 1/u tail, to relative tolerance ``_GAP_TOL``.
     """
     core = metric.core_radius
     if not math.isfinite(s) or s < core:
         raise ValueError(f"s must lie in [{core!r}, inf), got {s!r}")
-    g = _gap_integrand(metric, k)
-    if core > 0.0 and s < core + 1.0:
-        split, head_fn = core + 1.0, _gap_head_integrand(metric, k)
-        w0 = math.sqrt(s - core)
-        head = integrate(head_fn, w0, 1.0, abs_tol=1e-14, rel_tol=_GAP_TOL)
-    elif s > 0.0:
+    split = core + 1.0
+    tail_fn = _gap_element(_chart(metric, head=False), k)
+    if s > 0.0 and (core == 0.0 or s >= split):
         # The relative floor, not abs_tol, is what matters here: the moment
         # decays like m / s^(3 - k) and is consumed relatively by
         # downstream expansions.
-        return integrate(g, s, math.inf, abs_tol=1e-300, rel_tol=_GAP_TOL)
-    else:
-        # s == core == 0: the integrand is bounded but f may still blow up
-        # at the origin when tail coefficients are present; keep the origin
-        # panel separate with an absolute floor.
-        split = 1.0
-        head = integrate(g, 0.0, 1.0, abs_tol=1e-14, rel_tol=_GAP_TOL)
-    tail = integrate(g, split, math.inf, abs_tol=1e-300, rel_tol=_GAP_TOL)
+        return integrate(tail_fn, s, math.inf, abs_tol=1e-300, rel_tol=_GAP_TOL)
+    # From s below the split above a positive core, or from s == core == 0,
+    # where f may blow up when tail coefficients are present: the head
+    # takes an absolute floor.
+    chart = _chart(metric)
+    t0, t1 = chart.to_t(s), chart.to_t(split)
+    head = integrate(_gap_element(chart, k), t0, t1, abs_tol=1e-14, rel_tol=_GAP_TOL)
+    tail = integrate(tail_fn, split, math.inf, abs_tol=1e-300, rel_tol=_GAP_TOL)
     return QuadResult(
         head.value + tail.value,
         head.error_bound + tail.error_bound,
@@ -371,8 +389,8 @@ def coordinate_gap(metric: RadialMetric, s: float) -> QuadResult:
     """G(s) = integral_s^inf [f(u)^{-1/2} - (1+u^2)^{-1/2}] du.
 
     Defined for s >= core_radius.  At s = core_radius (mass > 0) the
-    integrand has an integrable 1/sqrt singularity which is removed by
-    the substitution u = core + w^2.
+    integrand has an integrable 1/sqrt singularity, which the chart of
+    :func:`_chart` removes.
     """
     return _gap_moment(metric, s, 0)
 
@@ -385,8 +403,8 @@ def gap_over_grid(metric: RadialMetric, s) -> tuple[np.ndarray, np.ndarray]:
     one panel per gap between consecutive points
     (:func:`integrate_intervals` at the same tolerance), summed from the
     outside in.  Gaps above core + 1 (above 1 when the core is 0) are
-    integrated in x = 1/u, gaps below it in w with u = core + w^2 (in u
-    itself when the core is 0), the forms :func:`coordinate_gap` uses.
+    integrated in x = 1/u, gaps below it in the chart of :func:`_chart`,
+    the forms :func:`coordinate_gap` uses.
     The points may come in any order and may repeat; each must lie in
     [core, inf).  A point's bound is the tail's bound plus the bounds of
     every panel above it.
@@ -397,7 +415,7 @@ def gap_over_grid(metric: RadialMetric, s) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("s must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(pts)) or np.any(pts < core):
         raise ValueError(f"every s must lie in [{core!r}, inf)")
-    split = core + 1.0 if core > 0.0 else 1.0
+    split = core + 1.0
     u = np.sort(pts)
     u = np.concatenate([u[:1], u[1:][np.diff(u) > 0.0]])
     k = int(np.searchsorted(u, split))
@@ -416,13 +434,11 @@ def gap_over_grid(metric: RadialMetric, s) -> tuple[np.ndarray, np.ndarray]:
 
     # The intervals [u[i], u[i + 1]] with i < n_head lie below the split.
     n_head = min(int(np.searchsorted(u, split)), u.size - 1)
-    if core > 0.0:
-        head = panels(_gap_head_integrand(metric), np.sqrt(u[: n_head + 1] - core))
-    else:
-        head = panels(_gap_integrand(metric), u[: n_head + 1])
+    chart = _chart(metric)
+    head = panels(_gap_element(chart), chart.to_t(u[: n_head + 1]))
     far = (np.zeros(0), np.zeros(0))
     if n_head < u.size - 1:
-        g = _gap_integrand(metric)
+        g = _gap_element(_chart(metric, head=False))
         far = panels(lambda x: g(1.0 / x) / (x * x), 1.0 / u[n_head:][::-1])
     top = coordinate_gap(metric, float(u[-1]))
     # Summed from the outside in: the x panels in x order, then the head
@@ -454,18 +470,20 @@ _RHO_MAX = math.asinh(np.finfo(float).max)
 def s_from_rho(metric: RadialMetric, rho: float) -> float:
     """Numerical inverse of rho_from_s.
 
-    Newton's method on rho(s) = rho (:func:`solve_increasing`) with
-    d rho / d s = f^{-1/2}, in w with s = core + w^2 above a positive
-    core, where d rho / d w = 2 (f / w^2)^{-1/2} stays finite.  It starts
-    1e-12 below s = sinh(rho), or at the core when that lies below it,
-    with rho there from one :func:`coordinate_gap` tail; every step adds
-    one GK15 panel of the derivative.  Where G >= 0 the start lies below
-    the root by more than the rounding of asinh, and rho(s) is concave
-    wherever f grows, so the steps approach the root from below.  A start
-    above the root (G < 0 there) is bracketed from below by the bottom of
-    the domain, after one more tail integral checks that rho lies in its
-    image.  The tails' relative tolerance and the absolute tolerance of
-    the panels' sum are both 1e-13 (``_GAP_TOL``).
+    Newton's method on rho(s) = rho (:func:`solve_increasing`) in the
+    chart t of :func:`_chart`, with the geodesic element
+    d rho / dt = ds / (sqrt(f) dt) as the derivative, which stays finite
+    at a positive core.  It starts 1e-12 below s = sinh(rho), or at the
+    core when that lies below it, with rho there from one
+    :func:`coordinate_gap` tail; every step adds one GK15 panel of the
+    derivative.  Where G >= 0 the start lies below the root by more than
+    the rounding of asinh, and rho(s) is concave wherever f grows, so the
+    steps approach the root from below.  A start above the root (G < 0
+    there) is bracketed from below by the bottom of the domain, after one
+    more tail integral checks that rho lies in its image; a rho below it
+    raises ``ValueError`` ("below the image").  The tails' relative
+    tolerance and the absolute tolerance of the panels' sum are both
+    1e-13 (``_GAP_TOL``).
     """
     if not math.isfinite(rho) or rho > _RHO_MAX:
         raise ValueError(f"rho must be finite and <= {_RHO_MAX!r}, got {rho!r}")
@@ -473,17 +491,8 @@ def s_from_rho(metric: RadialMetric, rho: float) -> float:
     # Below rho = 0 the start is the core, and sinh need not overflow.
     s0 = max(math.sinh(max(rho, 0.0)) * (1.0 - 1e-12), core)
     rho0 = math.asinh(s0) - coordinate_gap(metric, s0).value
-    if core > 0.0:
-
-        def density(w):
-            return 2.0 / np.sqrt(metric.core_quotient(w * w))
-
-    else:
-
-        def density(s):
-            return 1.0 / np.sqrt(metric.f(s))
-
-    t0 = math.sqrt(s0 - core) if core > 0.0 else s0
+    chart = _chart(metric)
+    t0 = float(chart.to_t(s0))
     lo, hi = t0, math.inf
     if rho0 >= rho:
         # rho at the bottom of the domain: the core, or s = 0.
@@ -492,9 +501,10 @@ def s_from_rho(metric: RadialMetric, rho: float) -> float:
             bottom = math.asinh(core) - coordinate_gap(metric, core).value
         if bottom >= rho:
             raise ValueError(f"rho = {rho!r} is below the image of the domain")
-        lo, hi = 0.0, t0
+        lo, hi = float(chart.to_t(core)), t0
+    density = _geodesic_element(chart)
     t = float(solve_increasing(density, [rho], [t0], [rho0], [lo], [hi], _GAP_TOL)[0])
-    return core + t * t if core > 0.0 else t
+    return float(chart.to_s(t))
 
 
 # ----------------------------------------------------------------------

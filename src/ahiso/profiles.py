@@ -36,6 +36,8 @@ import numpy as np
 
 from .models import (
     RadialMetric,
+    _chart,
+    _Chart,
     _gap_moment,
     coordinate_gap,
     s_from_rho,
@@ -220,30 +222,15 @@ def hyperbolic_profile(v):
 # Model volumes
 
 
-def _volume_integrand(metric: RadialMetric):
-    def fn(u):
-        u = np.asarray(u, dtype=float)
-        # Past u ~ 1.3e154 this is inf / inf (in w too, past b ~ 1.3e154),
+def _volume_element(chart: _Chart):
+    """The volume element 4 pi s^2 ds / (sqrt(f) dt) at chart points t."""
+
+    def fn(t):
+        # Past s ~ 1.3e154, s * s and f overflow and this is inf or nan,
         # which the kernels' finite checks turn into a NumericsError.
         with np.errstate(over="ignore", invalid="ignore"):
-            return FOUR_PI * u * u / np.sqrt(metric.f(u))
-
-    return fn
-
-
-def _volume_head_integrand(metric: RadialMetric):
-    """The volume element in w, with s = core + w^2 above a positive core.
-
-    It stays finite at the core, where the element in s has an f^{-1/2}
-    spike.
-    """
-    core = metric.core_radius
-
-    def fn(w):
-        w = np.asarray(w, dtype=float)
-        b = core + w * w
-        with np.errstate(over="ignore", invalid="ignore"):
-            return 8.0 * math.pi * b * b / np.sqrt(metric.core_quotient(w * w))
+            s, jac, _ = chart.point(t)
+            return FOUR_PI * s * s * jac
 
     return fn
 
@@ -256,16 +243,16 @@ _VOLUME_TOL = 1e-10
 def model_volume_quad(metric: RadialMetric, s: float) -> QuadResult:
     """Volume from the core out to area-radius s, with its error bound.
 
-    Above a positive core the volume is integrated in w with
-    s = core + w^2, which removes the f^{-1/2} spike there.
+    Integrated in the chart of :func:`models._chart`, which removes the
+    f^{-1/2} spike at a positive core.
     """
     core = metric.core_radius
     if not math.isfinite(s) or s < core:
         raise ValueError(f"s must lie in [{core!r}, inf), got {s!r}")
-    if core > 0.0:
-        head = _volume_head_integrand(metric)
-        return integrate(head, 0.0, math.sqrt(s - core), abs_tol=_VOLUME_TOL)
-    return integrate(_volume_integrand(metric), 0.0, s, abs_tol=_VOLUME_TOL)
+    chart = _chart(metric)
+    return integrate(
+        _volume_element(chart), chart.to_t(core), chart.to_t(s), abs_tol=_VOLUME_TOL
+    )
 
 
 def model_volume(metric: RadialMetric, s: float) -> float:
@@ -277,15 +264,16 @@ def model_radius_for_volume(metric: RadialMetric, v):
     """Area-radius s_v of the centered region of volume v > 0.
 
     ``v`` may be a scalar (a float comes back) or a 1-d array of volumes
-    in any order, inverted together.  The inversion runs in the area
-    radius s, or in w with s = core + w^2 above a positive core, where
-    the volume element stays finite.  One cumulative sweep
+    in any order, inverted together.  The inversion runs in the chart t
+    of :func:`models._chart` (w with s = core + w^2 above a positive
+    core), where the volume element stays finite.  One cumulative sweep
     (:func:`integrate_intervals`) gives the volume at a ladder of
     starting guesses, the Euclidean radius of v or sqrt(v / 2 pi),
     whichever is larger, and at twice the largest of them (doubled again
-    until it encloses every v; a rung in w where the element would
-    overflow doubles s - core instead); each volume is bracketed between two
-    ladder points and starts at the one whose volume is closer.
+    until it encloses every v; above a positive core, a rung where the
+    element would overflow doubles s - core instead); each volume is
+    bracketed between two ladder points and starts at the one whose
+    volume is closer.
     :func:`solve_increasing` then takes Newton steps with the volume
     element as the derivative, all volumes together, one GK15 panel per
     step.  The sweep, and the panels of each volume together, are held to
@@ -297,21 +285,18 @@ def model_radius_for_volume(metric: RadialMetric, v):
     if vols.size == 0 or not np.all(np.isfinite(vols)) or np.any(vols <= 0.0):
         raise ValueError(f"v must be finite and > 0, got {v!r}")
     core = metric.core_radius
+    chart = _chart(metric)
+    density = _volume_element(chart)
     # Both are below s_v in hyperbolic space.
     guess = np.maximum(_EUCLID_RADIUS * np.cbrt(vols), np.sqrt(vols / (2.0 * math.pi)))
+    start = chart.to_t(np.maximum(guess, core))
     if core > 0.0:
-        density = _volume_head_integrand(metric)
-        # Near the core the volume grows like density(0) * w.
-        start = np.where(
-            guess > core, np.sqrt(np.maximum(guess - core, 0.0)), vols / density(0.0)
-        )
-    else:
-        density = _volume_integrand(metric)
-        start = guess
+        # Near the core the volume grows like density(0) t.
+        start = np.where(guess > core, start, vols / density(0.0))
 
     def above(t):
-        # The next rung, 2t.  In w, where the element 8 pi b^2 would
-        # overflow there, sqrt(2) t instead, which doubles s - core.
+        # The next rung, 2t.  Above a positive core, where the element
+        # would overflow there, sqrt(2) t instead, which doubles s - core.
         up = 2.0 * t
         if core > 0.0 and not np.isfinite(density(up)):
             up = math.sqrt(2.0) * t
@@ -344,7 +329,7 @@ def model_radius_for_volume(metric: RadialMetric, v):
         ladder[k],
         _VOLUME_TOL,
     )
-    s = core + t * t if core > 0.0 else t
+    s = chart.to_s(t)
     return float(s[0]) if scalar else s.reshape(arr.shape)
 
 
@@ -359,18 +344,19 @@ def renormalized_volume(
     Evaluated at ``truncation_rho`` = rho_T.  The neglected tail decays
     like 1/sinh(rho) with coefficient 8 pi m / 3; ``tail_estimate``
     reports it and a truncation radius that leaves more than 10% of the
-    value in the tail is rejected.
+    value in the tail is rejected.  A rho_T below the image of the
+    domain is rejected by :func:`s_from_rho` ("below the image").
 
     With s_T = s(rho_T) and G_T = G(s_T), so that asinh s_T = rho_T + G_T,
-    and W the volume deficit (module docstring),
+    W the volume deficit and K = W(core) - V_H(core) the limit
+    (module docstring, :func:`_renormalized_limit`),
 
-        V(rho_T) = W(core) - W(s_T) - V_H(core)
-                   + 4 pi integral_{rho_T}^{rho_T + G_T} sinh^2 r dr.
+        V(rho_T) = K - W(s_T) + 4 pi integral_{rho_T}^{rho_T + G_T} sinh^2 r dr.
 
-    Both W values are semi-infinite :func:`_gap_moment` integrals, and
-    the shell is 2 pi [(cosh(2 rho_T + G_T) - 1) sinh G_T + (sinh G_T - G_T)],
-    whose two terms have the sign of G_T.  ``quad_error`` sums the bounds
-    of the two W integrals and the bound of G_T times the shell's slope
+    W(s_T) is a semi-infinite :func:`_gap_moment` integral, and the shell
+    is 2 pi [(cosh(2 rho_T + G_T) - 1) sinh G_T + (sinh G_T - G_T)], whose
+    two terms have the sign of G_T.  ``quad_error`` sums the bounds of
+    the two W integrals and the bound of G_T times the shell's slope
     4 pi sinh^2(rho_T + G_T).
 
     Nonnegative for every valid model of mass > 0, zero exactly for
@@ -380,17 +366,9 @@ def renormalized_volume(
     """
     if not math.isfinite(truncation_rho):
         raise ValueError("truncation_rho must be finite")
-    core = metric.core_radius
-
-    rho_low = math.asinh(core) - coordinate_gap(metric, core).value
-    if truncation_rho <= rho_low + 1e-9:
-        raise ValueError(
-            f"truncation_rho = {truncation_rho!r} does not exceed the inner "
-            f"boundary radius {rho_low!r}"
-        )
     s_top = s_from_rho(metric, truncation_rho)
     gap_top = coordinate_gap(metric, s_top)
-    w_core = _gap_moment(metric, core, 2)
+    limit = _renormalized_limit(metric)
     w_top = _gap_moment(metric, s_top, 2)
 
     g = gap_top.value
@@ -398,12 +376,7 @@ def renormalized_volume(
     shell = 2.0 * math.pi * (
         (math.cosh(2.0 * truncation_rho + g) - 1.0) * sh + (sh - g)
     )
-    total = math.fsum([
-        FOUR_PI * w_core.value,
-        -FOUR_PI * w_top.value,
-        -_ball_volume(core),
-        shell,
-    ])
+    total = math.fsum([limit.value, -FOUR_PI * w_top.value, shell])
 
     tail = 8.0 * math.pi * metric.mass / (3.0 * math.sinh(truncation_rho))
     if metric.mass > 0.0 and tail > 0.1 * abs(total):
@@ -412,7 +385,8 @@ def renormalized_volume(
             f"{tail:.3e} exceeds 10% of the value {total:.6e}"
         )
     quad_error = (
-        FOUR_PI * (w_core.error_bound + w_top.error_bound)
+        limit.error_bound
+        + FOUR_PI * w_top.error_bound
         + FOUR_PI * math.sinh(truncation_rho + g) ** 2 * gap_top.error_bound
     )
     return RenormVolumeResult(
@@ -423,11 +397,18 @@ def renormalized_volume(
     )
 
 
-def _renormalized_limit(metric: RadialMetric) -> float:
-    """K = W(core) - V_H(core), the rho_T -> inf limit of V(rho_T); 0.0 on H^3."""
+def _renormalized_limit(metric: RadialMetric) -> QuadResult:
+    """K = W(core) - V_H(core), the rho_T -> inf limit of V(rho_T); 0.0 on H^3.
+
+    The bound is that of the one W(core) integral.
+    """
     core = metric.core_radius
     w_core = _gap_moment(metric, core, 2)
-    return math.fsum([FOUR_PI * w_core.value, -_ball_volume(core)])
+    return QuadResult(
+        math.fsum([FOUR_PI * w_core.value, -_ball_volume(core)]),
+        FOUR_PI * w_core.error_bound,
+        w_core.evaluations,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +432,7 @@ def gap_table(metric: RadialMetric, v_grid) -> ProfileTable:
         raise ValueError(
             "model fails AH validation: " + "; ".join(report.messages)
         )
-    limit = _renormalized_limit(metric)
+    limit = _renormalized_limit(metric).value
     s_v = model_radius_for_volume(metric, grid)
     a_g = FOUR_PI * s_v * s_v
     a_h = hyperbolic_profile(grid)
@@ -490,6 +471,7 @@ def cumulative_volume_over_grid(
         raise ValueError("s_grid must be strictly increasing")
     if s[0] <= metric.core_radius:
         raise ValueError("s_grid must start above the core radius")
-    vals, err = integrate_intervals(_volume_integrand(metric), s, _VOLUME_TOL)
+    density = _volume_element(_chart(metric, head=False))
+    vals, err = integrate_intervals(density, s, _VOLUME_TOL)
     out = np.concatenate([[0.0], np.cumsum(vals)])
     return out, float(np.sum(err))

@@ -289,7 +289,8 @@ class TestErrorPaths:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "subcommand, mass", [("spheres", 6e8), ("stability", 6e8), ("stability", 1e300)]
+        "subcommand, mass",
+        [("spheres", 6e8), ("stability", 6e8), ("spheres", 1e300), ("stability", 1e300)],
     )
     def test_default_radius_grid_scales_with_the_core(
         self, capsys, tmp_path, subcommand, mass
@@ -297,7 +298,8 @@ class TestErrorPaths:
         # Omitted ends are default_grid's, core + 0.1 max(1, core) and
         # max(1e3, 1e3 core).  Fixed ends core + 0.1 and 1e3 made these
         # exit 1: core 1062.7 lies above 1e3, and at core 1.26e100,
-        # core + 0.1 == core.
+        # core + 0.1 == core.  spheres at m = 1e300 then overflowed in the
+        # gap element of its rho column (a RuntimeWarning).
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"type": "ads_schwarzschild", "mass": mass}))
         out = _capture(capsys, [subcommand, "--model", str(path), "--n", "4"])
@@ -481,7 +483,7 @@ _PARAMETERS = {
     "spheres": {"model", "s_min", "s_max", "n"},
     "imcf": {"model", "s0", "t_max", "dt"},
     "compare-ode": {"b0", "v0", "v_end", "mass_floor", "n"},
-    "profile": {"model", "v_min", "v_max", "n", "log_grid"},
+    "profile": {"model", "v_min", "v_max", "n"},
     "expansion": {"model", "v_max", "n"},
     "renorm-vol": {"model", "rho"},
     "stability": {"model", "s_min", "s_max", "n"},
@@ -511,6 +513,9 @@ _UNREAD_FLAGS = [
     # The scaled gap takes the renormalized volume's limit, not V(rho).
     ("profile", "--rho"),
     ("expansion", "--rho"),
+    # The profile grid is always log-spaced.
+    ("profile", "--log-grid"),
+    ("profile", "--no-log-grid"),
 ] + [
     # Every tolerance is fixed.
     (name, flag)

@@ -256,6 +256,16 @@ class TestGeodesicCoordinate:
         assert math.isfinite(res.value)
         assert res.value > 0.0
 
+    @pytest.mark.parametrize("m", [1e100, 1e300])
+    def test_gap_tail_finite_at_a_huge_core(self, m):
+        # G(2 core) depends on s / core alone once the core is large.  The
+        # element formed sqrt(f) sqrt(q) (sqrt(f) + sqrt(q)) ~ s^3, which
+        # overflowed past s ~ 1e102 (m = 1e300 raised a RuntimeWarning);
+        # 0.021883829562129007 is its value at m = 1e100.
+        metric = make_ads_schwarzschild(m)
+        got = coordinate_gap(metric, 2.0 * metric.core_radius).value
+        assert got == pytest.approx(0.021883829562129007, rel=2e-15, abs=0.0)
+
     def test_below_image_raises(self, ads_one):
         horizon_rho = math.asinh(1.0) - coordinate_gap(ads_one, 1.0).value
         with pytest.raises(ValueError):

@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 from ahiso.cli import run
 from ahiso.imcf import comparison_ode
 from ahiso.models import (
+    _chart,
     _core_radius,
+    _gap_element,
     _gap_moment,
+    _geodesic_element,
     gap_over_grid,
     make_ads_schwarzschild,
     make_hyperbolic,
@@ -24,6 +27,7 @@ from ahiso.models import (
 )
 from ahiso.profiles import (
     _renormalized_limit,
+    _volume_element,
     hyperbolic_profile,
     hyperbolic_volume,
     model_radius_for_volume,
@@ -213,6 +217,29 @@ class _Oracle:
         return self.volume(s) - hyp + w_s
 
 
+_ELEMENTS = {
+    "gap": lambda chart: _gap_element(chart, 0),
+    "gap_k2": lambda chart: _gap_element(chart, 2),
+    "geodesic": _geodesic_element,
+    "volume": _volume_element,
+}
+
+
+@pytest.mark.parametrize("element", sorted(_ELEMENTS))
+@pytest.mark.parametrize("name", sorted(n for n, m in ORACLE_MODELS.items() if m.core_radius > 0.0))
+def test_w_chart_element_is_the_s_chart_element_times_2w(name, element):
+    # Each radial element is written once in s; the w chart (s = core +
+    # w^2) only changes ds / (sqrt(f) dt).  Closer to the core f(s)
+    # cancels in the s chart, so the two are compared from w = 0.5 up.
+    metric = ORACLE_MODELS[name]
+    in_w, in_s = (_ELEMENTS[element](_chart(metric, head=h)) for h in (True, False))
+    w = np.linspace(0.5, 1.0, 41)
+    want = in_s(_chart(metric).to_s(w)) * 2.0 * w
+    assert np.all(np.abs(in_w(w) - want) <= 1e-14 * np.abs(want))
+    # Finite at the core, where the s chart's f^{-1/2} has its spike.
+    assert np.isfinite(in_w(np.array([0.0]))).all()
+
+
 @pytest.mark.parametrize("rho", [12.0, 20.0, 30.0])
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
 def test_renormalized_volume_within_quad_error_of_oracle(name, rho):
@@ -232,7 +259,7 @@ def test_renormalized_volume_within_quad_error_of_oracle(name, rho):
 def test_renormalized_limit_matches_oracle(name):
     # The scaled_gap column adds 2K, the rho_T -> inf limit of V(rho_T).
     metric = ORACLE_MODELS[name]
-    got = _renormalized_limit(metric)
+    got = _renormalized_limit(metric).value
     with mpmath.workdps(60):
         want = _Oracle(metric).limit()
         err = float(abs(got - want))

@@ -258,8 +258,8 @@ class TestRenormalizedVolume:
             renormalized_volume(ads_one, truncation_rho=2.0)
 
     def test_truncation_inside_inner_boundary_rejected(self, ads_one):
-        # The horizon sits at rho ~ 0.57 for unit mass.
-        with pytest.raises(ValueError, match="inner"):
+        # The horizon sits at rho ~ 0.57 for unit mass; s(rho) rejects it.
+        with pytest.raises(ValueError, match="below the image"):
             renormalized_volume(ads_one, truncation_rho=0.3)
 
     def test_nonfinite_truncation_rejected(self, ads_one):
@@ -267,7 +267,7 @@ class TestRenormalizedVolume:
             renormalized_volume(ads_one, truncation_rho=math.inf)
 
     def test_hyperbolic_limit_is_exactly_zero(self, hyperbolic):
-        assert _renormalized_limit(hyperbolic) == 0.0
+        assert _renormalized_limit(hyperbolic).value == 0.0
 
     @pytest.mark.parametrize("rho", [12.0, 20.0])
     @pytest.mark.parametrize(
@@ -287,7 +287,7 @@ class TestRenormalizedVolume:
         # 8 pi m / (3 sinh rho_T) up to O(1 / sinh^2): 9.2e-7 of it at
         # worst at rho_T = 12.
         res = renormalized_volume(metric, rho)
-        miss = abs(_renormalized_limit(metric) - res.value - res.tail_estimate)
+        miss = abs(_renormalized_limit(metric).value - res.value - res.tail_estimate)
         assert miss <= 1e-5 * res.tail_estimate + res.quad_error
 
 
@@ -344,7 +344,7 @@ class TestGapTable:
             gap_table(metric, np.array([1.0, 10.0]))
 
     def test_row_fields_are_consistent(self, ads_one):
-        limit = _renormalized_limit(ads_one)
+        limit = _renormalized_limit(ads_one).value
         table = gap_table(ads_one, np.array([100.0]))
         assert table.gap[0] == table.A_g[0] - table.A_H[0]
         assert table.scaled_gap[0] == pytest.approx(
@@ -464,12 +464,13 @@ class TestNewtonInversionWork:
         assert len(self._gap_points(monkeypatch, make_ads_schwarzschild(1.0))) <= 4
 
     def test_renormalized_volume_below_rho_zero_reuses_the_core_gap(self, monkeypatch):
-        # rho < 0 at the core: the search for s(rho = 0) starts there from
-        # the G(core) already taken for rho_low instead of integrating it
-        # again (6 calls per V when it did).
+        # rho < 0 at the core.  No G(core) is taken: s(rho) rejects a rho
+        # below the image of the domain, and K takes W(core) alone (6
+        # calls per V when rho_low's G(core) was integrated twice, 1 when
+        # it was checked once).
         metric = make_perturbed(0.5, (0.2,))
         calls = self._gap_points(monkeypatch, metric)
-        assert calls.count(metric.core_radius) == 1
+        assert calls.count(metric.core_radius) == 0
         assert len(calls) <= 5
 
 
@@ -524,7 +525,8 @@ class TestRenormalizedVolumeWork:
     def test_three_gap_integrals_and_no_sweep(self, monkeypatch, metric):
         # The outer mesh took one gap_over_grid sweep per refinement round
         # (1 and 3 here) and 3 and 5 gap integrals.  The volume deficit
-        # needs G only at the core, at the s(rho) start and at s_T.
+        # needs G only at the s(rho) start and at s_T; the G(core) that
+        # checked rho_T against the inner boundary is gone.
         gaps, sweeps = [], []
 
         def counting_gap(*args, **kwargs):
@@ -541,5 +543,5 @@ class TestRenormalizedVolumeWork:
             monkeypatch.setattr(f"ahiso.{module}.gap_over_grid", counting_sweep, raising=False)
         renormalized_volume(metric)
         assert not sweeps
-        assert len(gaps) == 3
-        assert gaps[0] == metric.core_radius
+        assert len(gaps) == 2
+        assert metric.core_radius not in gaps
