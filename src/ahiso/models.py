@@ -302,10 +302,10 @@ def _chart(metric: RadialMetric, head: bool = True) -> _Chart:
     ds = 2 w dw and sqrt(f) = w sqrt(f / w^2), with f / w^2 the
     cancellation-free :meth:`RadialMetric.core_quotient`, so
     ds / (sqrt(f) dw) = 2 / sqrt(f / w^2) stays finite at the core, where
-    f^{-1/2} in s has an integrable spike.  Otherwise (core 0, or a tail
-    above the core + 1 split) it is s itself.  This is the only code that
-    knows the substitution; every radial element is written in s through
-    ``point``.
+    f^{-1/2} in s has an integrable spike.  Otherwise (core 0, or the
+    tail above the split of :func:`_gap_moment`) it is s itself.  This is
+    the only code that knows the substitution; every radial element is
+    written in s through ``point``.
     """
     core = metric.core_radius
     if head and core > 0.0:
@@ -348,36 +348,38 @@ def _geodesic_element(chart: _Chart):
     return lambda t: chart.point(t)[1]
 
 
-# Relative tolerance of every coordinate-gap and volume-deficit integral
-# (G, W and the geodesic radius; a few dozen evaluations each on ads m = 1).
+# Absolute tolerance of gap_over_grid's panels and of s_from_rho's Newton
+# steps, each shared over its panels.  The semi-infinite G and W integrals
+# are held to integrate's own relative floor, also 1e-13.
 _GAP_TOL = 1e-13
 
 
 def _gap_moment(metric: RadialMetric, s: float, k: int) -> QuadResult:
     """integral_s^inf u^k [f(u)^{-1/2} - (1+u^2)^{-1/2}] du, for s >= core.
 
-    Below the split core + 1 (at a zero core, only from s = 0) it is
-    integrated in the chart of :func:`_chart`, which removes the
-    integrable 1/sqrt spike at a positive core; above, in s by
-    :func:`integrate`'s 1/u tail, to relative tolerance ``_GAP_TOL``.
+    Below the split core + max(1, core) (at a zero core, only from
+    s = 0) it is integrated in the chart of :func:`_chart`, which removes
+    the integrable 1/sqrt spike at a positive core; above, in s by
+    :func:`integrate`'s 1/u tail.  The split scales with the core, so the
+    head keeps its shape however large the core is.
     """
     core = metric.core_radius
     if not math.isfinite(s) or s < core:
         raise ValueError(f"s must lie in [{core!r}, inf), got {s!r}")
-    split = core + 1.0
+    split = core + max(1.0, core)
     tail_fn = _gap_element(_chart(metric, head=False), k)
     if s > 0.0 and (core == 0.0 or s >= split):
-        # The relative floor, not abs_tol, is what matters here: the moment
-        # decays like m / s^(3 - k) and is consumed relatively by
-        # downstream expansions.
-        return integrate(tail_fn, s, math.inf, abs_tol=1e-300, rel_tol=_GAP_TOL)
+        # The tail's abs_tol is negligible, so integrate's relative floor
+        # decides: the moment decays like m / s^(3 - k) and is consumed
+        # relatively by downstream expansions.
+        return integrate(tail_fn, s, math.inf, abs_tol=1e-300)
     # From s below the split above a positive core, or from s == core == 0,
     # where f may blow up when tail coefficients are present: the head
     # takes an absolute floor.
     chart = _chart(metric)
     t0, t1 = chart.to_t(s), chart.to_t(split)
-    head = integrate(_gap_element(chart, k), t0, t1, abs_tol=1e-14, rel_tol=_GAP_TOL)
-    tail = integrate(tail_fn, split, math.inf, abs_tol=1e-300, rel_tol=_GAP_TOL)
+    head = integrate(_gap_element(chart, k), t0, t1, abs_tol=1e-14)
+    tail = integrate(tail_fn, split, math.inf, abs_tol=1e-300)
     return QuadResult(
         head.value + tail.value,
         head.error_bound + tail.error_bound,
@@ -399,12 +401,10 @@ def gap_over_grid(metric: RadialMetric, s) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate gap G and its error bound at every point of ``s``.
 
     One outside-in sweep: a single :func:`coordinate_gap` tail integral
-    (relative tolerance 1e-13, ``_GAP_TOL``) at the largest point, then
-    one panel per gap between consecutive points
-    (:func:`integrate_intervals` at the same tolerance), summed from the
-    outside in.  Gaps above core + 1 (above 1 when the core is 0) are
-    integrated in x = 1/u, gaps below it in the chart of :func:`_chart`,
-    the forms :func:`coordinate_gap` uses.
+    at the largest point, then one panel per gap between consecutive
+    points in the chart of :func:`_chart`, all from one
+    :func:`integrate_intervals` call whose absolute tolerance 1e-13
+    (``_GAP_TOL``) is shared over the panels, summed from the outside in.
     The points may come in any order and may repeat; each must lie in
     [core, inf).  A point's bound is the tail's bound plus the bounds of
     every panel above it.
@@ -415,36 +415,20 @@ def gap_over_grid(metric: RadialMetric, s) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("s must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(pts)) or np.any(pts < core):
         raise ValueError(f"every s must lie in [{core!r}, inf)")
-    split = core + 1.0
     u = np.sort(pts)
     u = np.concatenate([u[:1], u[1:][np.diff(u) > 0.0]])
-    k = int(np.searchsorted(u, split))
-    if 0 < k < u.size and u[k] != split:
-        u = np.concatenate([u[:k], [split], u[k:]])
-
-    def panels(fn, t):
-        # t is nondecreasing; intervals of zero width (points that
-        # coincide after the change of variable) contribute nothing.
-        v, e = np.zeros(t.size - 1), np.zeros(t.size - 1)
-        wide = np.diff(t) > 0.0
-        if wide.any():
-            edges = np.concatenate([t[:1], t[1:][wide]])
-            v[wide], e[wide] = integrate_intervals(fn, edges, _GAP_TOL)
-        return v, e
-
-    # The intervals [u[i], u[i + 1]] with i < n_head lie below the split.
-    n_head = min(int(np.searchsorted(u, split)), u.size - 1)
     chart = _chart(metric)
-    head = panels(_gap_element(chart), chart.to_t(u[: n_head + 1]))
-    far = (np.zeros(0), np.zeros(0))
-    if n_head < u.size - 1:
-        g = _gap_element(_chart(metric, head=False))
-        far = panels(lambda x: g(1.0 / x) / (x * x), 1.0 / u[n_head:][::-1])
+    t = chart.to_t(u)
+    # t is nondecreasing; intervals of zero width (points that coincide
+    # after the change of variable) contribute nothing.
+    v, e = np.zeros(u.size - 1), np.zeros(u.size - 1)
+    wide = np.diff(t) > 0.0
+    if wide.any():
+        edges = np.concatenate([t[:1], t[1:][wide]])
+        v[wide], e[wide] = integrate_intervals(_gap_element(chart), edges, _GAP_TOL)
     top = coordinate_gap(metric, float(u[-1]))
-    # Summed from the outside in: the x panels in x order, then the head
-    # panels downward; reversed, u ascends again.
-    gap = np.cumsum(np.concatenate([[top.value], far[0], head[0][::-1]]))[::-1]
-    bound = np.cumsum(np.concatenate([[top.error_bound], far[1], head[1][::-1]]))[::-1]
+    gap = np.cumsum(np.append(v, top.value)[::-1])[::-1]
+    bound = np.cumsum(np.append(e, top.error_bound)[::-1])[::-1]
     at = np.searchsorted(u, pts)
     return gap[at], bound[at]
 
@@ -481,9 +465,9 @@ def s_from_rho(metric: RadialMetric, rho: float) -> float:
     steps approach the root from below.  A start above the root (G < 0
     there) is bracketed from below by the bottom of the domain, after one
     more tail integral checks that rho lies in its image; a rho below it
-    raises ``ValueError`` ("below the image").  The tails' relative
-    tolerance and the absolute tolerance of the panels' sum are both
-    1e-13 (``_GAP_TOL``).
+    raises ``ValueError`` ("below the image").  The tails are held to
+    :func:`integrate`'s relative floor 1e-13, and the panels' sum to the
+    absolute 1e-13 of ``_GAP_TOL``.
     """
     if not math.isfinite(rho) or rho > _RHO_MAX:
         raise ValueError(f"rho must be finite and <= {_RHO_MAX!r}, got {rho!r}")

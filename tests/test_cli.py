@@ -331,14 +331,9 @@ class TestErrorPaths:
     def test_exhausted_quadrature_budget_exits_two(self, ads_model, monkeypatch):
         # A budget of one Gauss-Kronrod panel cannot meet the 1e-13
         # tolerance of the integrals behind V.
-        import functools
+        import ahiso.numerics
 
-        import ahiso.models
-        from ahiso.numerics import integrate
-
-        monkeypatch.setattr(
-            ahiso.models, "integrate", functools.partial(integrate, max_evals=15)
-        )
+        monkeypatch.setattr(ahiso.numerics, "_MAX_EVALS", 15)
         rc = run(["renorm-vol", "--model", ads_model])
         assert rc == 2
 
@@ -376,6 +371,22 @@ class TestErrorPaths:
             rc = run(argv + ["--n", "5"])
         allowed = (0,) if float(v_end) <= 1e307 else (0, 2)
         assert rc in allowed, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mass", [1e30, 1e300])
+def test_huge_core_tables_exit_zero_without_warning(capsys, tmp_path, mass):
+    # With a split at core + 1, m = 1e30 exhausted the quadrature budget
+    # (exit 2 after ~20 s) and m = 1e300 divided by zero on the core.  The
+    # default rho = 20 lies below the image of a core this large.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"type": "ads_schwarzschild", "mass": mass}))
+    m = ["--model", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["profile"], ["expansion"], ["spheres"], ["renorm-vol", "--rho", "240"]):
+            assert run(argv + m) == 0, capsys.readouterr().err
+        assert run(["renorm-vol"] + m) == 1
+    assert "below the image" in capsys.readouterr().err
 
 
 def _base_argv(model, results_dir):

@@ -338,20 +338,44 @@ class TestValidation:
 class TestGapSweep:
     @pytest.mark.parametrize(
         "metric",
-        [make_hyperbolic(), make_ads_schwarzschild(1.0), make_perturbed(0.5, (0.2,))],
-        ids=["hyperbolic", "ads_m1", "pert_m0.5"],
+        [
+            make_hyperbolic(),
+            make_ads_schwarzschild(1.0),
+            make_perturbed(0.5, (0.2,)),
+            make_ads_schwarzschild(1e300),
+        ],
+        ids=["hyperbolic", "ads_m1", "pert_m0.5", "ads_m1e300"],
     )
     def test_matches_pointwise_gap_in_any_order(self, metric):
-        # Unsorted, repeated, on the core, and on both sides of core + 1
-        # where the sweep changes variable.
+        # Unsorted, repeated, on the core, and on both sides of the split
+        # core + max(1, core) of coordinate_gap's head and tail.  On
+        # ads m = 1e300 the offsets vanish beside the core.
         core = metric.core_radius
-        pts = np.array([core + 3.0, core, core + 1e-6, 1e4, core + 0.5, core + 3.0, core + 1.0])
+        sc = max(1.0, core)
+        pts = np.array([core + 3.0, core, core + 1e-6, 1e4 * sc, core + 0.5, core + 3.0, core + 1.0])
         gap, bound = gap_over_grid(metric, pts)
         for x, g, b in zip(pts.tolist(), gap, bound):
             res = coordinate_gap(metric, x)
             assert abs(g - res.value) <= b + res.error_bound
             assert b <= 1e-13
         assert gap[0] == gap[5]
+
+    def test_one_panel_call_and_one_tail(self, ads_one, monkeypatch):
+        # Points on both sides of the split core + 1 = 2 take one
+        # integrate_intervals call for every panel and one tail integral.
+        import ahiso.models
+
+        calls = []
+        for name in ("integrate_intervals", "coordinate_gap"):
+            fn = getattr(ahiso.models, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(ahiso.models, name, counted)
+        gap_over_grid(ads_one, [1.2, 1.5, 3.0, 10.0, 1e3])
+        assert sorted(calls) == ["coordinate_gap", "integrate_intervals"]
 
     def test_single_point_is_coordinate_gap(self, ads_one):
         gap, bound = gap_over_grid(ads_one, [2.0])

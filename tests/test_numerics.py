@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ahiso.numerics
 from ahiso.numerics import (
     NumericsError,
     QuadResult,
@@ -91,16 +92,10 @@ def test_integrate_nonfinite_integrand_raises():
         integrate(lambda u: 1.0 / u, 0.0, 1.0)
 
 
-def test_integrate_budget_exhaustion_raises():
+def test_integrate_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(ahiso.numerics, "_MAX_EVALS", 500)
     with pytest.raises(NumericsError):
-        integrate(
-            lambda u: 1.0 / np.sqrt(np.abs(u)),
-            0.0,
-            1.0,
-            abs_tol=1e-300,
-            rel_tol=1e-300,
-            max_evals=500,
-        )
+        integrate(lambda u: 1.0 / np.sqrt(np.abs(u)), 0.0, 1.0, abs_tol=1e-300)
 
 
 def _panel(fn, lo, hi):
@@ -183,7 +178,6 @@ def _square(x):
 # One call per tolerance argument; tol is the only argument that varies.
 _TOLERANCE_CALLS = {
     "integrate abs_tol": lambda tol: integrate(_square, 0.0, 1.0, abs_tol=tol),
-    "integrate rel_tol": lambda tol: integrate(_square, 0.0, 1.0, rel_tol=tol),
     "integrate_panels": lambda tol: integrate_panels(_square, [0.0], [1.0], tol),
     "integrate_intervals": lambda tol: integrate_intervals(_square, [0.0, 0.5, 1.0], tol),
     "solve_increasing": lambda tol: solve_increasing(
@@ -193,9 +187,9 @@ _TOLERANCE_CALLS = {
     "solve_ode abs_tol": lambda tol: solve_ode(lambda x, y: y, 1.0, 0.0, 1.0, abs_tol=tol),
     "find_root": lambda tol: find_root(lambda x: x - 0.5, 0.0, 1.0, tol=tol),
 }
-# A relative floor of 0 in integrate, or an absolute one in solve_ode,
-# leaves the other tolerance in charge.
-_ZERO_OK = {"integrate rel_tol", "solve_ode abs_tol"}
+# An absolute floor of 0 in solve_ode leaves its relative tolerance in
+# charge.
+_ZERO_OK = {"solve_ode abs_tol"}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])

@@ -266,6 +266,38 @@ def test_renormalized_limit_matches_oracle(name):
     assert err <= 1e-14 * max(1.0, abs(float(want)))
 
 
+@functools.lru_cache(maxsize=None)
+def _scale_free_limits():
+    """G(core) and K / core^2 of ads m -> inf, at 40 digits.
+
+    With s = core y and f ~ core^2 (y^2 - 1/y) once the 1 in f is
+    negligible, G(core) -> integral_1^inf b(y) dy and
+    K / core^2 -> 4 pi integral_1^inf y^2 b(y) dy - 2 pi, with
+    b(y) = (y^2 - 1/y)^{-1/2} - 1/y.  The neglected terms are O(core^-2).
+    """
+    with mpmath.workdps(40):
+        def b(y):
+            return 1 / mpmath.sqrt(y * y - 1 / y) - 1 / y
+
+        gap = mpmath.quad(b, [1, 2, mpmath.inf])
+        w = mpmath.quad(lambda y: y * y * b(y), [1, 2, mpmath.inf])
+        return float(gap), float(4 * mpmath.pi * w - 2 * mpmath.pi)
+
+
+@pytest.mark.parametrize("mass", [1e30, 1e100, 1e300])
+def test_huge_core_gap_and_limit_match_scale_free_oracle(mass):
+    # The split of _gap_moment scales with the core: with core + 1 it was
+    # core itself from m = 1e300 on (a division by zero), and from m = 1e30
+    # the head exhausted the quadrature budget.
+    metric = make_ads_schwarzschild(mass)
+    core = metric.core_radius
+    gap, limit = _scale_free_limits()
+    assert gap == pytest.approx(0.46209812037329687, rel=1e-16)
+    assert limit == pytest.approx(4.4050850010855152, rel=1e-16)
+    assert abs(_gap_moment(metric, core, 0).value - gap) <= 1e-14 * gap
+    assert abs(_renormalized_limit(metric).value / core**2 - limit) <= 1e-14 * limit
+
+
 def test_renormalized_volume_negative_without_mass():
     # f = 1 + s^2 + 0.05 / s^2 passes validate_ah (R + 6 = 0.1 / s^4), but
     # f blows up at s = 0: the origin is singular, rho grows like s^2 there,
