@@ -3,7 +3,9 @@ asymptotically hyperbolic 3-manifolds.
 
 The package is organized from the inside out:
 
-- numerics: adaptive quadrature, embedded Runge-Kutta, bracketed roots
+- numerics: adaptive quadrature and Newton inversion of integrals, plus
+  the radius ODE of imcf and the core-radius root of models (those two
+  kernels are not exported here; they live in ``ahiso.numerics``)
 - models: radial metrics in area-radius form and their validation
 - spheres: geometry of the centered spheres (curvatures, Hawking mass,
   stability)
@@ -29,7 +31,7 @@ from .models import (
     scalar_curvature_excess,
     validate_ah,
 )
-from .numerics import NumericsError, OdeSolution, QuadResult, find_root, integrate, solve_ode
+from .numerics import NumericsError, QuadResult, integrate
 from .profiles import (
     ProfileTable,
     RenormVolumeResult,
@@ -56,7 +58,6 @@ __all__ = [
     "ComparisonCurve",
     "Flow",
     "NumericsError",
-    "OdeSolution",
     "ProfileTable",
     "QuadResult",
     "RadialMetric",
@@ -68,7 +69,6 @@ __all__ = [
     "coordinate_gap",
     "gap_over_grid",
     "default_grid",
-    "find_root",
     "flow_spheres",
     "gap_table",
     "gauss_bonnet_total",
@@ -87,7 +87,6 @@ __all__ = [
     "s_from_rho",
     "scalar_curvature",
     "scalar_curvature_excess",
-    "solve_ode",
     "sphere_data",
     "sphere_data_from_profile",
     "stability_total",

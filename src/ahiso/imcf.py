@@ -118,7 +118,7 @@ def flow_spheres(
     ts = np.asarray(ts)
 
     # ds/dt = sqrt(f) / H = s / 2, with H = 2 sqrt(f) / s; f > 0 on s >= s0 > core.
-    sol = solve_ode(lambda t, s: 0.5 * s, s0, 0.0, float(ts[-1]), x_eval=ts)
+    sol = solve_ode(lambda t, s: 0.5 * s, s0, ts)
     radii = sol.ys
     increments, _ = cumulative_volume_over_grid(metric, radii)
     volumes = model_volume(metric, s0) + increments

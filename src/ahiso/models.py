@@ -22,7 +22,9 @@ the piece that curvature excesses and mass integrands depend on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -166,7 +168,10 @@ def _core_radius(mass: float, coeffs: tuple[float, ...]) -> float:
     into a complex pair is kept), and accurate to about eps of the largest
     modulus (>= ~1): the root, if below 1e-6, is 1/w, w the least root
     above 1e6 of the reversed polynomial.  :func:`find_root` on P polishes
-    it within 1e-9; where P keeps its sign there, it is a double root.
+    it to adjacent floats; where P keeps its sign there, it is a double
+    root.  Where P(0) is too small to normalize the reversed polynomial
+    by, the exact sign of P is bisected on [0, 1e-6] instead.  A subnormal
+    core raises ValueError: the model's integrands overflow near it.
     """
     name = f"the model with mass {mass!r} and coeffs {list(coeffs)!r}"
     if math.isinf(2.0 * mass):
@@ -186,25 +191,39 @@ def _core_radius(mass: float, coeffs: tuple[float, ...]) -> float:
         real = z.real[np.abs(z.imag) <= 1e-7 * np.abs(z)]
         return real[real > 0.0]
 
-    r = float(positive_roots(p).max(initial=0.0))
-    if r < 1e-6:
-        with np.errstate(over="ignore"):
-            q = p[::-1] / p[-1]
-        if not np.all(np.isfinite(q)):
-            raise ValueError(f"cannot normalize the reversed polynomial of {name}")
-        w = positive_roots(q)
-        r = 1.0 / float(w[w > 1e6].min(initial=math.inf))
-
     def poly(s):
         out = 0.0
         for c in coef:
             out = out * s + c
         return out
 
-    lo, hi = r * (1.0 - 1e-9), r * (1.0 + 1e-9)
-    if r == 0.0 or (poly(lo) < 0.0) == (poly(hi) < 0.0):
-        return r
-    return find_root(poly, lo, hi, tol=1e-15 * hi)
+    def exact(s):
+        # P(s) / |P(0)| in rational arithmetic, clipped to [-1, 1]: exact
+        # near the root, where the secant step reads it.
+        out, x = Fraction(0), Fraction(s)
+        for c in coef:
+            out = out * x + Fraction(c)
+        return float(min(1, max(-1, out / abs(Fraction(coef[-1])))))
+
+    r = float(positive_roots(p).max(initial=0.0))
+    sign = poly
+    if r < 1e-6:
+        with np.errstate(over="ignore"):
+            q = p[::-1] / p[-1]
+        if np.all(np.isfinite(q)):
+            w = positive_roots(q)
+            r = 1.0 / float(w[w > 1e6].min(initial=math.inf))
+        else:
+            # Near a root, the terms of P that balance so small a P(0) are
+            # subnormal in floats.
+            r, sign = 0.0, exact
+    # With no root found, P is bisected on [0, 1e-6] if it changes sign there.
+    lo, hi = (r * (1.0 - 1e-9), r * (1.0 + 1e-9)) if r > 0.0 else (0.0, 1e-6)
+    if (sign(lo) < 0.0) != (sign(hi) < 0.0):
+        r = find_root(sign, lo, hi)
+    if 0.0 < r < sys.float_info.min:
+        raise ValueError(f"the core radius {r!r} of {name} is subnormal")
+    return r
 
 
 def make_hyperbolic() -> RadialMetric:

@@ -1,6 +1,6 @@
-"""Deterministic numeric kernels: adaptive quadrature, an embedded
-Runge-Kutta integrator, bracketed root finding, and a safeguarded Newton
-inversion of integrals, vectorized over rows.
+"""Deterministic numeric kernels: adaptive quadrature and a safeguarded
+Newton inversion of integrals, vectorized over rows, plus an embedded
+Runge-Kutta integrator and a bisection root finder at fixed tolerances.
 
 All routines are reproducible bit for bit across runs: there is no
 randomness, no thread-order dependence, and refinement always proceeds in
@@ -134,19 +134,19 @@ def _gk15(fn: Callable, a: float, b: float) -> tuple[float, float]:
     return resk, err
 
 
-def _check_tol(name: str, tol: float, zero_ok: bool = False) -> None:
-    """ValueError unless ``tol`` is finite and > 0 (or 0 if ``zero_ok``)."""
-    if not (math.isfinite(tol) and (tol > 0.0 or zero_ok and tol == 0.0)):
-        sign = ">=" if zero_ok else ">"
-        raise ValueError(f"{name} must be finite and {sign} 0, got {tol!r}")
+def _check_tol(name: str, tol: float) -> None:
+    """ValueError unless ``tol`` is finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
 
 
-def _edges(edges) -> np.ndarray:
-    e = np.asarray(edges, dtype=float)
+def _increasing(points, name: str) -> np.ndarray:
+    """A copy of ``points``, which must be finite and strictly increasing."""
+    e = np.array(points, dtype=float)
     if e.ndim != 1 or e.size < 2:
-        raise ValueError("edges must be a 1-d sequence of at least two points")
+        raise ValueError(f"{name} must be a 1-d sequence of at least two points")
     if not np.all(np.isfinite(e)) or np.any(np.diff(e) <= 0.0):
-        raise ValueError("edges must be finite and strictly increasing")
+        raise ValueError(f"{name} must be finite and strictly increasing")
     return e
 
 
@@ -218,7 +218,7 @@ def integrate_intervals(
     and error bounds per interval; their cumulative sums are the integral
     from ``edges[0]`` to each edge.
     """
-    e = _edges(edges)
+    e = _increasing(edges, "edges")
     return integrate_panels(fn, e[:-1], e[1:], tol / e.size)
 
 
@@ -431,64 +431,44 @@ _D1, _D3, _D4, _D5, _D6, _D7 = (
 )
 
 
+# solve_ode's relative tolerance, absolute floor and step budget.
+_ODE_REL_TOL = 1e-9
+_ODE_ABS_TOL = 1e-12
+_ODE_MAX_STEPS = 1_000_000
+
+
 def solve_ode(
     rhs: Callable[[float, float], float],
     y0: float,
-    x0: float,
-    x1: float,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-    x_eval: Sequence[float] | None = None,
-    max_steps: int = 1_000_000,
+    x_eval: Sequence[float],
 ) -> OdeSolution:
-    """Integrate the scalar IVP y' = rhs(x, y), y(x0) = y0, up to x1.
+    """Integrate the scalar IVP y' = rhs(x, y), y(x_eval[0]) = y0.
 
     Uses the Dormand-Prince 5(4) pair with FSAL and proportional step
-    control.  Step sizes are chosen by the error controller alone; only
-    the last step is shortened so that it ends on x1.  Output abscissae
-    that fall inside an accepted step are filled from that step's
-    fourth-order continuous extension, so a dense ``x_eval`` costs no
-    extra steps or RHS calls.  A point on a step end takes the step's
-    value exactly.  ``rhs`` may return NaN where it is undefined; a step
-    with such a stage is rejected and retried 5x shorter.
-
-    Parameters
-    ----------
-    x_eval : sequence of float, optional
-        Strictly increasing abscissae in [x0, x1] at which the solution is
-        recorded; the returned ``xs`` equals them bit for bit.  When
-        omitted every accepted step is recorded.
+    control at relative tolerance 1e-9 with an absolute floor of 1e-12.
+    Step sizes are chosen by the error controller alone; only the last
+    step is shortened so that it ends on ``x_eval[-1]``.  The solution is
+    recorded at each point of ``x_eval`` (the returned ``xs`` equals it
+    bit for bit): a point inside an accepted step is filled from that
+    step's fourth-order continuous extension, so a dense ``x_eval`` costs
+    no extra steps or RHS calls, and a point on a step end takes the
+    step's value exactly.  ``rhs`` may return NaN where it is undefined;
+    a step with such a stage is rejected and retried 5x shorter.
 
     Raises
     ------
     NumericsError
-        On step-size underflow or step-budget exhaustion.
+        On step-size underflow or after 1,000,000 attempted steps.
     ValueError
-        If x1 <= x0 or x_eval leaves [x0, x1] or is not increasing.
+        If ``x_eval`` is not a finite, strictly increasing 1-d sequence
+        of at least two points.
     """
-    if not (x1 > x0):
-        raise ValueError("x1 must exceed x0")
-    _check_tol("rel_tol", rel_tol)
-    _check_tol("abs_tol", abs_tol, zero_ok=True)
-    if x_eval is not None:
-        xe = np.array(x_eval, dtype=float)
-        if xe.ndim != 1 or xe.size == 0:
-            raise ValueError("x_eval must be a nonempty 1-d sequence")
-        if np.any(np.diff(xe) <= 0.0):
-            raise ValueError("x_eval must be strictly increasing")
-        if xe[0] < x0 or xe[-1] > x1:
-            raise ValueError("x_eval must lie within [x0, x1]")
-        ye = np.empty_like(xe)
-        eval_idx = 0
-        if xe[0] == x0:
-            ye[0] = y0
-            eval_idx = 1
-        next_x = float(xe[eval_idx]) if eval_idx < xe.size else math.inf
-    else:
-        xe = None
-        out_x: list[float] = [x0]
-        out_y: list[float] = [float(y0)]
-
+    xe = _increasing(x_eval, "x_eval")
+    x0, x1 = float(xe[0]), float(xe[-1])
+    ye = np.empty_like(xe)
+    ye[0] = y0
+    eval_idx = 1
+    next_x = float(xe[1])
     span = x1 - x0
     x = x0
     y = float(y0)
@@ -531,15 +511,13 @@ def solve_ode(
             # A stage left the domain of rhs, which signals that by
             # returning NaN: reject the step and retry it 5x shorter.
             err = math.inf
-        # Error budget per unit step; the global error then tracks rel_tol.
-        scale = rel_tol * max(abs(y), abs(y5)) + abs_tol
+        # Error budget per unit step; the global error then tracks the
+        # relative tolerance.
+        scale = _ODE_REL_TOL * max(abs(y), abs(y5)) + _ODE_ABS_TOL
         budget = scale * (h / span)
         if err <= budget or h <= 16.0 * _EPS * max(1.0, abs(x)):
             n_steps += 1
-            if xe is None:
-                out_x.append(x_new)
-                out_y.append(y5)
-            elif next_x <= x_new:
+            if next_x <= x_new:
                 # Continuous extension y + sum_j q_j theta^j, by Horner.
                 r2 = y5 - y
                 r3 = h * k1 - r2
@@ -561,12 +539,10 @@ def solve_ode(
             k1 = k7
         else:
             n_rejected += 1
-        if n_steps + n_rejected > max_steps:
+        if n_steps + n_rejected > _ODE_MAX_STEPS:
             raise NumericsError("step budget exhausted")
         ratio = budget / err if err > 0.0 else 10.0
         h = h * min(5.0, max(0.2, 0.9 * ratio ** 0.2))
-    if xe is None:
-        xe, ye = np.array(out_x), np.array(out_y)
     return OdeSolution(
         xs=xe,
         ys=ye,
@@ -576,114 +552,49 @@ def solve_ode(
     )
 
 
-def find_root(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
-    """Root of fn on [lo, hi] by Brent's method plus one secant polish.
+def find_root(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of fn on [lo, hi] by bisection plus one secant polish.
 
     Requires a sign change on the bracket; an exact zero at an endpoint or
-    at a probe is returned at once.  Each probe is an inverse quadratic or
-    secant step through the last three iterates, taken only when it lands
-    well inside the bracket and shrinks fast enough, and a bisection
-    otherwise (Brent, *Algorithms for Minimization without Derivatives*,
-    1973, ch. 4).  A step shorter than ``tol / 2`` is lengthened to
-    ``tol / 2`` so the bracket closes around a converged iterate.  Stall
-    safeguard: whenever two probes have not halved the bracket the next
-    one bisects, so a flat root such as (x - r)^15 costs at most three
-    probes per halving.
-
-    The loop ends when the bracket is at most ``tol`` wide or its ends are
-    adjacent floats; a single secant step between its ends, kept inside
-    it, then polishes the estimate.  Running out of ``max_iter`` probes
-    before that, or a NaN value at an endpoint or a probe, raises
-    :class:`NumericsError`.
+    at a probe is returned at once.  Each probe is the bracket midpoint and
+    replaces the end of its sign, until no float lies strictly between the
+    ends (at most about 2,100 probes over the whole float range, so no
+    budget is needed).  A single secant step between the ends, kept inside
+    the bracket, then picks the end nearer the root.  A NaN value at an
+    endpoint or a probe raises :class:`NumericsError`.
     """
     if not (hi > lo):
         raise ValueError("need hi > lo")
-    _check_tol("tol", tol)
-    flo = float(fn(lo))
-    fhi = float(fn(hi))
-    if flo == 0.0:
+    fa = float(fn(lo))
+    fb = float(fn(hi))
+    if fa == 0.0:
         return lo
-    if fhi == 0.0:
+    if fb == 0.0:
         return hi
     # Signs are compared directly: a product of two tiny values underflows
     # to zero and would hide a same-sign bracket.
-    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
         raise NumericsError(
-            f"no sign change on [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}"
+            f"no sign change on [{lo!r}, {hi!r}]: f(lo)={fa!r}, f(hi)={fb!r}"
         )
-    # b is the best iterate, c the other end of the bracket (f(c) has the
-    # opposite sign) and a the previous b.  d is the last step, e the one
-    # before it; w1 and w2 are the bracket widths one and two probes ago.
-    a, fa = lo, flo
-    b, fb, c, fc = hi, fhi, lo, flo
-    d = e = b - a
-    step_min = 0.5 * tol
-    w1 = w2 = math.inf
-    for probes in range(max_iter + 1):
-        if abs(fc) < abs(fb):
-            a, fa = b, fb
-            b, fb, c, fc = c, fc, b, fb
-        half = 0.5 * (c - b)
-        m = b + half
-        width = abs(c - b)
-        if width <= tol or not (min(b, c) < m < max(b, c)):
+    a, b = lo, hi
+    while True:
+        # Halved before the sum, which cannot then overflow.
+        x = 0.5 * a + 0.5 * b
+        if not (a < x < b):
             break
-        if probes == max_iter:
-            raise NumericsError(
-                f"find_root: bracket [{min(b, c)!r}, {max(b, c)!r}] is still "
-                f"wider than tol={tol!r} after {max_iter} probes"
-            )
-        stalled = width > 0.5 * w2
-        w2, w1 = w1, width
-        if not stalled and abs(e) >= step_min and abs(fa) > abs(fb):
-            # Interpolate in ratios of f values, so tiny or huge values of
-            # f cannot underflow or overflow; q == 0 falls through to
-            # bisection.
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * half * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * half * q - abs(step_min * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                e = d = half
-        else:
-            e = d = half
-        a, fa = b, fb
-        x = b + (d if abs(d) > step_min else math.copysign(step_min, half))
-        if not (min(b, c) < x < max(b, c)):
-            x = m
         fx = float(fn(x))
         if fx == 0.0:
             return x
         if math.isnan(fx):
             raise NumericsError(
-                f"find_root: f({x!r}) is NaN inside the bracket "
-                f"[{min(b, c)!r}, {max(b, c)!r}]"
+                f"find_root: f({x!r}) is NaN inside the bracket [{a!r}, {b!r}]"
             )
-        b, fb = x, fx
-        if (fb < 0.0) == (fc < 0.0):
-            c, fc = a, fa
-            e = d = b - a
-    # Secant polish between the final bracket ends, kept inside it.  When f
-    # at one end is already at rounding level the step rounds onto that
-    # end, which is then the answer (not the midpoint).
-    a, b, fa, fb = (b, c, fb, fc) if b < c else (c, b, fc, fb)
-    if fb != fa:
-        x = a - fa * (b - a) / (fb - fa)
-        if a <= x <= b:
-            return x
-    return 0.5 * (a + b)
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+    # When f at one end is already at rounding level the secant step rounds
+    # onto that end, which is then the answer.
+    x = a - fa * (b - a) / (fb - fa)
+    return x if a <= x <= b else 0.5 * a + 0.5 * b

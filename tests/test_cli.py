@@ -389,6 +389,24 @@ def test_huge_core_tables_exit_zero_without_warning(capsys, tmp_path, mass):
     assert "below the image" in capsys.readouterr().err
 
 
+def test_subnormal_coefficient_models(capsys, tmp_path):
+    # Both models raised "cannot normalize the reversed polynomial".
+    # f = 1 + s^2 + 5e-324 s^-2 > 0 has no core; ads m = 5e-324 has the
+    # subnormal core 1e-323, near which its integrands would overflow.
+    pert = tmp_path / "pert.json"
+    pert.write_text(json.dumps({"type": "perturbed", "mass": 0.0, "coeffs": [5e-324]}))
+    ads = tmp_path / "ads.json"
+    ads.write_text(json.dumps({"type": "ads_schwarzschild", "mass": 5e-324}))
+    argvs = _base_argv(pert, tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cmd, argv in argvs.items():
+            if "--model" in argv:
+                assert run([cmd] + argv) == 0, capsys.readouterr().err
+        assert run(["validate", "--model", str(ads)]) == 1
+    assert "core radius 1e-323 of the model with mass 5e-324" in capsys.readouterr().err
+
+
 def _base_argv(model, results_dir):
     """A valid argv tail per subcommand that runs in milliseconds."""
     m = ["--model", str(model)]

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -534,6 +535,37 @@ _SIGNED_POWER = st.tuples(st.booleans(), st.floats(-12.0, 12.0)).map(
 def test_core_radius_within_two_ulp_of_oracle(mass, coeffs):
     core = _core_radius(mass, tuple(coeffs))
     assert _ulps_from_oracle(core, mass, coeffs) <= 2.0
+
+
+# A trailing coefficient this small cannot normalize the reversed
+# polynomial; every model below used to raise "cannot normalize", but ads
+# m = 1e-308, whose subnormal core 2e-308 was returned.
+@pytest.mark.parametrize("mass", [5e-324, 1e-310, 1e-308])
+def test_subnormal_core_is_rejected_naming_it(mass):
+    with pytest.raises(ValueError, match="is subnormal") as info:
+        make_ads_schwarzschild(mass)
+    core = float(re.search(r"core radius (\S+) of", str(info.value)).group(1))
+    assert _ulps_from_oracle(core, mass, ()) <= 2.0
+
+
+@pytest.mark.parametrize("coeffs", [(5e-324,), (0.0, 5e-324)])
+def test_subnormal_positive_coefficient_leaves_no_core(coeffs):
+    # f = 1 + s^2 + 5e-324 s^-k > 0 on (0, inf): no term is negative.
+    assert make_perturbed(0.0, coeffs).core_radius == 0.0
+
+
+@pytest.mark.parametrize("coeffs", [(-5e-324,), (0.0, -5e-324), (-1e-310,)])
+def test_subnormal_negative_coefficient_core_matches_oracle(coeffs):
+    # The core solves s^k (1 + s^2) = |c|, k = 1 + len(coeffs).  In floats
+    # s^k is subnormal there: bisecting P in floats put the first core at
+    # 2.33e-162, 5% high.
+    k, c = 1 + len(coeffs), mpmath.mpf(-coeffs[-1])
+    core = make_perturbed(0.0, coeffs).core_radius
+    with mpmath.workdps(60):
+        # In x = s / |c|^(1/k) the root is near 1 and the equation O(1).
+        scale = c ** (mpmath.mpf(1) / k)
+        exact = scale * mpmath.findroot(lambda x: x**k * (1 + (scale * x) ** 2) - 1, 1)
+        assert float(abs(mpmath.mpf(core) - exact) / np.spacing(float(exact))) <= 2.0
 
 
 # ----------------------------------------------------------------------
