@@ -518,6 +518,20 @@ def test_find_root_no_sign_change_raises():
         find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (1.0, 0.0), (math.nan, 1.0)])
+def test_find_root_rejects_an_empty_or_reversed_bracket(lo, hi):
+    with pytest.raises(ValueError, match="need hi > lo"):
+        find_root(lambda x: x - 0.5, lo, hi)
+
+
+@pytest.mark.parametrize("nan_end", [0.0, 1.0])
+def test_find_root_nan_endpoint_raises(nan_end):
+    # A NaN end has no sign, so the bracket cannot be known to hold a root.
+    fn = lambda x: math.nan if x == nan_end else x - 0.5  # noqa: E731
+    with pytest.raises(NumericsError, match="no sign change"):
+        find_root(fn, 0.0, 1.0)
+
+
 def test_find_root_tiny_same_sign_bracket_raises():
     # f(lo) * f(hi) underflows to 0 here; the bracket still has no root.
     with pytest.raises(NumericsError):
