@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -169,9 +168,13 @@ def _core_radius(mass: float, coeffs: tuple[float, ...]) -> float:
     modulus (>= ~1): the root, if below 1e-6, is 1/w, w the least root
     above 1e6 of the reversed polynomial.  :func:`find_root` on P polishes
     it to adjacent floats; where P keeps its sign there, it is a double
-    root.  Where P(0) is too small to normalize the reversed polynomial
-    by, the exact sign of P is bisected on [0, 1e-6] instead.  A subnormal
-    core raises ValueError: the model's integrands overflow near it.
+    root.  Where some coefficient over P(0) overflows, so that the
+    reversed polynomial cannot be normalized, Descartes' rule of signs
+    decides: with no sign change in P's coefficients the core is 0, with
+    one, P is bisected on [0, 1e-6], and a root it finds there that is
+    not subnormal (or more sign changes) raises ValueError, since floats
+    do not resolve P near such a root.  A subnormal core raises
+    ValueError: the model's integrands overflow near it.
     """
     name = f"the model with mass {mass!r} and coeffs {list(coeffs)!r}"
     if math.isinf(2.0 * mass):
@@ -197,16 +200,7 @@ def _core_radius(mass: float, coeffs: tuple[float, ...]) -> float:
             out = out * s + c
         return out
 
-    def exact(s):
-        # P(s) / |P(0)| in rational arithmetic, clipped to [-1, 1]: exact
-        # near the root, where the secant step reads it.
-        out, x = Fraction(0), Fraction(s)
-        for c in coef:
-            out = out * x + Fraction(c)
-        return float(min(1, max(-1, out / abs(Fraction(coef[-1])))))
-
     r = float(positive_roots(p).max(initial=0.0))
-    sign = poly
     if r < 1e-6:
         with np.errstate(over="ignore"):
             q = p[::-1] / p[-1]
@@ -214,13 +208,23 @@ def _core_radius(mass: float, coeffs: tuple[float, ...]) -> float:
             w = positive_roots(q)
             r = 1.0 / float(w[w > 1e6].min(initial=math.inf))
         else:
-            # Near a root, the terms of P that balance so small a P(0) are
-            # subnormal in floats.
-            r, sign = 0.0, exact
-    # With no root found, P is bisected on [0, 1e-6] if it changes sign there.
-    lo, hi = (r * (1.0 - 1e-9), r * (1.0 + 1e-9)) if r > 0.0 else (0.0, 1e-6)
-    if (sign(lo) < 0.0) != (sign(hi) < 0.0):
-        r = find_root(sign, lo, hi)
+            # Descartes: P has as many positive roots as its coefficients
+            # have sign changes, or fewer by an even number.
+            signs = np.sign(p[p != 0.0])
+            changes = np.count_nonzero(signs[1:] != signs[:-1])
+            if changes == 0:
+                return 0.0
+            # One change: P(0) < 0 < P(inf), and the one root lies below
+            # 1e-6.  It is bisected only to be named if subnormal: the terms
+            # of P that balance so small a P(0) near a larger root can be
+            # subnormal, where floats do not resolve P (c_2 = -5e-324 puts
+            # s^2 = 5e-324 there).
+            r = find_root(poly, 0.0, 1e-6) if changes == 1 and poly(1e-6) > 0.0 else 0.0
+            if not 0.0 < r < sys.float_info.min:
+                raise ValueError(f"cannot normalize the reversed polynomial of {name}")
+    lo, hi = r * (1.0 - 1e-9), r * (1.0 + 1e-9)
+    if r > 0.0 and (poly(lo) < 0.0) != (poly(hi) < 0.0):
+        r = find_root(poly, lo, hi)
     if 0.0 < r < sys.float_info.min:
         raise ValueError(f"the core radius {r!r} of {name} is subnormal")
     return r

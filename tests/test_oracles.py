@@ -537,9 +537,9 @@ def test_core_radius_within_two_ulp_of_oracle(mass, coeffs):
     assert _ulps_from_oracle(core, mass, coeffs) <= 2.0
 
 
-# A trailing coefficient this small cannot normalize the reversed
-# polynomial; every model below used to raise "cannot normalize", but ads
-# m = 1e-308, whose subnormal core 2e-308 was returned.
+# Where some coefficient over P(0) overflows, the reversed polynomial
+# cannot be normalized.  Every model below used to raise "cannot
+# normalize", but ads m = 1e-308, whose subnormal core 2e-308 was returned.
 @pytest.mark.parametrize("mass", [5e-324, 1e-310, 1e-308])
 def test_subnormal_core_is_rejected_naming_it(mass):
     with pytest.raises(ValueError, match="is subnormal") as info:
@@ -548,24 +548,30 @@ def test_subnormal_core_is_rejected_naming_it(mass):
     assert _ulps_from_oracle(core, mass, ()) <= 2.0
 
 
-@pytest.mark.parametrize("coeffs", [(5e-324,), (0.0, 5e-324)])
-def test_subnormal_positive_coefficient_leaves_no_core(coeffs):
-    # f = 1 + s^2 + 5e-324 s^-k > 0 on (0, inf): no term is negative.
+@pytest.mark.parametrize("coeffs", [(5e-324,), (0.0, 5e-324), (1e10, 1e-300)])
+def test_unnormalizable_positive_coefficients_leave_no_core(coeffs):
+    # No coefficient of P is negative, so f > 0 on (0, inf).
     assert make_perturbed(0.0, coeffs).core_radius == 0.0
 
 
-@pytest.mark.parametrize("coeffs", [(-5e-324,), (0.0, -5e-324), (-1e-310,)])
-def test_subnormal_negative_coefficient_core_matches_oracle(coeffs):
-    # The core solves s^k (1 + s^2) = |c|, k = 1 + len(coeffs).  In floats
-    # s^k is subnormal there: bisecting P in floats put the first core at
-    # 2.33e-162, 5% high.
-    k, c = 1 + len(coeffs), mpmath.mpf(-coeffs[-1])
-    core = make_perturbed(0.0, coeffs).core_radius
-    with mpmath.workdps(60):
-        # In x = s / |c|^(1/k) the root is near 1 and the equation O(1).
-        scale = c ** (mpmath.mpf(1) / k)
-        exact = scale * mpmath.findroot(lambda x: x**k * (1 + (scale * x) ** 2) - 1, 1)
-        assert float(abs(mpmath.mpf(core) - exact) / np.spacing(float(exact))) <= 2.0
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        # One sign change, and a root well above the subnormal range, where
+        # s^k is subnormal: bisecting P in floats put the first at
+        # 2.33e-162, 5% above the true 2.22e-162.
+        (-5e-324,),
+        (0.0, -5e-324),
+        (-1e-310,),
+        # Two sign changes, and P < 0 near s = 1e-11 though P(0) > 0 and
+        # P(1e-6) > 0: taking the core as 0 would accept a model with
+        # f ~ -99 at s = 1e-11.
+        (-1e-20, 1e-310),
+    ],
+)
+def test_unnormalizable_sign_change_is_rejected(coeffs):
+    with pytest.raises(ValueError, match="cannot normalize the reversed polynomial"):
+        make_perturbed(0.0, coeffs)
 
 
 # ----------------------------------------------------------------------
