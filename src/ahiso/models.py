@@ -137,8 +137,8 @@ class RadialMetric:
         out = (2.0 * sh + arr) + 2.0 * self.mass / (b * sh)
         for k, c in enumerate(self.coeffs, start=2):
             if c:
-                ladder = np.zeros_like(arr)
-                for j in range(k):
+                ladder = np.power(b, 0) * sh ** (k - 1)
+                for j in range(1, k):
                     ladder = ladder + np.power(b, j) * sh ** (k - 1 - j)
                 out = out - c * ladder / (np.power(b, k) * sh ** k)
         return float(out) if arr.ndim == 0 else out

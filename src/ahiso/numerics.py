@@ -117,10 +117,15 @@ def _gk15(fn: Callable, a: float, b: float) -> tuple[float, float]:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     xs = mid + half * _NODES
-    fv = _eval_batch(fn, xs)
+    return _gk15_rule(a, b, xs, _eval_batch(fn, xs))
+
+
+def _gk15_rule(a: float, b: float, xs: np.ndarray, fv: np.ndarray) -> tuple[float, float]:
+    """:func:`_gk15` on [a, b] from the integrand's values ``fv`` at its nodes ``xs``."""
     if not np.all(np.isfinite(fv)):
         bad = float(xs[~np.isfinite(fv)][0])
         raise NumericsError(f"integrand not finite at x={bad!r}")
+    half = 0.5 * (b - a)
     resk = half * float(_WKF @ fv)
     resg = half * float(_WGF @ fv)
     resabs = abs(half) * float(_WKF @ np.abs(fv))
@@ -163,10 +168,37 @@ def _pair_rule(a: np.ndarray, b: np.ndarray, fv: np.ndarray):
     resabs = half * (np.abs(fv) @ _WKF)
     resasc = half * (np.abs(fv - (resk / (b - a))[:, None]) @ _WKF)
     err = np.abs(resk - resg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc > 0.0) & (err > 0.0), scaled, err)
+    scales = (resasc > 0.0) & (err > 0.0)
+    if scales.all():
+        err = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+        err = np.where(scales, scaled, err)
     return resk, np.maximum(err, 50.0 * _EPS * resabs)
+
+
+def _panels(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, extra=()):
+    """:func:`integrate_panels` on checked intervals, plus ``fn`` at ``extra``.
+
+    The panel nodes and the points ``extra`` go to ``fn`` in one call.
+    Returns the values and error bounds per interval and ``fn`` at
+    ``extra``, which is not checked for finiteness.
+    """
+    # The panel nodes are joined to ``extra`` at once, so that a large
+    # batch holds one array of nodes while ``fn`` runs.
+    xs = np.concatenate([_pair_nodes(lo, hi).reshape(-1), extra])
+    fv = _eval_batch(fn, xs)
+    m = 15 * lo.size
+    if not np.all(np.isfinite(fv[:m])):
+        bad = float(xs[:m][~np.isfinite(fv[:m])][0])
+        raise NumericsError(f"integrand not finite at x={bad!r}")
+    vals, err = _pair_rule(lo, hi, fv[:m].reshape(-1, 15))
+    tol_vec = np.maximum(tol, 2e-14 * np.abs(vals))
+    for i in np.flatnonzero(err > tol_vec):
+        res = integrate(fn, float(lo[i]), float(hi[i]), abs_tol=float(tol_vec[i]))
+        vals[i], err[i] = res.value, res.error_bound
+    return vals, err, fv[m:]
 
 
 def integrate_panels(
@@ -178,7 +210,10 @@ def integrate_panels(
     ``fn``.  An interval whose error estimate exceeds ``tol``, or 2e-14
     of its own value when that is larger (the panel rule's rounding floor
     is 50 eps of it), is redone by adaptive :func:`integrate` to that
-    tolerance.  The intervals may overlap and come in any order.
+    tolerance.  The intervals may overlap and come in any order.  The
+    arguments are checked here, at the public entry; the package's own
+    callers, which build their intervals themselves, go to the same
+    panel rule without the checks.
 
     Raises
     ------
@@ -195,17 +230,7 @@ def integrate_panels(
         raise ValueError("a and b must be 1-d arrays of one length")
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
         raise ValueError("intervals must be finite with a < b")
-    xs = _pair_nodes(lo, hi)
-    fv = _eval_batch(fn, xs.reshape(-1)).reshape(xs.shape)
-    if not np.all(np.isfinite(fv)):
-        bad = float(xs[~np.isfinite(fv)][0])
-        raise NumericsError(f"integrand not finite at x={bad!r}")
-    vals, err = _pair_rule(lo, hi, fv)
-    tol_vec = np.maximum(tol, 2e-14 * np.abs(vals))
-    for i in np.flatnonzero(err > tol_vec):
-        res = integrate(fn, float(lo[i]), float(hi[i]), abs_tol=float(tol_vec[i]))
-        vals[i], err[i] = res.value, res.error_bound
-    return vals, err
+    return _panels(fn, lo, hi, tol)[:2]
 
 
 def integrate_intervals(
@@ -213,13 +238,17 @@ def integrate_intervals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integral of ``fn`` over each interval between ``edges``, with bounds.
 
-    :func:`integrate_panels` on consecutive edges, each interval held to
-    its share ``tol / len(edges)`` of the tolerance.  Returns the values
-    and error bounds per interval; their cumulative sums are the integral
-    from ``edges[0]`` to each edge.
+    The panel rule of :func:`integrate_panels` on consecutive edges, all
+    intervals from one call of ``fn``, each held to its share
+    ``tol / len(edges)`` of the tolerance.  Only the edges and the
+    tolerance are checked.  Returns the values and error bounds per
+    interval; their cumulative sums are the integral from ``edges[0]`` to
+    each edge.
     """
     e = _increasing(edges, "edges")
-    return integrate_panels(fn, e[:-1], e[1:], tol / e.size)
+    share = tol / e.size
+    _check_tol("tol", share)
+    return _panels(fn, e[:-1], e[1:], share)[:2]
 
 
 # A row of solve_increasing takes at most this many Newton rounds, and
@@ -253,9 +282,12 @@ def solve_increasing(
     step that would land on a bracket end does not bisect.  Otherwise a
     step that leaves the open bracket goes to the bracket midpoint
     instead, F at the new iterate is F at the old one plus one GK15 panel
-    of ``density`` between them (:func:`integrate_panels`, all rows in one
-    call, each panel held to ``tol / 64``), and the new iterate replaces
-    the bracket end on its side of the root.
+    of ``density`` between them (the panel rule of
+    :func:`integrate_panels`, each panel held to ``tol / 64``), and the
+    new iterate replaces the bracket end on its side of the root.  One
+    call of ``density`` per round gives every row's panel nodes and its
+    new iterate, whose value is the next round's slope; one more call
+    at the starts gives the first slopes.  Only ``tol`` is checked.
 
     ``density`` must accept arrays and be positive where the rows go.
 
@@ -274,8 +306,9 @@ def solve_increasing(
     hi = np.array(hi, dtype=float)
     out = np.empty_like(t)
     rows = np.arange(t.size)
+    slope = density(t)
     for _ in range(_NEWTON_ROUNDS):
-        step = (target - value) / density(t)
+        step = (target - value) / slope
         done = np.abs(step) <= _NEWTON_RTOL * np.abs(t)
         out[rows[done]] = t[done] + step[done]
         if done.all():
@@ -301,8 +334,8 @@ def solve_increasing(
                 f"{float(target[i])!r}"
             )
         up = new > t
-        vals, _ = integrate_panels(
-            density, np.where(up, t, new), np.where(up, new, t), tol / _NEWTON_ROUNDS
+        vals, _, slope = _panels(
+            density, np.where(up, t, new), np.where(up, new, t), tol / _NEWTON_ROUNDS, new
         )
         value = value + np.where(up, vals, -vals)
         below = value < target
@@ -344,6 +377,11 @@ def integrate(fn: Callable, a: float, b: float, abs_tol: float = 1e-10) -> QuadR
     QuadResult
         ``value`` with ``error_bound`` such that the true integral lies
         within ``value +/- error_bound`` up to estimator reliability.
+
+    The first GK15 panel takes one call of ``fn``; while the bound is
+    above the tolerance the worst panel is halved, and both halves take
+    one call together, so a result of ``evaluations`` nodes took
+    ``1 + (evaluations - 15) / 30`` calls.
     """
     if not math.isfinite(a):
         raise ValueError("lower limit must be finite")
@@ -368,14 +406,13 @@ def integrate(fn: Callable, a: float, b: float, abs_tol: float = 1e-10) -> QuadR
 
     val, err = _gk15(fn, a, b)
     # Interval records: (error, left, right, value).  Worst-first refinement;
-    # ties are broken by insertion order, which is deterministic.
+    # ties are broken by insertion order, which is deterministic.  The
+    # totals are sums from 0, as the loop forms them, so a first panel of
+    # -0.0 gives +0.0 whether or not it is split.  A nan bound is refined.
     intervals = [(err, a, b, val)]
     evals = 15
-    while True:
-        total = sum(iv[3] for iv in intervals)
-        total_err = sum(iv[0] for iv in intervals)
-        if total_err <= max(abs_tol, _REL_TOL * abs(total)):
-            return QuadResult(total, total_err, evals)
+    total, total_err = 0 + val, 0 + err
+    while not total_err <= max(abs_tol, _REL_TOL * abs(total)):
         if evals + 30 > _MAX_EVALS:
             raise NumericsError(
                 f"quadrature budget exhausted: error bound {total_err:.3e} "
@@ -388,11 +425,18 @@ def integrate(fn: Callable, a: float, b: float, abs_tol: float = 1e-10) -> QuadR
             raise NumericsError(
                 f"interval [{lo!r}, {hi!r}] cannot be subdivided further"
             )
-        v1, e1 = _gk15(fn, lo, mid)
-        v2, e2 = _gk15(fn, mid, hi)
+        # Both halves from one call: the left half's nodes come first, so
+        # a non-finite value there is still the one named.
+        xs = _pair_nodes(np.array([lo, mid]), np.array([mid, hi]))
+        fv = _eval_batch(fn, xs.reshape(-1)).reshape(xs.shape)
+        v1, e1 = _gk15_rule(lo, mid, xs[0], fv[0])
+        v2, e2 = _gk15_rule(mid, hi, xs[1], fv[1])
         intervals.append((e1, lo, mid, v1))
         intervals.append((e2, mid, hi, v2))
         evals += 30
+        total = sum(iv[3] for iv in intervals)
+        total_err = sum(iv[0] for iv in intervals)
+    return QuadResult(total, total_err, evals)
 
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince 1980).  The fifth-order

@@ -290,9 +290,11 @@ def model_radius_for_volume(metric: RadialMetric, v):
     # Both are below s_v in hyperbolic space.
     guess = np.maximum(_EUCLID_RADIUS * np.cbrt(vols), np.sqrt(vols / (2.0 * math.pi)))
     start = chart.to_t(np.maximum(guess, core))
-    if core > 0.0:
-        # Near the core the volume grows like density(0) t.
-        start = np.where(guess > core, start, vols / density(0.0))
+    low = guess <= core
+    if low.any():
+        # Near the core the volume grows like density(0) t.  Only such
+        # rows evaluate it: the element underflows at a tiny core.
+        start[low] = vols[low] / density(0.0)
 
     def above(t):
         # The next rung, 2t.  Above a positive core, where the element

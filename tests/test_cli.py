@@ -407,6 +407,27 @@ def test_subnormal_coefficient_models(capsys, tmp_path):
     assert "core radius 1e-323 of the model with mass 5e-324" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"type": "ads_schwarzschild", "mass": 1e-150},
+        {"type": "ads_schwarzschild", "mass": 1e-300},
+        {"type": "perturbed", "mass": 0.0, "coeffs": [-1e-200]},
+    ],
+    ids=["ads-1e-150", "ads-1e-300", "perturbed-1e-200"],
+)
+def test_tiny_core_profile_tables_exit_zero_without_warning(capsys, tmp_path, model):
+    # The volume inversion evaluated its near-core start for every row; at
+    # such a core the element there underflows to 0, or core_quotient(0)
+    # divides by an underflowed power of the core.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cmd in ("profile", "expansion"):
+            assert run([cmd, "--model", str(path)]) == 0, capsys.readouterr().err
+
+
 def _base_argv(model, results_dir):
     """A valid argv tail per subcommand that runs in milliseconds."""
     m = ["--model", str(model)]

@@ -244,6 +244,12 @@ class TestGeodesicCoordinate:
             )
             assert fd == pytest.approx(ads_one.f(s) ** -0.5, rel=1e-6)
 
+    def test_hyperbolic_gap_is_plus_zero(self, hyperbolic):
+        # A first panel within the tolerance returns the sum the
+        # refinement loop would form, 0 + value, so never -0.0.
+        value = coordinate_gap(hyperbolic, 1.0).value
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_gap_error_bound_is_reported(self, ads_one):
         res = coordinate_gap(ads_one, 2.0)
         assert res.error_bound >= 0.0

@@ -98,6 +98,36 @@ def test_integrate_budget_exhaustion_raises(monkeypatch):
         integrate(lambda u: 1.0 / np.sqrt(np.abs(u)), 0.0, 1.0, abs_tol=1e-300)
 
 
+def _counting(fn):
+    """``fn`` and the list of node counts of its calls."""
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return fn(x)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize(
+    "fn, a, b",
+    [
+        (lambda u: 1.0 + u * u * u, 0.0, 2.0),
+        (np.sqrt, 0.0, 1.0),
+        (lambda u: np.exp(-u) * np.cos(40.0 * u), 0.0, 9.0),
+        (lambda s: np.exp(-s), 1.0, math.inf),
+    ],
+    ids=["one-panel", "sqrt", "oscillating", "tail"],
+)
+def test_integrate_calls_its_integrand_once_per_split(fn, a, b):
+    # The first panel takes one call, and each split one more for both
+    # halves; a first panel within the tolerance returns after one call.
+    counted, calls = _counting(fn)
+    res = integrate(counted, a, b, abs_tol=1e-12)
+    assert len(calls) == 1 + (res.evaluations - 15) // 30
+    assert calls == [15] + [30] * (len(calls) - 1)
+
+
 def _panel(fn, lo, hi):
     """One GK15 panel on [lo, hi] from the vectorized rule, never redone:
     no panel's error estimate exceeds the tolerance 1e300."""
@@ -206,6 +236,20 @@ def test_solve_increasing_inverts_a_cube_row_by_row():
     hi = np.where(np.arange(25) % 2 == 0, 2.0 * root, np.inf)
     got = solve_increasing(lambda t: 3.0 * t * t, target, lo, lo**3, lo, hi, 1e-300)
     assert np.all(np.abs(got - root) <= 4e-16 * root)
+
+
+def test_solve_increasing_calls_its_density_once_per_round():
+    # The cube problem: one call at the starts, then one per round that
+    # gives both the round's panels and the next round's slopes, 15 nodes
+    # and the new iterate for each active row.
+    target = np.geomspace(1e-30, 1e30, 25)
+    lo = 0.6 * np.cbrt(target)
+    density, calls = _counting(lambda t: 3.0 * t * t)
+    solve_increasing(density, target, lo, lo**3, lo, np.full(25, np.inf), 1e-300)
+    assert calls[0] == 25
+    assert len(calls) > 2
+    assert all(n % 16 == 0 for n in calls[1:])
+    assert calls[1:] == sorted(calls[1:], reverse=True)
 
 
 def test_solve_increasing_rounding_level_step_does_not_bisect():

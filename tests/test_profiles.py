@@ -269,6 +269,10 @@ class TestRenormalizedVolume:
     def test_hyperbolic_limit_is_exactly_zero(self, hyperbolic):
         assert _renormalized_limit(hyperbolic).value == 0.0
 
+    def test_hyperbolic_renormalized_volume_is_plus_zero(self, hyperbolic):
+        value = renormalized_volume(hyperbolic).value
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     @pytest.mark.parametrize("rho", [12.0, 20.0])
     @pytest.mark.parametrize(
         "metric",
@@ -393,8 +397,8 @@ class TestNewtonInversionWork:
             rounds.append(len(panel_calls) - before + 1)
             return out
 
-        panels = ahiso.numerics.integrate_panels
-        monkeypatch.setattr("ahiso.numerics.integrate_panels", counting_panels)
+        panels = ahiso.numerics._panels
+        monkeypatch.setattr("ahiso.numerics._panels", counting_panels)
         for module in ("numerics", "models", "profiles"):
             monkeypatch.setattr(f"ahiso.{module}.integrate", counting_integrate)
         monkeypatch.setattr("ahiso.profiles.solve_increasing", counting_solve)
@@ -403,6 +407,27 @@ class TestNewtonInversionWork:
         assert len(rounds) == 1
         assert max(rounds) <= 12
         assert len(integrals) <= 150
+
+    def test_inversion_calls_the_volume_element_at_most_seven_times(self, monkeypatch):
+        # The near-core start (v = 1 starts at the core), the probe above
+        # the ladder, the sweep, the first slopes and one call per Newton
+        # round for its panels and next slopes; separate slope calls made
+        # it 10.
+        calls = []
+        element = ahiso.profiles._volume_element
+
+        def counting_element(chart):
+            fn = element(chart)
+
+            def counted(t):
+                calls.append(np.size(t))
+                return fn(t)
+
+            return counted
+
+        monkeypatch.setattr("ahiso.profiles._volume_element", counting_element)
+        model_radius_for_volume(make_ads_schwarzschild(1.0), np.geomspace(1.0, 1e6, 60))
+        assert len(calls) <= 7
 
     def test_gap_table_takes_one_deficit_integral(self, monkeypatch):
         # The truncated V cost three coordinate_gap tails, an s(rho)
