@@ -25,9 +25,7 @@ from .models import (
     make_ads_schwarzschild,
     make_hyperbolic,
     make_perturbed,
-    rho_from_s,
     s_from_rho,
-    scalar_curvature,
     scalar_curvature_excess,
     validate_ah,
 )
@@ -37,7 +35,6 @@ from .profiles import (
     RenormVolumeResult,
     gap_table,
     hyperbolic_profile,
-    hyperbolic_volume,
     model_radius_for_volume,
     model_volume,
     renormalized_volume,
@@ -48,7 +45,6 @@ from .spheres import (
     hawking_mass,
     jacobi_spectrum,
     sphere_data,
-    sphere_data_from_profile,
     stability_total,
 )
 
@@ -74,7 +70,6 @@ __all__ = [
     "gauss_bonnet_total",
     "hawking_mass",
     "hyperbolic_profile",
-    "hyperbolic_volume",
     "integrate",
     "jacobi_spectrum",
     "make_ads_schwarzschild",
@@ -83,12 +78,9 @@ __all__ = [
     "model_radius_for_volume",
     "model_volume",
     "renormalized_volume",
-    "rho_from_s",
     "s_from_rho",
-    "scalar_curvature",
     "scalar_curvature_excess",
     "sphere_data",
-    "sphere_data_from_profile",
     "stability_total",
     "validate_ah",
 ]

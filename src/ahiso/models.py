@@ -30,9 +30,9 @@ import numpy as np
 
 from .numerics import (
     QuadResult,
+    _panels,
     find_root,
     integrate,
-    integrate_intervals,
     solve_increasing,
 )
 
@@ -42,7 +42,6 @@ __all__ = [
     "make_hyperbolic",
     "make_ads_schwarzschild",
     "make_perturbed",
-    "scalar_curvature",
     "scalar_curvature_excess",
     "coordinate_gap",
     "gap_over_grid",
@@ -266,25 +265,12 @@ def make_perturbed(mass: float, coeffs: Sequence[float]) -> RadialMetric:
 # Curvature
 
 
-def scalar_curvature(metric: RadialMetric, s):
-    """Scalar curvature R(s) = (2/s^2) (1 - f - s f').
-
-    Equals -6 identically for hyperbolic space and AdS-Schwarzschild.
-    """
-    arr = np.asarray(s, dtype=float)
-    _check_domain(metric, arr)
-    fv = metric.f(arr)
-    fp = metric.f_prime(arr)
-    out = (2.0 / (arr * arr)) * (1.0 - fv - arr * fp)
-    return float(out) if arr.ndim == 0 else out
-
-
 def scalar_curvature_excess(metric: RadialMetric, s):
     """R(s) + 6 evaluated without forming R first.
 
     Algebraically R + 6 = -(2/s^2) (d + s d') with d the deficit; the
     mass term cancels identically, leaving sum 2 (k-1) c_k s^{-k-2}.
-    The direct route through scalar_curvature loses the excess to
+    The direct route through R = (2/s^2) (1 - f - s f') loses the excess to
     rounding once it falls below ~1e-15 * s^0, this one does not.
     """
     arr = np.asarray(s, dtype=float)
@@ -425,12 +411,15 @@ def gap_over_grid(metric: RadialMetric, s) -> tuple[np.ndarray, np.ndarray]:
 
     One outside-in sweep: a single :func:`coordinate_gap` tail integral
     at the largest point, then one panel per gap between consecutive
-    points in the chart of :func:`_chart`, all from one
-    :func:`integrate_intervals` call whose absolute tolerance 1e-13
-    (``_GAP_TOL``) is shared over the panels, summed from the outside in.
-    The points may come in any order and may repeat; each must lie in
-    [core, inf).  A point's bound is the tail's bound plus the bounds of
-    every panel above it.
+    points in the chart of :func:`_chart`, all from one panel call whose
+    absolute tolerance 1e-13 (``_GAP_TOL``) is shared over the panels,
+    summed from the outside in.  A gap whose top exceeds 1e6 times both
+    its bottom and the split core + max(1, core) is instead the
+    difference of the :func:`coordinate_gap` tails at its ends, since
+    the m / u^4 decay of the integrand falls between the nodes of one
+    panel across so many decades.  The points may come in any order and
+    may repeat; each must lie in [core, inf).  A point's bound is the
+    tail's bound plus the bounds of every gap above it.
     """
     pts = np.asarray(s, dtype=float)
     core = metric.core_radius
@@ -445,10 +434,22 @@ def gap_over_grid(metric: RadialMetric, s) -> tuple[np.ndarray, np.ndarray]:
     # t is nondecreasing; intervals of zero width (points that coincide
     # after the change of variable) contribute nothing.
     v, e = np.zeros(u.size - 1), np.zeros(u.size - 1)
-    wide = np.diff(t) > 0.0
-    if wide.any():
-        edges = np.concatenate([t[:1], t[1:][wide]])
-        v[wide], e[wide] = integrate_intervals(_gap_element(chart), edges, _GAP_TOL)
+    panel = np.diff(t) > 0.0
+    split = core + max(1.0, core)
+    # Only a point above 1e6 times the split can top a gap that takes two
+    # tails, so ordinary grids skip the search and allocate nothing for it.
+    far = []
+    if u[-1] > 1e6 * split:
+        far = np.flatnonzero(u[1:] > 1e6 * np.maximum(u[:-1], split)).tolist()
+        panel[far] = False
+    if panel.any():
+        share = _GAP_TOL / (np.count_nonzero(panel) + 1)
+        v[panel], e[panel] = _panels(
+            _gap_element(chart), t[:-1][panel], t[1:][panel], share
+        )[:2]
+    for i in far:
+        lo, hi = coordinate_gap(metric, float(u[i])), coordinate_gap(metric, float(u[i + 1]))
+        v[i], e[i] = lo.value - hi.value, lo.error_bound + hi.error_bound
     top = coordinate_gap(metric, float(u[-1]))
     gap = np.cumsum(np.append(v, top.value)[::-1])[::-1]
     bound = np.cumsum(np.append(e, top.error_bound)[::-1])[::-1]

@@ -21,7 +21,6 @@ __all__ = [
     "QuadResult",
     "OdeSolution",
     "integrate",
-    "integrate_panels",
     "integrate_intervals",
     "solve_increasing",
     "solve_ode",
@@ -179,11 +178,22 @@ def _pair_rule(a: np.ndarray, b: np.ndarray, fv: np.ndarray):
 
 
 def _panels(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, extra=()):
-    """:func:`integrate_panels` on checked intervals, plus ``fn`` at ``extra``.
+    """Integral of ``fn`` over each interval [lo[i], hi[i]], plus ``fn`` at ``extra``.
 
-    The panel nodes and the points ``extra`` go to ``fn`` in one call.
-    Returns the values and error bounds per interval and ``fn`` at
-    ``extra``, which is not checked for finiteness.
+    Every interval gets one GK15 panel, and the panel nodes and the
+    points ``extra`` go to ``fn`` in one call.  An interval whose error
+    estimate exceeds ``tol``, or 2e-14 of its own value when that is
+    larger (the panel rule's rounding floor is 50 eps of it), is redone
+    by adaptive :func:`integrate` to that tolerance.  The intervals may
+    overlap and come in any order; the callers build them, so nothing is
+    checked but the integrand's finiteness at the panel nodes.  Returns
+    the values and error bounds per interval and ``fn`` at ``extra``,
+    which is not checked for finiteness.
+
+    Raises
+    ------
+    NumericsError
+        If ``fn`` is not finite at a panel node, or a fallback fails.
     """
     # The panel nodes are joined to ``extra`` at once, so that a large
     # batch holds one array of nodes while ``fn`` runs.
@@ -201,44 +211,12 @@ def _panels(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, extra=()):
     return vals, err, fv[m:]
 
 
-def integrate_panels(
-    fn: Callable, a, b, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integral of ``fn`` over each interval [a[i], b[i]], with bounds.
-
-    Every interval gets one GK15 panel from a single vectorized call of
-    ``fn``.  An interval whose error estimate exceeds ``tol``, or 2e-14
-    of its own value when that is larger (the panel rule's rounding floor
-    is 50 eps of it), is redone by adaptive :func:`integrate` to that
-    tolerance.  The intervals may overlap and come in any order.  The
-    arguments are checked here, at the public entry; the package's own
-    callers, which build their intervals themselves, go to the same
-    panel rule without the checks.
-
-    Raises
-    ------
-    ValueError
-        If ``a`` and ``b`` are not finite 1-d arrays of one length with
-        ``a < b`` elementwise, or ``fn`` does not give one value per node.
-    NumericsError
-        If ``fn`` is not finite at a node, or a fallback fails.
-    """
-    _check_tol("tol", tol)
-    lo = np.asarray(a, dtype=float)
-    hi = np.asarray(b, dtype=float)
-    if lo.ndim != 1 or lo.shape != hi.shape:
-        raise ValueError("a and b must be 1-d arrays of one length")
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
-        raise ValueError("intervals must be finite with a < b")
-    return _panels(fn, lo, hi, tol)[:2]
-
-
 def integrate_intervals(
     fn: Callable, edges, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integral of ``fn`` over each interval between ``edges``, with bounds.
 
-    The panel rule of :func:`integrate_panels` on consecutive edges, all
+    The panel rule of :func:`_panels` on consecutive edges, all
     intervals from one call of ``fn``, each held to its share
     ``tol / len(edges)`` of the tolerance.  Only the edges and the
     tolerance are checked.  Returns the values and error bounds per
@@ -283,7 +261,7 @@ def solve_increasing(
     step that leaves the open bracket goes to the bracket midpoint
     instead, F at the new iterate is F at the old one plus one GK15 panel
     of ``density`` between them (the panel rule of
-    :func:`integrate_panels`, each panel held to ``tol / 64``), and the
+    :func:`_panels`, each panel held to ``tol / 64``), and the
     new iterate replaces the bracket end on its side of the root.  One
     call of ``density`` per round gives every row's panel nodes and its
     new iterate, whose value is the next round's slope; one more call

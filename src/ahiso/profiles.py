@@ -54,7 +54,6 @@ from .numerics import (
 __all__ = [
     "ProfileTable",
     "RenormVolumeResult",
-    "hyperbolic_volume",
     "hyperbolic_profile",
     "model_volume",
     "model_volume_quad",
@@ -132,20 +131,6 @@ def _ball_volume(s: float) -> float:
     """V_H(s), the volume of the hyperbolic ball of area-radius s >= 0."""
     ratio = _hyperbolic_volume_over_s(np.array([s]), np.array([math.sqrt(1.0 + s * s)]))
     return s * float(ratio[0])
-
-
-def hyperbolic_volume(rho: float) -> float:
-    """Volume V_H(sinh rho) of the hyperbolic ball of geodesic radius rho >= 0.
-
-    Raises ``ValueError`` past rho ~ 354.7, where the volume exceeds the
-    float range.
-    """
-    if not math.isfinite(rho) or rho < 0.0:
-        raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
-    vol = _ball_volume(math.sinh(rho)) if rho < 710.0 else math.inf
-    if math.isinf(vol):
-        raise ValueError(f"the hyperbolic volume at rho = {rho!r} overflows")
-    return vol
 
 
 # (3 sqrt 2 / 4 pi)^{1/3}: a start s = this * v^{1/3} <= 1 is above the

@@ -25,7 +25,6 @@ from .models import RadialMetric
 __all__ = [
     "SphereGeometry",
     "sphere_data",
-    "sphere_data_from_profile",
     "hawking_mass",
     "stability_total",
     "jacobi_spectrum",
@@ -67,57 +66,35 @@ def _check_radii(metric: RadialMetric, s):
     return arr, arr.ndim == 0
 
 
-def sphere_data_from_profile(s, f_val, fp_val, hawking=None) -> SphereGeometry:
-    """Build the geometry from raw profile samples f(s), f'(s).
-
-    Useful for synthetic profiles (the flat test case f = 1) where no
-    RadialMetric exists.  ``hawking`` overrides the Hawking mass field;
-    when omitted it is computed from the literal defining formula.
-    Scalars give float fields; equal-shape arrays give array fields.
-    """
-    s = np.asarray(s, dtype=float)
-    f_val = np.asarray(f_val, dtype=float)
-    if np.any(s <= 0.0) or np.any(f_val <= 0.0):
-        raise ValueError("need s > 0 and f(s) > 0")
-    area = FOUR_PI * s * s
-    h = 2.0 * np.sqrt(f_val) / s
-    r = (2.0 / (s * s)) * (1.0 - f_val - s * fp_val)
-    ric = 0.5 * r + f_val / (s * s) - 1.0 / (s * s)
-    k = 1.0 / (s * s)
-    if hawking is None:
-        hawking = (np.sqrt(area) / SIXTEEN_PI ** 1.5) * (
-            SIXTEEN_PI - area * (h * h - 4.0)
-        )
-    fields = dict(
-        s=s,
-        area=area,
-        mean_curvature=h,
-        traceless_norm_sq=np.zeros_like(s),
-        second_fund_norm_sq=0.5 * h * h,
-        ricci_normal=ric,
-        gauss_curvature=k,
-        scalar=r,
-        hawking_mass=hawking,
-    )
-    if s.ndim == 0:
-        fields = {name: float(val) for name, val in fields.items()}
-    return SphereGeometry(**fields)
-
-
 def sphere_data(metric: RadialMetric, s) -> SphereGeometry:
     """Geometry of the coordinate sphere at area-radius s.
 
     ``s`` may be a float or a 1-d array of radii; an array gives one
     :class:`SphereGeometry` whose fields are arrays over the radii.
     """
-    arr, _ = _check_radii(metric, s)
+    arr, scalar = _check_radii(metric, s)
     f_val = metric.f(arr)
     fp_val = metric.f_prime(arr)
-    # The Hawking mass reduces to -(s/2) d(s): area*(H^2-4) = 16 pi (1 + d)
-    # with d the deficit, so the 16 pi cancels exactly.  Forming H^2 - 4 in
-    # floating point instead loses ~1e-7 absolute by s = 1e3.
-    hawking = -0.5 * arr * metric.deficit(arr)
-    return sphere_data_from_profile(arr, f_val, fp_val, hawking=hawking)
+    area = FOUR_PI * arr * arr
+    h = 2.0 * np.sqrt(f_val) / arr
+    r = (2.0 / (arr * arr)) * (1.0 - f_val - arr * fp_val)
+    fields = dict(
+        s=arr,
+        area=area,
+        mean_curvature=h,
+        traceless_norm_sq=np.zeros_like(arr),
+        second_fund_norm_sq=0.5 * h * h,
+        ricci_normal=0.5 * r + f_val / (arr * arr) - 1.0 / (arr * arr),
+        gauss_curvature=1.0 / (arr * arr),
+        scalar=r,
+        # The Hawking mass reduces to -(s/2) d(s): area*(H^2-4) = 16 pi (1 + d)
+        # with d the deficit, so the 16 pi cancels exactly.  Forming H^2 - 4
+        # in floating point instead loses ~1e-7 absolute by s = 1e3.
+        hawking_mass=-0.5 * arr * metric.deficit(arr),
+    )
+    if scalar:
+        fields = {name: float(val) for name, val in fields.items()}
+    return SphereGeometry(**fields)
 
 
 def hawking_mass(geom: SphereGeometry) -> float:

@@ -21,7 +21,7 @@ from ahiso.cli import (
     run,
 )
 from ahiso.imcf import flow_spheres
-from ahiso.models import default_grid, make_ads_schwarzschild
+from ahiso.models import default_grid, make_ads_schwarzschild, rho_from_s
 from ahiso.profiles import gap_table, hyperbolic_profile
 
 FOUR_PI = 4.0 * math.pi
@@ -82,6 +82,14 @@ class TestTables:
         assert np.allclose(body[:, 7], 1.0, atol=1e-10)
         assert manifest["subcommand"] == "spheres"
         assert manifest["parameters"]["model"]["mass"] == 1.0
+
+    def test_spheres_across_a_wide_gap(self, capsys, ads_model):
+        # Two rows, 1.1 and 1e100: one panel between them saw none of the
+        # integrand and put rho(1.1) at 0.95035 instead of 0.71187.
+        out = _capture(capsys, ["spheres", "--model", ads_model, "--s-max", "1e100", "--n", "2"])
+        _, _, body = _parse_csv(out)
+        s, rho = body[0, 0], body[0, 1]
+        assert abs(rho - rho_from_s(make_ads_schwarzschild(1.0), s)) <= 1e-12
 
     def test_imcf(self, capsys, ads_model):
         out = _capture(

@@ -30,3 +30,31 @@ def test_root_and_ode_kernels_live_in_numerics_only():
         assert not hasattr(ahiso, name)
         assert name in ahiso.numerics.__all__
         assert hasattr(ahiso.numerics, name)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("ahiso.profiles", "hyperbolic_volume"),
+        ("ahiso.models", "scalar_curvature"),
+        ("ahiso.numerics", "integrate_panels"),
+        ("ahiso.spheres", "sphere_data_from_profile"),
+    ],
+)
+def test_deleted_names_are_gone(module, name):
+    # Nothing in the package, its scripts or its benchmark called them.
+    mod = importlib.import_module(module)
+    for owner in (ahiso, mod):
+        assert name not in owner.__all__
+        assert not hasattr(owner, name)
+
+
+def test_rho_from_s_lives_in_models_only():
+    # The spheres table takes rho from the gap sweep; the benchmark tracer
+    # still rebinds ahiso.models.rho_from_s.
+    import ahiso.models
+
+    assert "rho_from_s" not in ahiso.__all__
+    assert not hasattr(ahiso, "rho_from_s")
+    assert "rho_from_s" in ahiso.models.__all__
+    assert hasattr(ahiso.models, "rho_from_s")

@@ -19,10 +19,10 @@ from ahiso.models import (
     make_perturbed,
     rho_from_s,
     s_from_rho,
-    scalar_curvature,
     scalar_curvature_excess,
     validate_ah,
 )
+from ahiso.spheres import sphere_data
 
 
 def _bisect_horizon(m: float) -> float:
@@ -42,7 +42,7 @@ class TestConstruction:
         assert hyperbolic.f(2.0) == 5.0
         assert hyperbolic.core_radius == 0.0
         assert hyperbolic.mass == 0.0
-        assert scalar_curvature(hyperbolic, 1.0) == pytest.approx(-6.0, abs=1e-12)
+        assert sphere_data(hyperbolic, 1.0).scalar == pytest.approx(-6.0, abs=1e-12)
 
     def test_ads_unit_mass_horizon_is_exact(self, ads_one):
         # s^3 + s - 2 factors as (s - 1)(s^2 + s + 2).
@@ -172,10 +172,10 @@ class TestScalarPath:
 class TestCurvature:
     def test_hyperbolic_is_constant(self, hyperbolic):
         for s in (0.3, 3.0, 300.0):
-            assert scalar_curvature(hyperbolic, s) == pytest.approx(-6.0, abs=1e-12)
+            assert sphere_data(hyperbolic, s).scalar == pytest.approx(-6.0, abs=1e-12)
 
     def test_ads_mass_term_cancels(self, ads_one):
-        assert scalar_curvature(ads_one, 2.0) == pytest.approx(-6.0, abs=1e-12)
+        assert sphere_data(ads_one, 2.0).scalar == pytest.approx(-6.0, abs=1e-12)
 
     def test_flat_profile_formula(self):
         # f = 1 (Euclidean in this chart): R = (2/s^2)(1 - 1 - 0) = 0.
@@ -185,7 +185,7 @@ class TestCurvature:
     def test_excess_matches_direct_difference_at_moderate_radius(self):
         metric = make_perturbed(1.0, (0.1, -0.02))
         for s in (2.0, 5.0, 10.0):
-            direct = scalar_curvature(metric, s) + 6.0
+            direct = sphere_data(metric, s).scalar + 6.0
             assert scalar_curvature_excess(metric, s) == pytest.approx(
                 direct, abs=1e-12
             )
@@ -199,15 +199,15 @@ class TestCurvature:
 
     def test_vector_and_scalar_paths_agree(self, ads_one):
         grid = np.array([1.5, 2.0, 4.0])
-        vec = scalar_curvature(ads_one, grid)
+        vec = sphere_data(ads_one, grid).scalar
         assert vec.shape == grid.shape
-        assert vec[1] == scalar_curvature(ads_one, 2.0)
+        assert vec[1] == sphere_data(ads_one, 2.0).scalar
 
     def test_domain_violations_raise(self, ads_one):
         with pytest.raises(ValueError):
-            scalar_curvature(ads_one, 1.0)
+            sphere_data(ads_one, 1.0)
         with pytest.raises(ValueError):
-            scalar_curvature(ads_one, math.inf)
+            sphere_data(ads_one, math.inf)
 
 
 class TestGeodesicCoordinate:
@@ -366,13 +366,31 @@ class TestGapSweep:
             assert b <= 1e-13
         assert gap[0] == gap[5]
 
+    @pytest.mark.parametrize(
+        "metric",
+        [make_ads_schwarzschild(1.0), make_perturbed(1.0, (0.1, 0.05)), make_ads_schwarzschild(1e30)],
+        ids=["ads_m1", "pert_m1", "ads_m1e30"],
+    )
+    @pytest.mark.parametrize("ratio", [1e10, 1e100])
+    def test_wide_gap_takes_two_tails(self, metric, ratio):
+        # One panel from core + 0.1 max(1, core) to ratio * max(1, core)
+        # has no node where the m / u^4 integrand lives: its Gauss and
+        # Kronrod sums agree on a wrong value (0.238 off on ads m = 1 at
+        # 1e10, and G = 0 with bound 0 at 1e100).
+        sc = max(1.0, metric.core_radius)
+        lo = metric.core_radius + 0.1 * sc
+        gap, bound = gap_over_grid(metric, [lo, ratio * sc])
+        res = coordinate_gap(metric, lo)
+        assert abs(gap[0] - res.value) <= bound[0] + res.error_bound
+        assert bound[0] <= 1e-13
+
     def test_one_panel_call_and_one_tail(self, ads_one, monkeypatch):
         # Points on both sides of the split core + 1 = 2 take one
-        # integrate_intervals call for every panel and one tail integral.
+        # panel call for every panel and one tail integral.
         import ahiso.models
 
         calls = []
-        for name in ("integrate_intervals", "coordinate_gap"):
+        for name in ("_panels", "coordinate_gap"):
             fn = getattr(ahiso.models, name)
 
             def counted(*args, _fn=fn, _name=name):
@@ -381,7 +399,7 @@ class TestGapSweep:
 
             monkeypatch.setattr(ahiso.models, name, counted)
         gap_over_grid(ads_one, [1.2, 1.5, 3.0, 10.0, 1e3])
-        assert sorted(calls) == ["coordinate_gap", "integrate_intervals"]
+        assert sorted(calls) == ["_panels", "coordinate_gap"]
 
     def test_single_point_is_coordinate_gap(self, ads_one):
         gap, bound = gap_over_grid(ads_one, [2.0])

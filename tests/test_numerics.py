@@ -20,10 +20,10 @@ from ahiso.numerics import (
     QuadResult,
     _NODES,
     _gk15,
+    _panels,
     find_root,
     integrate,
     integrate_intervals,
-    integrate_panels,
     solve_increasing,
     solve_ode,
 )
@@ -131,7 +131,7 @@ def test_integrate_calls_its_integrand_once_per_split(fn, a, b):
 def _panel(fn, lo, hi):
     """One GK15 panel on [lo, hi] from the vectorized rule, never redone:
     no panel's error estimate exceeds the tolerance 1e300."""
-    vals, errs = integrate_panels(fn, [lo], [hi], 1e300)
+    vals, errs, _ = _panels(fn, np.array([lo]), np.array([hi]), 1e300)
     return vals[0], errs[0]
 
 
@@ -147,7 +147,7 @@ def _panel(fn, lo, hi):
     ],
 )
 def test_vectorized_panel_agrees_with_scalar_panel(fn, edges):
-    # The vectorized panel rule of integrate_panels against the scalar
+    # The vectorized panel rule of _panels against the scalar
     # panel of integrate: value exactly; the error to a few ulp, since
     # numpy's power and libm's round the ** 1.5 of the error rescaling
     # differently.
@@ -167,20 +167,20 @@ def test_integrate_intervals_rejects_malformed_edges(edges):
         integrate_intervals(lambda u: u, edges, 1e-10)
 
 
-def test_integrate_panels_nonfinite_integrand_names_x():
+def test_panels_nonfinite_integrand_names_x():
     # The middle node of [0, 1] is 0.5.
     with np.errstate(divide="ignore"), pytest.raises(NumericsError, match="x=0.5"):
-        integrate_panels(lambda u: 1.0 / (u - 0.5), [0.0], [1.0], 1e-10)
+        _panels(lambda u: 1.0 / (u - 0.5), np.array([0.0]), np.array([1.0]), 1e-10)
 
 
-def test_integrate_panels_match_single_panels_in_any_order():
+def test_panels_match_single_panels_in_any_order():
     # Overlapping, unordered intervals; the sqrt panel from 0 is over its
     # share and is redone adaptively to it.  Many panels at once may sum
     # the weight products in another order, so values agree to a few ulp.
     fn = lambda u: np.sqrt(u) * np.exp(-u)  # noqa: E731
     a = np.array([2.0, 0.0, 1.0, 0.5])
     b = np.array([3.0, 1.0, 2.5, 0.75])
-    vals, errs = integrate_panels(fn, a, b, 1e-13)
+    vals, errs, _ = _panels(fn, a, b, 1e-13)
     for lo, hi, val, err in zip(a, b, vals, errs):
         one, one_err = _panel(fn, lo, hi)
         if one_err <= max(1e-13, 2e-14 * abs(one)):
@@ -192,15 +192,6 @@ def test_integrate_panels_match_single_panels_in_any_order():
     assert errs[1] <= 1e-13
 
 
-@pytest.mark.parametrize(
-    "a, b",
-    [([0.0], [0.0]), ([1.0], [0.0]), ([0.0, 1.0], [1.0]), ([0.0], [math.inf]), ([[0.0]], [[1.0]])],
-)
-def test_integrate_panels_rejects_malformed_intervals(a, b):
-    with pytest.raises(ValueError):
-        integrate_panels(lambda u: u, a, b, 1e-10)
-
-
 def _square(x):
     return x * x
 
@@ -208,7 +199,6 @@ def _square(x):
 # One call per tolerance argument; tol is the only argument that varies.
 _TOLERANCE_CALLS = {
     "integrate abs_tol": lambda tol: integrate(_square, 0.0, 1.0, abs_tol=tol),
-    "integrate_panels": lambda tol: integrate_panels(_square, [0.0], [1.0], tol),
     "integrate_intervals": lambda tol: integrate_intervals(_square, [0.0, 0.5, 1.0], tol),
     "solve_increasing": lambda tol: solve_increasing(
         lambda t: 3.0 * t * t, [8.0], [1.0], [1.0], [1.0], [3.0], tol
@@ -361,7 +351,7 @@ def test_integrate_poisoned_interval_raises_or_stays_in_bound(a, length, node, r
     rel_width=st.floats(0.0, 1e-13),
     poison=_POISONS,
 )
-def test_integrate_panels_poisoned_interval_raises_or_stays_in_bound(
+def test_panels_poisoned_interval_raises_or_stays_in_bound(
     a, widths, panel, node, rel_width, poison
 ):
     edges = a + np.concatenate([[0.0], np.cumsum(widths)])
@@ -371,9 +361,9 @@ def test_integrate_panels_poisoned_interval_raises_or_stays_in_bound(
     fn = _poisoned(_panel_node(lo[i], hi[i], node), half_width, poison)
     if not math.isfinite(poison):
         with pytest.raises(NumericsError, match="not finite"):
-            integrate_panels(fn, lo, hi, 1e-10)
+            _panels(fn, lo, hi, 1e-10)
         return
-    vals, errs = integrate_panels(fn, lo, hi, 1e-10)
+    vals, errs, _ = _panels(fn, lo, hi, 1e-10)
     assert np.all(errs <= 1e-10)
     for j, (x, y) in enumerate(zip(lo.tolist(), hi.tolist())):
         notch = 6.0 * half_width if j == i else 0.0

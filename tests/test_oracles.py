@@ -27,10 +27,10 @@ from ahiso.models import (
     validate_ah,
 )
 from ahiso.profiles import (
+    _ball_volume,
     _renormalized_limit,
     _volume_element,
     hyperbolic_profile,
-    hyperbolic_volume,
     model_radius_for_volume,
     model_volume_quad,
     renormalized_volume,
@@ -91,14 +91,14 @@ def test_hyperbolic_profile_matches_oracle_at_small_volume():
     _assert_matches_oracle(np.geomspace(1e-30, 0.1, 200))
 
 
-def test_hyperbolic_volume_matches_oracle_below_rho_four_tenths():
+def test_ball_volume_matches_oracle_below_rho_four_tenths():
     # The closed form 4 pi (sinh^2 / 2 + 1/4 - rho / 2 - e^{-2 rho} / 4)
     # cancels O(1) terms here: 1.2e-13 relative error at rho = 0.101 and
     # 4.3e-15 at 0.31.
     rhos = np.linspace(0.1, 0.4, 3001).tolist()
     with mpmath.workdps(50):
         want = [mpmath.pi * (mpmath.sinh(2 * mpmath.mpf(r)) - 2 * mpmath.mpf(r)) for r in rhos]
-        errors = [float(abs(hyperbolic_volume(r) - w) / w) for r, w in zip(rhos, want)]
+        errors = [float(abs(_ball_volume(math.sinh(r)) - w) / w) for r, w in zip(rhos, want)]
     worst = int(np.argmax(errors))
     assert errors[worst] <= 2e-15, f"relative error {errors[worst]:.3g} at rho={rhos[worst]!r}"
 
@@ -327,8 +327,8 @@ def test_volume_deficit_matches_model_volume(name):
         vol = model_volume_quad(metric, s)
         w_s = _gap_moment(metric, s, 2)
         got = math.fsum([
-            hyperbolic_volume(math.asinh(s)),
-            -hyperbolic_volume(math.asinh(core)),
+            _ball_volume(s),
+            -_ball_volume(core),
             4.0 * math.pi * w_core.value,
             -4.0 * math.pi * w_s.value,
         ])
