@@ -110,12 +110,13 @@ def flow_spheres(
         raise ValueError(f"t_max / dt must be finite, got {t_max!r} / {dt!r}")
 
     n = int(math.floor(t_max / dt + 1e-9))
-    ts = [i * dt for i in range(n + 1)]
+    if n + 1 > np.iinfo(np.intp).max:
+        raise ValueError(f"t_max / dt = {t_max / dt!r} is too many samples")
+    ts = np.arange(n + 1) * dt
     # n*dt can overshoot t_max by a few ulp; keep the grid inside [0, t_max].
     ts[-1] = min(ts[-1], t_max)
     if ts[-1] < t_max - 1e-9 * max(1.0, t_max):
-        ts.append(t_max)
-    ts = np.asarray(ts)
+        ts = np.append(ts, t_max)
 
     # ds/dt = sqrt(f) / H = s / 2, with H = 2 sqrt(f) / s; f > 0 on s >= s0 > core.
     sol = solve_ode(lambda t, s: 0.5 * s, s0, ts)

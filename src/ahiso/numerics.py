@@ -10,6 +10,7 @@ than returning a degraded result.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -471,8 +472,9 @@ def solve_ode(
     Step sizes are chosen by the error controller alone; only the last
     step is shortened so that it ends on ``x_eval[-1]``.  The solution is
     recorded at each point of ``x_eval`` (the returned ``xs`` equals it
-    bit for bit): a point inside an accepted step is filled from that
-    step's fourth-order continuous extension, so a dense ``x_eval`` costs
+    bit for bit): each accepted step that holds a point records its
+    fourth-order continuous extension, and after the loop one vectorized
+    pass fills every point from its step's, so a dense ``x_eval`` costs
     no extra steps or RHS calls, and a point on a step end takes the
     step's value exactly.  ``rhs`` may return NaN where it is undefined;
     a step with such a stage is rejected and retried 5x shorter.
@@ -487,10 +489,11 @@ def solve_ode(
     """
     xe = _increasing(x_eval, "x_eval")
     x0, x1 = float(xe[0]), float(xe[-1])
-    ye = np.empty_like(xe)
-    ye[0] = y0
-    eval_idx = 1
-    next_x = float(xe[1])
+    # Only a step that holds a point records its extension; next_x is the
+    # first point past the last recorded step (inf past x1).
+    grid = memoryview(xe)
+    next_x = grid[1]
+    records = []
     span = x1 - x0
     x = x0
     y = float(y0)
@@ -549,13 +552,9 @@ def solve_ode(
                     + _D7 * k7
                 )
                 q1, q2, q3 = r2 + r3, r4 + r5 - r3, -r4 - 2.0 * r5
-                stop = int(np.searchsorted(xe, x_new, side="right"))
-                th = (xe[eval_idx:stop] - x) / h
-                ye[eval_idx:stop] = y + th * (q1 + th * (q2 + th * (q3 + th * r5)))
-                if xe[stop - 1] == x_new:
-                    ye[stop - 1] = y5
-                eval_idx = stop
-                next_x = float(xe[stop]) if stop < xe.size else math.inf
+                records.append((x, h, y, q1, q2, q3, r5, x_new, y5))
+                k = bisect.bisect_right(grid, x_new)
+                next_x = grid[k] if k < len(grid) else math.inf
             x = x_new
             y = y5
             k1 = k7
@@ -565,6 +564,22 @@ def solve_ode(
             raise NumericsError("step budget exhausted")
         ratio = budget / err if err > 0.0 else 10.0
         h = h * min(5.0, max(0.2, 0.9 * ratio ** 0.2))
+    starts, hs, y_starts, q1s, q2s, q3s, r5s, ends, y_ends = np.array(records).T
+    pts = xe[1:]
+    step = np.searchsorted(ends, pts)
+    ye = np.empty_like(xe)
+    ye[0] = y0
+    # y + th (q1 + th (q2 + th (q3 + th r5))) by Horner, in place in ye[1:],
+    # each coefficient gathered into the one scratch array c.
+    out, c = ye[1:], np.empty_like(pts)
+    th = np.subtract(pts, np.take(starts, step, out=c))
+    th /= np.take(hs, step, out=c)
+    np.take(r5s, step, out=out)
+    for coef in (q3s, q2s, q1s, y_starts):
+        out *= th
+        out += np.take(coef, step, out=c)
+    at_end = pts == np.take(ends, step, out=c)
+    out[at_end] = y_ends[step[at_end]]
     return OdeSolution(
         xs=xe,
         ys=ye,

@@ -751,6 +751,19 @@ class TestSummary:
         path.write_text("\n".join(lines) + "\n")
         assert _read_run(str(path)) is None
 
+    def test_two_row_flow_is_summarized(self, capsys, tmp_path, ads_model):
+        # The time bound takes central differences over three samples; a
+        # two-row flow still reports the area law and the mass decrease.
+        res = tmp_path / "res"
+        res.mkdir()
+        argv = ["imcf", "--model", ads_model, "--s0", "2", "--t-max", "0.5",
+                "--dt", "0.5", "--out", str(res / "imcf.csv")]
+        assert run(argv) == 0
+        doc = json.loads(_capture(capsys, ["summary", str(res)]))
+        flow = doc["criteria"]["flow_laws"]
+        assert flow["status"] == "pass"
+        assert set(flow["measured"]) == {"area_law", "mass_decrease"}
+
     def test_empty_directory_rejected(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

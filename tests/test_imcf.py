@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ahiso.imcf import (
     ComparisonCurve,
@@ -79,6 +81,35 @@ class TestFlow:
     def test_sample_count_must_be_finite(self, ads_one, t_max, dt):
         with pytest.raises(ValueError, match="t_max / dt"):
             flow_spheres(ads_one, 2.0, t_max, dt)
+
+    @pytest.mark.parametrize("t_max, dt", [(2.0**63, 1.0), (8.0, 1e-300)])
+    def test_sample_count_must_fit_an_array(self, ads_one, monkeypatch, t_max, dt):
+        # Both counts are finite, but no grid of that many samples can
+        # exist: the error comes before anything is allocated.
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(np, "arange", no_grid)
+        with pytest.raises(ValueError, match="t_max / dt = .* is too many samples"):
+            flow_spheres(ads_one, 2.0, t_max, dt)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.floats(1e-6, 50.0).flatmap(
+        lambda t_max: st.tuples(st.just(t_max), st.floats(1e-3 * t_max, t_max))
+    ))
+    @example((1.0, 0.3))  # 0.9 < t_max: t_max is appended
+    @example((0.3, 0.1))  # 3 * 0.1 overshoots 0.3: the last time is clamped
+    def test_grid_is_the_python_product_grid(self, ads_one, grid):
+        # The grid of at most 1,001 times equals the Python products i * dt
+        # bit for bit, with the clamp and the append of t_max.
+        t_max, dt = grid
+        n = int(math.floor(t_max / dt + 1e-9))
+        want = [i * dt for i in range(n + 1)]
+        want[-1] = min(want[-1], t_max)
+        if want[-1] < t_max - 1e-9 * max(1.0, t_max):
+            want.append(t_max)
+        flow = flow_spheres(ads_one, 2.0, t_max, dt)
+        assert flow.t.tobytes() == np.asarray(want).tobytes()
 
     def test_ode_never_evaluates_the_metric(self, perturbed_valid, monkeypatch):
         # ds/dt = sqrt(f) / H = s / 2: the metric enters only the volumes

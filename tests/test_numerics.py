@@ -466,6 +466,30 @@ def test_solve_ode_dense_output_costs_no_extra_steps():
     assert np.max(np.abs(dense.ys - np.exp(xs))) <= 1e-9
 
 
+def _wavy_growth(x, y):
+    return math.cos(3.0 * x) * y + 0.1 * math.sin(x)
+
+
+_DENSE_X = np.linspace(0.0, 4.0, 801)
+_DENSE = solve_ode(_wavy_growth, 1.0, _DENSE_X)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sets(st.integers(1, _DENSE_X.size - 2)))
+@example(set())
+@example(set(range(1, _DENSE_X.size - 1)))
+def test_solve_ode_sample_does_not_depend_on_the_other_points(interior):
+    # Step control sees only the two endpoints, and each point is filled
+    # from the step that holds it, so any sorted subset of a grid gives
+    # bitwise the same samples and the same work counts as the full grid.
+    idx = [0, *sorted(interior), _DENSE_X.size - 1]
+    sub = solve_ode(_wavy_growth, 1.0, _DENSE_X[idx])
+    assert sub.ys.tobytes() == _DENSE.ys[idx].tobytes()
+    assert (sub.n_steps, sub.n_rejected, sub.rhs_evaluations) == (
+        _DENSE.n_steps, _DENSE.n_rejected, _DENSE.rhs_evaluations
+    )
+
+
 def test_solve_ode_fsal_rhs_accounting():
     # One start-up call, then six per attempted step: the last stage of an
     # accepted step is reused as the first stage of the next.
