@@ -90,9 +90,8 @@ class RadialMetric:
     def deficit(self, s):
         """f(s) - (1 + s^2), evaluated without cancellation."""
         arr = np.asarray(s, dtype=float)
-        out = np.zeros_like(arr)
-        if self.mass:
-            out = out - 2.0 * self.mass / arr
+        # 0.0 - 2m/s, not -2m/s: a term that underflows gives +0.0.
+        out = 0.0 - 2.0 * self.mass / arr if self.mass else np.zeros_like(arr)
         for k, c in enumerate(self.coeffs, start=2):
             if c:
                 out = out + c * np.power(arr, -k)
@@ -132,14 +131,18 @@ class RadialMetric:
         arr = np.asarray(delta, dtype=float)
         sh = self.core_radius
         b = sh + arr
-        # (f(b) - f(sh)) / delta with f(sh) = 0, expanded term by term.
+        # (f(b) - f(sh)) / delta with f(sh) = 0, expanded term by term;
+        # powers[j] is b^j, each taken once (b^0 = 1 is the scalar term).
         out = (2.0 * sh + arr) + 2.0 * self.mass / (b * sh)
+        powers = [1.0]
         for k, c in enumerate(self.coeffs, start=2):
             if c:
-                ladder = np.power(b, 0) * sh ** (k - 1)
+                while len(powers) <= k:
+                    powers.append(np.power(b, len(powers)))
+                ladder = sh ** (k - 1)
                 for j in range(1, k):
-                    ladder = ladder + np.power(b, j) * sh ** (k - 1 - j)
-                out = out - c * ladder / (np.power(b, k) * sh ** k)
+                    ladder = ladder + powers[j] * sh ** (k - 1 - j)
+                out = out - c * ladder / (powers[k] * sh ** k)
         return float(out) if arr.ndim == 0 else out
 
 
@@ -251,9 +254,13 @@ def make_perturbed(mass: float, coeffs: Sequence[float]) -> RadialMetric:
     """
     # The record checks the mass and the coefficients before any root is taken.
     coeffs = RadialMetric(mass=mass, coeffs=tuple(coeffs)).coeffs
-    base = _core_radius(mass, ())
-    core = _core_radius(mass, coeffs) if coeffs else base
-    if core > base * (1.0 + 1e-9) + 1e-12:
+    core = _core_radius(mass, coeffs)
+    # The core lies beyond base (1 + 1e-9) + 1e-12, base the horizon of the
+    # mass alone (the root of x^3 + x - 2m), exactly when that cubic, which
+    # increases on x > 0, is positive at (core - 1e-12) / (1 + 1e-9).
+    x = (core - 1e-12) / (1.0 + 1e-9)
+    if (x * x + 1.0) * x - 2.0 * mass > 0.0:
+        base = _core_radius(mass, ())
         raise ValueError(
             f"coefficients {list(coeffs)!r} remove the positive domain near "
             f"s = {core:.4g} (the horizon of mass {mass!r} is at s = {base:.4g})"
@@ -283,7 +290,7 @@ def scalar_curvature_excess(metric: RadialMetric, s):
 
 
 def _check_domain(metric: RadialMetric, arr: np.ndarray):
-    if np.any(arr <= metric.core_radius) or np.any(~np.isfinite(arr)):
+    if (arr <= metric.core_radius).any() or not np.isfinite(arr).all():
         raise ValueError(
             f"s must lie in ({metric.core_radius!r}, inf), got {arr!r}"
         )
@@ -511,7 +518,8 @@ def s_from_rho(metric: RadialMetric, rho: float) -> float:
             raise ValueError(f"rho = {rho!r} is below the image of the domain")
         lo, hi = float(chart.to_t(core)), t0
     density = _geodesic_element(chart)
-    t = float(solve_increasing(density, [rho], [t0], [rho0], [lo], [hi], _GAP_TOL)[0])
+    slope = density(np.array([t0]))
+    t = float(solve_increasing(density, [rho], [t0], [rho0], slope, [lo], [hi], _GAP_TOL)[0])
     return float(chart.to_s(t))
 
 

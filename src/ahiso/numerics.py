@@ -122,7 +122,7 @@ def _gk15(fn: Callable, a: float, b: float) -> tuple[float, float]:
 
 def _gk15_rule(a: float, b: float, xs: np.ndarray, fv: np.ndarray) -> tuple[float, float]:
     """:func:`_gk15` on [a, b] from the integrand's values ``fv`` at its nodes ``xs``."""
-    if not np.all(np.isfinite(fv)):
+    if not np.isfinite(fv).all():
         bad = float(xs[~np.isfinite(fv)][0])
         raise NumericsError(f"integrand not finite at x={bad!r}")
     half = 0.5 * (b - a)
@@ -135,7 +135,7 @@ def _gk15_rule(a: float, b: float, xs: np.ndarray, fv: np.ndarray) -> tuple[floa
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     # Guard against an error estimate below attainable rounding.
-    err = max(err, 50.0 * np.finfo(float).eps * resabs)
+    err = max(err, 50.0 * _EPS * resabs)
     return resk, err
 
 
@@ -150,7 +150,7 @@ def _increasing(points, name: str) -> np.ndarray:
     e = np.array(points, dtype=float)
     if e.ndim != 1 or e.size < 2:
         raise ValueError(f"{name} must be a 1-d sequence of at least two points")
-    if not np.all(np.isfinite(e)) or np.any(np.diff(e) <= 0.0):
+    if not np.isfinite(e).all() or (np.diff(e) <= 0.0).any():
         raise ValueError(f"{name} must be finite and strictly increasing")
     return e
 
@@ -182,7 +182,8 @@ def _panels(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, extra=()):
     """Integral of ``fn`` over each interval [lo[i], hi[i]], plus ``fn`` at ``extra``.
 
     Every interval gets one GK15 panel, and the panel nodes and the
-    points ``extra`` go to ``fn`` in one call.  An interval whose error
+    points ``extra`` go to ``fn`` in one call (so a volume inversion's
+    ladder sweep also gives its Newton start slopes).  An interval whose error
     estimate exceeds ``tol``, or 2e-14 of its own value when that is
     larger (the panel rule's rounding floor is 50 eps of it), is redone
     by adaptive :func:`integrate` to that tolerance.  The intervals may
@@ -198,10 +199,12 @@ def _panels(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, extra=()):
     """
     # The panel nodes are joined to ``extra`` at once, so that a large
     # batch holds one array of nodes while ``fn`` runs.
-    xs = np.concatenate([_pair_nodes(lo, hi).reshape(-1), extra])
+    xs = _pair_nodes(lo, hi).reshape(-1)
+    if len(extra):
+        xs = np.concatenate([xs, extra])
     fv = _eval_batch(fn, xs)
     m = 15 * lo.size
-    if not np.all(np.isfinite(fv[:m])):
+    if not np.isfinite(fv[:m]).all():
         bad = float(xs[:m][~np.isfinite(fv[:m])][0])
         raise NumericsError(f"integrand not finite at x={bad!r}")
     vals, err = _pair_rule(lo, hi, fv[:m].reshape(-1, 15))
@@ -246,15 +249,17 @@ def solve_increasing(
     target,
     t,
     value,
+    slope,
     lo,
     hi,
     tol: float,
 ) -> np.ndarray:
     """Roots of F(t) = target, row by row, for increasing F with F' = density.
 
-    Row i starts at ``t[i]``, where F is known to be ``value[i]``, and
-    its bracket ``[lo[i], hi[i]]`` holds the root (``hi`` may be inf; the
-    start is then ``lo``).  Every round, all rows still active take one
+    Row i starts at ``t[i]``, where F is known to be ``value[i]`` and F'
+    to be ``slope[i]`` (``density`` at ``t[i]``, as the caller has it),
+    and its bracket ``[lo[i], hi[i]]`` holds the root (``hi`` may be inf;
+    the start is then ``lo``).  Every round, all rows still active take one
     Newton step (target - F) / density together.  A row whose raw step is
     at most 1e-10 of its iterate stops there and returns the iterate plus
     that step; the test comes before the safeguard, so a rounding-level
@@ -265,8 +270,9 @@ def solve_increasing(
     :func:`_panels`, each panel held to ``tol / 64``), and the
     new iterate replaces the bracket end on its side of the root.  One
     call of ``density`` per round gives every row's panel nodes and its
-    new iterate, whose value is the next round's slope; one more call
-    at the starts gives the first slopes.  Only ``tol`` is checked.
+    new iterate, whose value is the next round's slope, so a solve makes
+    one call per round that takes a step and none at the starts.  Only
+    ``tol`` is checked.
 
     ``density`` must accept arrays and be positive where the rows go.
 
@@ -283,35 +289,39 @@ def solve_increasing(
     value = np.array(value, dtype=float)
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
+    slope = np.array(slope, dtype=float)
     out = np.empty_like(t)
     rows = np.arange(t.size)
-    slope = density(t)
     for _ in range(_NEWTON_ROUNDS):
         step = (target - value) / slope
         done = np.abs(step) <= _NEWTON_RTOL * np.abs(t)
-        out[rows[done]] = t[done] + step[done]
-        if done.all():
-            return out
-        keep = ~done
-        rows, t, step, value, target, lo, hi = (
-            x[keep] for x in (rows, t, step, value, target, lo, hi)
-        )
+        if done.any():
+            out[rows[done]] = t[done] + step[done]
+            if done.all():
+                return out
+            keep = ~done
+            rows, t, step, value, target, lo, hi = (
+                x[keep] for x in (rows, t, step, value, target, lo, hi)
+            )
         new = t + step
         outside = ~((lo < new) & (new < hi))
-        if np.any(outside & np.isinf(hi)):
-            i = int(np.flatnonzero(outside & np.isinf(hi))[0])
-            raise NumericsError(
-                f"solve_increasing: step from t={float(t[i])!r} leaves "
-                f"[{float(lo[i])!r}, inf) for target {float(target[i])!r}"
-            )
-        new = np.where(outside, 0.5 * (lo + hi), new)
-        if np.any(new == t):
-            i = int(np.flatnonzero(new == t)[0])
-            raise NumericsError(
-                f"solve_increasing: bracket [{float(lo[i])!r}, {float(hi[i])!r}] "
-                f"closed with a step of {float(step[i])!r} left for target "
-                f"{float(target[i])!r}"
-            )
+        # A step inside its open bracket exceeds the rounding of t, so only
+        # one that leaves it can close a bracket.
+        if outside.any():
+            if (outside & np.isinf(hi)).any():
+                i = int(np.flatnonzero(outside & np.isinf(hi))[0])
+                raise NumericsError(
+                    f"solve_increasing: step from t={float(t[i])!r} leaves "
+                    f"[{float(lo[i])!r}, inf) for target {float(target[i])!r}"
+                )
+            new = np.where(outside, 0.5 * (lo + hi), new)
+            if (new == t).any():
+                i = int(np.flatnonzero(new == t)[0])
+                raise NumericsError(
+                    f"solve_increasing: bracket [{float(lo[i])!r}, {float(hi[i])!r}] "
+                    f"closed with a step of {float(step[i])!r} left for target "
+                    f"{float(target[i])!r}"
+                )
         up = new > t
         vals, _, slope = _panels(
             density, np.where(up, t, new), np.where(up, new, t), tol / _NEWTON_ROUNDS, new
@@ -482,7 +492,8 @@ def solve_ode(
     Raises
     ------
     NumericsError
-        On step-size underflow or after 1,000,000 attempted steps.
+        On step-size underflow, after 1,000,000 attempted steps, or when
+        the solution or a stage of a step is infinite (it overflowed).
     ValueError
         If ``x_eval`` is not a finite, strictly increasing 1-d sequence
         of at least two points.
@@ -525,7 +536,13 @@ def solve_ode(
         k7 = float(rhs(x_new, y5))
         n_rhs += 6
         terms = (_E1 * k1, _E3 * k3, _E4 * k4, _E5 * k5, _E6 * k6, _E7 * k7)
-        err = abs(h * math.fsum(terms))
+        try:
+            est = math.fsum(terms)
+        except ValueError:  # infinite stages of both signs
+            est = math.inf
+        if math.isinf(est) or math.isinf(y5):
+            raise NumericsError(f"solve_ode: the step from x={x!r} with h={h!r} overflows")
+        err = abs(h * est)
         # An estimate within the rounding noise of the stages it combines
         # (a few ulps of each term) says nothing about the step, so it
         # counts as zero.  Otherwise a budget scaled by h / span can sit

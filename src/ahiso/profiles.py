@@ -46,6 +46,7 @@ from .models import (
 from .numerics import (
     NumericsError,
     QuadResult,
+    _panels,
     integrate,
     integrate_intervals,
     solve_increasing,
@@ -167,7 +168,7 @@ def hyperbolic_profile(v):
     arr = np.asarray(v, dtype=float)
     scalar = arr.ndim == 0
     vols = arr.reshape(-1)
-    if vols.size == 0 or not np.all(np.isfinite(vols)) or np.any(vols <= 0.0):
+    if vols.size == 0 or not np.isfinite(vols).all() or (vols <= 0.0).any():
         raise ValueError(f"v must be finite and > 0, got {v!r}")
     small = _SMALL_START * np.cbrt(vols)
     t2 = vols / (2.0 * math.pi)
@@ -197,7 +198,7 @@ def hyperbolic_profile(v):
         )
     with np.errstate(over="ignore"):
         area = FOUR_PI * out * out
-    if np.any(np.isinf(area)):
+    if np.isinf(area).any():
         bad = float(arr.reshape(-1)[np.isinf(area)][0])
         raise NumericsError(f"hyperbolic_profile: A_H not finite for v = {bad!r}")
     return float(area[0]) if scalar else area.reshape(arr.shape)
@@ -223,6 +224,7 @@ def _volume_element(chart: _Chart):
 # Absolute tolerance of every model volume: a volume, a flow's volume
 # increments, and a volume inversion's sweep and Newton panels.
 _VOLUME_TOL = 1e-10
+_TINY = float(np.finfo(float).tiny)
 
 
 def model_volume_quad(metric: RadialMetric, s: float) -> QuadResult:
@@ -252,28 +254,46 @@ def model_radius_for_volume(metric: RadialMetric, v):
     in any order, inverted together.  The inversion runs in the chart t
     of :func:`models._chart` (w with s = core + w^2 above a positive
     core), where the volume element stays finite.  One cumulative sweep
-    (:func:`integrate_intervals`) gives the volume at a ladder of
-    starting guesses, the Euclidean radius of v or sqrt(v / 2 pi),
-    whichever is larger, and at twice the largest of them (doubled again
-    until it encloses every v; above a positive core, a rung where the
-    element would overflow doubles s - core instead); each volume is
-    bracketed between two ladder points and starts at the one whose
-    volume is closer.
-    :func:`solve_increasing` then takes Newton steps with the volume
-    element as the derivative, all volumes together, one GK15 panel per
-    step.  The sweep, and the panels of each volume together, are held to
-    1e-10 (``_VOLUME_TOL``).
+    (the panel rule of :func:`integrate_intervals`) gives the volume at a
+    ladder of starting guesses, the Euclidean radius of v or
+    sqrt(v / 2 pi), whichever is larger, and at twice the largest of them
+    (doubled again until it encloses every v; above a positive core, a
+    rung where the element would overflow doubles s - core instead), and
+    in the same element call the element at every ladder point but t = 0.
+    Each volume is bracketed between two ladder points and starts at the
+    one whose volume is closer, with the element there as its first
+    slope.  :func:`solve_increasing` then takes Newton steps with the
+    volume element as the derivative, all volumes together, one GK15
+    panel and one element call per round.  Besides, the element is called
+    at t = 0 only for rows that start there and for the near-core start
+    v / element(0) of rows whose guess is at or below a positive core,
+    and above a positive core once for the probe of each new rung.  The
+    sweep, and the panels of each volume together, are held to 1e-10
+    (``_VOLUME_TOL``).
+
+    Above a positive core the element divides by (s core)^k, k up to the
+    tail's top power (1 for the mass alone): a volume whose start radius
+    (the core, for a guess below it) puts that below the smallest normal
+    float raises ``ValueError``, before any element is evaluated.
     """
     arr = np.asarray(v, dtype=float)
     scalar = arr.ndim == 0
     vols = arr.reshape(-1)
-    if vols.size == 0 or not np.all(np.isfinite(vols)) or np.any(vols <= 0.0):
+    if vols.size == 0 or not np.isfinite(vols).all() or (vols <= 0.0).any():
         raise ValueError(f"v must be finite and > 0, got {v!r}")
     core = metric.core_radius
-    chart = _chart(metric)
-    density = _volume_element(chart)
     # Both are below s_v in hyperbolic space.
     guess = np.maximum(_EUCLID_RADIUS * np.cbrt(vols), np.sqrt(vols / (2.0 * math.pi)))
+    if core > 0.0:
+        power = max([1] + [k for k, c in enumerate(metric.coeffs, start=2) if c])
+        i = int(np.argmin(guess))
+        if max(float(guess[i]), core) * core < _TINY ** (1.0 / power):
+            raise ValueError(
+                f"v = {float(vols[i])!r} is too small for the core radius "
+                f"{core!r}: the volume element underflows near it"
+            )
+    chart = _chart(metric)
+    density = _volume_element(chart)
     start = chart.to_t(np.maximum(guess, core))
     low = guess <= core
     if low.any():
@@ -290,31 +310,33 @@ def model_radius_for_volume(metric: RadialMetric, v):
         return up
 
     # A start that underflows to zero would repeat the ladder's first point.
-    ladder = np.sort(np.maximum(start, np.finfo(float).tiny))
+    ladder = np.sort(np.maximum(start, _TINY))
     ladder = np.concatenate([[0.0], ladder[:1], ladder[1:][np.diff(ladder) > 0.0]])
     ladder = np.append(ladder, above(ladder[-1]))
-    vals, _ = integrate_intervals(density, ladder, _VOLUME_TOL)
+    # slopes[j] is the element at ladder[j + 1].
+    vals, _, slopes = _panels(
+        density, ladder[:-1], ladder[1:], _VOLUME_TOL / ladder.size, ladder[1:]
+    )
     cum = np.concatenate([[0.0], np.cumsum(vals)])
     v_max = float(np.max(vols))
     for _ in range(80):
         if cum[-1] >= v_max:
             break
-        top = above(float(ladder[-1]))
-        more, _ = integrate_intervals(density, [ladder[-1], top], _VOLUME_TOL)
+        top = np.array([above(float(ladder[-1]))])
+        more, _, at_top = _panels(density, ladder[-1:], top, _VOLUME_TOL / 2.0, top)
         ladder = np.append(ladder, top)
         cum = np.append(cum, cum[-1] + more[0])
+        slopes = np.append(slopes, at_top)
     else:
         raise NumericsError(f"failed to bracket s for v = {v_max!r}")
     k = np.searchsorted(cum, vols)
-    from_lo = vols - cum[k - 1] <= cum[k] - vols
+    at = np.where(vols - cum[k - 1] <= cum[k] - vols, k - 1, k)
+    slope = slopes[np.maximum(at - 1, 0)]
+    zero = at == 0
+    if zero.any():
+        slope[zero] = density(ladder[at[zero]])
     t = solve_increasing(
-        density,
-        vols,
-        np.where(from_lo, ladder[k - 1], ladder[k]),
-        np.where(from_lo, cum[k - 1], cum[k]),
-        ladder[k - 1],
-        ladder[k],
-        _VOLUME_TOL,
+        density, vols, ladder[at], cum[at], slope, ladder[k - 1], ladder[k], _VOLUME_TOL
     )
     s = chart.to_s(t)
     return float(s[0]) if scalar else s.reshape(arr.shape)
@@ -412,7 +434,7 @@ def gap_table(metric: RadialMetric, v_grid) -> ProfileTable:
     grid = np.array(v_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("v_grid must be nonempty")
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
+    if (grid <= 0.0).any() or (np.diff(grid) <= 0.0).any():
         raise ValueError("v_grid must be positive and strictly increasing")
     report = validate_ah(metric)
     if not report.is_ah:
@@ -423,7 +445,7 @@ def gap_table(metric: RadialMetric, v_grid) -> ProfileTable:
     s_v = model_radius_for_volume(metric, grid)
     a_g = FOUR_PI * s_v * s_v
     a_h = hyperbolic_profile(grid)
-    if np.any(a_h <= 0.0):
+    if (a_h <= 0.0).any():
         raise ValueError("A_H must be positive for v > 0")
     gap = a_g - a_h
     return ProfileTable(

@@ -436,6 +436,42 @@ def test_tiny_core_profile_tables_exit_zero_without_warning(capsys, tmp_path, mo
             assert run([cmd, "--model", str(path)]) == 0, capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "model, core",
+    [
+        ({"type": "ads_schwarzschild", "mass": 1e-300}, "2e-300"),
+        ({"type": "perturbed", "mass": 0.0, "coeffs": [-1e-200]}, "1e-100"),
+    ],
+    ids=["ads-1e-300", "perturbed-1e-200"],
+)
+def test_tiny_volumes_at_a_tiny_core_are_refused_by_name(capsys, tmp_path, model, core):
+    # Volumes from 5e-324 put (s core)^k below the normal floats, where
+    # core_quotient divides by an underflowed product: ads m = 1e-300
+    # warned in its overflow probe and ended in "bracket closed" (exit 2),
+    # and the perturbed model warned at density(0) and ended in "edges
+    # must be finite and strictly increasing".
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    argv = ["profile", "--model", str(path), "--v-min", "5e-324", "--v-max", "1e-200", "--n", "5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: v = 5e-324 is too small for the core radius {core}:" in err
+
+
+def test_overflowing_flow_is_a_numeric_failure(capsys, ads_model):
+    # The radius grows like e^{t/2} and overflows near t = 1418: math.fsum
+    # refused the infinite stages with "error: -inf + inf in fsum" (exit 1).
+    argv = ["imcf", "--model", ads_model, "--s0", "2", "--t-max", "2000", "--dt", "100"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: solve_ode: ")
+    assert "x=" in err and "h=" in err
+
+
 def _base_argv(model, results_dir):
     """A valid argv tail per subcommand that runs in milliseconds."""
     m = ["--model", str(model)]

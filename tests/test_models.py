@@ -4,11 +4,14 @@ AH validation."""
 import math
 import struct
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_oracles import ORACLE_MODELS
 
+import ahiso.models
 from ahiso.models import (
     RadialMetric,
     coordinate_gap,
@@ -110,6 +113,50 @@ class TestConstruction:
         s = np.concatenate([np.geomspace(1e-3, 1e3, 2001), near_a])
         assert np.all(metric.f(s) > 0.0)
 
+    @pytest.mark.parametrize("mass", [0.0, 0.5, 1.0, 2.0, 1e-3, 1e3])
+    def test_outward_core_rule_matches_the_two_root_comparison(self, mass):
+        # The rule once took the mass-only root too and rejected a core
+        # beyond base (1 + 1e-9) + 1e-12; now it reads the sign of
+        # x^3 + x - 2m at x = (core - 1e-12) / (1 + 1e-9).  c_2 puts the
+        # core of s^4 + s^2 - 2ms + c_2 at that threshold and at the six
+        # floats on either side, so both outcomes occur.
+        base = ahiso.models._core_radius(mass, ())
+        threshold = base * (1.0 + 1e-9) + 1e-12
+        outcomes = set()
+        for ulps in range(-6, 7):
+            r = threshold
+            for _ in range(abs(ulps)):
+                r = math.nextafter(r, math.copysign(math.inf, ulps))
+            with mpmath.workdps(50):
+                x = mpmath.mpf(r)
+                c2 = float(-(x**4 + x**2 - 2 * mpmath.mpf(mass) * x))
+            core = ahiso.models._core_radius(mass, (c2,))
+            old = core > base * (1.0 + 1e-9) + 1e-12
+            try:
+                make_perturbed(mass, (c2,))
+                new = False
+            except ValueError as exc:
+                assert "remove the positive domain" in str(exc)
+                new = True
+            assert new == old, (ulps, c2, core)
+            outcomes.add(new)
+        assert outcomes == {False, True}
+
+    @pytest.mark.parametrize(
+        "mass, coeffs", [(0.0, ()), (1.0, ()), (1.0, (0.1, 0.05)), (0.5, (0.2,)), (0.0, (-1e-200,))]
+    )
+    def test_accepted_perturbed_model_takes_one_core_root(self, monkeypatch, mass, coeffs):
+        calls = []
+        core_radius = ahiso.models._core_radius
+
+        def counting(*args):
+            calls.append(args)
+            return core_radius(*args)
+
+        monkeypatch.setattr(ahiso.models, "_core_radius", counting)
+        make_perturbed(mass, coeffs)
+        assert calls == [(mass, coeffs)]
+
     def test_core_quotient_matches_direct_ratio(self, ads_one):
         delta = 1e-3
         direct = ads_one.f(ads_one.core_radius + delta) / delta
@@ -167,6 +214,74 @@ class TestScalarPath:
     @given(s=st.one_of(st.floats(), st.floats(1e-3, 1e4)))
     def test_drawn_values(self, metric, s):
         _assert_scalar_matches_array(metric, s)
+
+
+def _old_deficit(metric, s):
+    """RadialMetric.deficit as it was written before it started from 0.0 - 2m/s."""
+    arr = np.asarray(s, dtype=float)
+    out = np.zeros_like(arr)
+    if metric.mass:
+        out = out - 2.0 * metric.mass / arr
+    for k, c in enumerate(metric.coeffs, start=2):
+        if c:
+            out = out + c * np.power(arr, -k)
+    return out
+
+
+def _old_core_quotient(metric, delta):
+    """RadialMetric.core_quotient as it was written before it reused powers of b."""
+    arr = np.asarray(delta, dtype=float)
+    sh = metric.core_radius
+    b = sh + arr
+    out = (2.0 * sh + arr) + 2.0 * metric.mass / (b * sh)
+    for k, c in enumerate(metric.coeffs, start=2):
+        if c:
+            ladder = np.power(b, 0) * sh ** (k - 1)
+            for j in range(1, k):
+                ladder = ladder + np.power(b, j) * sh ** (k - 1 - j)
+            out = out - c * ladder / (np.power(b, k) * sh ** k)
+    return out
+
+
+# Every oracle model plus the tiny core 1e-150 and the huge core 1.26e100.
+_GUARD_MODELS = {
+    **ORACLE_MODELS,
+    "core_1e-150": make_ads_schwarzschild(5e-151),
+    "core_1.26e100": make_ads_schwarzschild(1e300),
+}
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestBitGuards:
+    """deficit and core_quotient give the bits of the formulas they replaced."""
+
+    @pytest.mark.parametrize("name", sorted(_GUARD_MODELS))
+    def test_deficit(self, name):
+        metric = _GUARD_MODELS[name]
+        lo = max(metric.core_radius, 1e-3)
+        # Up to 1e300, where 2m/s and the tail's powers underflow to zeros
+        # whose sign must match too.
+        s = np.concatenate([lo * (1.0 + np.geomspace(1e-15, 1.0, 50)), np.geomspace(lo, 1e300, 400)])
+        assert _same_bits(metric.deficit(s), _old_deficit(metric, s))
+        for x in s[::37].tolist():
+            assert _same_bits(metric.deficit(x), _old_deficit(metric, x))
+
+    @pytest.mark.parametrize("name", sorted(n for n, m in _GUARD_MODELS.items() if m.core_radius > 0.0))
+    def test_core_quotient(self, name):
+        metric = _GUARD_MODELS[name]
+        scale = max(1.0, metric.core_radius)
+        delta = np.concatenate([[0.0], scale * np.geomspace(1e-30, 1e30, 400)])
+        assert _same_bits(metric.core_quotient(delta), _old_core_quotient(metric, delta))
+        for x in delta[::37].tolist():
+            assert _same_bits(metric.core_quotient(x), _old_core_quotient(metric, x))
+
+    def test_extreme_cores_are_in_place(self):
+        assert _GUARD_MODELS["core_1e-150"].core_radius == pytest.approx(1e-150, rel=1e-12)
+        assert _GUARD_MODELS["core_1.26e100"].core_radius == pytest.approx(1.26e100, rel=1e-2)
 
 
 class TestCurvature:

@@ -201,7 +201,7 @@ _TOLERANCE_CALLS = {
     "integrate abs_tol": lambda tol: integrate(_square, 0.0, 1.0, abs_tol=tol),
     "integrate_intervals": lambda tol: integrate_intervals(_square, [0.0, 0.5, 1.0], tol),
     "solve_increasing": lambda tol: solve_increasing(
-        lambda t: 3.0 * t * t, [8.0], [1.0], [1.0], [1.0], [3.0], tol
+        lambda t: 3.0 * t * t, [8.0], [1.0], [1.0], [3.0], [1.0], [3.0], tol
     ),
 }
 
@@ -224,20 +224,23 @@ def test_solve_increasing_inverts_a_cube_row_by_row():
     root = np.cbrt(target)
     lo = 0.6 * root
     hi = np.where(np.arange(25) % 2 == 0, 2.0 * root, np.inf)
-    got = solve_increasing(lambda t: 3.0 * t * t, target, lo, lo**3, lo, hi, 1e-300)
+    got = solve_increasing(
+        lambda t: 3.0 * t * t, target, lo, lo**3, 3.0 * lo * lo, lo, hi, 1e-300
+    )
     assert np.all(np.abs(got - root) <= 4e-16 * root)
 
 
 def test_solve_increasing_calls_its_density_once_per_round():
-    # The cube problem: one call at the starts, then one per round that
-    # gives both the round's panels and the next round's slopes, 15 nodes
-    # and the new iterate for each active row.
+    # The cube problem: the caller gives the first slopes, so no call at
+    # the starts, then one per round that gives both the round's panels
+    # and the next round's slopes, 15 nodes and the new iterate for each
+    # active row.  The first round holds every row.
     target = np.geomspace(1e-30, 1e30, 25)
     lo = 0.6 * np.cbrt(target)
     density, calls = _counting(lambda t: 3.0 * t * t)
-    solve_increasing(density, target, lo, lo**3, lo, np.full(25, np.inf), 1e-300)
-    assert calls[0] == 25
-    assert len(calls) > 2
+    solve_increasing(density, target, lo, lo**3, 3.0 * lo * lo, lo, np.full(25, np.inf), 1e-300)
+    assert calls[0] == 16 * 25
+    assert len(calls) > 1
     assert all(n % 16 == 0 for n in calls[1:])
     assert calls[1:] == sorted(calls[1:], reverse=True)
 
@@ -245,28 +248,31 @@ def test_solve_increasing_calls_its_density_once_per_round():
 def test_solve_increasing_rounding_level_step_does_not_bisect():
     # Started on the root, which is also the bracket's upper end, with F
     # there a rounding error low: the raw step points out of the bracket
-    # but is at rounding level, so the row stops at once, without a panel.
+    # but is at rounding level, so the row stops at once, without a panel
+    # (and, its start slope given, without a call of the density at all).
     calls = []
 
     def density(t):
         calls.append(np.size(t))
         return 3.0 * t * t
 
-    got = solve_increasing(density, [8.0], [2.0], [8.0 - 1e-15], [1.0], [2.0], 1e-12)
+    got = solve_increasing(density, [8.0], [2.0], [8.0 - 1e-15], [12.0], [1.0], [2.0], 1e-12)
     assert got[0] == 2.0
-    assert calls == [1]
+    assert calls == []
 
 
 def test_solve_increasing_wrong_density_raises():
     # A density 1000x too small overshoots every time; the bracket closes
     # while the raw step stays large.
     with pytest.raises(NumericsError, match="bracket"):
-        solve_increasing(lambda t: 3e-3 * t * t, [8.0], [1.0], [1.0], [1.0], [3.0], 1e-12)
+        solve_increasing(lambda t: 3e-3 * t * t, [8.0], [1.0], [1.0], [3e-3], [1.0], [3.0], 1e-12)
 
 
 def test_solve_increasing_step_out_of_an_open_bracket_raises():
     with pytest.raises(NumericsError, match="inf"):
-        solve_increasing(lambda t: -np.ones_like(t), [8.0], [1.0], [1.0], [1.0], [np.inf], 1e-12)
+        solve_increasing(
+            lambda t: -np.ones_like(t), [8.0], [1.0], [1.0], [-1.0], [1.0], [np.inf], 1e-12
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -400,7 +406,7 @@ def test_solve_increasing_poisoned_density_raises_or_stays_in_tolerance(
     half_width = rel_width * (first[i] - t0[i])
     fn = _poisoned(_panel_node(t0[i], first[i], node), half_width, poison)
     tol = 1e-10
-    args = (target, t0, value, t0, np.full(t0.size, np.inf), tol)
+    args = (target, t0, value, fn(t0), t0, np.full(t0.size, np.inf), tol)
     if not math.isfinite(poison):
         with pytest.raises(NumericsError, match="not finite"):
             solve_increasing(fn, *args)
@@ -411,6 +417,23 @@ def test_solve_increasing_poisoned_density_raises_or_stays_in_tolerance(
         with mpmath.workdps(30):
             root = mpmath.findroot(lambda u: _wave_antiderivative(u) - goal, t + length)
         assert abs(x - float(root)) <= tol + 6.0 * half_width
+
+
+@pytest.mark.parametrize(
+    "rhs, y0",
+    [
+        # e^x overflows past x = 709.78; its stages turn infinite with
+        # both signs in the error estimate, which math.fsum refused with a
+        # bare ValueError ("-inf + inf in fsum").
+        (lambda x, y: y, 1.0),
+        # Finite stages and an error estimate of zero; only y overflows.
+        (lambda x, y: 1e308, 0.0),
+    ],
+    ids=["stages", "solution"],
+)
+def test_solve_ode_overflow_raises_by_name(rhs, y0):
+    with pytest.raises(NumericsError, match=r"^solve_ode: the step from x=\S+ with h=\S+ overflows$"):
+        solve_ode(rhs, y0, [0.0, 1000.0])
 
 
 def test_solve_ode_exponential():

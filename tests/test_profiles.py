@@ -399,9 +399,10 @@ class TestNewtonInversionWork:
 
     def test_inversion_calls_the_volume_element_at_most_seven_times(self, monkeypatch):
         # The near-core start (v = 1 starts at the core), the probe above
-        # the ladder, the sweep, the first slopes and one call per Newton
-        # round for its panels and next slopes; separate slope calls made
-        # it 10.
+        # the ladder, the sweep (which also gives the first slopes) and one
+        # call per Newton round for its panels and next slopes: 6.  A
+        # separate call for the first slopes made it 7, and separate slope
+        # calls made it 10.
         calls = []
         element = ahiso.profiles._volume_element
 
@@ -417,6 +418,65 @@ class TestNewtonInversionWork:
         monkeypatch.setattr("ahiso.profiles._volume_element", counting_element)
         model_radius_for_volume(make_ads_schwarzschild(1.0), np.geomspace(1.0, 1e6, 60))
         assert len(calls) <= 7
+
+    @pytest.mark.parametrize(
+        "metric",
+        [make_ads_schwarzschild(1.0), make_perturbed(1.0, (0.1, 0.05))],
+        ids=["ads_m1", "pert_m1"],
+    )
+    def test_one_element_call_for_the_sweep_and_one_per_round(self, monkeypatch, metric):
+        # Each element call is tagged by the kernel that makes it: the
+        # sweep's panel call in profiles, or a Newton round's in numerics.
+        # Outside both come only the near-core start (v = 1 lies below the
+        # core, so its start is v / element(0)) and the overflow probe above
+        # the ladder; the first slopes come from the sweep, so no call is
+        # made at the starts, and t = 0 is evaluated by no kernel, since no
+        # row starts there.
+        calls, stage, rounds, starts = [], ["outside"], [], []
+        element = ahiso.profiles._volume_element
+
+        def counting_element(chart):
+            fn = element(chart)
+
+            def counted(t):
+                calls.append((stage[0], np.array(t, dtype=float).reshape(-1)))
+                return fn(t)
+
+            return counted
+
+        def tagged(name, fn):
+            def wrapper(*args, **kwargs):
+                stage[0] = name
+                if name == "round":
+                    rounds.append(1)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stage[0] = "outside"
+
+            return wrapper
+
+        def spying_solve(density, target, t, *rest):
+            starts.append(np.array(t))
+            return solve_increasing(density, target, t, *rest)
+
+        monkeypatch.setattr("ahiso.profiles._volume_element", counting_element)
+        monkeypatch.setattr("ahiso.profiles._panels", tagged("sweep", ahiso.profiles._panels))
+        monkeypatch.setattr("ahiso.numerics._panels", tagged("round", ahiso.numerics._panels))
+        monkeypatch.setattr("ahiso.profiles.solve_increasing", spying_solve)
+        vols = np.geomspace(1.0, 1e6, 40)
+        model_radius_for_volume(metric, vols)
+        kinds = [kind for kind, _ in calls]
+        assert kinds.count("sweep") == 1
+        assert kinds.count("round") == len(rounds) >= 1
+        outside = [t.tolist() for kind, t in calls if kind == "outside"]
+        assert len(outside) == 2
+        assert outside[0] == [0.0]
+        assert outside[1][0] > 0.0
+        assert len(calls) == 1 + len(rounds) + 2
+        (t0,) = starts
+        assert (t0 > 0.0).all()
+        assert not any((t == 0.0).any() for kind, t in calls if kind != "outside")
 
     def test_gap_table_takes_one_deficit_integral(self, monkeypatch):
         # The truncated V cost three coordinate_gap tails, an s(rho)
