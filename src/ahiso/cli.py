@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 from datetime import datetime, timezone
 
@@ -133,14 +134,30 @@ def _json_text(manifest: dict, payload: dict) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write output file {out}: {exc}") from None
-    else:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is empty.
+
+    An existing file is written over in place and then cut at the end of
+    what was written, instead of being truncated to zero first: on ext4,
+    truncating a file that holds blocks costs far more than the write and
+    arms a flush on close that the next truncation waits for.  The cut
+    also runs when a write fails part-way, so no row of an older, longer
+    table is left behind the new manifest.  A pipe or a device is written
+    without the cut, which it does not support.
+    """
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
+            try:
+                fh.write(text)
+                fh.flush()
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    except OSError as exc:
+        raise ValueError(f"cannot write output file {out}: {exc}") from None
 
 
 # ----------------------------------------------------------------------

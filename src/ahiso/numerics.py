@@ -240,8 +240,11 @@ def integrate_intervals(
 _NEWTON_ROUNDS = 64
 # A row stops once its raw Newton step is at most this fraction of the
 # iterate; the step is then applied, which leaves an error of the order
-# of its square.
+# of its square.  A step of at most four ulp of the iterate also stops
+# it: that floor, four ulp of a subnormal (2e-323), lies below the
+# relative test at every normal iterate, and it lets a subnormal one stop.
 _NEWTON_RTOL = 1e-10
+_NEWTON_FLOOR = 4.0 * float(np.spacing(0.0))
 
 
 def solve_increasing(
@@ -261,14 +264,14 @@ def solve_increasing(
     and its bracket ``[lo[i], hi[i]]`` holds the root (``hi`` may be inf;
     the start is then ``lo``).  Every round, all rows still active take one
     Newton step (target - F) / density together.  A row whose raw step is
-    at most 1e-10 of its iterate stops there and returns the iterate plus
-    that step; the test comes before the safeguard, so a rounding-level
-    step that would land on a bracket end does not bisect.  Otherwise a
-    step that leaves the open bracket goes to the bracket midpoint
-    instead, F at the new iterate is F at the old one plus one GK15 panel
-    of ``density`` between them (the panel rule of
-    :func:`_panels`, each panel held to ``tol / 64``), and the
-    new iterate replaces the bracket end on its side of the root.  One
+    at most 1e-10 of its iterate, or four ulp of it, stops there and
+    returns the iterate plus that step; the test comes before the
+    safeguard, so a rounding-level step that would land on a bracket end
+    does not bisect.  Otherwise a step that leaves the open bracket goes
+    to the bracket midpoint instead, F at the new iterate is F at the old
+    one plus one GK15 panel of ``density`` between them (the panel rule
+    of :func:`_panels`, each panel held to ``tol / 64``), and the new
+    iterate replaces the bracket end on its side of the root.  One
     call of ``density`` per round gives every row's panel nodes and its
     new iterate, whose value is the next round's slope, so a solve makes
     one call per round that takes a step and none at the starts.  Only
@@ -294,7 +297,7 @@ def solve_increasing(
     rows = np.arange(t.size)
     for _ in range(_NEWTON_ROUNDS):
         step = (target - value) / slope
-        done = np.abs(step) <= _NEWTON_RTOL * np.abs(t)
+        done = np.abs(step) <= np.maximum(_NEWTON_RTOL * np.abs(t), _NEWTON_FLOOR)
         if done.any():
             out[rows[done]] = t[done] + step[done]
             if done.all():

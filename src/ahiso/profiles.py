@@ -257,8 +257,9 @@ def model_radius_for_volume(metric: RadialMetric, v):
     (the panel rule of :func:`integrate_intervals`) gives the volume at a
     ladder of starting guesses, the Euclidean radius of v or
     sqrt(v / 2 pi), whichever is larger, and at twice the largest of them
-    (doubled again until it encloses every v; above a positive core, a
-    rung where the element would overflow doubles s - core instead), and
+    (doubled again until it encloses every v, or raises NumericsError
+    once the next rung is not finite; above a positive core, a rung where
+    the element would overflow doubles s - core instead), and
     in the same element call the element at every ladder point but t = 0.
     Each volume is bracketed between two ladder points and starts at the
     one whose volume is closer, with the element there as its first
@@ -319,16 +320,15 @@ def model_radius_for_volume(metric: RadialMetric, v):
     )
     cum = np.concatenate([[0.0], np.cumsum(vals)])
     v_max = float(np.max(vols))
-    for _ in range(80):
-        if cum[-1] >= v_max:
-            break
-        top = np.array([above(float(ladder[-1]))])
+    while not cum[-1] >= v_max:
+        up = above(float(ladder[-1]))
+        if not math.isfinite(up):
+            raise NumericsError(f"failed to bracket s for v = {v_max!r}")
+        top = np.array([up])
         more, _, at_top = _panels(density, ladder[-1:], top, _VOLUME_TOL / 2.0, top)
         ladder = np.append(ladder, top)
         cum = np.append(cum, cum[-1] + more[0])
         slopes = np.append(slopes, at_top)
-    else:
-        raise NumericsError(f"failed to bracket s for v = {v_max!r}")
     k = np.searchsorted(cum, vols)
     at = np.where(vols - cum[k - 1] <= cum[k] - vols, k - 1, k)
     slope = slopes[np.maximum(at - 1, 0)]

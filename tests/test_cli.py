@@ -1,11 +1,13 @@
 """Command-line surface, exercised in process through run()."""
 
 import argparse
+import errno
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -207,6 +209,143 @@ class TestTables:
         first = _capture(capsys, argv).split("\n", 1)[1]
         second = _capture(capsys, argv).split("\n", 1)[1]
         assert first == second
+
+
+def _child_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+class _NoSpaceAfter:
+    """A text file whose write keeps the first ``n`` characters, then fails
+    as a full disk does."""
+
+    def __init__(self, fh, n):
+        self._fh, self._n = fh, n
+
+    def write(self, text):
+        self._fh.write(text[: self._n])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+class TestRewriteInPlace:
+    """An existing --out file is written over and cut to the new length."""
+
+    def _spheres(self, model, n, out=None):
+        argv = ["spheres", "--model", model, "--n", str(n)]
+        return argv + ["--out", str(out)] if out else argv
+
+    def test_shorter_table_leaves_no_stale_tail(self, capsys, tmp_path, ads_model):
+        dest, link = tmp_path / "x.csv", tmp_path / "link.csv"
+        assert run(self._spheres(ads_model, 50, dest)) == 0
+        inode = dest.stat().st_ino
+        os.link(dest, link)
+        via = tmp_path / "via.csv"
+        via.symlink_to(dest)
+        assert run(self._spheres(ads_model, 3, via)) == 0
+        body = _capture(capsys, self._spheres(ads_model, 3)).split("\n", 1)[1]
+        text = dest.read_text()
+        manifest, _, rows = _parse_csv(text)
+        assert manifest["parameters"]["n"] == 3 and rows.shape == (3, 9)
+        assert text.split("\n", 1)[1] == body
+        assert dest.stat().st_ino == inode and link.read_text() == text
+        assert via.is_symlink()
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path, ads_model):
+        old = os.umask(0o027)
+        try:
+            assert run(self._spheres(ads_model, 3, tmp_path / "x.csv")) == 0
+        finally:
+            os.umask(old)
+        assert (tmp_path / "x.csv").stat().st_mode & 0o777 == 0o640
+
+    def test_failed_write_is_cut_where_it_stopped(self, capsys, monkeypatch, tmp_path, ads_model):
+        # Without the cut, rows 21 to 50 of the first table would survive
+        # behind the new manifest and its partial rows.
+        import ahiso.cli
+
+        dest = tmp_path / "x.csv"
+        assert run(self._spheres(ads_model, 50, dest)) == 0
+        new = self._spheres(ads_model, 20, dest)
+        body = _capture(capsys, new[:-2]).split("\n", 1)[1]
+        keep = len(body) * 2 // 3
+        monkeypatch.setattr(
+            ahiso.cli, "open", lambda *a, **k: _NoSpaceAfter(open(*a, **k), keep),
+            raising=False,
+        )
+        assert run(new) == 1
+        monkeypatch.undo()
+        assert "cannot write output file" in capsys.readouterr().err
+        text = dest.read_text()
+        assert len(text) == keep and body.startswith(text.split("\n", 1)[1])
+        got = _read_run(str(dest))
+        assert got is None or (
+            got[0]["parameters"]["n"] == 20 and got[2]["s"].size < 20
+        )
+
+    def test_file_size_limit_cuts_at_the_limit(self, tmp_path, ads_model):
+        # A real partial write: past RLIMIT_FSIZE the kernel refuses the
+        # rest with EFBIG (Python ignores SIGXFSZ), after the buffered
+        # layer has written what fits.
+        import resource
+
+        dest = tmp_path / "x.csv"
+        assert run(self._spheres(ads_model, 50, dest)) == 0
+        limit = dest.stat().st_size // 4
+        env = _child_env()
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        child = subprocess.run(
+            [sys.executable, "-m", "ahiso.cli", *self._spheres(ads_model, 20, dest)],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1])
+            ),
+        )
+        assert child.returncode == 1 and "cannot write output file" in child.stderr
+        text = dest.read_text()
+        assert len(text) == limit
+        assert json.loads(text.splitlines()[0][len("# manifest: "):])["parameters"]["n"] == 20
+        got = _read_run(str(dest))
+        assert got is None or got[2]["s"].size < 20
+
+    def test_dev_null_is_written_without_a_cut(self, ads_model):
+        assert run(["validate", "--model", ads_model, "--out", os.devnull]) == 0
+        assert run(self._spheres(ads_model, 3, os.devnull)) == 0
+
+    def test_dev_stdout_into_a_pipe_matches_stdout(self, capsys, ads_model):
+        body = _capture(capsys, self._spheres(ads_model, 3)).split("\n", 1)[1]
+        child = subprocess.run(
+            [sys.executable, "-m", "ahiso.cli", *self._spheres(ads_model, 3, "/dev/stdout")],
+            capture_output=True, text=True, env=_child_env(), timeout=120, check=True,
+        )
+        assert child.stdout.split("\n", 1)[1] == body
+
+    def test_fifo_reader_gets_the_whole_table(self, capsys, tmp_path, ads_model):
+        body = _capture(capsys, self._spheres(ads_model, 20)).split("\n", 1)[1]
+        fifo = tmp_path / "table.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert run(self._spheres(ads_model, 20, fifo)) == 0
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert got[0].split("\n", 1)[1] == body
+
+    def test_directory_is_refused(self, capsys, tmp_path, ads_model):
+        assert run(self._spheres(ads_model, 3, tmp_path)) == 1
+        assert "error: cannot write output file" in capsys.readouterr().err
 
 
 class TestValidate:
@@ -460,6 +599,31 @@ def test_tiny_volumes_at_a_tiny_core_are_refused_by_name(capsys, tmp_path, model
     assert f"error: v = 5e-324 is too small for the core radius {core}:" in err
 
 
+def test_subnormal_volumes_on_a_stock_core_converge(capsys, ads_model):
+    # Newton's stop test |step| <= 1e-10 |t| is 0 at a subnormal iterate,
+    # which rounding keeps from being met: "still active after 64 rounds".
+    argv = ["profile", "--model", ads_model, "--v-min", "1e-320", "--v-max", "1", "--n", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, body = _parse_csv(_capture(capsys, argv))
+    # Below v ~ 1e-150 the region is the horizon, of area 4 pi core^2.
+    assert body[0, 0] == 1e-320 and body[0, 1] == FOUR_PI
+
+
+def test_ladder_climbs_to_a_far_radius(capsys, tmp_path):
+    # f ~ c_2 / s^2 puts s_v near (v sqrt(c_2) / pi)^(1/4) ~ 1e56, more than
+    # 80 doublings above the first guess: "failed to bracket s".  There
+    # the volume is pi s^4 / sqrt(c_2), so A_g = 4 sqrt(pi v) c_2^(1/4).
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"type": "perturbed", "mass": 0.0, "coeffs": [1e220]}))
+    for cmd in ("profile", "expansion"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, body = _parse_csv(_capture(capsys, [cmd, "--model", str(path), "--n", "3"]))
+        v, a_g = body[:, 0], body[:, 1]
+        assert np.allclose(a_g, 4.0 * np.sqrt(math.pi * v) * 1e55, rtol=1e-9)
+
+
 def test_overflowing_flow_is_a_numeric_failure(capsys, ads_model):
     # The radius grows like e^{t/2} and overflows near t = 1418: math.fsum
     # refused the infinite stages with "error: -inf + inf in fsum" (exit 1).
@@ -649,12 +813,9 @@ class TestParserReuse:
     def test_subprocess_body_matches_in_process(self, capsys, ads_model):
         argv = ["imcf", "--model", ads_model, "--s0", "2", "--t-max", "0.5", "--dt", "0.1"]
         here = _capture(capsys, argv)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         child = subprocess.run(
             [sys.executable, "-m", "ahiso.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120, check=True,
+            capture_output=True, text=True, env=_child_env(), timeout=120, check=True,
         )
         assert child.stdout.split("\n", 1)[1] == here.split("\n", 1)[1]
 
