@@ -22,7 +22,6 @@ __all__ = [
     "QuadResult",
     "OdeSolution",
     "integrate",
-    "integrate_intervals",
     "solve_increasing",
     "solve_ode",
     "find_root",
@@ -107,21 +106,14 @@ def _eval_batch(fn: Callable, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gk15(fn: Callable, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7-15 panel on [a, b].
+def _gk15_rule(a: float, b: float, xs: np.ndarray, fv: np.ndarray) -> tuple[float, float]:
+    """One Gauss-Kronrod 7-15 panel on [a, b] from the integrand's values
+    ``fv`` at its nodes ``xs``.
 
     Returns (kronrod value, error estimate).  The estimate follows the
     usual rescaled |K15 - G7| rule, which is sharp on smooth integrands
     and conservative near integrable singularities.
     """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = mid + half * _NODES
-    return _gk15_rule(a, b, xs, _eval_batch(fn, xs))
-
-
-def _gk15_rule(a: float, b: float, xs: np.ndarray, fv: np.ndarray) -> tuple[float, float]:
-    """:func:`_gk15` on [a, b] from the integrand's values ``fv`` at its nodes ``xs``."""
     if not np.isfinite(fv).all():
         bad = float(xs[~np.isfinite(fv)][0])
         raise NumericsError(f"integrand not finite at x={bad!r}")
@@ -213,24 +205,6 @@ def _panels(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, extra=()):
         res = integrate(fn, float(lo[i]), float(hi[i]), abs_tol=float(tol_vec[i]))
         vals[i], err[i] = res.value, res.error_bound
     return vals, err, fv[m:]
-
-
-def integrate_intervals(
-    fn: Callable, edges, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integral of ``fn`` over each interval between ``edges``, with bounds.
-
-    The panel rule of :func:`_panels` on consecutive edges, all
-    intervals from one call of ``fn``, each held to its share
-    ``tol / len(edges)`` of the tolerance.  Only the edges and the
-    tolerance are checked.  Returns the values and error bounds per
-    interval; their cumulative sums are the integral from ``edges[0]`` to
-    each edge.
-    """
-    e = _increasing(edges, "edges")
-    share = tol / e.size
-    _check_tol("tol", share)
-    return _panels(fn, e[:-1], e[1:], share)[:2]
 
 
 # A row of solve_increasing takes at most this many Newton rounds, and
@@ -396,7 +370,8 @@ def integrate(fn: Callable, a: float, b: float, abs_tol: float = 1e-10) -> QuadR
     if a == b:
         return QuadResult(0.0, 0.0, 0)
 
-    val, err = _gk15(fn, a, b)
+    xs = 0.5 * (a + b) + 0.5 * (b - a) * _NODES
+    val, err = _gk15_rule(a, b, xs, _eval_batch(fn, xs))
     # Interval records: (error, left, right, value).  Worst-first refinement;
     # ties are broken by insertion order, which is deterministic.  The
     # totals are sums from 0, as the loop forms them, so a first panel of

@@ -46,9 +46,9 @@ from .models import (
 from .numerics import (
     NumericsError,
     QuadResult,
+    _increasing,
     _panels,
     integrate,
-    integrate_intervals,
     solve_increasing,
 )
 
@@ -254,7 +254,7 @@ def model_radius_for_volume(metric: RadialMetric, v):
     in any order, inverted together.  The inversion runs in the chart t
     of :func:`models._chart` (w with s = core + w^2 above a positive
     core), where the volume element stays finite.  One cumulative sweep
-    (the panel rule of :func:`integrate_intervals`) gives the volume at a
+    (the panel rule of :func:`numerics._panels`) gives the volume at a
     ladder of starting guesses, the Euclidean radius of v or
     sqrt(v / 2 pi), whichever is larger, and at twice the largest of them
     (doubled again until it encloses every v, or raises NumericsError
@@ -429,7 +429,9 @@ def gap_table(metric: RadialMetric, v_grid) -> ProfileTable:
 
     scaled_gap is (gap + 2K) sqrt(v), with K = W(core) - V_H(core) the
     renormalized volume itself (no truncation radius, no tail); along a
-    growing grid it tends to a constant proportional to the mass.
+    growing grid it tends to a constant proportional to the mass.  A
+    scaled_gap that overflows raises ``NumericsError``, naming the first
+    such v.
     """
     grid = np.array(v_grid, dtype=float)
     if grid.size == 0:
@@ -448,13 +450,13 @@ def gap_table(metric: RadialMetric, v_grid) -> ProfileTable:
     if (a_h <= 0.0).any():
         raise ValueError("A_H must be positive for v > 0")
     gap = a_g - a_h
-    return ProfileTable(
-        v=grid,
-        A_g=a_g,
-        A_H=a_h,
-        gap=gap,
-        scaled_gap=(gap + 2.0 * limit) * np.sqrt(grid),
-    )
+    # At huge volumes the rounding of gap times sqrt(v) overflows.
+    with np.errstate(over="ignore"):
+        scaled = (gap + 2.0 * limit) * np.sqrt(grid)
+    if not np.isfinite(scaled).all():
+        bad = float(grid[~np.isfinite(scaled)][0])
+        raise NumericsError(f"gap_table: scaled_gap not finite for v = {bad!r}")
+    return ProfileTable(v=grid, A_g=a_g, A_H=a_h, gap=gap, scaled_gap=scaled)
 
 
 # ----------------------------------------------------------------------
@@ -468,19 +470,18 @@ def cumulative_volume_over_grid(
 
     Returns cumulative volumes relative to s_grid[0] and a total error
     bound.  Each consecutive interval gets one Gauss-Kronrod panel,
-    evaluated for the whole grid in one vectorized sweep; intervals
-    whose error estimate is too large fall back to adaptive
-    integration individually.  Interval count ~1e4 stays well under a
-    second this way, where a per-interval adaptive call would not.
+    evaluated for the whole grid in one vectorized sweep
+    (:func:`numerics._panels`, each panel held to its share
+    1e-10 / len(s_grid)); intervals whose error estimate is too large
+    fall back to adaptive integration individually.  Interval count ~1e4
+    stays well under a second this way, where a per-interval adaptive
+    call would not.  The grid must be finite, strictly increasing and
+    start above the core radius (``ValueError``).
     """
-    s = np.asarray(s_grid, dtype=float)
-    if s.ndim != 1 or s.size < 2:
-        raise ValueError("s_grid must contain at least two radii")
-    if np.any(np.diff(s) <= 0.0):
-        raise ValueError("s_grid must be strictly increasing")
+    s = _increasing(s_grid, "s_grid")
     if s[0] <= metric.core_radius:
         raise ValueError("s_grid must start above the core radius")
     density = _volume_element(_chart(metric, head=False))
-    vals, err = integrate_intervals(density, s, _VOLUME_TOL)
+    vals, err, _ = _panels(density, s[:-1], s[1:], _VOLUME_TOL / s.size)
     out = np.concatenate([[0.0], np.cumsum(vals)])
     return out, float(np.sum(err))

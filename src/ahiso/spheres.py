@@ -1,16 +1,21 @@
 """Geometry of centered coordinate spheres.
 
 Every sphere {s = const} in a radial model is round and umbilic, so all
-of its extrinsic data reduces to closed forms in s, f(s), f'(s):
+of its data reduces to closed forms in s, the deficit d = f - (1 + s^2)
+and the scalar curvature excess R + 6 of
+:func:`models.scalar_curvature_excess`, each evaluated term by term:
 
     area     = 4 pi s^2
-    H        = (2/s) sqrt(f)
+    H        = (2/s) sqrt(f),   f = 1 + s^2 + d
     |A|^2    = H^2 / 2,   |Aring|^2 = 0
     K        = 1 / s^2
-    Ric(nu)  = R/2 + f/s^2 - 1/s^2    (= -f'/(2s) * 2, same thing)
+    R        = (R + 6) - 6
+    Ric(nu)  = -f'/s = -2 + (R + 6)/2 + d/s^2
 
-together with the Hawking mass and the spherical-harmonic spectrum of
-the stability operator.
+since -s d' = s^2 (R + 6)/2 + d.  No f' is formed: R from f' cancels
+terms of order one to rounding, below -6 by up to 1.5e-14 on hyperbolic
+space.  The module also gives the Hawking mass and the spherical-harmonic
+spectrum of the stability operator.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import RadialMetric
+from .models import RadialMetric, _check_domain, scalar_curvature_excess
 
 __all__ = [
     "SphereGeometry",
@@ -56,43 +61,33 @@ class SphereGeometry:
     hawking_mass: float
 
 
-def _check_radii(metric: RadialMetric, s):
-    """s as a float array, whether it was a scalar, after a domain check."""
-    arr = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= metric.core_radius):
-        raise ValueError(
-            f"s must lie in ({metric.core_radius!r}, inf), got {s!r}"
-        )
-    return arr, arr.ndim == 0
-
-
 def sphere_data(metric: RadialMetric, s) -> SphereGeometry:
     """Geometry of the coordinate sphere at area-radius s.
 
     ``s`` may be a float or a 1-d array of radii; an array gives one
     :class:`SphereGeometry` whose fields are arrays over the radii.
     """
-    arr, scalar = _check_radii(metric, s)
-    f_val = metric.f(arr)
-    fp_val = metric.f_prime(arr)
+    # The excess is taken first: its call checks the radii.
+    excess = scalar_curvature_excess(metric, s)
+    arr = np.asarray(s, dtype=float)
+    d = metric.deficit(arr)
     area = FOUR_PI * arr * arr
-    h = 2.0 * np.sqrt(f_val) / arr
-    r = (2.0 / (arr * arr)) * (1.0 - f_val - arr * fp_val)
+    h = 2.0 * np.sqrt(1.0 + arr * arr + d) / arr
     fields = dict(
         s=arr,
         area=area,
         mean_curvature=h,
         traceless_norm_sq=np.zeros_like(arr),
         second_fund_norm_sq=0.5 * h * h,
-        ricci_normal=0.5 * r + f_val / (arr * arr) - 1.0 / (arr * arr),
+        ricci_normal=-2.0 + 0.5 * excess + d / (arr * arr),
         gauss_curvature=1.0 / (arr * arr),
-        scalar=r,
+        scalar=excess - 6.0,
         # The Hawking mass reduces to -(s/2) d(s): area*(H^2-4) = 16 pi (1 + d)
         # with d the deficit, so the 16 pi cancels exactly.  Forming H^2 - 4
         # in floating point instead loses ~1e-7 absolute by s = 1e3.
-        hawking_mass=-0.5 * arr * metric.deficit(arr),
+        hawking_mass=-0.5 * arr * d,
     )
-    if scalar:
+    if arr.ndim == 0:
         fields = {name: float(val) for name, val in fields.items()}
     return SphereGeometry(**fields)
 
@@ -111,14 +106,16 @@ def hawking_mass(geom: SphereGeometry) -> float:
 
 
 def _stability_density(metric: RadialMetric, s):
-    """Ric(nu) + |A|^2 = (2 + 2 d - s d') / s^2, cancellation-free.
+    """s as a float array and Ric(nu) + |A|^2 there, after one domain check.
 
-    Direct evaluation through Ric and H rounds at the 1e-16 * s^2 level,
-    which the 8 pi identity for hyperbolic space cannot afford at large s.
+    Ric(nu) + |A|^2 = (2 + 2 d - s d') / s^2 = (R + 6)/2 + (2 + 3 d) / s^2,
+    cancellation-free.  Direct evaluation through Ric and H rounds at the
+    1e-16 * s^2 level, which the 8 pi identity for hyperbolic space cannot
+    afford at large s.
     """
-    d = metric.deficit(s)
-    dp = metric.deficit_prime(s)
-    return (2.0 + 2.0 * d - s * dp) / (s * s)
+    excess = scalar_curvature_excess(metric, s)
+    arr = np.asarray(s, dtype=float)
+    return arr, 0.5 * excess + (2.0 + 3.0 * metric.deficit(arr)) / (arr * arr)
 
 
 def stability_total(metric: RadialMetric, s):
@@ -128,9 +125,9 @@ def stability_total(metric: RadialMetric, s):
     8 pi - 24 pi m / s for AdS-Schwarzschild.  ``s`` may be a float or
     an array of radii.
     """
-    arr, scalar = _check_radii(metric, s)
-    out = FOUR_PI * arr * arr * _stability_density(metric, arr)
-    return float(out) if scalar else out
+    arr, q = _stability_density(metric, s)
+    out = FOUR_PI * arr * arr * q
+    return float(out) if arr.ndim == 0 else out
 
 
 def jacobi_spectrum(metric: RadialMetric, s, l_max: int) -> list[tuple[int, float]]:
@@ -144,18 +141,14 @@ def jacobi_spectrum(metric: RadialMetric, s, l_max: int) -> list[tuple[int, floa
     """
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max!r}")
-    arr, scalar = _check_radii(metric, s)
-    q = _stability_density(metric, arr)
+    arr, q = _stability_density(metric, s)
     s2 = arr * arr
     lams = [l * (l + 1) / s2 - q for l in range(l_max + 1)]
-    return [(l, float(lam) if scalar else lam) for l, lam in enumerate(lams)]
+    return [(l, float(lam) if arr.ndim == 0 else lam) for l, lam in enumerate(lams)]
 
 
 def gauss_bonnet_total(metric: RadialMetric, s: float) -> float:
     """int_Sigma K dmu; equals 4 pi (1 - genus) with genus 0."""
-    if not math.isfinite(s) or s <= metric.core_radius:
-        raise ValueError(
-            f"s must lie in ({metric.core_radius!r}, inf), got {s!r}"
-        )
+    _check_domain(metric, s)
     area = FOUR_PI * s * s
     return area * (1.0 / (s * s))

@@ -163,9 +163,10 @@ class TestConstruction:
         assert ads_one.core_quotient(delta) == pytest.approx(direct, rel=1e-9)
 
     def test_core_quotient_stable_at_tiny_offsets(self, ads_one):
-        # f(core + delta)/delta -> f'(core); the direct ratio would be
-        # pure cancellation noise at delta = 1e-12.
-        want = ads_one.f_prime(ads_one.core_radius)
+        # f(core + delta)/delta -> f'(core) = 2 core + 2m / core^2; the
+        # direct ratio would be pure cancellation noise at delta = 1e-12.
+        core = ads_one.core_radius
+        want = 2.0 * core + 2.0 * ads_one.mass / core**2
         assert ads_one.core_quotient(1e-12) == pytest.approx(want, rel=1e-6)
 
     def test_invalid_fields_rejected(self):
@@ -192,7 +193,7 @@ _PROFILE_MODELS = {
 def _assert_scalar_matches_array(metric, s):
     # NaN-aware bitwise equality: NaNs may differ in sign or payload.
     with np.errstate(all="ignore"):
-        for name in ("deficit", "deficit_prime", "f", "f_prime"):
+        for name in ("deficit", "f"):
             method = getattr(metric, name)
             got = method(s)
             want = float(method(np.array([s]))[0])
@@ -318,6 +319,16 @@ class TestCurvature:
         assert vec.shape == grid.shape
         assert vec[1] == sphere_data(ads_one, 2.0).scalar
 
+    @pytest.mark.parametrize("mass", [0.0, 0.5, 1.0, 2.0])
+    def test_exactly_minus_six_on_the_default_spheres_grid(self, mass):
+        # R = (R + 6) - 6 with the excess summed over the c_k alone, so
+        # the mass term leaves no rounding: R from f' puts 52, 35, 41 and
+        # 34 of these 200 rows below -6.
+        metric = make_perturbed(mass, ())
+        core = metric.core_radius
+        grid = np.geomspace(core + 0.1 * max(1.0, core), max(1e3, 1e3 * core), 200)
+        assert np.all(sphere_data(metric, grid).scalar == -6.0)
+
     def test_domain_violations_raise(self, ads_one):
         with pytest.raises(ValueError):
             sphere_data(ads_one, 1.0)
@@ -432,6 +443,18 @@ class TestValidation:
         report = validate_ah(metric)
         assert report.is_ah
         assert report.decay_exponent_estimate == pytest.approx(2.0, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "coeffs, exponent",
+        [((1e-14,), 2.0), ((0.0, 1e-14), 3.0), ((1e-16,), 2.0)],
+    )
+    def test_tiny_perturbation_beside_a_mass(self, coeffs, exponent):
+        # The perturbation part is summed from the c_k alone: d + 2m/s
+        # cancels the mass to rounding, which fitted 1.068 to [1e-14] and
+        # left nothing above the floor (inf) for the other two.
+        report = validate_ah(make_perturbed(1.0, coeffs))
+        assert report.is_ah
+        assert report.decay_exponent_estimate == pytest.approx(exponent, abs=0.01)
 
     def test_scalar_floor_violation_detected(self):
         metric = make_perturbed(0.0, (-0.05, 0.01))

@@ -24,6 +24,7 @@ from ahiso.models import (
     make_hyperbolic,
     make_perturbed,
     s_from_rho,
+    scalar_curvature_excess,
     validate_ah,
 )
 from ahiso.profiles import (
@@ -35,6 +36,7 @@ from ahiso.profiles import (
     model_volume_quad,
     renormalized_volume,
 )
+from ahiso.spheres import jacobi_spectrum, sphere_data, stability_total
 
 
 def _hyperbolic_profile_oracle(v):
@@ -131,7 +133,7 @@ ORACLE_MODELS = {
 
 
 class _Oracle:
-    """High-precision G and V for one model (mpmath, at the caller's digits)."""
+    """High-precision G, V and f' for one model (mpmath, at the caller's digits)."""
 
     def __init__(self, metric):
         self.m = mpmath.mpf(metric.mass)
@@ -142,6 +144,12 @@ class _Oracle:
         out = -2 * self.m / u
         for k, ck in enumerate(self.coeffs, start=2):
             out += ck / u**k
+        return out
+
+    def f_prime(self, u):
+        out = 2 * u + 2 * self.m / u**2
+        for k, ck in enumerate(self.coeffs, start=2):
+            out -= k * ck / u ** (k + 1)
         return out
 
     def gap_integrand(self, u):
@@ -216,6 +224,53 @@ class _Oracle:
         hyp = 2 * mpmath.pi * (s * mpmath.sqrt(1 + s * s) - mpmath.asinh(s))
         w_s = mpmath.quad(lambda x: 4 * mpmath.pi * self.gap_integrand(1 / x) / x**4, [0, 1 / s])
         return self.volume(s) - hyp + w_s
+
+
+# ----------------------------------------------------------------------
+# Sphere columns.  The oracle forms R = (2/s^2) (1 - f - s f'),
+# Ric(nu) = -f'/s and the stability density -f'/s + 2f/s^2 from f' at 50
+# digits, where their cancellation of the mass term costs nothing.  Each
+# column's error is measured in eps times a scale: |R + 6| for the excess
+# (plus an absolute 1e-40 for the oracle's own rounding, since the excess
+# of an AdS model is 0), 6 for R, and the sum of the absolute terms of
+# the oracle's formula for the others, since lambda_1 and the density
+# pass through zero (at s = 3m on AdS).  The measured worst is 1.09, on
+# stability_total of pert_m0.5; the formulas through f' reached 11 for R
+# and 32 for Ric(nu) on hyperbolic space.
+_SPHERE_COLUMN_CEILING = 2.0
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_sphere_columns_within_two_eps_of_oracle(name):
+    metric = ORACLE_MODELS[name]
+    core = metric.core_radius
+    grid = np.geomspace(core + 0.1 * max(1.0, core), 1e3, 200)
+    geom = sphere_data(metric, grid)
+    total = stability_total(metric, grid)
+    spec = dict(jacobi_spectrum(metric, grid, l_max=2))
+    oracle = _Oracle(metric)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for i, s in enumerate(grid.tolist()):
+            u = mpmath.mpf(s)
+            f, fp = 1 + u * u + oracle.deficit(u), oracle.f_prime(u)
+            r = 2 / u**2 * (1 - f - u * fp)
+            q, q_scale = -fp / u + 2 * f / u**2, abs(fp / u) + 2 * f / u**2
+            # (column, value, oracle, scale)
+            rows = [
+                ("R + 6", scalar_curvature_excess(metric, s), r + 6, abs(r + 6)),
+                ("R", geom.scalar[i], r, 6),
+                ("Ric_nu", geom.ricci_normal[i], -fp / u, abs(fp / u)),
+                ("stability_total", total[i], 4 * mpmath.pi * u * u * q, 4 * mpmath.pi * u * u * q_scale),
+            ]
+            rows += [
+                (f"lambda_{l}", spec[l][i], l * (l + 1) / u**2 - q, l * (l + 1) / u**2 + q_scale)
+                for l in range(3)
+            ]
+            for column, got, want, scale in rows:
+                err = abs(mpmath.mpf(float(got)) - want) - mpmath.mpf(10) ** -40
+                ratio = float(err / (eps * scale)) if err > 0 else 0.0
+                assert ratio <= _SPHERE_COLUMN_CEILING, (column, s, ratio)
 
 
 _ELEMENTS = {

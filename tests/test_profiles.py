@@ -203,6 +203,16 @@ class TestCumulativeVolume:
         with pytest.raises(ValueError):
             cumulative_volume_over_grid(ads_one, np.array([0.5, 2.0]))
 
+    @pytest.mark.parametrize(
+        "grid",
+        [[1.0], [[1.0, 2.0]], [1.0, 1.0], [2.0, 1.0], [1.0, math.inf], [math.nan, 2.0]],
+    )
+    def test_malformed_grid_rejected(self, hyperbolic, grid):
+        # Every grid is checked before any panel: an infinite top or a nan
+        # start raise ValueError, not a quadrature failure.
+        with pytest.raises(ValueError, match="s_grid must"):
+            cumulative_volume_over_grid(hyperbolic, grid)
+
 
 class TestRenormalizedVolume:
     def test_hyperbolic_vanishes(self, hyperbolic):
@@ -330,6 +340,12 @@ class TestGapTable:
             gap_table(ads_one, np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
             gap_table(ads_one, np.array([-1.0, 2.0]))
+
+    def test_overflowing_scaled_gap_names_v(self, ads_one):
+        # At v = 1e300 the gap's rounding (~1e284) times sqrt(v) = 1e150
+        # overflows: the table is refused by name, with no overflow warning.
+        with pytest.raises(NumericsError, match=r"scaled_gap not finite for v = 1e\+300"):
+            gap_table(ads_one, np.geomspace(1.0, 1e300, 3))
 
     def test_invalid_model_rejected(self):
         metric = make_perturbed(0.0, (-0.05, 0.01))
@@ -513,7 +529,7 @@ class TestNewtonInversionWork:
         def forbidden(*args, **kwargs):
             raise AssertionError("quadrature called")
 
-        for name in ("integrate", "_panels", "integrate_intervals", "solve_increasing"):
+        for name in ("integrate", "_panels", "solve_increasing"):
             monkeypatch.setattr(f"ahiso.numerics.{name}", forbidden)
             monkeypatch.setattr(f"ahiso.profiles.{name}", forbidden, raising=False)
         hyperbolic_profile(np.geomspace(1e-30, 1e30, 61))

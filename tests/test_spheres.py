@@ -20,34 +20,7 @@ FOUR_PI = 4.0 * math.pi
 EIGHT_PI = 8.0 * math.pi
 
 
-class _FlatProfile:
-    """f = 1, the Euclidean chart, for which no RadialMetric exists: its
-    deficit f - (1 + s^2) is -s^2."""
-
-    core_radius = 0.0
-
-    @staticmethod
-    def f(s):
-        return np.ones_like(s)
-
-    @staticmethod
-    def f_prime(s):
-        return np.zeros_like(s)
-
-    @staticmethod
-    def deficit(s):
-        return -s * s
-
-
 class TestSphereData:
-    def test_flat_profile_unit_sphere(self):
-        # f = 1 is the Euclidean chart: H = 2, so the mass formula
-        # collapses to sqrt(area)/(16 pi)^{1/2} / 2 = s/2.
-        geom = sphere_data(_FlatProfile(), 1.0)
-        assert geom.mean_curvature == 2.0
-        assert geom.hawking_mass == pytest.approx(0.5, abs=1e-15)
-        assert geom.scalar == 0.0
-
     def test_hyperbolic_sphere(self, hyperbolic):
         s = math.sinh(1.0)
         geom = sphere_data(hyperbolic, s)
@@ -80,10 +53,10 @@ class TestSphereData:
         with pytest.raises(ValueError):
             sphere_data(ads_one, ads_one.core_radius)
 
-    def test_flat_profile_radii_outside_the_domain_rejected(self):
+    def test_radii_outside_the_domain_rejected(self, hyperbolic):
         for bad in (-1.0, 0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
-                sphere_data(_FlatProfile(), bad)
+                sphere_data(hyperbolic, bad)
 
 
 def _gauss_equation_residual(g):
