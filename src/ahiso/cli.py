@@ -183,8 +183,8 @@ def _s_grid(args, metric: RadialMetric) -> np.ndarray:
         raise ValueError(
             f"--s-min must exceed the core radius {metric.core_radius!r}"
         )
-    if not (args.s_max > args.s_min):
-        raise ValueError("--s-max must exceed --s-min")
+    if not (args.s_min < args.s_max < math.inf):
+        raise ValueError("--s-max must exceed --s-min and be finite")
     if args.n < 1:
         raise ValueError("--n must be positive")
     return np.geomspace(args.s_min, args.s_max, args.n)
@@ -226,8 +226,8 @@ def _cmd_compare_ode(args, metric):
 
 
 def _cmd_profile(args, metric):
-    if not (0.0 < args.v_min < args.v_max):
-        raise ValueError("need 0 < --v-min < --v-max")
+    if not (0.0 < args.v_min < args.v_max < math.inf):
+        raise ValueError("need 0 < --v-min < --v-max < inf")
     if args.n < 2:
         raise ValueError("--n must be at least 2")
     # The ProfileTable fields are the column headers.
@@ -235,8 +235,8 @@ def _cmd_profile(args, metric):
 
 
 def _cmd_expansion(args, metric):
-    if not (args.v_max > 0.0):
-        raise ValueError("--v-max must be positive")
+    if not (0.0 < args.v_max < math.inf):
+        raise ValueError("--v-max must be finite and positive")
     if args.n < 1:
         raise ValueError("--n must be positive")
     # Dyadic-in-volume grid closing in on v_max from below.

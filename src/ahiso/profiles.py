@@ -350,8 +350,9 @@ def renormalized_volume(
 ) -> RenormVolumeResult:
     """Renormalized volume V = lim [vol_g(rho) - vol_H(rho)].
 
-    Evaluated at ``truncation_rho`` = rho_T.  The neglected tail decays
-    like 1/sinh(rho) with coefficient 8 pi m / 3; ``tail_estimate``
+    Evaluated at ``truncation_rho`` = rho_T, which must be finite and
+    > 0.  The neglected tail decays like 1/sinh(rho_T) with coefficient
+    8 pi m / 3; ``tail_estimate``
     reports it and a truncation radius that leaves more than 10% of the
     value in the tail is rejected.  A rho_T below the image of the
     domain is rejected by :func:`s_from_rho` ("below the image").
@@ -373,8 +374,10 @@ def renormalized_volume(
     :func:`validate_ah` with V < 0: f = 1 + s^2 + 0.05 / s^2 has
     V = -0.2437.
     """
-    if not math.isfinite(truncation_rho):
-        raise ValueError("truncation_rho must be finite")
+    if not 0.0 < truncation_rho < math.inf:
+        raise ValueError(
+            f"truncation_rho must be finite and > 0, got {truncation_rho!r}"
+        )
     s_top = s_from_rho(metric, truncation_rho)
     gap_top = coordinate_gap(metric, s_top)
     limit = _renormalized_limit(metric)
@@ -447,8 +450,6 @@ def gap_table(metric: RadialMetric, v_grid) -> ProfileTable:
     s_v = model_radius_for_volume(metric, grid)
     a_g = FOUR_PI * s_v * s_v
     a_h = hyperbolic_profile(grid)
-    if (a_h <= 0.0).any():
-        raise ValueError("A_H must be positive for v > 0")
     gap = a_g - a_h
     # At huge volumes the rounding of gap times sqrt(v) overflows.
     with np.errstate(over="ignore"):

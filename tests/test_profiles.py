@@ -261,9 +261,12 @@ class TestRenormalizedVolume:
         with pytest.raises(ValueError, match="below the image"):
             renormalized_volume(ads_one, truncation_rho=0.3)
 
-    def test_nonfinite_truncation_rejected(self, ads_one):
-        with pytest.raises(ValueError):
-            renormalized_volume(ads_one, truncation_rho=math.inf)
+    @pytest.mark.parametrize("rho", [math.inf, 0.0, -0.0, -0.1])
+    def test_truncation_outside_zero_to_inf_rejected(self, rho):
+        # The tail 8 pi m / (3 sinh rho) divided by zero at rho = +-0, and
+        # at -0.1 it was negative, so the 10% rule let it through.
+        with pytest.raises(ValueError, match="truncation_rho must be finite and > 0"):
+            renormalized_volume(make_perturbed(0.5, (0.2,)), truncation_rho=rho)
 
     def test_hyperbolic_limit_is_exactly_zero(self, hyperbolic):
         assert _renormalized_limit(hyperbolic).value == 0.0
