@@ -30,7 +30,8 @@ from . import __version__
 from .imcf import Flow, comparison_ode, flow_spheres, lipschitz_check
 from .models import (
     RadialMetric,
-    default_grid,
+    _geomspace,
+    _grid_ends,
     gap_over_grid,
     make_ads_schwarzschild,
     make_hyperbolic,
@@ -168,13 +169,21 @@ def _emit(text: str, out: str | None) -> None:
 # table or a JSON payload.
 
 
+# The largest --s-max.  spheres' rho column integrates the coordinate gap
+# from s_max to inf in u = 1/s, whose GK15 node nearest u = 0 lies at
+# s = 234 s_max; the gap element's sqrt(1 + s^2) (sqrt(f) + sqrt(1 + s^2))
+# ~ 2 s^2 overflows past s = 9.5e153, so past s_max = 4.05e151 (stability's
+# 4 pi s^2 past 3.78e153).  1e151 is below it if that panel is halved twice.
+_S_MAX = 1e151
+
+
 def _s_grid(args, metric: RadialMetric) -> np.ndarray:
     """The geometric radius grid of --n points from --s-min to --s-max.
 
     An omitted end is :func:`default_grid`'s, core + 0.1 max(1, core) or
     max(1e3, 1e3 core), and is written back to ``args`` for the manifest.
     """
-    lo, hi = default_grid(metric, 2).tolist()
+    lo, hi = _grid_ends(metric)
     if args.s_min is None:
         args.s_min = lo
     if args.s_max is None:
@@ -185,9 +194,11 @@ def _s_grid(args, metric: RadialMetric) -> np.ndarray:
         )
     if not (args.s_min < args.s_max < math.inf):
         raise ValueError("--s-max must exceed --s-min and be finite")
+    if args.s_max > _S_MAX:
+        raise ValueError(f"--s-max must be at most {_S_MAX!r}")
     if args.n < 1:
         raise ValueError("--n must be positive")
-    return np.geomspace(args.s_min, args.s_max, args.n)
+    return _geomspace(args.s_min, args.s_max, args.n)
 
 
 def _cmd_spheres(args, metric):
@@ -231,7 +242,7 @@ def _cmd_profile(args, metric):
     if args.n < 2:
         raise ValueError("--n must be at least 2")
     # The ProfileTable fields are the column headers.
-    return vars(gap_table(metric, np.geomspace(args.v_min, args.v_max, args.n)))
+    return vars(gap_table(metric, _geomspace(args.v_min, args.v_max, args.n)))
 
 
 def _cmd_expansion(args, metric):
@@ -268,8 +279,14 @@ def _cmd_validate(args, metric):
 # Summary over a directory of run outputs
 
 
-def _read_run(path: str):
-    """Parse one output file into (manifest, kind, data) or None."""
+def _read_run(path: str, checked: dict | None = None):
+    """Parse one output file into (manifest, kind, data) or None.
+
+    A table's data holds the columns ``checked`` ({subcommand: names})
+    names for its subcommand, or every column; only these are converted.
+    A table is None unless every row has the header's cell count (a
+    truncated write does not) and every converted cell is a float.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -281,28 +298,38 @@ def _read_run(path: str):
             manifest = json.loads(lines[0][len("# manifest: ") :])
         except json.JSONDecodeError:
             return None
-        if len(lines) < 2:
+        if len(lines) < 2 or not isinstance(manifest, dict):
             return None
-        header = lines[1].split(",")
-        # A ragged table (a truncated write) or a non-numeric cell raises.
-        try:
-            if len(lines) > 2:
-                table = np.loadtxt(lines[2:], delimiter=",", ndmin=2)
-            else:
-                table = np.empty((0, len(header)))
-        except ValueError:
+        header, rows = lines[1].split(","), lines[2:]
+        if any(row.count(",") != len(header) - 1 for row in rows):
             return None
-        if table.shape[1] != len(header):
-            return None
-        return manifest, "csv", dict(zip(header, table.T))
+        names = (checked or {}).get(manifest.get("subcommand"), header)
+        cols = [i for i, name in enumerate(header) if name in names]
+        table = np.empty((0, len(cols)))
+        if rows and cols:
+            try:
+                table = np.loadtxt(rows, delimiter=",", usecols=cols, ndmin=2)
+            except ValueError:
+                return None
+        return manifest, "csv", {header[i]: table[:, j] for j, i in enumerate(cols)}
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
         return None
-    if isinstance(obj, dict) and "manifest" in obj:
+    if isinstance(obj, dict) and isinstance(obj.get("manifest"), dict):
         manifest = obj.pop("manifest")
         return manifest, "json", obj
     return None
+
+
+# The columns of each table that a summary criterion reads (of imcf, all).
+_CHECKED = {
+    "spheres": ("area", "K", "R", "hawking_mass"),
+    "stability": ("stability_total", "lambda_1", "lambda_2"),
+    "compare-ode": ("B", "A_H"),
+    "profile": ("v", "gap", "scaled_gap"),
+    "expansion": ("v", "gap", "scaled_gap"),
+}
 
 
 def _runs_by_subcommand(results_dir: str) -> dict[str, list]:
@@ -310,7 +337,7 @@ def _runs_by_subcommand(results_dir: str) -> dict[str, list]:
         raise ValueError(f"{results_dir} is not a directory")
     runs: dict[str, list] = {}
     for name in sorted(os.listdir(results_dir)):
-        parsed = _read_run(os.path.join(results_dir, name))
+        parsed = _read_run(os.path.join(results_dir, name), _CHECKED)
         if parsed is None:
             continue
         manifest, kind, data = parsed
@@ -577,6 +604,8 @@ def _build_parser() -> _Parser:
 
     parser = _Parser(prog="ahiso", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # Each subcommand's own parser, by name, for _parse's one hop.
+    parser.subcommands = sub.choices
 
     def add(name, handler, help, model=True):
         p = sub.add_parser(name, parents=[common], help=help)
@@ -631,6 +660,16 @@ def _build_parser() -> _Parser:
 _NOT_PARAMETERS = ("subcommand", "handler", "out")
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The flags of argv.  After a subcommand's name, that subcommand's own
+    parser takes the rest, as the top-level one would; it takes all else."""
+    parser = _build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+
+
 def run(argv: list[str]) -> int:
     """Parse argv, execute one subcommand, return the exit code.
 
@@ -641,9 +680,8 @@ def run(argv: list[str]) -> int:
     on success, 1 on validation failure or a model that ``validate``
     finds not AH, 2 on numeric failure.
     """
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         metric, digest = None, "-"
         if "model" in args:
             metric, args.model, digest = _load_model(args.model)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import RadialMetric, make_ads_schwarzschild, make_hyperbolic
+from .models import RadialMetric, _geomspace, make_ads_schwarzschild, make_hyperbolic
 from .numerics import NumericsError, solve_ode
 from .profiles import (
     cumulative_volume_over_grid,
@@ -203,7 +203,7 @@ def comparison_ode(
     s0 = max(s0, metric.core_radius)
 
     if v0 > 0.0:
-        grid = np.geomspace(v0, v_end, n_grid)
+        grid = _geomspace(v0, v_end, n_grid)
     else:
         grid = np.linspace(v0, v_end, n_grid)
     grid[0], grid[-1] = v0, v_end

@@ -143,24 +143,29 @@ class ValidationReport:
 # ----------------------------------------------------------------------
 # Constructors
 
+_SQRT3 = math.sqrt(3.0)
+
 
 def _core_radius(mass: float, coeffs: tuple[float, ...]) -> float:
     """Largest positive root of f, or 0 if none.
 
     s^n f(s), n = 1 + len(coeffs), is the monic polynomial P = [1, 0, 1,
-    -2m, c_2, ...], so f > 0 above its largest root.  Roots are companion
-    eigenvalues, real when |imag| <= 1e-7 |z| (so a near-double root split
-    into a complex pair is kept), and accurate to about eps of the largest
-    modulus (>= ~1): the root, if below 1e-6, is 1/w, w the least root
-    above 1e6 of the reversed polynomial.  :func:`find_root` on P polishes
-    it to adjacent floats; where P keeps its sign there, it is a double
-    root.  Where some coefficient over P(0) overflows, so that the
-    reversed polynomial cannot be normalized, Descartes' rule of signs
-    decides: with no sign change in P's coefficients the core is 0, with
-    one, P is bisected on [0, 1e-6], and a root it finds there that is
-    not subnormal (or more sign changes) raises ValueError, since floats
-    do not resolve P near such a root.  A subnormal core raises
-    ValueError: the model's integrands overflow near it.
+    -2m, c_2, ...], so f > 0 above its largest root.  The mass-only cubic
+    s^3 + s - 2m has the one real root (2/sqrt 3) sinh(asinh(3 sqrt(3) m)
+    / 3), about 2m at tiny m, with asinh x taken as ln 2x where 3 sqrt(3) m
+    overflows.  With a tail, roots are companion eigenvalues, real when
+    |imag| <= 1e-7 |z| (so a near-double root split into a complex pair is
+    kept), and accurate to about eps of the largest modulus (>= ~1): the
+    root, if below 1e-6, is 1/w, w the least root above 1e6 of the
+    reversed polynomial.  :func:`find_root` on P polishes it to adjacent
+    floats; where P keeps its sign there, it is a double root.  Where some
+    coefficient over P(0) overflows, so that the reversed polynomial
+    cannot be normalized, Descartes' rule of signs decides: with no sign
+    change in P's coefficients the core is 0, with one, P is bisected on
+    [0, 1e-6], and a root it finds there that is not subnormal (or more
+    sign changes) raises ValueError, since floats do not resolve P near
+    such a root.  A subnormal core raises ValueError: the model's
+    integrands overflow near it.
     """
     name = f"the model with mass {mass!r} and coeffs {list(coeffs)!r}"
     if math.isinf(2.0 * mass):
@@ -170,7 +175,6 @@ def _core_radius(mass: float, coeffs: tuple[float, ...]) -> float:
     # tiny root, and the reversed polynomial is normalized by coef[-1].
     while coef[-1] == 0.0:
         coef.pop()
-    p = np.array(coef)
 
     def positive_roots(monic):
         # np.roots' companion matrix, without its input checks and trimming.
@@ -186,8 +190,15 @@ def _core_radius(mass: float, coeffs: tuple[float, ...]) -> float:
             out = out * s + c
         return out
 
-    r = float(positive_roots(p).max(initial=0.0))
-    if r < 1e-6:
+    if len(coef) <= 4:
+        # No tail: the cubic's closed form (r = 0 at m = 0).
+        x = 3.0 * _SQRT3 * mass
+        a = math.asinh(x) if x < math.inf else math.log(6.0 * _SQRT3) + math.log(mass)
+        r = 2.0 / _SQRT3 * math.sinh(a / 3.0)
+    else:
+        p = np.array(coef)
+        r = float(positive_roots(p).max(initial=0.0))
+    if r < 1e-6 and len(coef) > 4:
         with np.errstate(over="ignore"):
             q = p[::-1] / p[-1]
         if np.all(np.isfinite(q)):
@@ -512,10 +523,28 @@ def s_from_rho(metric: RadialMetric, rho: float) -> float:
 # Validation
 
 
+def _geomspace(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.geomspace(lo, hi, n)`` bit for bit, for 0 < lo < hi: its steps
+    without its generality (it costs ~6x more on a 50-point grid)."""
+    if n < 2:
+        return np.full(n, lo, dtype=float)
+    a, b = np.log10(lo), np.log10(hi)
+    y = np.arange(n, dtype=float) * ((b - a) / (n - 1)) + a
+    y[-1] = b
+    out = 10.0 ** y
+    out[0], out[-1] = lo, hi
+    return out
+
+
+def _grid_ends(metric: RadialMetric) -> tuple[float, float]:
+    """The ends of :func:`default_grid`."""
+    core = metric.core_radius
+    return core + 0.1 * max(1.0, core), max(1e3, 1e3 * core)
+
+
 def default_grid(metric: RadialMetric, n: int = 50) -> np.ndarray:
     """Log-spaced validation grid [core + 0.1 max(1, core), max(1e3, 1e3 core)]."""
-    core = metric.core_radius
-    return np.geomspace(core + 0.1 * max(1.0, core), max(1e3, 1e3 * core), n)
+    return _geomspace(*_grid_ends(metric), n)
 
 
 def validate_ah(metric: RadialMetric) -> ValidationReport:

@@ -6,6 +6,7 @@ import errno
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -15,10 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ahiso.cli as cli
 from ahiso.cli import (
+    _CHECKED,
     _build_parser,
     _load_model,
     _metric_from_model_dict,
+    _parse,
     _read_run,
     emit_summary,
     run,
@@ -493,6 +497,20 @@ class TestErrorPaths:
     def test_no_subcommand(self):
         assert run([]) == 1
 
+    @pytest.mark.parametrize("subcommand", ["spheres", "stability"])
+    @pytest.mark.parametrize(
+        "s_max, rc", [("1e151", 0), ("1.0000000000000001e151", 1), ("1e152", 1), ("4e153", 1)]
+    )
+    def test_huge_s_max_is_refused_by_name(self, capsys, tmp_path, subcommand, s_max, rc):
+        # On pert(0.5, [0.2]), spheres --s-max 5e151 and stability --s-max
+        # 4e153 overflowed in a multiply (a RuntimeWarning escaping run)
+        # where 1e151 and 3e153 exit 0.
+        path = tmp_path / "pert.json"
+        path.write_text(json.dumps({"type": "perturbed", "mass": 0.5, "coeffs": [0.2]}))
+        assert run([subcommand, "--model", str(path), "--n", "3", "--s-max", s_max]) == rc
+        refused = "--s-max must be at most 1e+151" in capsys.readouterr().err
+        assert refused == (rc == 1)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -726,8 +744,9 @@ def test_every_float_flag_rejects_nonfinite_and_huge_values(tmp_path, capsys):
     # be added to _FLOAT_FLAGS).  Each base command runs in milliseconds;
     # one flag at a time is set to nan, inf or 1e308, which must exit 1
     # or 2 without an exception escaping.  nan and inf must be refused
-    # before numpy warns; 1e308 runs with warnings off, since spheres and
-    # stability still overflow at --s-max past ~1e152.
+    # before numpy warns, and so must --s-max 1e308, above its bound
+    # 1e151; other flags at 1e308 run with warnings off, since they
+    # may still overflow on the way to exit 2.
     model = tmp_path / "ads_m1.json"
     model.write_text(json.dumps({"type": "ads_schwarzschild", "mass": 1.0}))
     base = _base_argv(model, tmp_path)
@@ -740,7 +759,7 @@ def test_every_float_flag_rejects_nonfinite_and_huge_values(tmp_path, capsys):
             swept.add((name, flag))
             for value in ["nan", "inf", "1e308"]:
                 argv = [name] + base[name] + [flag, value]
-                quiet = value == "1e308"
+                quiet = value == "1e308" and flag != "--s-max"
                 with np.errstate(all="ignore") if quiet else contextlib.nullcontext():
                     rc = run(argv)
                 runs += 1
@@ -831,6 +850,61 @@ def test_a_flag_the_subcommand_does_not_read_exits_one(capsys, tmp_path, ads_mod
     value = {"--model": ads_model, "--rho": "20"}.get(flag, "1e-3")
     assert run([name] + argv + [flag, value]) == 1
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def _both_hops(monkeypatch, call):
+    """call() as is, then with every argv sent through the top-level parser."""
+    first = call()
+    with monkeypatch.context() as patch:
+        patch.setattr(_build_parser(), "subcommands", {})
+        return first, call()
+
+
+def test_one_hop_parse_matches_the_top_level_parser(tmp_path, monkeypatch):
+    # For every subcommand, the namespace of its own parser, with
+    # subcommand set, is the top-level parser's, and so are the manifest
+    # parameters of the run.
+    model = tmp_path / "ads_m1.json"
+    model.write_text(json.dumps({"type": "ads_schwarzschild", "mass": 1.0}))
+    res = tmp_path / "res"
+    res.mkdir()
+    assert run(["validate", "--model", str(model), "--out", str(res / "v.json")]) == 0
+    for name, tail in _base_argv(model, res).items():
+        out = tmp_path / f"{name}.out"
+        argv = [name] + tail + ["--out", str(out)]
+        args = _parse(argv)
+        assert args == _build_parser().parse_args(argv), name
+        assert args.subcommand == name
+        one, two = _both_hops(
+            monkeypatch, lambda: (run(argv), _read_run(str(out))[0]["parameters"])
+        )
+        assert one == two and one[0] == 0, name
+
+
+@pytest.mark.parametrize(
+    "argv, rc, message",
+    [
+        ([], 1, "the following arguments are required: subcommand"),
+        (["bogus"], 1, "invalid choice: 'bogus'"),
+        (["spheres", "--model", "m.json", "--bogus"], 1, "unrecognized arguments: --bogus"),
+        (["spheres", "--n", "3"], 1, "the following arguments are required: --model"),
+        (["--n", "3"], 1, "invalid choice: '3'"),
+        (["-h"], 0, "usage: ahiso [-h]"),
+        (["spheres", "-h"], 0, "usage: ahiso spheres [-h]"),
+    ],
+)
+def test_parse_errors_keep_their_exit_codes_and_messages(capsys, monkeypatch, argv, rc, message):
+    def call():
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out + err
+
+    one, two = _both_hops(monkeypatch, call)
+    assert one == two
+    assert one[0] == rc and message in one[1]
 
 
 class TestParserReuse:
@@ -987,6 +1061,63 @@ class TestSummary:
         lines[-1] = "x" + lines[-1][lines[-1].index(","):]
         path.write_text("\n".join(lines) + "\n")
         assert _read_run(str(path)) is None
+
+    @pytest.mark.parametrize("suite", ["hyp_suite", "ads_suite"])
+    def test_checked_columns_give_the_summary_of_full_reads(
+        self, request, tmp_path, monkeypatch, suite
+    ):
+        # Every subcommand's output, the summary's own among them: reading
+        # only the columns the criteria check changes no criterion.
+        res = tmp_path / "res"
+        shutil.copytree(request.getfixturevalue(suite), res)
+        assert run(["summary", str(res), "--out", str(res / "summary.json")]) == 0
+        checked = emit_summary(str(res))
+        assert checked["n_runs"] == 9
+        monkeypatch.setattr(cli, "_read_run", lambda path, _=None: _read_run(path))
+        assert checked == emit_summary(str(res))
+
+    def test_only_checked_columns_are_converted(self, tmp_path, hyp_model):
+        path = tmp_path / "spheres.csv"
+        assert run(["spheres", "--model", hyp_model, "--n", "3", "--out", str(path)]) == 0
+        _, kind, data = _read_run(str(path), _CHECKED)
+        assert kind == "csv"
+        assert list(data) == ["area", "K", "R", "hawking_mass"]
+        assert all(col.shape == (3,) for col in data.values())
+
+    @pytest.mark.parametrize(
+        "edit, counted",
+        [
+            # The last row cut short, or one cell too many.
+            (lambda cells: cells[:-1], False),
+            (lambda cells: cells + ["1.0"], False),
+            # A non-numeric cell in a checked column, and in one no
+            # criterion reads.
+            (lambda cells: cells[:2] + ["x"] + cells[3:], False),
+            (lambda cells: ["x"] + cells[1:], True),
+        ],
+        ids=["short-row", "long-row", "checked-x", "unchecked-x"],
+    )
+    def test_checked_read_skips_ragged_and_non_numeric_tables(
+        self, tmp_path, hyp_model, edit, counted
+    ):
+        path = tmp_path / "spheres.csv"
+        assert run(["spheres", "--model", hyp_model, "--n", "3", "--out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        assert lines[1].split(",")[2] == "area"
+        lines[-1] = ",".join(edit(lines[-1].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        assert (_read_run(str(path), _CHECKED) is not None) == counted
+
+    @pytest.mark.parametrize(
+        "text", ["# manifest: [1]\na,b\n1,2\n", '{"manifest": 3, "value": 1.0}\n']
+    )
+    def test_a_manifest_that_is_not_an_object_is_skipped(self, capsys, tmp_path, hyp_model, text):
+        # Such a file stopped summary with an AttributeError.
+        res = tmp_path / "res"
+        res.mkdir()
+        (res / "odd.out").write_text(text)
+        assert run(["validate", "--model", hyp_model, "--out", str(res / "v.json")]) == 0
+        assert json.loads(_capture(capsys, ["summary", str(res)]))["n_runs"] == 1
 
     def test_two_row_flow_is_summarized(self, capsys, tmp_path, ads_model):
         # The time bound takes central differences over three samples; a

@@ -7,13 +7,14 @@ import struct
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_oracles import ORACLE_MODELS
 
 import ahiso.models
 from ahiso.models import (
     RadialMetric,
+    _geomspace,
     coordinate_gap,
     default_grid,
     gap_over_grid,
@@ -156,6 +157,19 @@ class TestConstruction:
         monkeypatch.setattr(ahiso.models, "_core_radius", counting)
         make_perturbed(mass, coeffs)
         assert calls == [(mass, coeffs)]
+
+    @pytest.mark.parametrize("mass, coeffs", [(1e-300, ()), (1.0, ()), (1e300, ()), (0.5, (0.0, 0.0))])
+    def test_mass_only_core_takes_no_eigenvalue_call(self, monkeypatch, mass, coeffs):
+        # The cubic s^3 + s - 2m has a closed-form root; only a tail needs
+        # the companion matrix.
+        def refuse(_):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        metric = make_perturbed(mass, coeffs)
+        assert metric.core_radius == make_ads_schwarzschild(mass).core_radius > 0.0
+        with pytest.raises(AssertionError, match="eigvals called"):
+            make_perturbed(mass, (0.1,))
 
     def test_core_quotient_matches_direct_ratio(self, ads_one):
         delta = 1e-3
@@ -503,6 +517,19 @@ class TestValidation:
         assert grid[0] > metric.core_radius
         assert grid[-1] == pytest.approx(1e3 * metric.core_radius)
         assert validate_ah(metric).is_ah
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        lo=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+        decades=st.floats(1e-9, 12.0),
+        n=st.integers(1, 500),
+    )
+    def test_geomspace_is_numpys_bit_for_bit(self, lo, decades, n):
+        hi = lo * 10.0**decades
+        assume(lo < hi < math.inf)
+        got, want = _geomspace(lo, hi, n), np.geomspace(lo, hi, n)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_default_grid_shape(self, ads_one):
         grid = default_grid(ads_one)
