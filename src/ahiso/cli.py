@@ -30,6 +30,7 @@ from . import __version__
 from .imcf import Flow, comparison_ode, flow_spheres, lipschitz_check
 from .models import (
     RadialMetric,
+    _S_MAX,
     _geomspace,
     _grid_ends,
     gap_over_grid,
@@ -169,14 +170,6 @@ def _emit(text: str, out: str | None) -> None:
 # table or a JSON payload.
 
 
-# The largest --s-max.  spheres' rho column integrates the coordinate gap
-# from s_max to inf in u = 1/s, whose GK15 node nearest u = 0 lies at
-# s = 234 s_max; the gap element's sqrt(1 + s^2) (sqrt(f) + sqrt(1 + s^2))
-# ~ 2 s^2 overflows past s = 9.5e153, so past s_max = 4.05e151 (stability's
-# 4 pi s^2 past 3.78e153).  1e151 is below it if that panel is halved twice.
-_S_MAX = 1e151
-
-
 def _s_grid(args, metric: RadialMetric) -> np.ndarray:
     """The geometric radius grid of --n points from --s-min to --s-max.
 
@@ -194,6 +187,8 @@ def _s_grid(args, metric: RadialMetric) -> np.ndarray:
         )
     if not (args.s_min < args.s_max < math.inf):
         raise ValueError("--s-max must exceed --s-min and be finite")
+    # spheres' rho column integrates the coordinate gap from s_max on
+    # (stability's 4 pi s^2 overflows only past 3.78e153).
     if args.s_max > _S_MAX:
         raise ValueError(f"--s-max must be at most {_S_MAX!r}")
     if args.n < 1:
@@ -201,10 +196,17 @@ def _s_grid(args, metric: RadialMetric) -> np.ndarray:
     return _geomspace(args.s_min, args.s_max, args.n)
 
 
+# The closed-form columns overflow at extreme radii (K = 1/s^2 below
+# s = 1e-154): they are left non-finite, for _csv_text to refuse by name.
+_CLOSED_FORM = dict(over="ignore", divide="ignore", invalid="ignore")
+
+
 def _cmd_spheres(args, metric):
     grid = _s_grid(args, metric)
     gap, _ = gap_over_grid(metric, grid)
-    g = sphere_data(metric, grid)
+    with np.errstate(**_CLOSED_FORM):
+        g = sphere_data(metric, grid)
+        total = stability_total(metric, grid)
     return {
         "s": grid,
         # math.asinh, not np.arcsinh: numpy's differs from libm by an ulp
@@ -216,12 +218,14 @@ def _cmd_spheres(args, metric):
         "K": g.gauss_curvature,
         "R": g.scalar,
         "hawking_mass": g.hawking_mass,
-        "stability_total": stability_total(metric, grid),
+        "stability_total": total,
     }
 
 
 def _cmd_imcf(args, metric):
-    flow = flow_spheres(metric, args.s0, args.t_max, args.dt)
+    # solve_ode and integrate check their own values; hawking is closed form.
+    with np.errstate(**_CLOSED_FORM):
+        flow = flow_spheres(metric, args.s0, args.t_max, args.dt)
     return {
         "t": flow.t,
         "s": flow.s,
@@ -261,10 +265,12 @@ def _cmd_renorm_vol(args, metric):
 
 def _cmd_stability(args, metric):
     grid = _s_grid(args, metric)
-    spec = dict(jacobi_spectrum(metric, grid, l_max=2))
+    with np.errstate(**_CLOSED_FORM):
+        spec = dict(jacobi_spectrum(metric, grid, l_max=2))
+        total = stability_total(metric, grid)
     return {
         "s": grid,
-        "stability_total": stability_total(metric, grid),
+        "stability_total": total,
         "lambda_0": spec[0],
         "lambda_1": spec[1],
         "lambda_2": spec[2],

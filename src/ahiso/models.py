@@ -474,8 +474,12 @@ def rho_from_s(metric: RadialMetric, s: float) -> float:
     return math.asinh(s) - coordinate_gap(metric, s).value
 
 
-# Largest rho with a finite sinh(rho); no float area radius lies beyond it.
-_RHO_MAX = math.asinh(np.finfo(float).max)
+# The largest radius a coordinate-gap tail starts from: in u = 1/s its GK15
+# node nearest u = 0 lies at 234 s, where the gap element ~2 s^2 overflows
+# past 9.5e153, so past s = 4.05e151; 1e151 stays below even after two
+# halvings of that panel.  s_from_rho's first tail starts at sinh(rho).
+_S_MAX = 1e151
+_RHO_MAX = math.asinh(_S_MAX)
 
 
 def s_from_rho(metric: RadialMetric, rho: float) -> float:
@@ -494,7 +498,8 @@ def s_from_rho(metric: RadialMetric, rho: float) -> float:
     more tail integral checks that rho lies in its image; a rho below it
     raises ``ValueError`` ("below the image").  The tails are held to
     :func:`integrate`'s relative floor 1e-13, and the panels' sum to the
-    absolute 1e-13 of ``_GAP_TOL``.
+    absolute 1e-13 of ``_GAP_TOL``.  A rho above asinh(1e151) = 348.38...
+    raises ``ValueError``: the first tail, from sinh(rho), would overflow.
     """
     if not math.isfinite(rho) or rho > _RHO_MAX:
         raise ValueError(f"rho must be finite and <= {_RHO_MAX!r}, got {rho!r}")

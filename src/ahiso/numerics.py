@@ -381,9 +381,11 @@ def integrate(fn: Callable, a: float, b: float, abs_tol: float = 1e-10) -> QuadR
     total, total_err = 0 + val, 0 + err
     while not total_err <= max(abs_tol, _REL_TOL * abs(total)):
         if evals + 30 > _MAX_EVALS:
+            target = max(abs_tol, _REL_TOL * abs(total))
             raise NumericsError(
                 f"quadrature budget exhausted: error bound {total_err:.3e} "
-                f"after {evals} evaluations (target {abs_tol:.3e})"
+                f"after {evals} evaluations (target {target:.3e}, the larger "
+                f"of abs_tol and {_REL_TOL:g} |value|)"
             )
         worst = max(range(len(intervals)), key=lambda i: intervals[i][0])
         _, lo, hi, _ = intervals.pop(worst)

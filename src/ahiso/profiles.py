@@ -350,11 +350,11 @@ def renormalized_volume(
 ) -> RenormVolumeResult:
     """Renormalized volume V = lim [vol_g(rho) - vol_H(rho)].
 
-    Evaluated at ``truncation_rho`` = rho_T, which must be finite and
-    > 0.  The neglected tail decays like 1/sinh(rho_T) with coefficient
-    8 pi m / 3; ``tail_estimate``
-    reports it and a truncation radius that leaves more than 10% of the
-    value in the tail is rejected.  A rho_T below the image of the
+    Evaluated at ``truncation_rho`` = rho_T, which must be > 0 and at
+    most 348.38... (:func:`s_from_rho`).  The neglected tail decays like
+    1/sinh(rho_T) with coefficient 8 pi m / 3; ``tail_estimate`` reports
+    it and a truncation radius that leaves more than 10% of the value in
+    the tail is rejected.  A rho_T below the image of the
     domain is rejected by :func:`s_from_rho` ("below the image").
 
     With s_T = s(rho_T) and G_T = G(s_T), so that asinh s_T = rho_T + G_T,

@@ -481,7 +481,7 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "radicand negative" in err
 
-    def test_exhausted_quadrature_budget_exits_two(self, ads_model, monkeypatch):
+    def test_exhausted_quadrature_budget_exits_two(self, capsys, tmp_path, ads_model, monkeypatch):
         # A budget of one Gauss-Kronrod panel cannot meet the 1e-13
         # tolerance of the integrals behind V.
         import ahiso.numerics
@@ -489,6 +489,16 @@ class TestErrorPaths:
         monkeypatch.setattr(ahiso.numerics, "_MAX_EVALS", 15)
         rc = run(["renorm-vol", "--model", ads_model])
         assert rc == 2
+        # Here a semi-infinite tail stalls above its relative target
+        # 1e-13 |value|; the message named its abs_tol, "target 1.000e-300".
+        path = tmp_path / "pert.json"
+        path.write_text(json.dumps({"type": "perturbed", "mass": 0.66, "coeffs": [4.3, -2.6, 1.3]}))
+        monkeypatch.setattr(ahiso.numerics, "_MAX_EVALS", 105)
+        capsys.readouterr()
+        assert run(["renorm-vol", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "target 1.000e-300" not in err
+        assert "the larger of abs_tol and 1e-13 |value|)" in err
 
     def test_unwritable_out_path(self, tmp_path, hyp_model):
         dest = tmp_path / "missing_dir" / "x.csv"
@@ -518,11 +528,34 @@ class TestErrorPaths:
             ["imcf", "--s0", "2", "--t-max", "1e308", "--dt", "0.5"],
             ["renorm-vol", "--rho", "711"],
             ["profile", "--v-min", "1e308"],
+            # 8e300 samples are refused before any grid is allocated.
+            ["imcf", "--s0", "2", "--t-max", "8", "--dt", "1e-300"],
+            # The first tail from sinh(350) overflowed in the gap element.
+            ["renorm-vol", "--rho", "350"],
         ],
     )
     def test_out_of_range_input_exits_one(self, capsys, ads_model, argv):
         assert run(argv + ["--model", ads_model]) == 1
         assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model, argv, column",
+        [
+            ({"type": "hyperbolic"}, ["spheres", "--s-min", "1e-160"], "K"),
+            ({"type": "hyperbolic"}, ["stability", "--s-min", "1e-160"], "stability_total"),
+            ({"type": "perturbed", "mass": 0, "coeffs": [1]}, ["spheres", "--s-min", "1e-80"], "Ric_nu"),
+            ({"type": "perturbed", "mass": 0, "coeffs": [1]}, ["stability", "--s-min", "1e-80"], "stability_total"),
+            ({"type": "perturbed", "mass": 0, "coeffs": [1]}, ["imcf", "--s0", "1e-300"], "hawking"),
+        ],
+        ids=["hyp-spheres", "hyp-stability", "pert-spheres", "pert-stability", "pert-imcf"],
+    )
+    def test_overflowing_closed_form_column_is_named(self, capsys, tmp_path, model, argv, column):
+        # K = 1/s^2, R + 6 = 2 s^-4 and the deficit s^-2 overflow at these
+        # radii: a RuntimeWarning escaped run under error::RuntimeWarning.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert run(argv + ["--model", str(path)]) == 2
+        assert f"column {column!r} holds a non-finite value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand", ["profile", "expansion"])
     def test_infinite_v_max_is_refused_by_name(self, capsys, ads_model, subcommand):
@@ -602,13 +635,16 @@ def test_subnormal_coefficient_models(capsys, tmp_path):
 def test_tiny_core_profile_tables_exit_zero_without_warning(capsys, tmp_path, model):
     # The volume inversion evaluated its near-core start for every row; at
     # such a core the element there underflows to 0, or core_quotient(0)
-    # divides by an underflowed power of the core.
+    # divides by an underflowed power of the core.  Every other subcommand
+    # with a model runs on it too.
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
+    imcf = ["imcf", "--s0", "2", "--t-max", "2", "--dt", "0.25"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for cmd in ("profile", "expansion"):
-            assert run([cmd, "--model", str(path)]) == 0, capsys.readouterr().err
+        for argv in (["profile"], ["expansion"], ["validate"], ["renorm-vol"],
+                     ["spheres"], ["stability"], imcf):
+            assert run(argv + ["--model", str(path)]) == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -932,6 +968,19 @@ class TestParserReuse:
             capture_output=True, text=True, env=_child_env(), timeout=120, check=True,
         )
         assert child.stdout.split("\n", 1)[1] == here.split("\n", 1)[1]
+
+    def test_subprocess_numeric_failure_exits_two(self, ads_model):
+        # main() passes run's exit code 2 to the process.  The flow's radius
+        # grows like e^{t/2}; from s0 = 1e300 it overflows near t = 35, in
+        # ~3,300 steps (from s0 = 2, near t = 1418, in process:
+        # test_overflowing_flow_is_a_numeric_failure).
+        argv = ["imcf", "--model", ads_model, "--s0", "1e300", "--t-max", "2000", "--dt", "100"]
+        child = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "ahiso.cli", *argv],
+            capture_output=True, text=True, env=_child_env(), timeout=120,
+        )
+        assert child.returncode == 2
+        assert child.stderr.startswith("numeric failure: solve_ode: ")
 
 
 def _build_suite(root, model_path, tag):

@@ -417,10 +417,12 @@ class TestGeodesicCoordinate:
         with pytest.raises(ValueError):
             s_from_rho(ads_one, horizon_rho - 0.5)
 
-    @pytest.mark.parametrize("rho", [711.0, 1e308, math.inf, math.nan])
+    @pytest.mark.parametrize("rho", [350.0, 700.0, 710.4, 711.0, 1e308, math.inf, math.nan])
     def test_rho_past_sinh_overflow_raises(self, ads_one, rho):
-        # sinh overflows above rho = 710.47..., where no float radius lies.
-        with pytest.raises(ValueError, match="rho must be finite and <= 710.47"):
+        # The first tail starts at sinh(rho); past rho = asinh(1e151) its
+        # GK15 nodes near 234 sinh(rho) overflow the gap element, and
+        # sinh itself overflows above 710.47.
+        with pytest.raises(ValueError, match="rho must be finite and <= 348.38"):
             s_from_rho(ads_one, rho)
 
     def test_domain_violations_raise(self, ads_one):
