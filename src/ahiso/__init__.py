@@ -42,7 +42,6 @@ from .profiles import (
 from .spheres import (
     SphereGeometry,
     gauss_bonnet_total,
-    hawking_mass,
     jacobi_spectrum,
     sphere_data,
     stability_total,
@@ -68,7 +67,6 @@ __all__ = [
     "flow_spheres",
     "gap_table",
     "gauss_bonnet_total",
-    "hawking_mass",
     "hyperbolic_profile",
     "integrate",
     "jacobi_spectrum",

@@ -223,6 +223,8 @@ def _cmd_spheres(args, metric):
 
 
 def _cmd_imcf(args, metric):
+    if args.s0 < sys.float_info.min:  # subnormal radii repeat along the flow
+        raise ValueError(f"--s0 must be at least {sys.float_info.min!r}, the smallest normal float")
     # solve_ode and integrate check their own values; hawking is closed form.
     with np.errstate(**_CLOSED_FORM):
         flow = flow_spheres(metric, args.s0, args.t_max, args.dt)
@@ -254,8 +256,10 @@ def _cmd_expansion(args, metric):
         raise ValueError("--v-max must be finite and positive")
     if args.n < 1:
         raise ValueError("--n must be positive")
-    # Dyadic-in-volume grid closing in on v_max from below.
-    grid = args.v_max * 4.0 ** -np.arange(args.n - 1, -1, -1, dtype=float)
+    # Dyadic grid v_max 4^-k; ldexp, since 4^-k alone underflows past k = 537.
+    grid = np.ldexp(args.v_max, -2 * np.arange(args.n - 1, -1, -1))
+    if grid[0] == 0.0:
+        raise ValueError(f"--n {args.n} puts --v-max 4^(1 - n) below the smallest float")
     return vars(gap_table(metric, grid))
 
 

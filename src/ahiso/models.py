@@ -31,6 +31,7 @@ import numpy as np
 from .numerics import (
     QuadResult,
     _panels,
+    _reciprocal,
     find_root,
     integrate,
     solve_increasing,
@@ -317,10 +318,9 @@ def _chart(metric: RadialMetric, head: bool = True) -> _Chart:
     ds = 2 w dw and sqrt(f) = w sqrt(f / w^2), with f / w^2 the
     cancellation-free :meth:`RadialMetric.core_quotient`, so
     ds / (sqrt(f) dw) = 2 / sqrt(f / w^2) stays finite at the core, where
-    f^{-1/2} in s has an integrable spike.  Otherwise (core 0, or the
-    tail above the split of :func:`_gap_moment`) it is s itself.  This is
-    the only code that knows the substitution; every radial element is
-    written in s through ``point``.
+    f^{-1/2} in s has an integrable spike.  Otherwise (core 0, or
+    ``head=False``) it is s itself.  Every radial element is written in s
+    through ``point``; a G integral leaves the head at :func:`_split`.
     """
     core = metric.core_radius
     if head and core > 0.0:
@@ -369,28 +369,31 @@ def _geodesic_element(chart: _Chart):
 _GAP_TOL = 1e-13
 
 
+def _split(metric: RadialMetric) -> float:
+    """core + max(1, core): a G integral runs in the head chart of
+    :func:`_chart` below it (s itself at a zero core) and in u = 1/s
+    above it, so the head keeps its shape however large the core is."""
+    return metric.core_radius + max(1.0, metric.core_radius)
+
+
 def _gap_moment(metric: RadialMetric, s: float, k: int) -> QuadResult:
     """integral_s^inf u^k [f(u)^{-1/2} - (1+u^2)^{-1/2}] du, for s >= core.
 
-    Below the split core + max(1, core) (at a zero core, only from
-    s = 0) it is integrated in the chart of :func:`_chart`, which removes
-    the integrable 1/sqrt spike at a positive core; above, in s by
-    :func:`integrate`'s 1/u tail.  The split scales with the core, so the
-    head keeps its shape however large the core is.
+    From s below :func:`_split` it is integrated in the head chart of
+    :func:`_chart` up to the split, which removes the integrable 1/sqrt
+    spike at a positive core, to an absolute 1e-14; the rest, from the
+    split or from s above it, in u = 1/s by :func:`integrate`.
     """
     core = metric.core_radius
     if not math.isfinite(s) or s < core:
         raise ValueError(f"s must lie in [{core!r}, inf), got {s!r}")
-    split = core + max(1.0, core)
+    split = _split(metric)
     tail_fn = _gap_element(_chart(metric, head=False), k)
-    if s > 0.0 and (core == 0.0 or s >= split):
+    if s >= split:
         # The tail's abs_tol is negligible, so integrate's relative floor
         # decides: the moment decays like m / s^(3 - k) and is consumed
         # relatively by downstream expansions.
         return integrate(tail_fn, s, math.inf, abs_tol=1e-300)
-    # From s below the split above a positive core, or from s == core == 0,
-    # where f may blow up when tail coefficients are present: the head
-    # takes an absolute floor.
     chart = _chart(metric)
     t0, t1 = chart.to_t(s), chart.to_t(split)
     head = integrate(_gap_element(chart, k), t0, t1, abs_tol=1e-14)
@@ -415,17 +418,15 @@ def coordinate_gap(metric: RadialMetric, s: float) -> QuadResult:
 def gap_over_grid(metric: RadialMetric, s) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate gap G and its error bound at every point of ``s``.
 
-    One outside-in sweep: a single :func:`coordinate_gap` tail integral
-    at the largest point, then one panel per gap between consecutive
-    points in the chart of :func:`_chart`, all from one panel call whose
-    absolute tolerance 1e-13 (``_GAP_TOL``) is shared over the panels,
-    summed from the outside in.  A gap whose top exceeds 1e6 times both
-    its bottom and the split core + max(1, core) is instead the
-    difference of the :func:`coordinate_gap` tails at its ends, since
-    the m / u^4 decay of the integrand falls between the nodes of one
-    panel across so many decades.  The points may come in any order and
-    may repeat; each must lie in [core, inf).  A point's bound is the
-    tail's bound plus the bounds of every gap above it.
+    The sweep form of :func:`coordinate_gap`: the points and
+    :func:`_split` cut [min s, inf) into gaps, one panel of
+    :func:`numerics._panels` each, in the head chart below the split and
+    in u = 1/s above it (the last from the largest point to u = 0, and
+    the integrand ~m u^2, so one panel spans any number of decades).  The
+    panels share the absolute tolerance 1e-13 (``_GAP_TOL``) and are
+    summed from the outside in, so a point's bound is the sum of those
+    above it.  The points may come in any order and may repeat; each must
+    lie in [core, inf).
     """
     pts = np.asarray(s, dtype=float)
     core = metric.core_radius
@@ -435,31 +436,31 @@ def gap_over_grid(metric: RadialMetric, s) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"every s must lie in [{core!r}, inf)")
     u = np.sort(pts)
     u = np.concatenate([u[:1], u[1:][np.diff(u) > 0.0]])
+    split = _split(metric)
+    below = u < split
+    ends = np.concatenate([u[below], [split], u[u > split], [math.inf]])
+    # Gap i runs from ends[i] to ends[i + 1] (1/inf = 0 in u).  Gaps of
+    # zero width (points that coincide in their chart) contribute nothing.
+    n_head = np.count_nonzero(below)
     chart = _chart(metric)
-    t = chart.to_t(u)
-    # t is nondecreasing; intervals of zero width (points that coincide
-    # after the change of variable) contribute nothing.
-    v, e = np.zeros(u.size - 1), np.zeros(u.size - 1)
-    panel = np.diff(t) > 0.0
-    split = core + max(1.0, core)
-    # Only a point above 1e6 times the split can top a gap that takes two
-    # tails, so ordinary grids skip the search and allocate nothing for it.
-    far = []
-    if u[-1] > 1e6 * split:
-        far = np.flatnonzero(u[1:] > 1e6 * np.maximum(u[:-1], split)).tolist()
-        panel[far] = False
-    if panel.any():
-        share = _GAP_TOL / (np.count_nonzero(panel) + 1)
-        v[panel], e[panel] = _panels(
-            _gap_element(chart), t[:-1][panel], t[1:][panel], share
-        )[:2]
-    for i in far:
-        lo, hi = coordinate_gap(metric, float(u[i])), coordinate_gap(metric, float(u[i + 1]))
-        v[i], e[i] = lo.value - hi.value, lo.error_bound + hi.error_bound
-    top = coordinate_gap(metric, float(u[-1]))
-    gap = np.cumsum(np.append(v, top.value)[::-1])[::-1]
-    bound = np.cumsum(np.append(e, top.error_bound)[::-1])[::-1]
-    at = np.searchsorted(u, pts)
+    head_t = chart.to_t(ends[: n_head + 1])
+    tail_u = 1.0 / ends[n_head:]
+    lo = np.concatenate([head_t[:-1], tail_u[1:]])
+    hi = np.concatenate([head_t[1:], tail_u[:-1]])
+    v, e = np.zeros(lo.size), np.zeros(lo.size)
+    panel = hi > lo
+    share = _GAP_TOL / np.count_nonzero(panel)
+    head = np.arange(lo.size) < n_head
+    for part, fn in (
+        (head, _gap_element(chart)),
+        (~head, _reciprocal(_gap_element(_chart(metric, head=False)))),
+    ):
+        on = panel & part
+        if on.any():
+            v[on], e[on] = _panels(fn, lo[on], hi[on], share)[:2]
+    gap = np.cumsum(v[::-1])[::-1]
+    bound = np.cumsum(e[::-1])[::-1]
+    at = np.searchsorted(ends, pts)
     return gap[at], bound[at]
 
 
@@ -485,21 +486,21 @@ _RHO_MAX = math.asinh(_S_MAX)
 def s_from_rho(metric: RadialMetric, rho: float) -> float:
     """Numerical inverse of rho_from_s.
 
-    Newton's method on rho(s) = rho (:func:`solve_increasing`) in the
-    chart t of :func:`_chart`, with the geodesic element
-    d rho / dt = ds / (sqrt(f) dt) as the derivative, which stays finite
-    at a positive core.  It starts 1e-12 below s = sinh(rho), or at the
-    core when that lies below it, with rho there from one
-    :func:`coordinate_gap` tail; every step adds one GK15 panel of the
-    derivative.  Where G >= 0 the start lies below the root by more than
-    the rounding of asinh, and rho(s) is concave wherever f grows, so the
-    steps approach the root from below.  A start above the root (G < 0
-    there) is bracketed from below by the bottom of the domain, after one
-    more tail integral checks that rho lies in its image; a rho below it
-    raises ``ValueError`` ("below the image").  The tails are held to
+    Newton's method on rho(s) = rho (:func:`solve_increasing`) with the
+    geodesic element d rho / dt = ds / (sqrt(f) dt) as the derivative, in
+    s when the bracket lies above :func:`_split`, else in the head chart
+    t of :func:`_chart`, where it stays finite at a positive core.  It
+    starts 1e-12 below s = sinh(rho), or at the core when that lies below
+    it, with rho there from one :func:`coordinate_gap`; every step adds
+    one GK15 panel of the derivative.  Where G >= 0 the start lies below
+    the root by more than the rounding of asinh, and rho(s) is concave
+    wherever f grows, so the steps approach the root from below.  A start
+    above the root (G < 0 there) is bracketed from below by the bottom of
+    the domain, after one more G checks that rho lies in its image; a rho
+    below it raises ``ValueError`` ("below the image").  G is held to
     :func:`integrate`'s relative floor 1e-13, and the panels' sum to the
     absolute 1e-13 of ``_GAP_TOL``.  A rho above asinh(1e151) = 348.38...
-    raises ``ValueError``: the first tail, from sinh(rho), would overflow.
+    raises ``ValueError``: G from sinh(rho) would overflow.
     """
     if not math.isfinite(rho) or rho > _RHO_MAX:
         raise ValueError(f"rho must be finite and <= {_RHO_MAX!r}, got {rho!r}")
@@ -507,9 +508,7 @@ def s_from_rho(metric: RadialMetric, rho: float) -> float:
     # Below rho = 0 the start is the core, and sinh need not overflow.
     s0 = max(math.sinh(max(rho, 0.0)) * (1.0 - 1e-12), core)
     rho0 = math.asinh(s0) - coordinate_gap(metric, s0).value
-    chart = _chart(metric)
-    t0 = float(chart.to_t(s0))
-    lo, hi = t0, math.inf
+    lo, hi = s0, math.inf
     if rho0 >= rho:
         # rho at the bottom of the domain: the core, or s = 0.
         bottom = rho0
@@ -517,10 +516,12 @@ def s_from_rho(metric: RadialMetric, rho: float) -> float:
             bottom = math.asinh(core) - coordinate_gap(metric, core).value
         if bottom >= rho:
             raise ValueError(f"rho = {rho!r} is below the image of the domain")
-        lo, hi = float(chart.to_t(core)), t0
+        lo, hi = core, s0
+    chart = _chart(metric, head=lo < _split(metric))
+    t0, t_lo, t_hi = (float(chart.to_t(x)) for x in (s0, lo, hi))
     density = _geodesic_element(chart)
     slope = density(np.array([t0]))
-    t = float(solve_increasing(density, [rho], [t0], [rho0], slope, [lo], [hi], _GAP_TOL)[0])
+    t = float(solve_increasing(density, [rho], [t0], [rho0], slope, [t_lo], [t_hi], _GAP_TOL)[0])
     return float(chart.to_s(t))
 
 

@@ -315,6 +315,17 @@ def solve_increasing(
     )
 
 
+def _reciprocal(fn: Callable) -> Callable:
+    """The integrand fn(s) ds in u = 1/s: fn(1/u) / u^2, so that the range
+    [a, inf) in s is [0, 1/a] in u (QUADPACK's DQAGI map)."""
+
+    def transformed(u):
+        s = 1.0 / np.asarray(u, dtype=float)
+        return _eval_batch(fn, s) * s * s
+
+    return transformed
+
+
 # integrate's relative floor and evaluation budget (see its docstring).
 _REL_TOL = 1e-13
 _MAX_EVALS = 400_000
@@ -359,14 +370,7 @@ def integrate(fn: Callable, a: float, b: float, abs_tol: float = 1e-10) -> QuadR
             raise ValueError("lower-infinite limits are not supported")
         if a <= 0.0:
             raise ValueError("infinite upper limit requires a > 0")
-        inner = fn
-
-        def transformed(u):
-            u = np.asarray(u, dtype=float)
-            s = 1.0 / u
-            return _eval_batch(inner, s) * s * s
-
-        return integrate(transformed, 0.0, 1.0 / a, abs_tol)
+        return integrate(_reciprocal(fn), 0.0, 1.0 / a, abs_tol)
     if a == b:
         return QuadResult(0.0, 0.0, 0)
 

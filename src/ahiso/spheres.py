@@ -14,8 +14,8 @@ and the scalar curvature excess R + 6 of
 
 since -s d' = s^2 (R + 6)/2 + d.  No f' is formed: R from f' cancels
 terms of order one to rounding, below -6 by up to 1.5e-14 on hyperbolic
-space.  The module also gives the Hawking mass and the spherical-harmonic
-spectrum of the stability operator.
+space.  The module also gives the Hawking mass, as -(s/2) d, and the
+spherical-harmonic spectrum of the stability operator.
 """
 
 from __future__ import annotations
@@ -30,14 +30,12 @@ from .models import RadialMetric, _check_domain, scalar_curvature_excess
 __all__ = [
     "SphereGeometry",
     "sphere_data",
-    "hawking_mass",
     "stability_total",
     "jacobi_spectrum",
     "gauss_bonnet_total",
 ]
 
 FOUR_PI = 4.0 * math.pi
-SIXTEEN_PI = 16.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -90,19 +88,6 @@ def sphere_data(metric: RadialMetric, s) -> SphereGeometry:
     if arr.ndim == 0:
         fields = {name: float(val) for name, val in fields.items()}
     return SphereGeometry(**fields)
-
-
-def hawking_mass(geom: SphereGeometry) -> float:
-    """Hawking mass from the defining formula on the stored fields.
-
-    (area^{1/2} / (16 pi)^{3/2}) * (16 pi - area (H^2 - 4)).  On spheres
-    built by sphere_data this agrees with the stored ``hawking_mass`` up
-    to the rounding of H^2 - 4 (about 1e-7 at s = 1e3); the stored field
-    is the cancellation-free evaluation.
-    """
-    return (math.sqrt(geom.area) / SIXTEEN_PI ** 1.5) * (
-        SIXTEEN_PI - geom.area * (geom.mean_curvature ** 2 - 4.0)
-    )
 
 
 def _stability_density(metric: RadialMetric, s):

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -588,6 +589,32 @@ class TestErrorPaths:
         allowed = (0,) if float(v_end) <= 1e307 else (0, 2)
         assert rc in allowed, capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            # v_max 4^(1 - n): 4^-540 underflowed to 0 although the product
+            # does not, and the message named v_grid.
+            (["expansion", "--n", "541"], None),
+            (["expansion", "--n", "560"], "--n"),
+            # Subnormal radii repeat along the flow; the message named s_grid.
+            (["imcf", "--s0", "5e-324"], "--s0"),
+            # 1/sinh(rho) overflowed in coordinate_gap's tail ("infinite
+            # upper limit requires a > 0"); G from below the split is a head
+            # integral up to it.
+            (["renorm-vol", "--rho", "1e-310"], None),
+        ],
+        ids=["expansion-n541", "expansion-n560", "imcf-s0", "renorm-vol-rho"],
+    )
+    def test_flag_at_the_float_range_edge_is_answered_or_named(self, capsys, hyp_model, argv, flag):
+        # Each exited 1 with a message that named an internal, not the flag.
+        rc = run(argv + ["--model", hyp_model])
+        err = capsys.readouterr().err
+        if flag is None:
+            assert rc == 0, err
+        else:
+            assert rc == 1
+            assert f"error: {flag} " in err
+
 
 @pytest.mark.parametrize("mass", [1e30, 1e300])
 def test_huge_core_tables_exit_zero_without_warning(capsys, tmp_path, mass):
@@ -603,6 +630,28 @@ def test_huge_core_tables_exit_zero_without_warning(capsys, tmp_path, mass):
             assert run(argv + m) == 0, capsys.readouterr().err
         assert run(["renorm-vol"] + m) == 1
     assert "below the image" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model, argv",
+    [
+        ({"type": "perturbed", "mass": 1, "coeffs": [0, 0, 0.01]}, ["spheres", "--s-max", "1e80", "--n", "5"]),
+        ({"type": "perturbed", "mass": 1, "coeffs": [0, 0, 0.01]}, ["spheres", "--s-max", "1e80", "--n", "50"]),
+        ({"type": "perturbed", "mass": 1, "coeffs": [0.1, 0.05]}, ["renorm-vol", "--rho", "237.5"]),
+        ({"type": "perturbed", "mass": 1, "coeffs": [0.1, 0.05]}, ["renorm-vol", "--rho", "300"]),
+        ({"type": "perturbed", "mass": 1, "coeffs": [0.1, 0.05]}, ["renorm-vol", "--rho", "348"]),
+    ],
+    ids=["spheres-n5", "spheres-n50", "renorm-vol-237.5", "renorm-vol-300", "renorm-vol-348"],
+)
+def test_far_radii_exit_zero_without_warning(capsys, tmp_path, model, argv):
+    # The sweep's relative-target tail at 1e80 (G ~ 3e-241) spent its whole
+    # budget (21 s, exit 2), and core_quotient overflowed far above the
+    # core in the sweep's and s_from_rho's head chart.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    start = time.perf_counter()
+    assert run(argv + ["--model", str(path)]) == 0, capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_subnormal_coefficient_models(capsys, tmp_path):

@@ -571,11 +571,12 @@ class TestGapSweep:
         ids=["ads_m1", "pert_m1", "ads_m1e30"],
     )
     @pytest.mark.parametrize("ratio", [1e10, 1e100])
-    def test_wide_gap_takes_two_tails(self, metric, ratio):
-        # One panel from core + 0.1 max(1, core) to ratio * max(1, core)
+    def test_wide_gap_matches_pointwise_gap(self, metric, ratio):
+        # One panel in s from core + 0.1 max(1, core) to ratio * max(1, core)
         # has no node where the m / u^4 integrand lives: its Gauss and
         # Kronrod sums agree on a wrong value (0.238 off on ads m = 1 at
-        # 1e10, and G = 0 with bound 0 at 1e100).
+        # 1e10, and G = 0 with bound 0 at 1e100).  In u = 1/s above the
+        # split the integrand is ~m u^2.
         sc = max(1.0, metric.core_radius)
         lo = metric.core_radius + 0.1 * sc
         gap, bound = gap_over_grid(metric, [lo, ratio * sc])
@@ -583,9 +584,15 @@ class TestGapSweep:
         assert abs(gap[0] - res.value) <= bound[0] + res.error_bound
         assert bound[0] <= 1e-13
 
-    def test_one_panel_call_and_one_tail(self, ads_one, monkeypatch):
-        # Points on both sides of the split core + 1 = 2 take one
-        # panel call for every panel and one tail integral.
+    @pytest.mark.parametrize(
+        "points, panel_calls",
+        [([1.2, 1.5, 3.0, 10.0, 1e3], 2), ([1.2, 1.5], 2), ([3.0, 1e80], 1)],
+        ids=["both-sides", "head-only", "tail-only"],
+    )
+    def test_no_tail_integral_and_at_most_two_panel_calls(self, ads_one, monkeypatch, points, panel_calls):
+        # Panels below the split core + 1 = 2 take one panel call and
+        # those above it (the last running to u = 0) another; no point
+        # takes a coordinate_gap integral.
         import ahiso.models
 
         calls = []
@@ -597,13 +604,16 @@ class TestGapSweep:
                 return _fn(*args)
 
             monkeypatch.setattr(ahiso.models, name, counted)
-        gap_over_grid(ads_one, [1.2, 1.5, 3.0, 10.0, 1e3])
-        assert sorted(calls) == ["_panels", "coordinate_gap"]
+        gap_over_grid(ads_one, points)
+        assert calls == ["_panels"] * panel_calls
 
-    def test_single_point_is_coordinate_gap(self, ads_one):
-        gap, bound = gap_over_grid(ads_one, [2.0])
-        res = coordinate_gap(ads_one, 2.0)
-        assert (gap[0], bound[0]) == (res.value, res.error_bound)
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+    def test_single_point_matches_coordinate_gap(self, ads_one, s):
+        # Below, on and above the split core + 1 = 2.
+        gap, bound = gap_over_grid(ads_one, [s])
+        res = coordinate_gap(ads_one, s)
+        assert abs(gap[0] - res.value) <= bound[0] + res.error_bound
+        assert bound[0] <= 1e-13
 
     def test_domain_checked(self, ads_one):
         for bad in ([0.5, 2.0], [2.0, math.nan], [], [[2.0]]):

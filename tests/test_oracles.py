@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ahiso.cli import run
 from ahiso.imcf import comparison_ode
 from ahiso.models import (
+    RadialMetric,
     _chart,
     _core_radius,
     _gap_element,
@@ -395,17 +396,26 @@ def test_volume_deficit_matches_model_volume(name):
         assert abs(got - vol.value) <= bound, (s, got - vol.value, bound)
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
-def test_rho_column_within_sweep_bound_of_oracle(name, tmp_path):
+_FAR_GRID = ["--s-max", "1e80", "--n", "5"]
+
+
+@pytest.mark.parametrize(
+    "name, grid",
+    [(name, []) for name in sorted(ORACLE_MODELS)] + [(name, _FAR_GRID) for name in sorted(ORACLE_MODELS)],
+    ids=sorted(ORACLE_MODELS) + [f"{name}-far" for name in sorted(ORACLE_MODELS)],
+)
+def test_rho_column_within_sweep_bound_of_oracle(name, grid, tmp_path):
     # The spheres table's rho column on a grid that starts 1e-6 above the
-    # core, where G has its square-root behaviour.
+    # core, where G has its square-root behaviour, and on one whose points
+    # lie decades apart out to 1e80.
     metric = ORACLE_MODELS[name]
     # Every stock model is a perturbed one with its own mass and coefficients.
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"type": "perturbed", "mass": metric.mass, "coeffs": list(metric.coeffs)}))
     out = tmp_path / "spheres.csv"
     s_min = metric.core_radius + 1e-6
-    assert run(["spheres", "--model", str(path), "--s-min", repr(s_min), "--n", "24", "--out", str(out)]) == 0
+    argv = ["spheres", "--model", str(path), "--s-min", repr(s_min), "--n", "24", "--out", str(out)]
+    assert run(argv + grid) == 0
     data = np.genfromtxt(out, delimiter=",", names=True, skip_header=1)
     _, bound = gap_over_grid(metric, data["s"])
     oracle = _Oracle(metric)
@@ -414,6 +424,27 @@ def test_rho_column_within_sweep_bound_of_oracle(name, tmp_path):
     # The sweep bounds G; asinh and the subtraction add up to one ulp each.
     err = np.abs(data["rho"] - want)
     assert np.all(err <= bound + 2.0 * np.spacing(np.abs(want))), np.max(err - bound)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_core_quotient_stays_below_the_split(name, tmp_path, monkeypatch):
+    # G's head chart reaches only core + max(1, core); above it the sweep,
+    # the G integrals and s_from_rho's Newton steps run in u = 1/s or in s.
+    # Far above a core the quotient's powers overflowed (delta ~ 1e80).
+    metric = ORACLE_MODELS[name]
+    largest = [0.0]
+    quotient = RadialMetric.core_quotient
+
+    def recording(self, delta):
+        largest[0] = max(largest[0], float(np.max(delta)))
+        return quotient(self, delta)
+
+    monkeypatch.setattr(RadialMetric, "core_quotient", recording)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"type": "perturbed", "mass": metric.mass, "coeffs": list(metric.coeffs)}))
+    for argv in (["spheres"], ["spheres", *_FAR_GRID], ["renorm-vol"], ["renorm-vol", "--rho", "300"]):
+        assert run(argv + ["--model", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert largest[0] <= max(1.0, metric.core_radius)
 
 
 # ----------------------------------------------------------------------
