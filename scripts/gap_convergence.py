@@ -14,10 +14,9 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
+from ahiso.cli import _cmd_expansion
 from ahiso.models import make_ads_schwarzschild
-from ahiso.profiles import _renormalized_limit, gap_table
+from ahiso.profiles import _renormalized_limit
 
 LOW = 8.0 * math.sqrt(2.0) * math.pi**1.5
 HIGH = 16.0 * math.sqrt(2.0) * math.pi**2.5
@@ -32,15 +31,18 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    grid = args.v_max * 4.0 ** -np.arange(args.n - 1, -1, -1)
     for m in args.masses:
         metric = make_ads_schwarzschild(m)
-        table = gap_table(metric, grid)
+        # The expansion subcommand's table, on its dyadic grid v_max 4^-k.
+        try:
+            table = _cmd_expansion(args, metric)
+        except ValueError as exc:
+            parser.error(str(exc))
         print(f"mass {m}: K = {_renormalized_limit(metric).value!r}")
         print(f"  {'v':>12s}  {'(gap + 2K) sqrt(v)':>18s}  {'per mass':>12s}")
-        for v, scaled in zip(table.v.tolist(), table.scaled_gap.tolist()):
+        for v, scaled in zip(table["v"].tolist(), table["scaled_gap"].tolist()):
             print(f"  {v:12.5g}  {scaled:18.6f}  {scaled / m:12.6f}")
-        last = float(table.scaled_gap[-1])
+        last = float(table["scaled_gap"][-1])
         print(f"  candidate 8 sqrt2 pi^1.5 m  = {LOW * m:14.6f}  "
               f"(off by {abs(last - LOW * m) / (LOW * m):.2%})")
         print(f"  candidate 16 sqrt2 pi^2.5 m = {HIGH * m:14.6f}  "

@@ -74,6 +74,7 @@ class RadialMetric:
     mass: float
     coeffs: tuple[float, ...] = ()
     core_radius: float = 0.0
+    _quotient: tuple = field(default=(), init=False, repr=False, compare=False)  # P / (s - core)
 
     def __post_init__(self):
         if not math.isfinite(self.mass) or self.mass < 0.0:
@@ -85,6 +86,9 @@ class RadialMetric:
                 f"core_radius must be finite and >= 0, got {self.core_radius!r}"
             )
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if self.core_radius > 0.0:
+            quotient = _horner(_polynomial(self.mass, self.coeffs), self.core_radius)
+            object.__setattr__(self, "_quotient", tuple(quotient[:-1]))
 
     # -- profile -------------------------------------------------------
 
@@ -104,30 +108,18 @@ class RadialMetric:
         return float(out) if arr.ndim == 0 else out
 
     def core_quotient(self, delta):
-        """f(core_radius + delta) / delta for delta > 0, without cancellation.
+        """f(core_radius + delta) / delta for delta >= 0, without cancellation.
 
-        Only defined for models with core_radius > 0, where f has a simple
-        root at the core.  The quotient extends smoothly to delta = 0 with
-        value f'(core_radius), which is what makes integrands in the
-        substitution s = core + w^2 regular.
+        Only defined for a positive core, a simple root of f: R(b) / b^n with
+        b = core + delta and R = P / (s - core), P = s^n f(s) of :func:`_polynomial`
+        deflated once per model, summed as b + r_1 + u (r_2 + u (r_3 + ...)) in u = 1/b,
+        whose terms shrink as b grows.  At delta = 0 it is f'(core): s = core + w^2 is regular.
         """
         if self.core_radius <= 0.0:
             raise ValueError("core_quotient requires a positive core_radius")
         arr = np.asarray(delta, dtype=float)
-        sh = self.core_radius
-        b = sh + arr
-        # (f(b) - f(sh)) / delta with f(sh) = 0, expanded term by term;
-        # powers[j] is b^j, each taken once (b^0 = 1 is the scalar term).
-        out = (2.0 * sh + arr) + 2.0 * self.mass / (b * sh)
-        powers = [1.0]
-        for k, c in enumerate(self.coeffs, start=2):
-            if c:
-                while len(powers) <= k:
-                    powers.append(np.power(b, len(powers)))
-                ladder = sh ** (k - 1)
-                for j in range(1, k):
-                    ladder = ladder + powers[j] * sh ** (k - 1 - j)
-                out = out - c * ladder / (powers[k] * sh ** k)
+        b, r = self.core_radius + arr, self._quotient
+        out = b + r[1] + _horner(r[:1:-1], 1.0 / b)[-1] / b
         return float(out) if arr.ndim == 0 else out
 
 
@@ -147,35 +139,45 @@ class ValidationReport:
 _SQRT3 = math.sqrt(3.0)
 
 
+def _polynomial(mass: float, coeffs: tuple[float, ...]) -> list[float]:
+    """P = s^n f(s) = [1, 0, 1, -2m, c_2, ...], highest power first, n = len(P) - 3 once s^k
+    is divided out: P would underflow near a tiny root, and its reversal is normalized by P[-1]."""
+    coef = [1.0, 0.0, 1.0, -2.0 * mass, *coeffs]
+    return coef[: 1 + max(i for i, c in enumerate(coef) if c)]
+
+
+def _horner(coef, x) -> list:
+    """Horner's partial sums of ``coef`` at x: the quotient by s - x, then the value."""
+    sums = [0.0]
+    for c in coef:
+        sums.append(sums[-1] * x + c)
+    return sums[1:]
+
+
 def _core_radius(mass: float, coeffs: tuple[float, ...]) -> float:
     """Largest positive root of f, or 0 if none.
 
-    s^n f(s), n = 1 + len(coeffs), is the monic polynomial P = [1, 0, 1,
-    -2m, c_2, ...], so f > 0 above its largest root.  The mass-only cubic
-    s^3 + s - 2m has the one real root (2/sqrt 3) sinh(asinh(3 sqrt(3) m)
-    / 3), about 2m at tiny m, with asinh x taken as ln 2x where 3 sqrt(3) m
-    overflows.  With a tail, roots are companion eigenvalues, real when
-    |imag| <= 1e-7 |z| (so a near-double root split into a complex pair is
-    kept), and accurate to about eps of the largest modulus (>= ~1): the
-    root, if below 1e-6, is 1/w, w the least root above 1e6 of the
-    reversed polynomial.  :func:`find_root` on P polishes it to adjacent
-    floats; where P keeps its sign there, it is a double root.  Where some
-    coefficient over P(0) overflows, so that the reversed polynomial
-    cannot be normalized, Descartes' rule of signs decides: with no sign
-    change in P's coefficients the core is 0, with one, P is bisected on
-    [0, 1e-6], and a root it finds there that is not subnormal (or more
-    sign changes) raises ValueError, since floats do not resolve P near
-    such a root.  A subnormal core raises ValueError: the model's
+    P = s^n f(s) (:func:`_polynomial`) is monic, so f > 0 above its largest
+    root.  The mass-only cubic s^3 + s - 2m has the one real root (2/sqrt 3)
+    sinh(asinh(3 sqrt(3) m) / 3), about 2m at tiny m, with asinh x taken as
+    ln 2x where 3 sqrt(3) m overflows.  With a tail, roots are companion
+    eigenvalues, real when |imag| <= 1e-7 |z| (so a near-double root split
+    into a complex pair is kept), and accurate to about eps of the largest
+    modulus (>= ~1): the root, if below 1e-6, is 1/w, w the least root above
+    1e6 of the reversed polynomial.  :func:`find_root` on P polishes it to
+    adjacent floats; where P keeps its sign there, it is a double root.
+    Where some coefficient over P(0) overflows, so that the reversed
+    polynomial cannot be normalized, Descartes' rule of signs decides: with
+    no sign change in P's coefficients the core is 0, with one, P is
+    bisected on [0, 1e-6], and a root it finds there that is not subnormal
+    (or more sign changes) raises ValueError, since floats do not resolve P
+    near such a root.  A subnormal core raises ValueError: the model's
     integrands overflow near it.
     """
     name = f"the model with mass {mass!r} and coeffs {list(coeffs)!r}"
     if math.isinf(2.0 * mass):
         raise ValueError(f"-2m overflows for {name}")
-    coef = [1.0, 0.0, 1.0, -2.0 * mass, *coeffs]
-    # Divide out s^k: a zero root is not positive, P would underflow near a
-    # tiny root, and the reversed polynomial is normalized by coef[-1].
-    while coef[-1] == 0.0:
-        coef.pop()
+    coef = _polynomial(mass, coeffs)
 
     def positive_roots(monic):
         # np.roots' companion matrix, without its input checks and trimming.
@@ -186,10 +188,7 @@ def _core_radius(mass: float, coeffs: tuple[float, ...]) -> float:
         return real[real > 0.0]
 
     def poly(s):
-        out = 0.0
-        for c in coef:
-            out = out * s + c
-        return out
+        return _horner(coef, s)[-1]
 
     if len(coef) <= 4:
         # No tail: the cubic's closed form (r = 0 at m = 0).

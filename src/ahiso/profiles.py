@@ -272,10 +272,10 @@ def model_radius_for_volume(metric: RadialMetric, v):
     sweep, and the panels of each volume together, are held to 1e-10
     (``_VOLUME_TOL``).
 
-    Above a positive core the element divides by (s core)^k, k up to the
-    tail's top power (1 for the mass alone): a volume whose start radius
-    (the core, for a guess below it) puts that below the smallest normal
-    float raises ``ValueError``, before any element is evaluated.
+    Above a positive core the element 8 pi s^2 / sqrt(f / delta) is finite at
+    every delta, but ~8 pi core^2.5 at a tiny core: a volume whose start radius
+    (the core, for a guess below it) puts (s core)^k below the smallest normal float,
+    k the tail's top power (1 for the mass alone), raises ``ValueError`` at once.
     """
     arr = np.asarray(v, dtype=float)
     scalar = arr.ndim == 0

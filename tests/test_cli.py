@@ -616,6 +616,19 @@ class TestErrorPaths:
             assert f"error: {flag} " in err
 
 
+def test_gap_convergence_script_refuses_an_underflowing_n():
+    # The script built v_max 4^-k itself, which underflows to 0 past
+    # n ~ 538: --n 600 ended in gap_table's "v_grid must be positive and
+    # strictly increasing" traceback.  It now takes expansion's grid.
+    script = Path(__file__).resolve().parent.parent / "scripts" / "gap_convergence.py"
+    child = subprocess.run(
+        [sys.executable, str(script), "--n", "600", "--masses", "1.0"],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert child.returncode == 2 and "Traceback" not in child.stderr
+    assert "error: --n 600 puts --v-max 4^(1 - n) below the smallest float" in child.stderr
+
+
 @pytest.mark.parametrize("mass", [1e30, 1e300])
 def test_huge_core_tables_exit_zero_without_warning(capsys, tmp_path, mass):
     # With a split at core + 1, m = 1e30 exhausted the quadrature budget
@@ -678,14 +691,18 @@ def test_subnormal_coefficient_models(capsys, tmp_path):
         {"type": "ads_schwarzschild", "mass": 1e-150},
         {"type": "ads_schwarzschild", "mass": 1e-300},
         {"type": "perturbed", "mass": 0.0, "coeffs": [-1e-200]},
+        {"type": "perturbed", "mass": 0.0, "coeffs": [0.0, 6e10, -0.0333]},
     ],
-    ids=["ads-1e-150", "ads-1e-300", "perturbed-1e-200"],
+    ids=["ads-1e-150", "ads-1e-300", "perturbed-1e-200", "balanced-core-5.55e-13"],
 )
 def test_tiny_core_profile_tables_exit_zero_without_warning(capsys, tmp_path, model):
     # The volume inversion evaluated its near-core start for every row; at
     # such a core the element there underflows to 0, or core_quotient(0)
-    # divides by an underflowed power of the core.  Every other subcommand
-    # with a model runs on it too.
+    # divided by an underflowed power of the core.  On the balanced core,
+    # where two tail terms cancel, core_quotient's divided-difference terms
+    # cancelled to 0 at delta = 1: spheres, profile, expansion and
+    # renorm-vol warned in sqrt, and imcf found its integrand not finite.
+    # Every other subcommand with a model runs on each model too.
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
     imcf = ["imcf", "--s0", "2", "--t-max", "2", "--dt", "0.25"]
