@@ -5,20 +5,23 @@
 
 The models come from a seeded scan: the mass is 0 or 10^U(-3, 1) (even
 odds), and 1 to 4 tail coefficients are each 0 with probability 0.2,
-else +-10^U(-4, 11).  A draw is kept when ``make_perturbed`` accepts it,
-``validate_ah`` passes and its core is positive, until ``--count`` are
-kept.  Each kept model runs ``spheres --n 5`` and ``profile --n 5``, each
-in a child process under ``-W error::RuntimeWarning`` with the package
+else +-10^U(-4, 11).  A draw is kept when ``make_perturbed`` accepts it
+and ``validate_ah`` passes, until ``--count`` are kept; its core may be 0.
+Each kept model runs ``spheres --n 5``, ``profile --n 5`` and the
+float-range ``profile --v-min 1e-300 --v-max 1e12 --n 7``, each in a
+child process under ``-W error::RuntimeWarning`` with the package
 imported from this checkout's ``src/``, stopped after ``--timeout``
 seconds.  An outcome is ``ok`` (exit 0), ``exit 1`` or ``exit 2`` (a
 refusal or a numeric failure, by name), ``traceback`` or ``timeout``.
-One line per (subcommand, outcome) class gives its count, one model
-that reproduces it and the last line of that run's stderr.
+One line per (run, outcome) class, the run named by all its flags,
+gives its count, one model that reproduces it and the last line of
+that run's stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -33,14 +36,17 @@ if str(SRC) not in sys.path:
 
 from ahiso.models import make_perturbed, validate_ah  # noqa: E402
 
-SUBCOMMANDS = (["spheres", "--n", "5"], ["profile", "--n", "5"])
+RUNS = (
+    ["spheres", "--n", "5"],
+    ["profile", "--n", "5"],
+    ["profile", "--v-min", "1e-300", "--v-max", "1e12", "--n", "7"],
+)
 
 
-def scan(seed: int, count: int) -> list[dict]:
-    """The first ``count`` validated positive-core models of the scan."""
+def scan(seed: int):
+    """The validated models of the scan at ``seed``, in order, without end."""
     rng = random.Random(seed)
-    kept = []
-    while len(kept) < count:
+    while True:
         mass = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-3.0, 1.0)
         coeffs = [
             0.0 if rng.random() < 0.2 else rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, 11.0)
@@ -50,9 +56,8 @@ def scan(seed: int, count: int) -> list[dict]:
             metric = make_perturbed(mass, coeffs)
         except ValueError:
             continue
-        if metric.core_radius > 0.0 and validate_ah(metric).is_ah:
-            kept.append({"type": "perturbed", "mass": mass, "coeffs": coeffs})
-    return kept
+        if validate_ah(metric).is_ah:
+            yield {"type": "perturbed", "mass": mass, "coeffs": coeffs}
 
 
 def outcome(argv: list[str], timeout: float) -> tuple[str, str]:
@@ -84,16 +89,16 @@ def main() -> int:
     classes: dict[tuple[str, str], list] = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
-        for model in scan(args.seed, args.count):
+        for model in itertools.islice(scan(args.seed), args.count):
             path.write_text(json.dumps(model))
-            for argv in SUBCOMMANDS:
+            for argv in RUNS:
                 what, message = outcome([*argv, "--model", str(path), "--out", os.devnull], args.timeout)
-                entry = classes.setdefault((argv[0], what), [0, model, message])
+                entry = classes.setdefault((" ".join(argv), what), [0, model, message])
                 entry[0] += 1
 
-    print(f"seed {args.seed}: {args.count} validated positive-core models")
-    for (sub, what), (n, model, message) in sorted(classes.items()):
-        print(f"{sub:8s} {what:9s} {n:4d}  {json.dumps(model)}  {message}".rstrip())
+    print(f"seed {args.seed}: {args.count} validated models, core >= 0")
+    for (run, what), (n, model, message) in sorted(classes.items()):
+        print(f"{run:52s} {what:9s} {n:4d}  {json.dumps(model)}  {message}".rstrip())
     return 0
 
 

@@ -206,7 +206,6 @@ def comparison_ode(
         grid = _geomspace(v0, v_end, n_grid)
     else:
         grid = np.linspace(v0, v_end, n_grid)
-    grid[0], grid[-1] = v0, v_end
 
     a_h = np.zeros_like(grid)
     a_h[grid > 0.0] = hyperbolic_profile(grid[grid > 0.0])

@@ -366,8 +366,6 @@ def integrate(fn: Callable, a: float, b: float, abs_tol: float = 1e-10) -> QuadR
         raise ValueError(f"integration limits must satisfy a <= b, got [{a!r}, {b!r}]")
     _check_tol("abs_tol", abs_tol)
     if math.isinf(b):
-        if b < 0:
-            raise ValueError("lower-infinite limits are not supported")
         if a <= 0.0:
             raise ValueError("infinite upper limit requires a > 0")
         return integrate(_reciprocal(fn), 0.0, 1.0 / a, abs_tol)

@@ -208,15 +208,16 @@ def hyperbolic_profile(v):
 # Model volumes
 
 
-def _volume_element(chart: _Chart):
-    """The volume element 4 pi s^2 ds / (sqrt(f) dt) at chart points t."""
+def _volume_element(chart: _Chart, p: int = 0):
+    """2^p times the volume element 4 pi s^2 ds / (sqrt(f) dt) at chart points t."""
+    scale = math.ldexp(FOUR_PI, p)
 
     def fn(t):
         # Past s ~ 1.3e154, s * s and f overflow and this is inf or nan,
         # which the kernels' finite checks turn into a NumericsError.
         with np.errstate(over="ignore", invalid="ignore"):
             s, jac, _ = chart.point(t)
-            return FOUR_PI * s * s * jac
+            return scale * s * s * jac
 
     return fn
 
@@ -224,7 +225,9 @@ def _volume_element(chart: _Chart):
 # Absolute tolerance of every model volume: a volume, a flow's volume
 # increments, and a volume inversion's sweep and Newton panels.
 _VOLUME_TOL = 1e-10
-_TINY = float(np.finfo(float).tiny)
+# Rung j of the volume inversion's lattice, t = 2^(j / 8), is the mantissa
+# _EIGHTHS[j % 8] times the exact power 2^(j // 8).
+_EIGHTHS = np.exp2(np.arange(8) / 8.0)
 
 
 def model_volume_quad(metric: RadialMetric, s: float) -> QuadResult:
@@ -251,31 +254,25 @@ def model_radius_for_volume(metric: RadialMetric, v):
     """Area-radius s_v of the centered region of volume v > 0.
 
     ``v`` may be a scalar (a float comes back) or a 1-d array of volumes
-    in any order, inverted together.  The inversion runs in the chart t
-    of :func:`models._chart` (w with s = core + w^2 above a positive
-    core), where the volume element stays finite.  One cumulative sweep
-    (the panel rule of :func:`numerics._panels`) gives the volume at a
-    ladder of starting guesses, the Euclidean radius of v or
-    sqrt(v / 2 pi), whichever is larger, and at twice the largest of them
-    (doubled again until it encloses every v, or raises NumericsError
-    once the next rung is not finite; above a positive core, a rung where
-    the element would overflow doubles s - core instead), and
-    in the same element call the element at every ladder point but t = 0.
-    Each volume is bracketed between two ladder points and starts at the
-    one whose volume is closer, with the element there as its first
-    slope.  :func:`solve_increasing` then takes Newton steps with the
-    volume element as the derivative, all volumes together, one GK15
-    panel and one element call per round.  Besides, the element is called
-    at t = 0 only for rows that start there and for the near-core start
-    v / element(0) of rows whose guess is at or below a positive core,
-    and above a positive core once for the probe of each new rung.  The
-    sweep, and the panels of each volume together, are held to 1e-10
-    (``_VOLUME_TOL``).
-
-    Above a positive core the element 8 pi s^2 / sqrt(f / delta) is finite at
-    every delta, but ~8 pi core^2.5 at a tiny core: a volume whose start radius
-    (the core, for a guess below it) puts (s core)^k below the smallest normal float,
-    k the tail's top power (1 for the mass alone), raises ``ValueError`` at once.
+    in any order, inverted together in the chart t of :func:`models._chart`
+    (w with s = core + w^2 above a positive core), where the volume
+    element stays finite.  Every volume is bracketed between rungs of the
+    fixed lattice t = 2^(j / 8), j an integer.  The ladder is t = 0 and the
+    rungs from the lower of the rung at the anchor s - core = 2^-8 max(1,
+    core), so that no panel spans the core region, and the rung below the
+    smallest volume's guess, up to four rungs above the largest volume's
+    guess, then four more at a time until it encloses every v
+    (NumericsError once a rung overflows).  A guess is the larger of the
+    Euclidean radius of v and sqrt(v / 2 pi), or t = v / element(0) at or
+    below a positive core.  One sweep (:func:`numerics._panels`) gives the
+    volume and the element at every rung.  Each volume starts at the
+    nearer in volume of its two rungs, never at t = 0, and
+    :func:`solve_increasing` takes Newton steps, one GK15 panel and one
+    element call per round for all volumes.  A batch that reaches near
+    the subnormal range scales the element and the volumes by one exact
+    power of two, so that the smallest volume is a normal float.  The
+    sweep's panels together, and the panels of each volume, are held to
+    1e-10 (``_VOLUME_TOL``).
     """
     arr = np.asarray(v, dtype=float)
     scalar = arr.ndim == 0
@@ -283,60 +280,44 @@ def model_radius_for_volume(metric: RadialMetric, v):
     if vols.size == 0 or not np.isfinite(vols).all() or (vols <= 0.0).any():
         raise ValueError(f"v must be finite and > 0, got {v!r}")
     core = metric.core_radius
-    # Both are below s_v in hyperbolic space.
-    guess = np.maximum(_EUCLID_RADIUS * np.cbrt(vols), np.sqrt(vols / (2.0 * math.pi)))
-    if core > 0.0:
-        power = max([1] + [k for k, c in enumerate(metric.coeffs, start=2) if c])
-        i = int(np.argmin(guess))
-        if max(float(guess[i]), core) * core < _TINY ** (1.0 / power):
-            raise ValueError(
-                f"v = {float(vols[i])!r} is too small for the core radius "
-                f"{core!r}: the volume element underflows near it"
-            )
     chart = _chart(metric)
-    density = _volume_element(chart)
-    start = chart.to_t(np.maximum(guess, core))
-    low = guess <= core
-    if low.any():
-        # Near the core the volume grows like density(0) t.  Only such
-        # rows evaluate it: the element underflows at a tiny core.
-        start[low] = vols[low] / density(0.0)
-
-    def above(t):
-        # The next rung, 2t.  Above a positive core, where the element
-        # would overflow there, sqrt(2) t instead, which doubles s - core.
-        up = 2.0 * t
-        if core > 0.0 and not np.isfinite(density(up)):
-            up = math.sqrt(2.0) * t
-        return up
-
-    # A start that underflows to zero would repeat the ladder's first point.
-    ladder = np.sort(np.maximum(start, _TINY))
-    ladder = np.concatenate([[0.0], ladder[:1], ladder[1:][np.diff(ladder) > 0.0]])
-    ladder = np.append(ladder, above(ladder[-1]))
-    # slopes[j] is the element at ladder[j + 1].
-    vals, _, slopes = _panels(
-        density, ladder[:-1], ladder[1:], _VOLUME_TOL / ladder.size, ladder[1:]
-    )
-    cum = np.concatenate([[0.0], np.cumsum(vals)])
-    v_max = float(np.max(vols))
-    while not cum[-1] >= v_max:
-        up = above(float(ladder[-1]))
-        if not math.isfinite(up):
-            raise NumericsError(f"failed to bracket s for v = {v_max!r}")
-        top = np.array([up])
-        more, _, at_top = _panels(density, ladder[-1:], top, _VOLUME_TOL / 2.0, top)
-        ladder = np.append(ladder, top)
-        cum = np.append(cum, cum[-1] + more[0])
-        slopes = np.append(slopes, at_top)
-    k = np.searchsorted(cum, vols)
-    at = np.where(vols - cum[k - 1] <= cum[k] - vols, k - 1, k)
-    slope = slopes[np.maximum(at - 1, 0)]
-    zero = at == 0
-    if zero.any():
-        slope[zero] = density(ladder[at[zero]])
+    ends = np.array([vols.min(), vols.max()])
+    # Volumes below 2^-960 are scaled up to it, as far as the largest
+    # stays below 2^960; the scale is exact, and p = 0 everywhere else.
+    p = max(0, min(-960 - math.frexp(ends[0])[1], 960 - math.frexp(ends[1])[1]))
+    element = _volume_element(chart, p)
+    # Both guesses are below s_v in hyperbolic space.
+    guess = np.maximum(_EUCLID_RADIUS * np.cbrt(ends), np.sqrt(ends / (2.0 * math.pi)))
+    high = guess > core
+    logs = np.empty(2)
+    logs[high] = np.log2(chart.to_t(guess[high]))
+    if not high.all():
+        # Near a positive core the volume grows like element(0) t; in logs,
+        # since v / element(0) can underflow.
+        logs[~high] = np.log2(ends[~high]) + p - math.log2(element(0.0))
+    # No rung below 2^-1070: below it, neighbouring rungs round to one float.
+    rung = np.maximum(np.floor(8.0 * logs), -8559.0).astype(int)
+    anchor = math.log2(chart.to_t(core + math.ldexp(max(1.0, core), -8)))
+    j = np.arange(min(math.floor(8.0 * anchor), rung.min() - 1), rung.max() + 5)
+    target, tol = np.ldexp(vols, p), math.ldexp(_VOLUME_TOL, p)
+    ladder, vals, slopes, cum, share = np.zeros(1), [], [], np.zeros(1), tol
+    while not cum[-1] >= target.max():
+        if j[-1] >= 8192:  # 2^(j / 8) overflows
+            raise NumericsError(f"failed to bracket s for v = {float(ends[1])!r}")
+        rungs = np.ldexp(_EIGHTHS[j % 8], j // 8)
+        # Each sweep takes half of what the ones before it left of tol.
+        share /= 2.0
+        more, _, at_rungs = _panels(
+            element, np.append(ladder[-1], rungs[:-1]), rungs, share / j.size, rungs
+        )
+        ladder = np.append(ladder, rungs)
+        vals, slopes = np.append(vals, more), np.append(slopes, at_rungs)
+        cum = np.concatenate([[0.0], np.cumsum(vals)])
+        j = j[-1] + np.arange(1, 5)
+    k = np.searchsorted(cum, target)
+    at = np.maximum(np.where(target - cum[k - 1] <= cum[k] - target, k - 1, k), 1)
     t = solve_increasing(
-        density, vols, ladder[at], cum[at], slope, ladder[k - 1], ladder[k], _VOLUME_TOL
+        element, target, ladder[at], cum[at], slopes[at - 1], ladder[k - 1], ladder[k], tol
     )
     s = chart.to_s(t)
     return float(s[0]) if scalar else s.reshape(arr.shape)

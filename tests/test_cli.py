@@ -714,52 +714,92 @@ def test_tiny_core_profile_tables_exit_zero_without_warning(capsys, tmp_path, mo
 
 
 @pytest.mark.parametrize(
-    "model, core",
+    "model",
     [
-        ({"type": "ads_schwarzschild", "mass": 1e-300}, "2e-300"),
-        ({"type": "perturbed", "mass": 0.0, "coeffs": [-1e-200]}, "1e-100"),
+        {"type": "ads_schwarzschild", "mass": 1e-300},
+        {"type": "perturbed", "mass": 0.0, "coeffs": [-1e-200]},
     ],
     ids=["ads-1e-300", "perturbed-1e-200"],
 )
-def test_tiny_volumes_at_a_tiny_core_are_refused_by_name(capsys, tmp_path, model, core):
-    # Volumes from 5e-324 put (s core)^k below the normal floats, where
-    # core_quotient divides by an underflowed product: ads m = 1e-300
-    # warned in its overflow probe and ended in "bracket closed" (exit 2),
-    # and the perturbed model warned at density(0) and ended in "edges
-    # must be finite and strictly increasing".
+def test_tiny_volumes_at_a_tiny_core_are_answered(capsys, tmp_path, model):
+    # Volumes from 5e-324 put (s core)^k below the normal floats.  The
+    # per-batch ladder warned in its overflow probe (ads m = 1e-300, then
+    # "bracket closed") and at density(0) (the perturbed model), and was
+    # then made to refuse such volumes by name.
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
     argv = ["profile", "--model", str(path), "--v-min", "5e-324", "--v-max", "1e-200", "--n", "5"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run(argv) == 1
-    err = capsys.readouterr().err
-    assert f"error: v = 5e-324 is too small for the core radius {core}:" in err
+        _, _, body = _parse_csv(_capture(capsys, argv))
+    v, a_g, a_h = body[:, 0], body[:, 1], body[:, 2]
+    if model["type"] == "ads_schwarzschild":
+        # A mass of 1e-300 moves no volume above 5e-324 by a rounding.
+        assert np.all(np.abs(a_g - a_h) <= 2.0 * np.spacing(a_h))
+        return
+    # The core is 1e-100: the smallest volume's region is the horizon, and
+    # for s^2 << 1, f ~ 1 - c / s^2 holds
+    # V(s) = 2 pi [2/3 (s^2 - c)^(3/2) + 2 c (s^2 - c)^(1/2)], c = 1e-200.
+    assert a_g[0] == FOUR_PI * 1e-200
+    x = a_g[1:] / FOUR_PI - 1e-200
+    want = 2.0 * math.pi * (2.0 / 3.0 * x**1.5 + 2e-200 * np.sqrt(x))
+    assert np.allclose(want, v[1:], rtol=1e-15, atol=0.0)
 
 
-def test_subnormal_volumes_on_a_stock_core_converge(capsys, ads_model):
+@pytest.mark.parametrize(
+    "model, v_min",
+    [({"type": "ads_schwarzschild", "mass": 1.0}, "1e-320"), ({"type": "hyperbolic"}, "5e-324")],
+    ids=["ads-m1-1e-320", "hyperbolic-5e-324"],
+)
+def test_subnormal_volumes_on_a_stock_core_converge(capsys, tmp_path, model, v_min):
     # Newton's stop test |step| <= 1e-10 |t| is 0 at a subnormal iterate,
     # which rounding keeps from being met: "still active after 64 rounds".
-    argv = ["profile", "--model", ads_model, "--v-min", "1e-320", "--v-max", "1", "--n", "3"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    argv = ["profile", "--model", str(path), "--v-min", v_min, "--v-max", "1", "--n", "3"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, _, body = _parse_csv(_capture(capsys, argv))
-    # Below v ~ 1e-150 the region is the horizon, of area 4 pi core^2.
-    assert body[0, 0] == 1e-320 and body[0, 1] == FOUR_PI
+    assert body[0, 0] == float(v_min)
+    if model["type"] == "hyperbolic":
+        # The volumes and the element are scaled by 2^p to normal floats;
+        # unscaled sums of the lattice's panels gave A_g = 1.08e-215 here.
+        assert abs(body[0, 1] - body[0, 2]) <= 4.0 * np.spacing(body[0, 2])
+    else:
+        # Below v ~ 1e-150 the region is the horizon, of area 4 pi core^2.
+        assert body[0, 1] == FOUR_PI
 
 
 def test_ladder_climbs_to_a_far_radius(capsys, tmp_path):
     # f ~ c_2 / s^2 puts s_v near (v sqrt(c_2) / pi)^(1/4) ~ 1e56, more than
     # 80 doublings above the first guess: "failed to bracket s".  There
-    # the volume is pi s^4 / sqrt(c_2), so A_g = 4 sqrt(pi v) c_2^(1/4).
+    # the volume is pi s^4 / sqrt(c_2), so A_g = 4 sqrt(pi v) c_2^(1/4).  With
+    # --v-max 1e150 the per-batch ladder left the row at 1e75 in a bracket
+    # 16 decades wide: "still active after 64 rounds".
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"type": "perturbed", "mass": 0.0, "coeffs": [1e220]}))
-    for cmd in ("profile", "expansion"):
+    for argv in (["profile"], ["expansion"], ["profile", "--v-max", "1e150"]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, _, body = _parse_csv(_capture(capsys, [cmd, "--model", str(path), "--n", "3"]))
+            _, _, body = _parse_csv(_capture(capsys, argv + ["--model", str(path), "--n", "3"]))
         v, a_g = body[:, 0], body[:, 1]
-        assert np.allclose(a_g, 4.0 * np.sqrt(math.pi * v) * 1e55, rtol=1e-9)
+        near = v <= 1e75
+        assert near.sum() >= 2
+        assert np.allclose(a_g[near], 4.0 * np.sqrt(math.pi * v[near]) * 1e55, rtol=1e-9)
+
+
+def test_a_far_first_bracket_converges(capsys, tmp_path):
+    # f ~ 1 / s^2 near s = 0 holds V = pi s^4 there, so A_g = 4 sqrt(pi v).
+    # The per-batch ladder bracketed s_v = 7.5e-76 between the guess 6.2e-101
+    # and the next rung, 5.5e-15: "still active after 64 rounds".
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"type": "perturbed", "mass": 0.0, "coeffs": [1.0]}))
+    argv = ["profile", "--model", str(path), "--v-min", "1e-300", "--n", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, body = _parse_csv(_capture(capsys, argv))
+    assert body[0, 0] == 1e-300
+    assert body[0, 1] == pytest.approx(4.0 * math.sqrt(math.pi * 1e-300), rel=1e-12)
 
 
 def test_overflowing_flow_is_a_numeric_failure(capsys, ads_model):

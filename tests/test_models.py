@@ -315,11 +315,14 @@ class TestCoreQuotient:
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_drawn_models_match_oracle(self, seed):
-        # The first model of scripts/fuzz_models.py's scan at this seed.  The
-        # divided-difference form was off by more than 1e-12 on 136 of the
-        # scan's first 300 models at seed 5.
-        spec = scan(seed, 1)[0]
-        _assert_core_quotient_matches_oracle(make_perturbed(spec["mass"], spec["coeffs"]), 12)
+        # The first positive-core model of scripts/fuzz_models.py's scan at
+        # this seed.  The divided-difference form was off by more than 1e-12
+        # on 136 of the scan's first 300 such models at seed 5.
+        metric = next(
+            m for spec in scan(seed)
+            if (m := make_perturbed(spec["mass"], spec["coeffs"])).core_radius > 0.0
+        )
+        _assert_core_quotient_matches_oracle(metric, 12)
 
 
 class TestCurvature:

@@ -71,6 +71,9 @@ def test_integrate_empty_interval():
 def test_integrate_rejects_reversed_interval():
     with pytest.raises(ValueError):
         integrate(lambda u: u, 1.0, 0.0)
+    # A finite lower limit puts b = -inf below it: no separate check.
+    with pytest.raises(ValueError, match="a <= b"):
+        integrate(lambda u: u, 0.0, -math.inf)
 
 
 def test_integrate_rejects_an_integrand_of_the_wrong_shape():

@@ -15,6 +15,7 @@ from ahiso.models import (
     coordinate_gap,
     gap_over_grid,
     make_ads_schwarzschild,
+    make_hyperbolic,
     make_perturbed,
     s_from_rho,
     validate_ah,
@@ -169,7 +170,7 @@ class TestModelVolume:
         # Together the rows bracket one another, so the iterates differ;
         # each row still stops within its own tolerance of the root.
         metric = request.getfixturevalue(name)
-        vols = np.array([3e4, 0.2, 7.0, 1e-9, 250.0, 7.5])
+        vols = np.array([3e4, 0.2, 1e11, 7.0, 1e-9, 1e12, 250.0, 7.5, 1e8])
         together = model_radius_for_volume(metric, vols)
         alone = np.array([model_radius_for_volume(metric, v) for v in vols.tolist()])
         assert together.shape == vols.shape
@@ -416,46 +417,16 @@ class TestNewtonInversionWork:
         assert max(rounds) <= 12
         assert len(integrals) <= 150
 
-    def test_inversion_calls_the_volume_element_at_most_seven_times(self, monkeypatch):
-        # The near-core start (v = 1 starts at the core), the probe above
-        # the ladder, the sweep (which also gives the first slopes) and one
-        # call per Newton round for its panels and next slopes: 6.  A
-        # separate call for the first slopes made it 7, and separate slope
-        # calls made it 10.
-        calls = []
-        element = ahiso.profiles._volume_element
-
-        def counting_element(chart):
-            fn = element(chart)
-
-            def counted(t):
-                calls.append(np.size(t))
-                return fn(t)
-
-            return counted
-
-        monkeypatch.setattr("ahiso.profiles._volume_element", counting_element)
-        model_radius_for_volume(make_ads_schwarzschild(1.0), np.geomspace(1.0, 1e6, 60))
-        assert len(calls) <= 7
-
-    @pytest.mark.parametrize(
-        "metric",
-        [make_ads_schwarzschild(1.0), make_perturbed(1.0, (0.1, 0.05))],
-        ids=["ads_m1", "pert_m1"],
-    )
-    def test_one_element_call_for_the_sweep_and_one_per_round(self, monkeypatch, metric):
-        # Each element call is tagged by the kernel that makes it: the
-        # sweep's panel call in profiles, or a Newton round's in numerics.
-        # Outside both come only the near-core start (v = 1 lies below the
-        # core, so its start is v / element(0)) and the overflow probe above
-        # the ladder; the first slopes come from the sweep, so no call is
-        # made at the starts, and t = 0 is evaluated by no kernel, since no
-        # row starts there.
+    @staticmethod
+    def _tagged_calls(monkeypatch, metric, vols):
+        """Each element call of one inversion, tagged by the kernel making it:
+        the sweep's panel calls in profiles, or a Newton round's in numerics;
+        plus the number of rounds and the rows' starts."""
         calls, stage, rounds, starts = [], ["outside"], [], []
         element = ahiso.profiles._volume_element
 
-        def counting_element(chart):
-            fn = element(chart)
+        def counting_element(*args):
+            fn = element(*args)
 
             def counted(t):
                 calls.append((stage[0], np.array(t, dtype=float).reshape(-1)))
@@ -483,16 +454,43 @@ class TestNewtonInversionWork:
         monkeypatch.setattr("ahiso.profiles._panels", tagged("sweep", ahiso.profiles._panels))
         monkeypatch.setattr("ahiso.numerics._panels", tagged("round", ahiso.numerics._panels))
         monkeypatch.setattr("ahiso.profiles.solve_increasing", spying_solve)
-        vols = np.geomspace(1.0, 1e6, 40)
         model_radius_for_volume(metric, vols)
+        return calls, len(rounds), starts
+
+    def test_inversion_calls_the_volume_element_at_most_seven_times(self, monkeypatch):
+        # The near-core guess of v = 1 (at most one scalar call), the sweep
+        # (which also gives the first slopes) and one call per Newton round
+        # for its panels and next slopes.  The per-batch ladder also probed
+        # the element above its top rung; separate calls for the first slopes
+        # made it 7, and separate slope calls made it 10.
+        calls, rounds, _ = self._tagged_calls(
+            monkeypatch, make_ads_schwarzschild(1.0), np.geomspace(1.0, 1e6, 60)
+        )
+        assert len(calls) == 2 + rounds <= 7
+
+    @pytest.mark.parametrize(
+        "metric",
+        [make_ads_schwarzschild(1.0), make_perturbed(1.0, (0.1, 0.05)), make_hyperbolic()],
+        ids=["ads_m1", "pert_m1", "hyperbolic"],
+    )
+    @pytest.mark.parametrize(
+        "vols", [np.geomspace(1.0, 1e6, 40), np.array([1e11])], ids=["grid", "far"]
+    )
+    def test_one_element_call_for_the_sweep_and_one_per_round(self, monkeypatch, metric, vols):
+        # Outside the kernels only the near-core guess v / element(0) of a
+        # volume whose guess lies at or below a positive core calls the
+        # element, once, at t = 0.  The first slopes come from the sweep, so
+        # no call is made at the starts, and t = 0 is evaluated by no kernel,
+        # since no row starts there.
+        calls, rounds, starts = self._tagged_calls(monkeypatch, metric, vols)
         kinds = [kind for kind, _ in calls]
         assert kinds.count("sweep") == 1
-        assert kinds.count("round") == len(rounds) >= 1
+        assert kinds.count("round") == rounds >= 1
         outside = [t.tolist() for kind, t in calls if kind == "outside"]
-        assert len(outside) == 2
-        assert outside[0] == [0.0]
-        assert outside[1][0] > 0.0
-        assert len(calls) == 1 + len(rounds) + 2
+        v = float(vols.min())
+        low = metric.core_radius >= max(np.cbrt(0.75 * v / math.pi), math.sqrt(v / 2 / math.pi))
+        assert outside == ([[0.0]] if low else [])
+        assert len(calls) == 1 + rounds + len(outside)
         (t0,) = starts
         assert (t0 > 0.0).all()
         assert not any((t == 0.0).any() for kind, t in calls if kind != "outside")
