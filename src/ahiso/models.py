@@ -350,9 +350,14 @@ def _gap_element(chart: _Chart, k: int = 0):
     """
 
     def g(t):
-        s, jac, root = chart.point(t)
-        sq = np.sqrt(1.0 + s * s)
-        return -chart.metric.deficit(s) * jac / (sq * (root + sq)) * s**k
+        # Where s * s or the deficit overflows this is inf or nan, which
+        # the kernels' finite checks turn into a NumericsError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, jac, root = chart.point(t)
+            sq = np.sqrt(1.0 + s * s)
+            out = -chart.metric.deficit(s) * jac / (sq * (root + sq))
+            # s**0 is 1.0, so k = 0 skips that pass with the same bits.
+            return out * s**k if k else out
 
     return g
 

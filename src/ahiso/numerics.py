@@ -170,12 +170,21 @@ def _pair_rule(a: np.ndarray, b: np.ndarray, fv: np.ndarray):
     return resk, np.maximum(err, 50.0 * _EPS * resabs)
 
 
+# _panels evaluates at most this many intervals per call of the
+# integrand: a block's node arrays (15 * 1024 floats, 120 KiB) stay
+# below glibc's default mmap threshold, whatever the batch size.
+_PANEL_BLOCK = 1024
+
+
 def _panels(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, extra=()):
     """Integral of ``fn`` over each interval [lo[i], hi[i]], plus ``fn`` at ``extra``.
 
-    Every interval gets one GK15 panel, and the panel nodes and the
-    points ``extra`` go to ``fn`` in one call (so a volume inversion's
-    ladder sweep also gives its Newton start slopes).  An interval whose error
+    Every interval gets one GK15 panel.  The intervals (at least one) go
+    to ``fn`` in blocks of 1,024, in order and one call per block, and
+    the points ``extra`` go with the last block's nodes (so a volume
+    inversion's ladder sweep also gives its Newton start slopes); the
+    node arrays are O(block) at any batch size, and a batch of one block
+    is one call.  Once all blocks are in, an interval whose error
     estimate exceeds ``tol``, or 2e-14 of its own value when that is
     larger (the panel rule's rounding floor is 50 eps of it), is redone
     by adaptive :func:`integrate` to that tolerance.  The intervals may
@@ -189,17 +198,22 @@ def _panels(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, extra=()):
     NumericsError
         If ``fn`` is not finite at a panel node, or a fallback fails.
     """
-    # The panel nodes are joined to ``extra`` at once, so that a large
-    # batch holds one array of nodes while ``fn`` runs.
-    xs = _pair_nodes(lo, hi).reshape(-1)
-    if len(extra):
-        xs = np.concatenate([xs, extra])
-    fv = _eval_batch(fn, xs)
-    m = 15 * lo.size
-    if not np.isfinite(fv[:m]).all():
-        bad = float(xs[:m][~np.isfinite(fv[:m])][0])
-        raise NumericsError(f"integrand not finite at x={bad!r}")
-    vals, err = _pair_rule(lo, hi, fv[:m].reshape(-1, 15))
+    n = lo.size
+    vals, err = np.empty(n), np.empty(n)
+    for i in range(0, n, _PANEL_BLOCK):
+        j = i + _PANEL_BLOCK
+        a, b = lo[i:j], hi[i:j]
+        # The panel nodes are joined to ``extra`` at once, so that the
+        # block holds one array of nodes while ``fn`` runs.
+        xs = _pair_nodes(a, b).reshape(-1)
+        if j >= n and len(extra):
+            xs = np.concatenate([xs, extra])
+        fv = _eval_batch(fn, xs)
+        m = 15 * a.size
+        if not np.isfinite(fv[:m]).all():
+            bad = float(xs[:m][~np.isfinite(fv[:m])][0])
+            raise NumericsError(f"integrand not finite at x={bad!r}")
+        vals[i:j], err[i:j] = _pair_rule(a, b, fv[:m].reshape(-1, 15))
     tol_vec = np.maximum(tol, 2e-14 * np.abs(vals))
     for i in np.flatnonzero(err > tol_vec):
         res = integrate(fn, float(lo[i]), float(hi[i]), abs_tol=float(tol_vec[i]))

@@ -452,13 +452,14 @@ def cumulative_volume_over_grid(
 
     Returns cumulative volumes relative to s_grid[0] and a total error
     bound.  Each consecutive interval gets one Gauss-Kronrod panel,
-    evaluated for the whole grid in one vectorized sweep
-    (:func:`numerics._panels`, each panel held to its share
-    1e-10 / len(s_grid)); intervals whose error estimate is too large
-    fall back to adaptive integration individually.  Interval count ~1e4
-    stays well under a second this way, where a per-interval adaptive
-    call would not.  The grid must be finite, strictly increasing and
-    start above the core radius (``ValueError``).
+    evaluated for the whole grid in one sweep in blocks of 1,024
+    intervals (:func:`numerics._panels`, each panel held to its share
+    1e-10 / len(s_grid)), so its node arrays are O(block) at any grid
+    size; intervals whose error estimate is too large fall back to
+    adaptive integration individually.  Interval count ~1e4 stays well
+    under a second this way, where a per-interval adaptive call would
+    not.  The grid must be finite, strictly increasing and start above
+    the core radius (``ValueError``).
     """
     s = _increasing(s_grid, "s_grid")
     if s[0] <= metric.core_radius:

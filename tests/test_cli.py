@@ -629,6 +629,24 @@ def test_gap_convergence_script_refuses_an_underflowing_n():
     assert "error: --n 600 puts --v-max 4^(1 - n) below the smallest float" in child.stderr
 
 
+def test_job_memory_script_lists_traced_peaks_largest_first(capsys, monkeypatch):
+    # Two small flow jobs in place of the workload's forty.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    import job_memory
+
+    jobs = [
+        job_memory.workloads.Job("imcf", "ads_m1", (("s0", 2.0), ("t-max", 1.0), ("dt", 0.1))),
+        job_memory.workloads.Job("imcf", "pert_m1", (("s0", 2.0), ("t-max", 3.0), ("dt", 0.01))),
+    ]
+    monkeypatch.setattr(job_memory.workloads, "generate", lambda workload, seed, n: jobs)
+    assert job_memory.main(["--workload", "flow", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[2:4] for line in lines] == [["job", "001"], ["job", "000"]]
+    assert lines[0].endswith("imcf pert_m1 --s0 2.0 --t-max 3.0 --dt 0.01")
+    peaks = [float(line.split()[0]) for line in lines]
+    assert peaks[0] >= peaks[1] > 0.0
+
+
 @pytest.mark.parametrize("mass", [1e30, 1e300])
 def test_huge_core_tables_exit_zero_without_warning(capsys, tmp_path, mass):
     # With a split at core + 1, m = 1e30 exhausted the quadrature budget
@@ -643,6 +661,19 @@ def test_huge_core_tables_exit_zero_without_warning(capsys, tmp_path, mass):
             assert run(argv + m) == 0, capsys.readouterr().err
         assert run(["renorm-vol"] + m) == 1
     assert "below the image" in capsys.readouterr().err
+
+
+def test_huge_core_far_rho_refused_by_name_without_warning(capsys, tmp_path):
+    # At ads m = 1e300, rho = 348 puts s past 1.3e154, where s * s
+    # overflows in the gap element: it warned "overflow encountered in
+    # multiply" (a traceback under error::RuntimeWarning) before the
+    # finite check refused the run.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"type": "ads_schwarzschild", "mass": 1e300}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["renorm-vol", "--rho", "348", "--model", str(path)]) == 2
+    assert "integrand not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Expanding flow of centered spheres and the area comparison curve."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,19 @@ class TestFlow:
         assert fine.xs.size == 10_001 and coarse.xs.size == 1_001
         assert fine.n_steps == coarse.n_steps
         assert fine.n_steps < 1_000
+
+    def test_dense_grid_memory_stays_near_its_columns(self, perturbed_valid):
+        # 80,001 rows are five 640 KiB columns; the volume sweep goes to
+        # the metric in blocks of 1,024 intervals, where one call over the
+        # whole grid peaked at 41.5 MiB of node arrays and temporaries.
+        tracemalloc.start()
+        try:
+            flow = flow_spheres(perturbed_valid, 2.0, 8.0, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert flow.s.size == 80_001
+        assert peak < 12 * 2**20
 
 
 class TestLipschitzBound:

@@ -187,6 +187,45 @@ def test_panels_match_single_panels_in_any_order():
     assert errs[1] <= 1e-13
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_panels_in_blocks_equal_one_call_per_block():
+    # 2,500 intervals are three blocks; the extra points go with the last.
+    block = ahiso.numerics._PANEL_BLOCK
+    rng = np.random.default_rng(7)
+    lo = rng.uniform(0.0, 5.0, 2500)
+    hi = lo + rng.uniform(1e-3, 1.0, lo.size)
+    extra = rng.uniform(0.0, 6.0, 7)
+    fn = lambda u: np.exp(-u) * np.cos(3.0 * u) + u * u  # noqa: E731
+    vals, errs, at_extra = _panels(fn, lo, hi, 1e-12, extra)
+    parts = [
+        _panels(fn, lo[i : i + block], hi[i : i + block], 1e-12, extra if i == 2 * block else ())
+        for i in range(0, lo.size, block)
+    ]
+    assert len(parts) == 3
+    assert np.array_equal(_bits(vals), _bits(np.concatenate([p[0] for p in parts])))
+    assert np.array_equal(_bits(errs), _bits(np.concatenate([p[1] for p in parts])))
+    assert np.array_equal(_bits(at_extra), _bits(parts[-1][2]))
+
+
+@pytest.mark.parametrize(
+    "n, extra", [(2500, 7), (2048, 0), (1025, 3), (1024, 2), (200, 2), (1, 2)]
+)
+def test_panels_call_holds_at_most_one_block(n, extra):
+    # A batch of at most one block is one call, with the extra points.
+    block = ahiso.numerics._PANEL_BLOCK
+    lo = np.linspace(0.0, 1.0, n)
+    points = np.linspace(0.0, 1.0, extra)
+    counted, calls = _counting(np.cos)
+    _, _, at_extra = _panels(counted, lo, lo + 0.5, 1e300, points)
+    assert max(calls) <= 15 * block + extra
+    full = (n - 1) // block
+    assert calls == [15 * block] * full + [15 * (n - full * block) + extra]
+    assert np.array_equal(at_extra, np.cos(points))
+
+
 def _square(x):
     return x * x
 
