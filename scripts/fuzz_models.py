@@ -15,7 +15,8 @@ seconds.  An outcome is ``ok`` (exit 0), ``exit 1`` or ``exit 2`` (a
 refusal or a numeric failure, by name), ``traceback`` or ``timeout``.
 One line per (run, outcome) class, the run named by all its flags,
 gives its count, one model that reproduces it and the last line of
-that run's stderr.
+that run's stderr.  The script exits 1 if any run ended in a
+``traceback`` or a ``timeout``, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def main() -> int:
     print(f"seed {args.seed}: {args.count} validated models, core >= 0")
     for (run, what), (n, model, message) in sorted(classes.items()):
         print(f"{run:52s} {what:9s} {n:4d}  {json.dumps(model)}  {message}".rstrip())
-    return 0
+    return 1 if any(what in ("traceback", "timeout") for _, what in classes) else 0
 
 
 if __name__ == "__main__":

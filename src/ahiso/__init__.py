@@ -41,7 +41,6 @@ from .profiles import (
 )
 from .spheres import (
     SphereGeometry,
-    gauss_bonnet_total,
     jacobi_spectrum,
     sphere_data,
     stability_total,
@@ -66,7 +65,6 @@ __all__ = [
     "default_grid",
     "flow_spheres",
     "gap_table",
-    "gauss_bonnet_total",
     "hyperbolic_profile",
     "integrate",
     "jacobi_spectrum",

@@ -43,14 +43,7 @@ from .models import (
     s_from_rho,
     validate_ah,
 )
-from .numerics import (
-    NumericsError,
-    QuadResult,
-    _increasing,
-    _panels,
-    integrate,
-    solve_increasing,
-)
+from .numerics import NumericsError, QuadResult, _increasing, _panels, solve_increasing
 
 __all__ = [
     "ProfileTable",
@@ -225,24 +218,42 @@ def _volume_element(chart: _Chart, p: int = 0):
 # Absolute tolerance of every model volume: a volume, a flow's volume
 # increments, and a volume inversion's sweep and Newton panels.
 _VOLUME_TOL = 1e-10
-# Rung j of the volume inversion's lattice, t = 2^(j / 8), is the mantissa
+# Rung j of the volume lattice, t = 2^(j / 8), is the mantissa
 # _EIGHTHS[j % 8] times the exact power 2^(j // 8).
 _EIGHTHS = np.exp2(np.arange(8) / 8.0)
+
+
+def _rungs(chart: _Chart, top: int, lowest: float = math.inf) -> np.ndarray:
+    """Rungs t = 2^(j / 8) of the volume lattice in ``chart`` for j < top, from the
+    lower of ``lowest`` and the anchor rung, at or below s - core = 2^-8 max(1, core),
+    so that a ladder's first panel, from t = 0, stays in the core region."""
+    core = chart.metric.core_radius
+    anchor = math.floor(8.0 * math.log2(chart.to_t(core + math.ldexp(max(1.0, core), -8))))
+    j = np.arange(min(lowest, anchor), top)
+    return np.ldexp(_EIGHTHS[j % 8], j // 8)
 
 
 def model_volume_quad(metric: RadialMetric, s: float) -> QuadResult:
     """Volume from the core out to area-radius s, with its error bound.
 
-    Integrated in the chart of :func:`models._chart`, which removes the
-    f^{-1/2} spike at a positive core.
+    One GK15 panel of the element in the chart t of :func:`models._chart`
+    from t = 0 to the first rung of :func:`_rungs` below t(s), one per rung
+    interval and one from the last rung to t(s), at 1e-10 / (number of
+    panels) each in one :func:`numerics._panels` sweep: the lattice that
+    :func:`model_radius_for_volume` brackets on, so the bound holds at every s.
     """
     core = metric.core_radius
     if not math.isfinite(s) or s < core:
         raise ValueError(f"s must lie in [{core!r}, inf), got {s!r}")
+    if s == core:
+        return QuadResult(0.0, 0.0, 0)
     chart = _chart(metric)
-    return integrate(
-        _volume_element(chart), chart.to_t(core), chart.to_t(s), abs_tol=_VOLUME_TOL
-    )
+    t = float(chart.to_t(s))
+    rungs = _rungs(chart, math.floor(8.0 * math.log2(t)) + 1)
+    ends = np.concatenate([[0.0], rungs[rungs < t], [t]])
+    n = ends.size - 1
+    vals, err, _ = _panels(_volume_element(chart), ends[:-1], ends[1:], _VOLUME_TOL / n)
+    return QuadResult(float(vals.sum()), float(err.sum()), 15 * n)
 
 
 def model_volume(metric: RadialMetric, s: float) -> float:
@@ -257,16 +268,15 @@ def model_radius_for_volume(metric: RadialMetric, v):
     in any order, inverted together in the chart t of :func:`models._chart`
     (w with s = core + w^2 above a positive core), where the volume
     element stays finite.  Every volume is bracketed between rungs of the
-    fixed lattice t = 2^(j / 8), j an integer.  The ladder is t = 0 and the
-    rungs from the lower of the rung at the anchor s - core = 2^-8 max(1,
-    core), so that no panel spans the core region, and the rung below the
-    smallest volume's guess, up to four rungs above the largest volume's
-    guess, then four more at a time until it encloses every v
-    (NumericsError once a rung overflows).  A guess is the larger of the
-    Euclidean radius of v and sqrt(v / 2 pi), or t = v / element(0) at or
-    below a positive core.  One sweep (:func:`numerics._panels`) gives the
-    volume and the element at every rung.  Each volume starts at the
-    nearer in volume of its two rungs, never at t = 0, and
+    lattice that :func:`model_volume_quad` panels along (:func:`_rungs`).
+    The ladder is t = 0 and the rungs from the lower of the anchor rung
+    and the rung below the smallest volume's guess up to four rungs above
+    the largest volume's guess, then four more at a time until it encloses
+    every v (NumericsError once a rung overflows).  A guess is the larger
+    of the Euclidean radius of v and sqrt(v / 2 pi), or t = v / element(0)
+    at or below a positive core.  One sweep (:func:`numerics._panels`)
+    gives the volume and the element at every rung.  Each volume starts at
+    the nearer in volume of its two rungs, never at t = 0, and
     :func:`solve_increasing` takes Newton steps, one GK15 panel and one
     element call per round for all volumes.  A batch that reaches near
     the subnormal range scales the element and the volumes by one exact
@@ -297,23 +307,22 @@ def model_radius_for_volume(metric: RadialMetric, v):
         logs[~high] = np.log2(ends[~high]) + p - math.log2(element(0.0))
     # No rung below 2^-1070: below it, neighbouring rungs round to one float.
     rung = np.maximum(np.floor(8.0 * logs), -8559.0).astype(int)
-    anchor = math.log2(chart.to_t(core + math.ldexp(max(1.0, core), -8)))
-    j = np.arange(min(math.floor(8.0 * anchor), rung.min() - 1), rung.max() + 5)
+    top = int(rung.max()) + 5
     target, tol = np.ldexp(vols, p), math.ldexp(_VOLUME_TOL, p)
     ladder, vals, slopes, cum, share = np.zeros(1), [], [], np.zeros(1), tol
     while not cum[-1] >= target.max():
-        if j[-1] >= 8192:  # 2^(j / 8) overflows
+        if top > 8192:  # 2^(j / 8) overflows
             raise NumericsError(f"failed to bracket s for v = {float(ends[1])!r}")
-        rungs = np.ldexp(_EIGHTHS[j % 8], j // 8)
+        rungs = _rungs(chart, top, int(rung.min()) - 1)[ladder.size - 1 :]  # not yet swept
         # Each sweep takes half of what the ones before it left of tol.
         share /= 2.0
         more, _, at_rungs = _panels(
-            element, np.append(ladder[-1], rungs[:-1]), rungs, share / j.size, rungs
+            element, np.append(ladder[-1], rungs[:-1]), rungs, share / rungs.size, rungs
         )
         ladder = np.append(ladder, rungs)
         vals, slopes = np.append(vals, more), np.append(slopes, at_rungs)
         cum = np.concatenate([[0.0], np.cumsum(vals)])
-        j = j[-1] + np.arange(1, 5)
+        top += 4
     k = np.searchsorted(cum, target)
     at = np.maximum(np.where(target - cum[k - 1] <= cum[k] - target, k - 1, k), 1)
     t = solve_increasing(

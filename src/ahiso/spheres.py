@@ -25,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import RadialMetric, _check_domain, scalar_curvature_excess
+from .models import RadialMetric, scalar_curvature_excess
 
 __all__ = [
     "SphereGeometry",
     "sphere_data",
     "stability_total",
     "jacobi_spectrum",
-    "gauss_bonnet_total",
 ]
 
 FOUR_PI = 4.0 * math.pi
@@ -131,9 +130,3 @@ def jacobi_spectrum(metric: RadialMetric, s, l_max: int) -> list[tuple[int, floa
     lams = [l * (l + 1) / s2 - q for l in range(l_max + 1)]
     return [(l, float(lam) if arr.ndim == 0 else lam) for l, lam in enumerate(lams)]
 
-
-def gauss_bonnet_total(metric: RadialMetric, s: float) -> float:
-    """int_Sigma K dmu; equals 4 pi (1 - genus) with genus 0."""
-    _check_domain(metric, s)
-    area = FOUR_PI * s * s
-    return area * (1.0 / (s * s))

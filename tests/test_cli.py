@@ -833,6 +833,17 @@ def test_a_far_first_bracket_converges(capsys, tmp_path):
     assert body[0, 1] == pytest.approx(4.0 * math.sqrt(math.pi * 1e-300), rel=1e-12)
 
 
+def test_far_flow_volumes_match_the_closed_form(capsys, hyp_model):
+    # Each row's volume is the start volume plus the flow's increments.  One
+    # GK15 panel from 0 to s0 put the start 39.49 high (2.5e-11 relative),
+    # with an error bound of 0.13.
+    argv = ["imcf", "--model", hyp_model, "--s0", "5.01e5", "--t-max", "1", "--dt", "0.5"]
+    _, header, body = _parse_csv(_capture(capsys, argv))
+    s, vol = body[:, header.index("s")], body[:, header.index("volume")]
+    want = 2.0 * math.pi * (s * np.sqrt(1.0 + s * s) - np.arcsinh(s))
+    assert np.all(np.abs(vol - want) <= 1e-13 * want)
+
+
 def test_overflowing_flow_is_a_numeric_failure(capsys, ads_model):
     # The radius grows like e^{t/2} and overflows near t = 1418: math.fsum
     # refused the infinite stages with "error: -inf + inf in fsum" (exit 1).

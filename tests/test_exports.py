@@ -40,6 +40,7 @@ def test_root_and_ode_kernels_live_in_numerics_only():
         ("ahiso.numerics", "integrate_panels"),
         ("ahiso.spheres", "sphere_data_from_profile"),
         ("ahiso.spheres", "hawking_mass"),
+        ("ahiso.spheres", "gauss_bonnet_total"),
     ],
 )
 def test_deleted_names_are_gone(module, name):
