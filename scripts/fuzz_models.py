@@ -7,8 +7,9 @@ The models come from a seeded scan: the mass is 0 or 10^U(-3, 1) (even
 odds), and 1 to 4 tail coefficients are each 0 with probability 0.2,
 else +-10^U(-4, 11).  A draw is kept when ``make_perturbed`` accepts it
 and ``validate_ah`` passes, until ``--count`` are kept; its core may be 0.
-Each kept model runs ``spheres --n 5``, ``profile --n 5`` and the
-float-range ``profile --v-min 1e-300 --v-max 1e12 --n 7``, each in a
+Each kept model runs ``spheres --n 5``, ``profile --n 5``, the
+float-range ``profile --v-min 1e-300 --v-max 1e12 --n 7`` and
+``expansion --n 12`` (the volume inversion's other caller), each in a
 child process under ``-W error::RuntimeWarning`` with the package
 imported from this checkout's ``src/``, stopped after ``--timeout``
 seconds.  An outcome is ``ok`` (exit 0), ``exit 1`` or ``exit 2`` (a
@@ -41,6 +42,7 @@ RUNS = (
     ["spheres", "--n", "5"],
     ["profile", "--n", "5"],
     ["profile", "--v-min", "1e-300", "--v-max", "1e12", "--n", "7"],
+    ["expansion", "--n", "12"],
 )
 
 

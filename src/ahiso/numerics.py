@@ -176,22 +176,25 @@ def _pair_rule(a: np.ndarray, b: np.ndarray, fv: np.ndarray):
 _PANEL_BLOCK = 1024
 
 
-def _panels(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, extra=()):
+def _panels(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, extra=(), nodes=False):
     """Integral of ``fn`` over each interval [lo[i], hi[i]], plus ``fn`` at ``extra``.
 
     Every interval gets one GK15 panel.  The intervals (at least one) go
     to ``fn`` in blocks of 1,024, in order and one call per block, and
-    the points ``extra`` go with the last block's nodes (so a volume
-    inversion's ladder sweep also gives its Newton start slopes); the
-    node arrays are O(block) at any batch size, and a batch of one block
-    is one call.  Once all blocks are in, an interval whose error
-    estimate exceeds ``tol``, or 2e-14 of its own value when that is
-    larger (the panel rule's rounding floor is 50 eps of it), is redone
-    by adaptive :func:`integrate` to that tolerance.  The intervals may
-    overlap and come in any order; the callers build them, so nothing is
-    checked but the integrand's finiteness at the panel nodes.  Returns
-    the values and error bounds per interval and ``fn`` at ``extra``,
-    which is not checked for finiteness.
+    the points ``extra`` go with the last block's nodes (so a panel that
+    ends at a Newton iterate also gives the slope there); the node arrays
+    are O(block) at any batch size, and a batch of one block is one call.
+    Once all blocks are in, an interval whose error estimate exceeds
+    ``tol``, or 2e-14 of its own value when that is larger (the panel
+    rule's rounding floor is 50 eps of it), is redone by adaptive
+    :func:`integrate` to that tolerance.  The intervals may overlap and
+    come in any order; the callers build them, so nothing is checked but
+    the integrand's finiteness at the panel nodes.  Returns the values
+    and error bounds per interval and ``fn`` at ``extra``, which is not
+    checked for finiteness; with ``nodes``, also ``fn`` at each
+    interval's 15 nodes (before any fallback), one row per interval, so
+    that only a caller that asks for them keeps more than a block of
+    node values.
 
     Raises
     ------
@@ -200,6 +203,7 @@ def _panels(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, extra=()):
     """
     n = lo.size
     vals, err = np.empty(n), np.empty(n)
+    kept = np.empty((n, 15)) if nodes else None
     for i in range(0, n, _PANEL_BLOCK):
         j = i + _PANEL_BLOCK
         a, b = lo[i:j], hi[i:j]
@@ -213,12 +217,84 @@ def _panels(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float, extra=()):
         if not np.isfinite(fv[:m]).all():
             bad = float(xs[:m][~np.isfinite(fv[:m])][0])
             raise NumericsError(f"integrand not finite at x={bad!r}")
-        vals[i:j], err[i:j] = _pair_rule(a, b, fv[:m].reshape(-1, 15))
+        at_nodes = fv[:m].reshape(-1, 15)
+        vals[i:j], err[i:j] = _pair_rule(a, b, at_nodes)
+        if nodes:
+            kept[i:j] = at_nodes
     tol_vec = np.maximum(tol, 2e-14 * np.abs(vals))
     for i in np.flatnonzero(err > tol_vec):
         res = integrate(fn, float(lo[i]), float(hi[i]), abs_tol=float(tol_vec[i]))
         vals[i], err[i] = res.value, res.error_bound
-    return vals, err, fv[m:]
+    return (vals, err, fv[m:], kept) if nodes else (vals, err, fv[m:])
+
+
+# Barycentric weights of _NODES: 1 / prod over j != i of (x_i - x_j).
+_BARY = 1.0 / np.prod(np.where(np.eye(15, dtype=bool), 1.0, _NODES[:, None] - _NODES), axis=1)
+
+
+def _lagrange(y: np.ndarray) -> np.ndarray:
+    """The 15 Lagrange basis polynomials of ``_NODES`` at the points ``y``,
+    one row per point, in barycentric form (a point on a node gets that
+    node's unit row)."""
+    q = y[:, None] - _NODES
+    hit = q == 0.0
+    q[hit] = 1.0
+    np.divide(_BARY, q, out=q)
+    q /= q.sum(axis=1, keepdims=True)
+    on = hit.any(axis=1)
+    q[on] = hit[on]
+    return q
+
+
+# The degree-14 interpolant p of a panel's 15 node values, on the
+# sub-grid of 64 equal steps of [-1, 1]: the node values times
+# _SUB_INTEGRAL give the integral of p from -1 to each sub-grid point (the
+# K15 rule on [-1, x], exact for p), and row j of _SUB_VALUE times them
+# gives p at sub-grid point j.  Built without BLAS, as they are applied.
+_SUB_GRID = np.linspace(-1.0, 1.0, 65)
+
+
+def _sub_grid_matrices() -> tuple[np.ndarray, np.ndarray]:
+    # One K15 node of [-1, x] at a time, for every sub-grid point x, keeps
+    # the import's temporaries at 65 x 15 floats.
+    half = 0.5 * (_SUB_GRID + 1.0)
+    integral = np.zeros((65, 15))
+    for node, weight in zip(_NODES, _WKF):
+        integral += weight * _lagrange(0.5 * (_SUB_GRID - 1.0) + half * node)
+    return np.ascontiguousarray((half[:, None] * integral).T), _lagrange(_SUB_GRID)
+
+
+_SUB_INTEGRAL, _SUB_VALUE = _sub_grid_matrices()
+
+
+def _interpolant_root(fv: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per row, the x in [-1, 1] where the integral from -1 of the
+    interpolant of the node values ``fv[i]`` (a GK15 panel mapped to
+    [-1, 1]) reaches ``y[i]``, with no call of the integrand.
+
+    The sub-grid step that holds y is found from the integrals at all 65
+    sub-grid points, and x from one inverse cubic Hermite step on it: the
+    inverse of the integral, from its values and slopes 1 / p at the two
+    ends.  Its error goes like the fourth power of the step, 1 / 32: for a
+    smooth positive integrand x is good to ~1e-10 or better.  The
+    products are taken row by row with no BLAS call, so a row's x does
+    not depend on the batch.  A row whose interpolant does not increase
+    there gets some x in [-1, 1].
+    """
+    g = np.einsum("ij,jk->ik", fv, _SUB_INTEGRAL)
+    step = np.minimum((g[:, 1:-1] <= y[:, None]).sum(axis=1), 63)
+    at = np.stack([step, step + 1], axis=1)
+    g0, g1 = np.take_along_axis(g, at, 1).T
+    p0, p1 = np.einsum("ij,ikj->ki", fv, _SUB_VALUE[at])
+    width = g1 - g0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # In units of the sub-grid step: u in [0, 1] along the integral, and
+        # the slopes of x(u) at the two ends less the mean slope 1.
+        u = (y - g0) / width
+        d0, d1 = 32.0 * width / p0 - 1.0, 32.0 * width / p1 - 1.0
+        x = _SUB_GRID[step] + (u + u * (1.0 - u) * ((1.0 - u) * d0 - u * d1)) / 32.0
+    # fmin and fmax take a NaN to the bound.
+    return np.fmax(np.fmin(x, 1.0), -1.0)
 
 
 # A row of solve_increasing takes at most this many Newton rounds, and
@@ -262,8 +338,12 @@ def solve_increasing(
     iterate replaces the bracket end on its side of the root.  One
     call of ``density`` per round gives every row's panel nodes and its
     new iterate, whose value is the next round's slope, so a solve makes
-    one call per round that takes a step and none at the starts.  Only
-    ``tol`` is checked.
+    one call per round that takes a step and none at the starts.  A
+    volume inversion takes its first slopes and first iterates from the
+    sweep's panels (the root of each row's rung panel interpolant, see
+    :func:`_interpolant_root`), which put every row within the test on
+    the grids tried, so it returns before any round.  Only ``tol`` is
+    checked.
 
     ``density`` must accept arrays and be positive where the rows go.
 

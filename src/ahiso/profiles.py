@@ -43,7 +43,14 @@ from .models import (
     s_from_rho,
     validate_ah,
 )
-from .numerics import NumericsError, QuadResult, _increasing, _panels, solve_increasing
+from .numerics import (
+    NumericsError,
+    QuadResult,
+    _increasing,
+    _interpolant_root,
+    _panels,
+    solve_increasing,
+)
 
 __all__ = [
     "ProfileTable",
@@ -275,14 +282,20 @@ def model_radius_for_volume(metric: RadialMetric, v):
     every v (NumericsError once a rung overflows).  A guess is the larger
     of the Euclidean radius of v and sqrt(v / 2 pi), or t = v / element(0)
     at or below a positive core.  One sweep (:func:`numerics._panels`)
-    gives the volume and the element at every rung.  Each volume starts at
-    the nearer in volume of its two rungs, never at t = 0, and
-    :func:`solve_increasing` takes Newton steps, one GK15 panel and one
-    element call per round for all volumes.  A batch that reaches near
-    the subnormal range scales the element and the volumes by one exact
-    power of two, so that the smallest volume is a normal float.  The
-    sweep's panels together, and the panels of each volume, are held to
-    1e-10 (``_VOLUME_TOL``).
+    gives the volume at every rung and keeps the element at each rung
+    panel's 15 nodes.  Each volume starts at the root of the degree-14
+    interpolant of those values on its bracket
+    (:func:`numerics._interpolant_root`, no element call), good to ~1e-10
+    of t or better, and one more panel call, from the lower rung to every
+    start, gives the volume and the element there.  From these
+    :func:`solve_increasing`, bracketed by the two rungs, applies one
+    Newton step; a row that the interpolant put too far off takes Newton
+    rounds, one GK15 panel and one element call per round.  A batch that
+    reaches near the subnormal range scales the element and the volumes by
+    one exact power of two, so that the smallest volume is a normal float.
+    The sweep's panels together are held to 1e-10 (``_VOLUME_TOL``), and
+    the panels of each volume to it together: half to its start panel and
+    half to its Newton rounds.
     """
     arr = np.asarray(v, dtype=float)
     scalar = arr.ndim == 0
@@ -309,25 +322,29 @@ def model_radius_for_volume(metric: RadialMetric, v):
     rung = np.maximum(np.floor(8.0 * logs), -8559.0).astype(int)
     top = int(rung.max()) + 5
     target, tol = np.ldexp(vols, p), math.ldexp(_VOLUME_TOL, p)
-    ladder, vals, slopes, cum, share = np.zeros(1), [], [], np.zeros(1), tol
+    ladder, vals, nodes, cum, share = np.zeros(1), [], None, np.zeros(1), tol
     while not cum[-1] >= target.max():
         if top > 8192:  # 2^(j / 8) overflows
             raise NumericsError(f"failed to bracket s for v = {float(ends[1])!r}")
         rungs = _rungs(chart, top, int(rung.min()) - 1)[ladder.size - 1 :]  # not yet swept
         # Each sweep takes half of what the ones before it left of tol.
         share /= 2.0
-        more, _, at_rungs = _panels(
-            element, np.append(ladder[-1], rungs[:-1]), rungs, share / rungs.size, rungs
+        more, _, _, at_nodes = _panels(
+            element, np.append(ladder[-1], rungs[:-1]), rungs, share / rungs.size, nodes=True
         )
         ladder = np.append(ladder, rungs)
-        vals, slopes = np.append(vals, more), np.append(slopes, at_rungs)
+        vals = np.append(vals, more)
+        nodes = at_nodes if nodes is None else np.concatenate([nodes, at_nodes])
         cum = np.concatenate([[0.0], np.cumsum(vals)])
         top += 4
     k = np.searchsorted(cum, target)
-    at = np.maximum(np.where(target - cum[k - 1] <= cum[k] - target, k - 1, k), 1)
-    t = solve_increasing(
-        element, target, ladder[at], cum[at], slopes[at - 1], ladder[k - 1], ladder[k], tol
-    )
+    lo, hi = ladder[k - 1], ladder[k]
+    half = 0.5 * (hi - lo)
+    x = _interpolant_root(nodes[k - 1], (target - cum[k - 1]) / half)
+    # A start in (lo, hi] gives the start panel a width.
+    start = np.minimum(np.maximum(0.5 * (lo + hi) + half * x, np.nextafter(lo, hi)), hi)
+    part, _, slope = _panels(element, lo, start, tol / 2.0, start)
+    t = solve_increasing(element, target, start, cum[k - 1] + part, slope, lo, hi, tol / 2.0)
     s = chart.to_s(t)
     return float(s[0]) if scalar else s.reshape(arr.shape)
 

@@ -19,6 +19,11 @@ from ahiso.numerics import (
     NumericsError,
     QuadResult,
     _NODES,
+    _SUB_GRID,
+    _SUB_INTEGRAL,
+    _SUB_VALUE,
+    _WKF,
+    _interpolant_root,
     _panels,
     find_root,
     integrate,
@@ -224,6 +229,66 @@ def test_panels_call_holds_at_most_one_block(n, extra):
     full = (n - 1) // block
     assert calls == [15 * block] * full + [15 * (n - full * block) + extra]
     assert np.array_equal(at_extra, np.cos(points))
+
+
+def test_panels_keep_node_values_only_when_asked():
+    # 2,500 intervals are three blocks; the kept rows are fn at each
+    # interval's nodes, and the values and bounds are those of a plain call.
+    rng = np.random.default_rng(11)
+    lo = rng.uniform(0.0, 5.0, 2500)
+    hi = lo + rng.uniform(1e-3, 1.0, lo.size)
+    fn = lambda u: np.exp(-u) * np.cos(3.0 * u) + u * u  # noqa: E731
+    plain = _panels(fn, lo, hi, 1e-12, [0.5])
+    kept = _panels(fn, lo, hi, 1e-12, [0.5], nodes=True)
+    assert len(plain) == 3 and len(kept) == 4
+    for a, b in zip(plain, kept):
+        assert np.array_equal(_bits(a), _bits(b))
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    assert kept[3].shape == (2500, 15)
+    assert np.array_equal(kept[3], fn(mid[:, None] + half[:, None] * _NODES))
+
+
+def test_interpolant_integral_at_one_is_the_kronrod_rule():
+    # The integral of the interpolant over [-1, 1] is the K15 rule itself.
+    assert _SUB_GRID[-1] == 1.0 and _SUB_GRID.size == 65
+    assert np.all(np.abs(_SUB_INTEGRAL[:, -1] - _WKF) <= 2.0 * np.spacing(_WKF))
+    assert not _SUB_INTEGRAL[:, 0].any()
+
+
+@pytest.mark.parametrize("k", range(15))
+def test_interpolant_matrices_are_exact_on_polynomials(k):
+    # x^k, k <= 14, is its own interpolant: its integral from -1 to each
+    # sub-grid point and its value there come back to rounding.
+    at_nodes = _NODES**k
+    integral = (_SUB_GRID ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+    assert np.max(np.abs(np.einsum("j,jk->k", at_nodes, _SUB_INTEGRAL) - integral)) <= 1e-14
+    assert np.max(np.abs(np.einsum("kj,j->k", _SUB_VALUE, at_nodes) - _SUB_GRID**k)) <= 1e-14
+
+
+def test_interpolant_root_inverts_a_smooth_integral_row_by_row():
+    # exp(a x) on [-1, 1]: the integral from -1 to x is (e^{ax} - e^{-a}) / a.
+    # The inverse Hermite step errs by ~6 a^3 / (384 * 32^4), 3e-11 at
+    # a = 0.13, which is how a w^3 volume element grows over a rung.  Each
+    # row's root is the same alone as in the batch.
+    a = np.linspace(0.02, 0.2, 12)[:, None]
+    x = np.linspace(-0.999, 0.999, 37)
+    fv = np.repeat(np.exp(a * _NODES), x.size, axis=0)
+    rows = np.repeat(a[:, 0], x.size)
+    xs = np.tile(x, a.size)
+    y = (np.exp(rows * xs) - np.exp(-rows)) / rows
+    got = _interpolant_root(fv, y)
+    assert np.max(np.abs(got - xs)) <= 2e-10
+    for i in range(0, got.size, 41):
+        assert _interpolant_root(fv[i : i + 1], y[i : i + 1])[0] == got[i]
+
+
+def test_interpolant_root_of_a_flat_interpolant_stays_in_range():
+    # A zero or sign-changing interpolant has no root to find; the start
+    # is then some point of [-1, 1], with no warning.
+    fv = np.stack([np.zeros(15), np.cos(4.0 * _NODES), -np.ones(15)])
+    with np.errstate(all="raise"):
+        got = _interpolant_root(fv, np.array([0.5, 0.1, 1.0]))
+    assert np.all((-1.0 <= got) & (got <= 1.0))
 
 
 def _square(x):

@@ -2,6 +2,7 @@
 gap table."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,8 +388,9 @@ class TestRootFindingWork:
 class TestNewtonInversionWork:
     def test_gap_table_rounds_and_integrals(self, monkeypatch):
         # Brent over adaptive volume segments made 14,099 integrate calls
-        # in a traced profile pass; Newton takes one panel per row per round.
-        rounds, integrals, panel_calls = [], [], []
+        # in a traced profile pass; Newton from the rungs took three or
+        # four panel rounds, and from the interpolated starts it takes none.
+        newton_panels, integrals, panel_calls = [], [], []
 
         def counting_integrate(*args, **kwargs):
             integrals.append(1)
@@ -401,9 +403,7 @@ class TestNewtonInversionWork:
         def counting_solve(*args, **kwargs):
             before = len(panel_calls)
             out = solve_increasing(*args, **kwargs)
-            # One panel call per round but the last, which finds every
-            # remaining step below the tolerance.
-            rounds.append(len(panel_calls) - before + 1)
+            newton_panels.append(len(panel_calls) - before)
             return out
 
         panels = ahiso.numerics._panels
@@ -414,15 +414,16 @@ class TestNewtonInversionWork:
         monkeypatch.setattr("ahiso.profiles.solve_increasing", counting_solve)
         gap_table(make_ads_schwarzschild(1.0), np.geomspace(1.0, 1e6, 60))
         # One inversion for A_g; A_H comes from the closed-form volume.
-        assert len(rounds) == 1
-        assert max(rounds) <= 12
-        assert len(integrals) <= 150
+        assert newton_panels == [0]
+        # The three adaptive integrals are K's W(core).
+        assert len(integrals) <= 3
 
     @staticmethod
-    def _tagged_calls(monkeypatch, metric, vols):
+    def _tagged_calls(monkeypatch, metric, vols, start=None):
         """Each element call of one inversion, tagged by the kernel making it:
-        the sweep's panel calls in profiles, or a Newton round's in numerics;
-        plus the number of rounds and the rows' starts."""
+        the sweep's or the start's panel call in profiles, or a Newton
+        round's in numerics; plus the number of rounds, the rows' starts and
+        the radii.  ``start``, if given, replaces the interpolated start."""
         calls, stage, rounds, starts = [], ["outside"], [], []
         element = ahiso.profiles._volume_element
 
@@ -437,8 +438,12 @@ class TestNewtonInversionWork:
 
         def tagged(name, fn):
             def wrapper(*args, **kwargs):
-                stage[0] = name
-                if name == "round":
+                # profiles makes the sweep's call, which keeps the node
+                # values, and the start panel's.
+                if name == "profiles":
+                    stage[0] = "sweep" if kwargs.get("nodes") else "start"
+                else:
+                    stage[0] = name
                     rounds.append(1)
                 try:
                     return fn(*args, **kwargs)
@@ -452,22 +457,24 @@ class TestNewtonInversionWork:
             return solve_increasing(density, target, t, *rest)
 
         monkeypatch.setattr("ahiso.profiles._volume_element", counting_element)
-        monkeypatch.setattr("ahiso.profiles._panels", tagged("sweep", ahiso.profiles._panels))
+        monkeypatch.setattr("ahiso.profiles._panels", tagged("profiles", ahiso.profiles._panels))
         monkeypatch.setattr("ahiso.numerics._panels", tagged("round", ahiso.numerics._panels))
         monkeypatch.setattr("ahiso.profiles.solve_increasing", spying_solve)
-        model_radius_for_volume(metric, vols)
-        return calls, len(rounds), starts
+        if start is not None:
+            monkeypatch.setattr("ahiso.profiles._interpolant_root", start)
+        radii = model_radius_for_volume(metric, vols)
+        return calls, len(rounds), starts, radii
 
-    def test_inversion_calls_the_volume_element_at_most_seven_times(self, monkeypatch):
-        # The near-core guess of v = 1 (at most one scalar call), the sweep
-        # (which also gives the first slopes) and one call per Newton round
-        # for its panels and next slopes.  The per-batch ladder also probed
-        # the element above its top rung; separate calls for the first slopes
-        # made it 7, and separate slope calls made it 10.
-        calls, rounds, _ = self._tagged_calls(
+    def test_inversion_calls_the_volume_element_three_times(self, monkeypatch):
+        # The near-core guess of v = 1 (one scalar call), the sweep, which
+        # also keeps its node values, and the start panel, which gives every
+        # row's volume and slope at its interpolated start.  Newton from the
+        # rungs added one call per round, 3 or 4 of them (7 calls at most).
+        calls, rounds, _, _ = self._tagged_calls(
             monkeypatch, make_ads_schwarzschild(1.0), np.geomspace(1.0, 1e6, 60)
         )
-        assert len(calls) == 2 + rounds <= 7
+        assert [kind for kind, _ in calls] == ["outside", "sweep", "start"]
+        assert rounds == 0
 
     @pytest.mark.parametrize(
         "metric",
@@ -477,24 +484,94 @@ class TestNewtonInversionWork:
     @pytest.mark.parametrize(
         "vols", [np.geomspace(1.0, 1e6, 40), np.array([1e11])], ids=["grid", "far"]
     )
-    def test_one_element_call_for_the_sweep_and_one_per_round(self, monkeypatch, metric, vols):
+    def test_one_element_call_for_the_sweep_and_one_for_the_starts(
+        self, monkeypatch, metric, vols
+    ):
         # Outside the kernels only the near-core guess v / element(0) of a
         # volume whose guess lies at or below a positive core calls the
-        # element, once, at t = 0.  The first slopes come from the sweep, so
-        # no call is made at the starts, and t = 0 is evaluated by no kernel,
-        # since no row starts there.
-        calls, rounds, starts = self._tagged_calls(monkeypatch, metric, vols)
+        # element, once, at t = 0.  The starts come from the sweep's node
+        # values, so the start panel is the last call, and t = 0 is
+        # evaluated by no kernel, since no row starts there.
+        calls, rounds, starts, _ = self._tagged_calls(monkeypatch, metric, vols)
         kinds = [kind for kind, _ in calls]
-        assert kinds.count("sweep") == 1
-        assert kinds.count("round") == rounds >= 1
+        assert kinds.count("sweep") == kinds.count("start") == 1
+        assert kinds[-1] == "start"
+        assert rounds == 0
         outside = [t.tolist() for kind, t in calls if kind == "outside"]
         v = float(vols.min())
         low = metric.core_radius >= max(np.cbrt(0.75 * v / math.pi), math.sqrt(v / 2 / math.pi))
         assert outside == ([[0.0]] if low else [])
-        assert len(calls) == 1 + rounds + len(outside)
+        assert len(calls) == 2 + len(outside)
         (t0,) = starts
         assert (t0 > 0.0).all()
         assert not any((t == 0.0).any() for kind, t in calls if kind != "outside")
+
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            make_ads_schwarzschild(0.5),
+            make_ads_schwarzschild(1.0),
+            make_ads_schwarzschild(3.0),
+            make_hyperbolic(),
+            make_perturbed(1.0, (0.1, 0.05)),
+            make_perturbed(0.5, (0.2,)),
+            make_perturbed(0.0, (0.0, 0.5)),
+            make_perturbed(0.0, (0.3,)),
+            make_ads_schwarzschild(1e-3),
+            make_ads_schwarzschild(1e3),
+        ],
+        ids=[
+            "ads_m0.5", "ads_m1", "ads_m3", "hyperbolic", "pert_m1", "pert_m0.5",
+            "zero_core_s4", "zero_core_s3", "ads_m1e-3", "ads_m1e3",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "vols",
+        [np.geomspace(1.0, 1e6, 60), np.geomspace(1e-30, 1e12, 43), np.array([7.3])],
+        ids=["stock", "wide", "one"],
+    )
+    def test_no_row_takes_a_newton_round(self, monkeypatch, metric, vols):
+        # Every interpolated start is within the Newton test's 1e-10 of its
+        # root, so solve_increasing applies the start panel's step and stops.
+        _, rounds, _, radii = self._tagged_calls(monkeypatch, metric, vols)
+        assert rounds == 0
+        # Near a positive core the smallest radii round to the core itself.
+        assert np.all(np.diff(radii) >= 0.0)
+
+    @pytest.mark.parametrize(
+        "metric",
+        [make_ads_schwarzschild(1.0), make_perturbed(0.0, (0.3,)), make_hyperbolic()],
+        ids=["ads_m1", "zero_core_s3", "hyperbolic"],
+    )
+    def test_a_start_at_the_rung_converges_to_the_same_radii(self, monkeypatch, metric):
+        # solve_increasing stays the safeguard: from the lower rung of each
+        # bracket (x = -1) it takes Newton rounds to the same radii, within
+        # an ulp of the chart coordinate.  Through s = core + w^2 that is up
+        # to 3 ulp of s (6.2e-16 relative at s = 68.9 on ads m = 1), and
+        # both answers are within 3.3e-16 of the 40-digit root there.
+        vols = np.geomspace(1.0, 1e6, 60)
+        _, none, _, radii = self._tagged_calls(monkeypatch, metric, vols)
+        monkeypatch.undo()
+        _, rounds, (t0,), moved = self._tagged_calls(
+            monkeypatch, metric, vols, start=lambda fv, y: np.full(y.size, -1.0)
+        )
+        assert none == 0 and rounds >= 2
+        assert np.all(np.abs(moved - radii) <= 4.0 * np.spacing(radii))
+
+    def test_widest_inversion_keeps_the_ladder_node_values_only(self):
+        # The sweep keeps 15 node values per rung for the starts: 9,995
+        # rungs (1.1 MiB) from a volume of 1e-300 to one of 1e300 on ads
+        # m = 1, which peaked at 2.39 MiB (1.58 MiB with no values kept).
+        metric = make_ads_schwarzschild(1.0)
+        vols = np.array([1e-300, 1e300])
+        model_radius_for_volume(metric, vols)
+        tracemalloc.start()
+        try:
+            model_radius_for_volume(metric, vols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * 2**20
 
     def test_gap_table_takes_one_deficit_integral(self, monkeypatch):
         # The truncated V cost three coordinate_gap tails, an s(rho)
