@@ -289,79 +289,99 @@ def _cmd_validate(args, metric):
 # Summary over a directory of run outputs
 
 
-def _read_run(path: str, checked: dict | None = None):
-    """Parse one output file into (manifest, kind, data) or None.
+# What the summary's criteria read of each subcommand's result: the columns
+# of its table, or the keys of its JSON object.
+_CHECKED = {
+    "spheres": ("area", "K", "R", "hawking_mass"),
+    "stability": ("stability_total", "lambda_1", "lambda_2"),
+    "imcf": ("t", "s", "area", "volume", "hawking"),
+    "compare-ode": ("B", "A_H"),
+    "profile": ("v", "gap", "scaled_gap"),
+    "expansion": ("v", "gap", "scaled_gap"),
+    "renorm-vol": ("value",),
+}
 
-    A table's data holds the columns ``checked`` ({subcommand: names})
-    names for its subcommand, or every column; only these are converted.
-    A table is None unless every row has the header's cell count (a
-    truncated write does not) and every converted cell is a float.
+
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number that a float holds (a bool is not)."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
+def _usable_manifest(manifest) -> bool:
+    """Whether a manifest meets its half of :func:`_read_run`'s rule."""
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("parameters"), dict):
+        return False
+    sub = manifest.get("subcommand")
+    if not isinstance(sub, str) or not sub:
+        return False
+    parser = _build_parser().subcommands.get(sub)
+    if parser is None or "--model" not in parser._option_string_actions:
+        return True
+    model = manifest["parameters"].get("model")
+    if not isinstance(model, dict) or not isinstance(manifest.get("model_digest"), str):
+        return False
+    coeffs = model.get("coeffs", [])
+    numbers = [model.get("mass"), model.get("core_radius", 0.0)]
+    return isinstance(coeffs, list) and all(map(_is_number, numbers + coeffs))
+
+
+def _read_run(path: str):
+    """Parse one result file into (manifest, data), or None if it is unusable.
+
+    The one rule for a usable result file: it is a CSV table or a JSON
+    object whose manifest is an object with a non-empty string
+    ``subcommand`` and an object of ``parameters`` and, for a subcommand
+    that takes --model, a string ``model_digest`` and a model record whose
+    ``mass``, and ``coeffs`` (a list) and ``core_radius`` where present,
+    are numbers; it holds every column or key that ``_CHECKED`` declares
+    for its subcommand, all numbers; and every row of a table has the
+    header's cell count (a truncated write does not).  ``data`` maps
+    exactly those names to float columns, a JSON object being a table of
+    one row; no other column is converted.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError):
-        return None
-    if text.startswith("# manifest: "):
+        table = text.startswith("# manifest: ")
         lines = text.splitlines()
-        try:
-            manifest = json.loads(lines[0][len("# manifest: ") :])
-        except json.JSONDecodeError:
-            return None
-        if len(lines) < 2 or not isinstance(manifest, dict):
-            return None
-        header, rows = lines[1].split(","), lines[2:]
-        if any(row.count(",") != len(header) - 1 for row in rows):
-            return None
-        names = (checked or {}).get(manifest.get("subcommand"), header)
-        cols = [i for i, name in enumerate(header) if name in names]
-        table = np.empty((0, len(cols)))
-        if rows and cols:
-            try:
-                table = np.loadtxt(rows, delimiter=",", usecols=cols, ndmin=2)
-            except ValueError:
-                return None
-        return manifest, "csv", {header[i]: table[:, j] for j, i in enumerate(cols)}
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
+        obj = json.loads(lines[0][len("# manifest: ") :] if table else text)
+    except (OSError, ValueError):  # unreadable, not UTF-8, or not JSON
         return None
-    if isinstance(obj, dict) and isinstance(obj.get("manifest"), dict):
-        manifest = obj.pop("manifest")
-        return manifest, "json", obj
-    return None
+    manifest = obj if table else obj.get("manifest") if isinstance(obj, dict) else None
+    if not _usable_manifest(manifest) or (table and len(lines) < 2):
+        return None
+    names = _CHECKED.get(manifest["subcommand"], ())
+    if not table:
+        if not all(_is_number(obj.get(name)) for name in names):
+            return None
+        return manifest, {name: np.array([float(obj[name])]) for name in names}
+    header, rows = lines[1].split(","), lines[2:]
+    if any(row.count(",") != len(header) - 1 for row in rows) or not set(names) <= set(header):
+        return None
+    cells = np.empty((0, len(names)))
+    if rows and names:
+        cols = [header.index(name) for name in names]
+        try:
+            cells = np.loadtxt(rows, delimiter=",", usecols=cols, ndmin=2)
+        except ValueError:
+            return None
+    return manifest, dict(zip(names, cells.T))
 
 
-# The columns of each table that a summary criterion reads (of imcf, all).
-_CHECKED = {
-    "spheres": ("area", "K", "R", "hawking_mass"),
-    "stability": ("stability_total", "lambda_1", "lambda_2"),
-    "compare-ode": ("B", "A_H"),
-    "profile": ("v", "gap", "scaled_gap"),
-    "expansion": ("v", "gap", "scaled_gap"),
-}
-
-
-def _runs_by_subcommand(results_dir: str) -> dict[str, list]:
+def _runs_by_subcommand(results_dir: str) -> tuple[dict[str, list], int]:
+    """The usable runs in results_dir by subcommand, and how many there are.
+    A header-only table counts, but has nothing for a criterion to measure."""
     if not os.path.isdir(results_dir):
         raise ValueError(f"{results_dir} is not a directory")
-    runs: dict[str, list] = {}
-    for name in sorted(os.listdir(results_dir)):
-        parsed = _read_run(os.path.join(results_dir, name), _CHECKED)
-        if parsed is None:
-            continue
-        manifest, kind, data = parsed
-        sub = manifest.get("subcommand")
-        if not sub:
-            continue
-        runs.setdefault(sub, []).append((manifest, data))
-    if not runs:
+    paths = [os.path.join(results_dir, name) for name in sorted(os.listdir(results_dir))]
+    usable = [parsed for parsed in map(_read_run, paths) if parsed is not None]
+    if not usable:
         raise ValueError(f"missing runs: no recognizable result files in {results_dir}")
-    return runs
-
-
-def _model_of(manifest: dict) -> dict | None:
-    return manifest.get("parameters", {}).get("model")
+    runs: dict[str, list] = {}
+    for manifest, data in usable:
+        if all(col.size for col in data.values()):
+            runs.setdefault(manifest["subcommand"], []).append((manifest, data))
+    return runs, len(usable)
 
 
 def _criterion(measured, tolerance, ok: bool | None) -> dict:
@@ -399,20 +419,16 @@ def _bounded(runs, subcommand: str, bounds: dict, measure) -> dict:
 
 
 def _hawking_dev(manifest, data):
-    model = _model_of(manifest)
-    if model is None or "hawking_mass" not in data:
-        return None
-    return {"dev": float(np.max(np.abs(data["hawking_mass"] - model["mass"])))}
+    mass = manifest["parameters"]["model"]["mass"]
+    return {"dev": float(np.max(np.abs(data["hawking_mass"] - mass)))}
 
 
 def _scalar_dev(manifest, data):
-    if "R" not in data:
-        return None
     return {"dev": float(np.max(np.abs(data["R"] + 6.0)))}
 
 
 def _profile_ode_dev(manifest, data):
-    if manifest.get("parameters", {}).get("mass_floor") != 0.0:
+    if manifest["parameters"].get("mass_floor") != 0.0:
         return None
     mask = data["A_H"] > 0.0
     if not np.any(mask):
@@ -422,15 +438,10 @@ def _profile_ode_dev(manifest, data):
 
 
 def _gauss_bonnet_dev(manifest, data):
-    if "K" not in data or "area" not in data:
-        return None
     return {"dev": float(np.max(np.abs(data["area"] * data["K"] - 4.0 * math.pi)))}
 
 
 def _flow_measures(manifest, data):
-    model = _model_of(manifest)
-    if model is None or "area" not in data:
-        return None
     t, area = data["t"], data["area"]
     pred = area[0] * np.exp(t - t[0])
     measures = {
@@ -441,15 +452,13 @@ def _flow_measures(manifest, data):
     if t.size >= 3:
         flow = Flow(t, data["s"], area, data["volume"], data["hawking"])
         measures["time_bound_excess"] = lipschitz_check(
-            _metric_from_model_dict(model), flow
+            _metric_from_model_dict(manifest["parameters"]["model"]), flow
         )
     return measures
 
 
 def _stability_measures(manifest, data):
-    model = _model_of(manifest)
-    if model is None or "stability_total" not in data:
-        return None
+    model = manifest["parameters"]["model"]
     tot = data["stability_total"]
     if model["mass"] == 0.0 and not model.get("coeffs"):
         return {
@@ -466,12 +475,9 @@ def _summarize_comparison(runs) -> dict:
     worst = None
     ok = True
     for manifest, data in runs.get("profile", []) + runs.get("expansion", []):
-        model = _model_of(manifest)
-        if model is None or "gap" not in data:
-            continue
         g = float(np.max(data["gap"]))
         worst = g if worst is None else max(worst, g)
-        if model["mass"] > 0.0:
+        if manifest["parameters"]["model"]["mass"] > 0.0:
             ok = ok and bool(np.all(data["gap"] < 0.0))
         else:
             # Exact-equality case; leave room for quadrature noise.
@@ -482,23 +488,17 @@ def _summarize_comparison(runs) -> dict:
 def _summarize_gap_limit(runs) -> dict:
     # Pair the largest-volume profile row with the renormalized volume of
     # the same model file.
-    vols = {}
-    for manifest, data in runs.get("renorm-vol", []):
-        vols[manifest.get("model_digest")] = float(data["value"])
-    best = None
+    vols = {m["model_digest"]: float(d["value"][0]) for m, d in runs.get("renorm-vol", [])}
+    entries = []
     for manifest, data in runs.get("profile", []) + runs.get("expansion", []):
-        v_ren = vols.get(manifest.get("model_digest"))
-        if v_ren is None or "gap" not in data or data["v"].size == 0:
-            continue
-        gap_end = float(data["gap"][-1])
-        measured = abs(gap_end + 2.0 * v_ren)
-        tol = max(0.02 * 2.0 * v_ren, 1e-5)
-        cand = (measured, tol, measured <= tol)
-        if best is None or data["v"][-1] > best[3]:
-            best = (*cand, float(data["v"][-1]))
-    if best is None:
+        v_ren = vols.get(manifest["model_digest"])
+        if v_ren is not None:
+            measured = abs(float(data["gap"][-1]) + 2.0 * v_ren)
+            entries.append((float(data["v"][-1]), measured, max(0.02 * 2.0 * v_ren, 1e-5)))
+    if not entries:
         return _criterion(None, None, None)
-    return _criterion(best[0], best[1], best[2])
+    _, measured, tol = max(entries, key=lambda e: e[0])
+    return _criterion(measured, tol, measured <= tol)
 
 
 _EXPANSION_CONSTANT = 16.0 * math.sqrt(2.0) * math.pi ** 2.5
@@ -507,10 +507,7 @@ _EXPANSION_CONSTANT = 16.0 * math.sqrt(2.0) * math.pi ** 2.5
 def _summarize_expansion(runs) -> dict:
     entries = []
     for manifest, data in runs.get("expansion", []) + runs.get("profile", []):
-        model = _model_of(manifest)
-        if model is None or "scaled_gap" not in data or data["v"].size == 0:
-            continue
-        target = _EXPANSION_CONSTANT * model["mass"]
+        target = _EXPANSION_CONSTANT * manifest["parameters"]["model"]["mass"]
         measured = abs(float(data["scaled_gap"][-1]) - target)
         tol = max(0.05 * target, 1e-5)
         entries.append((measured, tol))
@@ -524,10 +521,8 @@ def _summarize_renorm(runs) -> dict:
     by_mass = {}
     hyper_dev = None
     for manifest, data in runs.get("renorm-vol", []):
-        model = _model_of(manifest)
-        if model is None or "value" not in data:
-            continue
-        val = float(data["value"])
+        model = manifest["parameters"]["model"]
+        val = float(data["value"][0])
         if model["mass"] == 0.0 and not model.get("coeffs"):
             hyper_dev = abs(val) if hyper_dev is None else max(hyper_dev, abs(val))
         else:
@@ -549,12 +544,14 @@ def _summarize_renorm(runs) -> dict:
 
 
 def emit_summary(results_dir: str) -> dict:
-    """Aggregate acceptance checks over a directory of run outputs.
+    """Aggregate the acceptance criteria over a directory of run outputs.
 
-    Each criterion that has data reports its measured value, tolerance,
-    and pass/fail; criteria without matching runs are marked missing.
+    Every file that :func:`_read_run` finds usable is a run and counts in
+    ``n_runs``; any other file is skipped.  Each criterion that has data
+    reports its measured value, tolerance, and pass/fail; criteria
+    without matching runs are marked missing.
     """
-    runs = _runs_by_subcommand(results_dir)
+    runs, n_runs = _runs_by_subcommand(results_dir)
     stability_bounds = {
         "hyperbolic_total_dev": 1e-8,
         "hyperbolic_lambda1_dev": 1e-9,
@@ -586,7 +583,7 @@ def emit_summary(results_dir: str) -> dict:
     return {
         "criteria": criteria,
         "verdicts": verdicts,
-        "n_runs": sum(len(v) for v in runs.values()),
+        "n_runs": n_runs,
     }
 
 

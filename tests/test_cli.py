@@ -19,7 +19,6 @@ import pytest
 
 import ahiso.cli as cli
 from ahiso.cli import (
-    _CHECKED,
     _build_parser,
     _load_model,
     _metric_from_model_dict,
@@ -297,7 +296,7 @@ class TestRewriteInPlace:
         assert len(text) == keep and body.startswith(text.split("\n", 1)[1])
         got = _read_run(str(dest))
         assert got is None or (
-            got[0]["parameters"]["n"] == 20 and got[2]["s"].size < 20
+            got[0]["parameters"]["n"] == 20 and got[1]["area"].size < 20
         )
 
     def test_file_size_limit_cuts_at_the_limit(self, tmp_path, ads_model):
@@ -323,7 +322,7 @@ class TestRewriteInPlace:
         assert len(text) == limit
         assert json.loads(text.splitlines()[0][len("# manifest: "):])["parameters"]["n"] == 20
         got = _read_run(str(dest))
-        assert got is None or got[2]["s"].size < 20
+        assert got is None or got[1]["area"].size < 20
 
     def test_dev_null_is_written_without_a_cut(self, ads_model):
         assert run(["validate", "--model", ads_model, "--out", os.devnull]) == 0
@@ -973,7 +972,7 @@ def test_manifest_parameters_are_the_declared_flags(tmp_path):
     for name, subparser in subparsers.items():
         out = res / f"{name}.out"
         assert run([name] + base[name] + ["--out", str(out)]) == 0, name
-        manifest, _, _ = _read_run(str(out))
+        manifest, _ = _read_run(str(out))
         assert set(manifest["parameters"]) == _declared(subparser), name
         assert (manifest["model_digest"] == "-") == ("model" not in _declared(subparser))
 
@@ -1197,6 +1196,75 @@ def ads_suite(tmp_path_factory):
     return _build_suite(root, str(model), "ads")
 
 
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """One small well-formed output of each subcommand a criterion reads,
+    for ads m = 1, by file name."""
+    root = tmp_path_factory.mktemp("outputs")
+    model = root / "ads_m1.json"
+    model.write_text(json.dumps({"type": "ads_schwarzschild", "mass": 1.0}))
+    argv = _base_argv(model, root)
+    names = {"spheres": "spheres.csv", "stability": "stability.csv", "imcf": "imcf.csv",
+             "compare-ode": "compare.csv", "profile": "profile.csv", "renorm-vol": "renorm.json"}
+    for sub, name in names.items():
+        assert run([sub] + argv[sub] + ["--out", str(root / name)]) == 0
+    return {name: (root / name).read_text() for name in names.values()}
+
+
+def _drop_column(column):
+    def edit(text):
+        manifest, header, *rows = text.splitlines()
+        i = header.split(",").index(column)
+        cut = [",".join(c for j, c in enumerate(line.split(",")) if j != i)
+               for line in [header, *rows]]
+        return "\n".join([manifest, *cut]) + "\n"
+    return edit
+
+
+def _drop_key(key):
+    def edit(text):
+        obj = json.loads(text)
+        del obj[key]
+        return json.dumps(obj)
+    return edit
+
+
+def _edit_manifest(change):
+    def edit(text):
+        first, rest = text.split("\n", 1)
+        manifest = json.loads(first[len("# manifest: "):])
+        change(manifest)
+        return "# manifest: " + json.dumps(manifest) + "\n" + rest
+    return edit
+
+
+# A malformed result file, how it is made from a well-formed one, and the
+# well-formed output beside it; each stopped summary with the error named.
+_MALFORMED = {
+    "stability-without-lambda_2": ("stability.csv", _drop_column("lambda_2"), "profile.csv"),  # KeyError
+    "compare-ode-without-A_H": ("compare.csv", _drop_column("A_H"), "profile.csv"),  # KeyError
+    "imcf-without-hawking": ("imcf.csv", _drop_column("hawking"), "profile.csv"),  # KeyError
+    # KeyError in _summarize_gap_limit, which pairs it with the profile.
+    "renorm-vol-without-value": ("renorm.json", _drop_key("value"), "profile.csv"),
+    "parameters-a-list": (  # AttributeError
+        "spheres.csv", _edit_manifest(lambda m: m.update(parameters=[])), "profile.csv"
+    ),
+    "subcommand-a-list": (  # TypeError: unhashable
+        "spheres.csv", _edit_manifest(lambda m: m.update(subcommand=["spheres"])), "profile.csv"
+    ),
+    "model-without-mass": (  # KeyError
+        "spheres.csv", _edit_manifest(lambda m: m["parameters"]["model"].pop("mass")), "profile.csv"
+    ),
+    "model-digest-a-list": (  # TypeError: unhashable, in _summarize_gap_limit
+        "profile.csv", _edit_manifest(lambda m: m.update(model_digest=["-"])), "renorm.json"
+    ),
+    "mass-past-the-float-range": (  # OverflowError: an integer no float holds
+        "spheres.csv", _edit_manifest(lambda m: m["parameters"]["model"].update(mass=10**400)),
+        "profile.csv",
+    ),
+}
+
+
 class TestSummary:
     def test_hyperbolic_suite_all_green(self, capsys, hyp_suite):
         out = _capture(capsys, ["summary", str(hyp_suite)])
@@ -1241,22 +1309,52 @@ class TestSummary:
         assert doc["n_runs"] == 1
         assert doc["verdicts"]["hawking_identity"] == "pass"
 
-    def test_header_only_table_has_empty_columns(self, tmp_path, hyp_model):
+    @pytest.mark.parametrize("case", list(_MALFORMED))
+    def test_malformed_file_is_not_counted(self, capsys, tmp_path, outputs, case):
+        name, edit, beside = _MALFORMED[case]
+        res = tmp_path / "res"
+        res.mkdir()
+        (res / name).write_text(edit(outputs[name]))
+        assert run(["summary", str(res)]) == 1
+        assert "no recognizable result files" in capsys.readouterr().err
+        (res / beside).write_text(outputs[beside])
+        doc = emit_summary(str(res))
+        assert doc["n_runs"] == 1
+        assert _capture(capsys, ["summary", str(res)]).startswith("{")
+        (res / name).unlink()
+        assert doc == emit_summary(str(res))
+
+    @pytest.mark.parametrize(
+        "name", ["spheres.csv", "stability.csv", "imcf.csv", "compare.csv", "profile.csv"]
+    )
+    def test_header_only_table_counts_but_measures_nothing(self, capsys, tmp_path, outputs, name):
+        # Such a table stopped summary: imcf's with an IndexError, and
+        # spheres', stability's and profile's on a zero-size maximum.
+        res = tmp_path / "res"
+        res.mkdir()
+        (res / name).write_text("\n".join(outputs[name].splitlines()[:2]) + "\n")
+        doc = json.loads(_capture(capsys, ["summary", str(res)]))
+        assert doc["n_runs"] == 1
+        assert set(doc["verdicts"].values()) == {"missing"}
+
+    def test_header_only_table_has_empty_columns(self, tmp_path, monkeypatch, hyp_model):
         path = tmp_path / "spheres.csv"
         assert run(["spheres", "--model", hyp_model, "--n", "2", "--out", str(path)]) == 0
         path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
-        manifest, kind, data = _read_run(str(path))
-        assert (manifest["subcommand"], kind) == ("spheres", "csv")
-        assert list(data) == ["s", "rho", "area", "H", "Ric_nu", "K", "R",
-                              "hawking_mass", "stability_total"]
+        columns = ("s", "rho", "area", "H", "Ric_nu", "K", "R", "hawking_mass", "stability_total")
+        monkeypatch.setitem(cli._CHECKED, "spheres", columns)
+        manifest, data = _read_run(str(path))
+        assert manifest["subcommand"] == "spheres"
+        assert list(data) == list(columns)
         assert all(col.shape == (0,) for col in data.values())
 
-    def test_non_numeric_cell_is_skipped(self, tmp_path, hyp_model):
+    def test_non_numeric_cell_is_skipped(self, tmp_path, monkeypatch, hyp_model):
         path = tmp_path / "spheres.csv"
         assert run(["spheres", "--model", hyp_model, "--n", "2", "--out", str(path)]) == 0
         lines = path.read_text().splitlines()
         lines[-1] = "x" + lines[-1][lines[-1].index(","):]
         path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setitem(cli._CHECKED, "spheres", tuple(lines[1].split(",")))
         assert _read_run(str(path)) is None
 
     @pytest.mark.parametrize("suite", ["hyp_suite", "ads_suite"])
@@ -1264,20 +1362,31 @@ class TestSummary:
         self, request, tmp_path, monkeypatch, suite
     ):
         # Every subcommand's output, the summary's own among them: reading
-        # only the columns the criteria check changes no criterion.
+        # every column of every table, and every float of every JSON
+        # object, changes no criterion, so _CHECKED declares all that the
+        # criteria read.
         res = tmp_path / "res"
         shutil.copytree(request.getfixturevalue(suite), res)
         assert run(["summary", str(res), "--out", str(res / "summary.json")]) == 0
         checked = emit_summary(str(res))
         assert checked["n_runs"] == 9
-        monkeypatch.setattr(cli, "_read_run", lambda path, _=None: _read_run(path))
+        for path in res.iterdir():
+            text = path.read_text()
+            if text.startswith("# manifest: "):
+                manifest, header = text.splitlines()[:2]
+                sub = json.loads(manifest[len("# manifest: "):])["subcommand"]
+                names = header.split(",")
+            else:
+                obj = json.loads(text)
+                sub = obj["manifest"]["subcommand"]
+                names = [key for key, val in obj.items() if type(val) is float]
+            monkeypatch.setitem(cli._CHECKED, sub, tuple(names))
         assert checked == emit_summary(str(res))
 
     def test_only_checked_columns_are_converted(self, tmp_path, hyp_model):
         path = tmp_path / "spheres.csv"
         assert run(["spheres", "--model", hyp_model, "--n", "3", "--out", str(path)]) == 0
-        _, kind, data = _read_run(str(path), _CHECKED)
-        assert kind == "csv"
+        _, data = _read_run(str(path))
         assert list(data) == ["area", "K", "R", "hawking_mass"]
         assert all(col.shape == (3,) for col in data.values())
 
@@ -1303,7 +1412,7 @@ class TestSummary:
         assert lines[1].split(",")[2] == "area"
         lines[-1] = ",".join(edit(lines[-1].split(",")))
         path.write_text("\n".join(lines) + "\n")
-        assert (_read_run(str(path), _CHECKED) is not None) == counted
+        assert (_read_run(str(path)) is not None) == counted
 
     @pytest.mark.parametrize(
         "text", ["# manifest: [1]\na,b\n1,2\n", '{"manifest": 3, "value": 1.0}\n']
