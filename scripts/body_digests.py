@@ -17,9 +17,11 @@ one line
 
 is printed per job and column.  With ``--against FILE``, an earlier
 output of this script for the same workloads and seeds, it prints
-instead the job columns whose digest changed and, per workload, seed,
-subcommand and column, how many jobs moved, and exits 1 if any did
-("no column moved" and 0 otherwise).  Run it in two checkouts to see
+instead the job columns whose digest changed, those only the earlier run
+lists (``removed``) and those only this run lists (``added``) and, per
+workload, seed, subcommand and column, how many jobs moved, and exits 1
+if any did ("no column moved" and 0 otherwise).  Runs that do not list
+the same jobs are an error.  Run it in two checkouts to see
 which output columns a change moved, or to gate a change that must keep
 every body byte-identical with one command per checkout.
 """
@@ -84,22 +86,26 @@ def digest_lines(workload: str, seed: int) -> list[str]:
 
 
 def moved(before: list[str], after: list[str]) -> list[str]:
-    """Job columns whose digest differs, then a count per workload, seed,
-    subcommand and column.
+    """Job columns whose digest differs, then those only one run lists,
+    then a count per workload, seed, subcommand and column.
 
-    Empty when no column moved.
+    Empty when no column moved, was removed or was added.
     """
     old = dict(line.rsplit(" ", 1) for line in before)
     new = dict(line.rsplit(" ", 1) for line in after)
-    if old.keys() != new.keys():
-        raise SystemExit("error: the two runs do not list the same jobs and columns")
-    changed = [key for key in new if new[key] != old[key]]
     # key: workload seed job subcommand model column
+    if {key.rsplit(" ", 1)[0] for key in old} != {key.rsplit(" ", 1)[0] for key in new}:
+        raise SystemExit("error: the two runs do not list the same jobs")
+    changed = [key for key in new if key in old and new[key] != old[key]]
+    removed = [key for key in old if key not in new]
+    added = [key for key in new if key not in old]
     jobs = Counter((w, s, sub) for w, s, _, sub in {tuple(key.split(" ")[:4]) for key in new})
     per_column = Counter(
-        (w, s, sub, col) for w, s, _, sub, _, col in (key.split(" ") for key in changed)
+        (w, s, sub, col)
+        for w, s, _, sub, _, col in (key.split(" ") for key in changed + removed + added)
     )
     out = [f"moved {key}" for key in changed]
+    out += [f"removed {key}" for key in removed] + [f"added {key}" for key in added]
     out += [
         f"{w} seed {s} {sub} {col}: {count} of {jobs[(w, s, sub)]} jobs moved"
         for (w, s, sub, col), count in sorted(per_column.items())

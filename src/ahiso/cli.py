@@ -92,15 +92,6 @@ def _load_model(path: str) -> tuple[RadialMetric, dict, str]:
     return metric, model, digest
 
 
-def _metric_from_model_dict(model: dict) -> RadialMetric:
-    """Rebuild the metric recorded in a manifest's parameter block."""
-    return RadialMetric(
-        mass=float(model["mass"]),
-        coeffs=tuple(float(c) for c in model.get("coeffs", [])),
-        core_radius=float(model.get("core_radius", 0.0)),
-    )
-
-
 def _manifest(subcommand: str, digest: str, parameters: dict) -> dict:
     return {
         "subcommand": subcommand,
@@ -130,9 +121,13 @@ def _csv_text(manifest: dict, table: dict) -> str:
 
 
 def _json_text(manifest: dict, payload: dict) -> str:
+    """The JSON text of a payload; NumericsError if a value is not finite."""
     obj = dict(payload)
     obj["manifest"] = manifest
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericsError("JSON output holds a non-finite value") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -303,8 +298,8 @@ _CHECKED = {
 
 
 def _is_number(value) -> bool:
-    """Whether a JSON value is a number that a float holds (a bool is not)."""
-    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+    """Whether a JSON value is a finite number that a float holds (a bool is not)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _usable_manifest(manifest) -> bool:
@@ -321,8 +316,7 @@ def _usable_manifest(manifest) -> bool:
     if not isinstance(model, dict) or not isinstance(manifest.get("model_digest"), str):
         return False
     coeffs = model.get("coeffs", [])
-    numbers = [model.get("mass"), model.get("core_radius", 0.0)]
-    return isinstance(coeffs, list) and all(map(_is_number, numbers + coeffs))
+    return isinstance(coeffs, list) and all(map(_is_number, [model.get("mass"), *coeffs]))
 
 
 def _read_run(path: str):
@@ -332,12 +326,13 @@ def _read_run(path: str):
     object whose manifest is an object with a non-empty string
     ``subcommand`` and an object of ``parameters`` and, for a subcommand
     that takes --model, a string ``model_digest`` and a model record whose
-    ``mass``, and ``coeffs`` (a list) and ``core_radius`` where present,
-    are numbers; it holds every column or key that ``_CHECKED`` declares
-    for its subcommand, all numbers; and every row of a table has the
-    header's cell count (a truncated write does not).  ``data`` maps
-    exactly those names to float columns, a JSON object being a table of
-    one row; no other column is converted.
+    ``mass``, and ``coeffs`` (a list) where present, are numbers; it holds
+    every column or key that ``_CHECKED`` declares for its subcommand, all
+    numbers; and every row of a table has the header's cell count (a
+    truncated write does not).  A number is finite: ``inf`` in a declared
+    cell or ``Infinity`` in a declared key makes the file unusable.
+    ``data`` maps exactly those names to float columns, a JSON object
+    being a table of one row; no other column is converted.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -365,6 +360,8 @@ def _read_run(path: str):
             cells = np.loadtxt(rows, delimiter=",", usecols=cols, ndmin=2)
         except ValueError:
             return None
+    if not np.all(np.isfinite(cells)):
+        return None
     return manifest, dict(zip(names, cells.T))
 
 
@@ -451,9 +448,7 @@ def _flow_measures(manifest, data):
     # The time bound takes central differences, which need three samples.
     if t.size >= 3:
         flow = Flow(t, data["s"], area, data["volume"], data["hawking"])
-        measures["time_bound_excess"] = lipschitz_check(
-            _metric_from_model_dict(manifest["parameters"]["model"]), flow
-        )
+        measures["time_bound_excess"] = lipschitz_check(flow)
     return measures
 
 

@@ -132,17 +132,18 @@ def flow_spheres(
     )
 
 
-def lipschitz_check(metric: RadialMetric, flow: Flow) -> float:
+def lipschitz_check(flow: Flow) -> float:
     """Largest violation of dt/dv <= (int H^2)^{1/2} area^{-3/2}.
 
     On round spheres the bound holds with equality (both sides reduce to
     H / area), so the returned maximum is finite-difference noise for a
-    correct flow.  Positive values mean the inequality failed.
+    correct flow.  Positive values mean the inequality failed.  H = 2 sqrt(f) / s
+    takes f = 1 + s^2 - 2 m_H / s from the flow's Hawking mass m_H = -s d / 2.
     """
     if flow.t.size < 3:
         raise ValueError("flow must contain at least three samples")
-    ts, vs, areas = flow.t, flow.enclosed_volume, flow.area
-    h = 2.0 * np.sqrt(metric.f(flow.s)) / flow.s
+    ts, s, vs, areas = flow.t, flow.s, flow.enclosed_volume, flow.area
+    h = 2.0 * np.sqrt(1.0 + s * s - 2.0 * flow.hawking / s) / s
     dtdv = (ts[2:] - ts[:-2]) / (vs[2:] - vs[:-2])
     bound = (np.sqrt(h * h * areas) * areas ** -1.5)[1:-1]
     return float(np.max(dtdv - bound))

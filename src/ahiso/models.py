@@ -64,7 +64,12 @@ class RadialMetric:
         Perturbation coefficients (c_2, c_3, ...), possibly empty.
     core_radius : float
         Largest positive root of f, or 0 when f > 0 on all of (0, inf).
-        Computed by the constructors; do not pass by hand.
+        Derived from the mass and the coefficients, not passed.
+
+    The tail may shrink the core (fill in the profile near the horizon)
+    but must not push it outward: coefficients that make f vanish beyond
+    the horizon of the mass alone remove part of the model's domain and
+    raise ``ValueError``.
 
     The methods take a scalar or an array.  A scalar is evaluated as a 0-d
     array and returned as a float, so it gets the array path's bits, inf
@@ -73,21 +78,31 @@ class RadialMetric:
 
     mass: float
     coeffs: tuple[float, ...] = ()
-    core_radius: float = 0.0
+    core_radius: float = field(init=False)
     _quotient: tuple = field(default=(), init=False, repr=False, compare=False)  # P / (s - core)
 
     def __post_init__(self):
-        if not math.isfinite(self.mass) or self.mass < 0.0:
-            raise ValueError(f"mass must be finite and >= 0, got {self.mass!r}")
+        mass = self.mass
+        if not math.isfinite(mass) or mass < 0.0:
+            raise ValueError(f"mass must be finite and >= 0, got {mass!r}")
         if any(not math.isfinite(c) for c in self.coeffs):
             raise ValueError("perturbation coefficients must be finite")
-        if not math.isfinite(self.core_radius) or self.core_radius < 0.0:
+        coeffs = tuple(float(c) for c in self.coeffs)
+        core = _core_radius(mass, coeffs)
+        # The core lies beyond base (1 + 1e-9) + 1e-12, base the horizon of the
+        # mass alone (the root of x^3 + x - 2m), exactly when that cubic, which
+        # increases on x > 0, is positive at (core - 1e-12) / (1 + 1e-9).
+        x = (core - 1e-12) / (1.0 + 1e-9)
+        if (x * x + 1.0) * x - 2.0 * mass > 0.0:
+            base = _core_radius(mass, ())
             raise ValueError(
-                f"core_radius must be finite and >= 0, got {self.core_radius!r}"
+                f"coefficients {list(coeffs)!r} remove the positive domain near "
+                f"s = {core:.4g} (the horizon of mass {mass!r} is at s = {base:.4g})"
             )
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if self.core_radius > 0.0:
-            quotient = _horner(_polynomial(self.mass, self.coeffs), self.core_radius)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "core_radius", core)
+        if core > 0.0:
+            quotient = _horner(_polynomial(mass, coeffs), core)
             object.__setattr__(self, "_quotient", tuple(quotient[:-1]))
 
     # -- profile -------------------------------------------------------
@@ -128,7 +143,6 @@ class ValidationReport:
     """Outcome of the asymptotically hyperbolic sanity checks."""
 
     min_scalar_curvature_excess: float
-    decay_exponent_estimate: float
     is_ah: bool
     messages: tuple[str, ...] = field(default_factory=tuple)
 
@@ -229,38 +243,20 @@ def _core_radius(mass: float, coeffs: tuple[float, ...]) -> float:
 
 def make_hyperbolic() -> RadialMetric:
     """Hyperbolic 3-space: f = 1 + s^2, domain s > 0."""
-    return RadialMetric(mass=0.0, coeffs=(), core_radius=0.0)
+    return RadialMetric(0.0)
 
 
 def make_ads_schwarzschild(mass: float) -> RadialMetric:
     """AdS-Schwarzschild slice of mass m > 0: f = 1 + s^2 - 2m/s."""
     if not math.isfinite(mass) or mass <= 0.0:
         raise ValueError(f"mass must be finite and > 0, got {mass!r}")
-    return RadialMetric(mass=mass, coeffs=(), core_radius=_core_radius(mass, ()))
+    return RadialMetric(mass)
 
 
 def make_perturbed(mass: float, coeffs: Sequence[float]) -> RadialMetric:
-    """General member with decay tail sum c_k s^{-k}, k = 2, 3, ...
-
-    The tail may shrink the core (fill in the profile near the horizon)
-    but must not push it outward: a coefficient list that makes f vanish
-    beyond the mass horizon removes part of the model's domain and is
-    rejected.
-    """
-    # The record checks the mass and the coefficients before any root is taken.
-    coeffs = RadialMetric(mass=mass, coeffs=tuple(coeffs)).coeffs
-    core = _core_radius(mass, coeffs)
-    # The core lies beyond base (1 + 1e-9) + 1e-12, base the horizon of the
-    # mass alone (the root of x^3 + x - 2m), exactly when that cubic, which
-    # increases on x > 0, is positive at (core - 1e-12) / (1 + 1e-9).
-    x = (core - 1e-12) / (1.0 + 1e-9)
-    if (x * x + 1.0) * x - 2.0 * mass > 0.0:
-        base = _core_radius(mass, ())
-        raise ValueError(
-            f"coefficients {list(coeffs)!r} remove the positive domain near "
-            f"s = {core:.4g} (the horizon of mass {mass!r} is at s = {base:.4g})"
-        )
-    return RadialMetric(mass=mass, coeffs=coeffs, core_radius=core)
+    """General member with decay tail sum c_k s^{-k}, k = 2, 3, ...: the
+    record of ``coeffs`` as a tuple, which keeps the core within the horizon."""
+    return RadialMetric(mass, tuple(coeffs))
 
 
 # ----------------------------------------------------------------------
@@ -275,13 +271,19 @@ def scalar_curvature_excess(metric: RadialMetric, s):
     R is exactly -6 on every AdS-Schwarzschild model.  The direct route
     through R = (2/s^2) (1 - f - s f') loses the excess to rounding: it
     put R below -6 by up to 1.5e-14 on hyperbolic space.  ``s`` is
-    checked by :func:`_check_domain`.
+    checked by :func:`_check_domain`.  A weight 2 (k-1) c_k past the float
+    range is applied last, so only a term that itself overflows is inf.
     """
     arr, scalar = _check_domain(metric, s)
     out = np.zeros_like(arr)
     for k, c in enumerate(metric.coeffs, start=2):
         if c:
-            out = out + 2.0 * (k - 1) * c * np.power(arr, -k - 2)
+            weight = 2.0 * (k - 1) * c
+            if math.isfinite(weight):
+                out = out + weight * np.power(arr, -k - 2)
+            else:
+                with np.errstate(over="ignore"):
+                    out = out + c * np.power(arr, -k - 2) * (2.0 * (k - 1))
     return float(out) if scalar else out
 
 
@@ -561,10 +563,9 @@ def validate_ah(metric: RadialMetric) -> ValidationReport:
     """Check the asymptotically hyperbolic model requirements.
 
     The scalar curvature excess R + 6 must be nonnegative up to 1e-9 on
-    :func:`default_grid`.  The decay exponent is the asymptotic one, read
-    from the coefficients: the k of the first nonzero c_k, so at least 2
-    for every model of the family, and +inf when the perturbation
-    vanishes.
+    :func:`default_grid`.  The report holds the minimum excess, the verdict
+    and its messages: only what was measured.  The decay of the tail is the
+    coefficients themselves, which the caller already holds.
     """
     grid = default_grid(metric)
     excess = scalar_curvature_excess(metric, grid)
@@ -574,10 +575,8 @@ def validate_ah(metric: RadialMetric) -> ValidationReport:
         messages.append(
             f"scalar curvature dips below -6: min excess {min_excess:.3e}"
         )
-    exponent = float(next((k for k, c in enumerate(metric.coeffs, start=2) if c), math.inf))
     return ValidationReport(
         min_scalar_curvature_excess=min_excess,
-        decay_exponent_estimate=exponent,
         is_ah=not messages,
         messages=tuple(messages),
     )

@@ -154,7 +154,7 @@ def test_07_flow_laws():
         assert float(np.min(np.diff(hs))) >= -1e-9, "Hawking mass decreased"
         if metric.mass > 0.0:
             assert float(np.max(np.abs(hs - metric.mass))) <= 1e-9
-        assert lipschitz_check(metric, flow) <= 1e-6
+        assert lipschitz_check(flow) <= 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"runtime budget exceeded: {elapsed:.2f}s"
 

@@ -21,14 +21,13 @@ import ahiso.cli as cli
 from ahiso.cli import (
     _build_parser,
     _load_model,
-    _metric_from_model_dict,
     _parse,
     _read_run,
     emit_summary,
     run,
 )
 from ahiso.imcf import flow_spheres
-from ahiso.models import default_grid, make_ads_schwarzschild, rho_from_s
+from ahiso.models import RadialMetric, default_grid, make_ads_schwarzschild, rho_from_s
 from ahiso.profiles import gap_table, hyperbolic_profile
 
 FOUR_PI = 4.0 * math.pi
@@ -396,7 +395,8 @@ def test_validate_sweeps_extreme_model_files(capsys, tmp_path, model):
     if out:
         doc = json.loads(out)
         assert doc["is_ah"] is (rc == 0)
-        metric = _metric_from_model_dict(doc["manifest"]["parameters"]["model"])
+        record = doc["manifest"]["parameters"]["model"]
+        metric = RadialMetric(record["mass"], tuple(record["coeffs"]))
         # f is nan where its terms overflow, as at 5e-324 for c_2 = 1e308.
         with np.errstate(all="ignore"):
             assert not metric.f(max(metric.core_radius * (1.0 + 1e-9), 5e-324)) <= 0.0
@@ -460,7 +460,8 @@ class TestErrorPaths:
         params = manifest["parameters"]
         core = params["model"]["core_radius"]
         assert core > 1e3
-        want = default_grid(_metric_from_model_dict(params["model"]), 4)
+        record = params["model"]
+        want = default_grid(RadialMetric(record["mass"], tuple(record["coeffs"])), 4)
         assert [params["s_min"], params["s_max"]] == [core + 0.1 * core, 1e3 * core]
         assert body[:, 0].tolist() == want.tolist()
 
@@ -557,6 +558,16 @@ class TestErrorPaths:
         assert run(argv + ["--model", str(path)]) == 2
         assert f"column {column!r} holds a non-finite value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_json_value_is_a_numeric_failure(self, capsys, monkeypatch, ads_model, value):
+        # json.dumps wrote Infinity and NaN, which are not JSON.
+        report = argparse.Namespace(min_scalar_curvature_excess=value, is_ah=True)
+        monkeypatch.setattr(cli, "validate_ah", lambda metric: report)
+        assert run(["validate", "--model", ads_model]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numeric failure: JSON output holds a non-finite value\n"
+
     @pytest.mark.parametrize("subcommand", ["profile", "expansion"])
     def test_infinite_v_max_is_refused_by_name(self, capsys, ads_model, subcommand):
         # An infinite end used to reach the volume grid, whose invalid-value
@@ -644,6 +655,27 @@ def test_job_memory_script_lists_traced_peaks_largest_first(capsys, monkeypatch)
     assert lines[0].endswith("imcf pert_m1 --s0 2.0 --t-max 3.0 --dt 0.01")
     peaks = [float(line.split()[0]) for line in lines]
     assert peaks[0] >= peaks[1] > 0.0
+
+
+def test_body_digests_name_removed_and_added_columns(monkeypatch):
+    # A JSON key on one side only stopped the comparison with an error.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    import body_digests
+
+    job = "geometry 1 000 validate ads_m1"
+    before = [f"{job} is_ah a", f"{job} old_key b", f"{job} messages c"]
+    after = [f"{job} is_ah a", f"{job} messages d", f"{job} new_key e"]
+    assert body_digests.moved(before, after) == [
+        f"moved {job} messages",
+        f"removed {job} old_key",
+        f"added {job} new_key",
+        "geometry seed 1 validate messages: 1 of 1 jobs moved",
+        "geometry seed 1 validate new_key: 1 of 1 jobs moved",
+        "geometry seed 1 validate old_key: 1 of 1 jobs moved",
+    ]
+    assert body_digests.moved(before, before) == []
+    with pytest.raises(SystemExit, match="do not list the same jobs"):
+        body_digests.moved(before, [line.replace(" 000 ", " 001 ") for line in after])
 
 
 @pytest.mark.parametrize("mass", [1e30, 1e300])
@@ -868,10 +900,8 @@ def test_bent_tail_models_run_every_table(capsys, tmp_path, subcommand, coeffs):
     path = tmp_path / "bent.json"
     path.write_text(json.dumps({"type": "perturbed", "mass": 0.1, "coeffs": coeffs}))
     rc = run([subcommand, "--model", str(path)])
-    out, err = capsys.readouterr()
+    err = capsys.readouterr().err
     assert rc == 0, err
-    if subcommand == "validate":
-        assert json.loads(out)["decay_exponent_estimate"] == 2.0
 
 
 def _base_argv(model, results_dir):
@@ -1229,6 +1259,24 @@ def _drop_key(key):
     return edit
 
 
+def _set_cell(column, cell):
+    """Put ``cell`` in the first row's ``column``."""
+    def edit(text):
+        manifest, header, first, *rows = text.splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index(column)] = cell
+        return "\n".join([manifest, header, ",".join(cells), *rows]) + "\n"
+    return edit
+
+
+def _set_key(key, value):
+    def edit(text):
+        obj = json.loads(text)
+        obj[key] = value
+        return json.dumps(obj)
+    return edit
+
+
 def _edit_manifest(change):
     def edit(text):
         first, rest = text.split("\n", 1)
@@ -1262,6 +1310,9 @@ _MALFORMED = {
         "spheres.csv", _edit_manifest(lambda m: m["parameters"]["model"].update(mass=10**400)),
         "profile.csv",
     ),
+    # Counted, and the summary wrote the non-JSON token Infinity.
+    "spheres-R-inf": ("spheres.csv", _set_cell("R", "inf"), "profile.csv"),
+    "renorm-vol-value-Infinity": ("renorm.json", _set_key("value", math.inf), "profile.csv"),
 }
 
 
@@ -1438,6 +1489,23 @@ class TestSummary:
         assert flow["status"] == "pass"
         assert set(flow["measured"]) == {"area_law", "mass_decrease"}
 
+    def test_flow_with_a_negative_mass_record_is_summarized(self, capsys, tmp_path, ads_model):
+        # The time bound rebuilt the flow's metric from the manifest's model
+        # record, so "mass": -1.0 ended the whole summary with exit 1.  It
+        # reads the flow's own Hawking column instead.
+        res = tmp_path / "res"
+        res.mkdir()
+        good = res / "imcf.csv"
+        argv = ["imcf", "--model", ads_model, "--s0", "2", "--t-max", "2",
+                "--dt", "0.1", "--out", str(good)]
+        assert run(argv) == 0
+        alone = emit_summary(str(res))
+        edit = _edit_manifest(lambda m: m["parameters"]["model"].update(mass=-1.0))
+        (res / "negative.csv").write_text(edit(good.read_text()))
+        doc = json.loads(_capture(capsys, ["summary", str(res)]))
+        assert doc["n_runs"] == 2
+        assert doc["criteria"]["flow_laws"] == alone["criteria"]["flow_laws"]
+
     def test_empty_directory_rejected(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -1448,4 +1516,5 @@ class TestSummary:
         path.write_text(json.dumps({"type": "perturbed", "mass": 1.0, "coeffs": [0.1, 0.05]}))
         metric, model, _ = _load_model(str(path))
         assert model["core_radius"] == metric.core_radius
-        assert _metric_from_model_dict(json.loads(json.dumps(model))) == metric
+        record = json.loads(json.dumps(model))
+        assert RadialMetric(record["mass"], tuple(record["coeffs"])) == metric

@@ -18,6 +18,7 @@ from ahiso.imcf import (
 from ahiso.models import RadialMetric
 from ahiso.numerics import NumericsError, solve_ode
 from ahiso.profiles import hyperbolic_profile, model_volume
+from test_oracles import ORACLE_MODELS
 
 
 class TestFlow:
@@ -170,19 +171,32 @@ class TestFlow:
 class TestLipschitzBound:
     def test_equality_case_leaves_only_noise(self, hyperbolic):
         flow = flow_spheres(hyperbolic, 1.0, 5.0, 0.01)
-        assert lipschitz_check(hyperbolic, flow) <= 1e-8
+        assert lipschitz_check(flow) <= 1e-8
 
     @pytest.mark.parametrize("name", ["ads_one", "perturbed_valid"])
     def test_bound_holds_in_family(self, request, name):
         metric = request.getfixturevalue(name)
         flow = flow_spheres(metric, metric.core_radius + 1.0, 5.0, 0.01)
-        assert lipschitz_check(metric, flow) <= 1e-6
+        assert lipschitz_check(flow) <= 1e-6
 
     def test_needs_three_samples(self, hyperbolic):
         flow = flow_spheres(hyperbolic, 1.0, 1.0, 0.5)
         short = Flow(**{k: v[:2] for k, v in vars(flow).items()})
         with pytest.raises(ValueError):
-            lipschitz_check(hyperbolic, short)
+            lipschitz_check(short)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_flow_alone_gives_the_metric_bound(self, name):
+        # f = 1 + s^2 - 2 m_H / s from the flow's Hawking column is the
+        # metric's f to the bit here, so the bound read from the metric is
+        # the bound read from the flow.
+        metric = ORACLE_MODELS[name]
+        flow = flow_spheres(metric, 2.0, 10.0, 1e-2)
+        ts, vs, areas = flow.t, flow.enclosed_volume, flow.area
+        h = 2.0 * np.sqrt(metric.f(flow.s)) / flow.s
+        dtdv = (ts[2:] - ts[:-2]) / (vs[2:] - vs[:-2])
+        bound = (np.sqrt(h * h * areas) * areas ** -1.5)[1:-1]
+        assert lipschitz_check(flow) == float(np.max(dtdv - bound))
 
 
 class TestComparisonOde:
