@@ -105,19 +105,24 @@ def _manifest(subcommand: str, digest: str, parameters: dict) -> dict:
 def _csv_text(manifest: dict, table: dict) -> str:
     """The CSV text of a {header: column} table of equal-length float columns.
 
-    Raises NumericsError, naming the column, if a value is not finite.
+    Finiteness is checked in one pass over the written rows: ``repr``
+    writes a finite float with digits, '.', 'e', '+' and '-' only, so a
+    row holding an 'n' holds an inf or a nan.  Only then are the columns
+    checked one by one, to raise NumericsError naming the first that
+    holds a non-finite value.
     """
     arrays = [np.asarray(col, dtype=float) for col in table.values()]
-    for name, arr in zip(table, arrays):
-        if not np.all(np.isfinite(arr)):
-            raise NumericsError(f"column {name!r} holds a non-finite value")
     cells = [map(repr, arr.tolist()) for arr in arrays]
     lines = [
         "# manifest: " + json.dumps(manifest, sort_keys=True),
         ",".join(table),
         *map(",".join, zip(*cells)),
     ]
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if text.find("n", len(lines[0]) + len(lines[1]) + 2) != -1:
+        bad = next(name for name, arr in zip(table, arrays) if not np.isfinite(arr).all())
+        raise NumericsError(f"column {bad!r} holds a non-finite value")
+    return text
 
 
 def _json_text(manifest: dict, payload: dict) -> str:
@@ -133,26 +138,32 @@ def _json_text(manifest: dict, payload: dict) -> str:
 def _emit(text: str, out: str | None) -> None:
     """Write ``text`` to the file ``out``, or to stdout when ``out`` is empty.
 
-    An existing file is written over in place and then cut at the end of
-    what was written, instead of being truncated to zero first: on ext4,
-    truncating a file that holds blocks costs far more than the write and
-    arms a flush on close that the next truncation waits for.  The cut
-    also runs when a write fails part-way, so no row of an older, longer
-    table is left behind the new manifest.  A pipe or a device is written
-    without the cut, which it does not support.
+    The UTF-8 bytes go to the file descriptor in an ``os.write`` loop,
+    with no buffered file object.  An existing file is written over in
+    place and then cut at the number of bytes written, instead of being
+    truncated to zero first: on ext4, truncating a file that holds blocks
+    costs far more than the write and arms a flush on close that the next
+    truncation waits for.  The cut also runs when a write fails part-way,
+    so no row of an older, longer table is left behind the new manifest.
+    A pipe or a device is written without the cut, which it does not
+    support.
     """
     if not out:
         sys.stdout.write(text)
         return
+    data = memoryview(text.encode("utf-8"))
+    written = 0
     try:
         fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w", encoding="utf-8") as fh:
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
             try:
-                fh.write(text)
-                fh.flush()
-            finally:
                 if stat.S_ISREG(os.fstat(fd).st_mode):
-                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+                    os.ftruncate(fd, written)
+            finally:
+                os.close(fd)
     except OSError as exc:
         raise ValueError(f"cannot write output file {out}: {exc}") from None
 
@@ -297,6 +308,14 @@ _CHECKED = {
 }
 
 
+def _positive_f(data) -> bool:
+    """Whether every imcf row's Hawking mass leaves f = 1 + s^2 - 2 hawking / s
+    positive, as the time bound's square root needs."""
+    s = data["s"]
+    with np.errstate(all="ignore"):
+        return bool(np.all(1.0 + s * s - 2.0 * data["hawking"] / s > 0.0))
+
+
 def _is_number(value) -> bool:
     """Whether a JSON value is a finite number that a float holds (a bool is not)."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
@@ -328,9 +347,11 @@ def _read_run(path: str):
     that takes --model, a string ``model_digest`` and a model record whose
     ``mass``, and ``coeffs`` (a list) where present, are numbers; it holds
     every column or key that ``_CHECKED`` declares for its subcommand, all
-    numbers; and every row of a table has the header's cell count (a
-    truncated write does not).  A number is finite: ``inf`` in a declared
-    cell or ``Infinity`` in a declared key makes the file unusable.
+    numbers; every row of a table has the header's cell count (a
+    truncated write does not); and every ``imcf`` row's Hawking mass
+    leaves f > 0 (:func:`_positive_f`).  A number is finite: ``inf`` in a
+    declared cell or ``Infinity`` in a declared key makes the file
+    unusable.
     ``data`` maps exactly those names to float columns, a JSON object
     being a table of one row; no other column is converted.
     """
@@ -362,7 +383,10 @@ def _read_run(path: str):
             return None
     if not np.all(np.isfinite(cells)):
         return None
-    return manifest, dict(zip(names, cells.T))
+    data = dict(zip(names, cells.T))
+    if manifest["subcommand"] == "imcf" and not _positive_f(data):
+        return None
+    return manifest, data
 
 
 def _runs_by_subcommand(results_dir: str) -> tuple[dict[str, list], int]:

@@ -134,9 +134,9 @@ def _ball_volume(s: float) -> float:
     return s * float(ratio[0])
 
 
-# (3 sqrt 2 / 4 pi)^{1/3}: a start s = this * v^{1/3} <= 1 is above the
-# root, since V_H(s) >= 4 pi s^3 / (3 sqrt 2) = v for s <= 1.
-_SMALL_START = float(np.cbrt(3.0 * math.sqrt(2.0) / FOUR_PI))
+# cbrt(6 / pi): x = cbrt(6 / pi) cbrt(v) bounds 2 rho_v from above, with
+# no underflow at v = 5e-324 (cbrt(6 v / pi) rounds to 0 there).
+_CUBE_START = float(np.cbrt(6.0 / math.pi))
 # Newton rounds after which hyperbolic_profile gives up.
 _PROFILE_ROUNDS = 64
 
@@ -146,11 +146,20 @@ def hyperbolic_profile(v):
 
     ``v`` may be a scalar (a float comes back) or an array of volumes.
     No quadrature: Newton's method on the closed form V_H, all rows
-    together, each started above its root.  That start is
-    (3 sqrt 2 v / 4 pi)^{1/3} when at most 1, else, with t^2 = v / 2 pi
-    and b = 1 + sqrt(1 + t^2), the smaller of b and
-    sqrt(t^2 + asinh b - 1/2 + 1 / (8 (t^2 + 0.9375))), by
-    V_H(s) >= 2 pi (s^2 + 1/2 - 1 / (8 s^2) - asinh s).  V_H is convex,
+    together, each started above its root.  With s = sinh(x / 2) the
+    ball volume is pi (sinh x - x), so x solves sinh x - x = y = v / pi,
+    and the start bounds x from above three times over: by
+    c = cbrt(6 / pi) cbrt(v), since sinh x - x >= x^3 / 6; by
+    asinh(y + c), since sinh x = y + x; and, where that is above 1/2, by
+    two Newton steps on sinh x - x - y, which is convex there.  Then
+    s = w / sqrt(2 (1 + sqrt(1 + w^2))) with w = y + x, which is
+    sinh(x / 2) at the root and grows with x: x enters only through w, so
+    its rounding (up to ~60 ulp of s at large v, were s taken as
+    sinh(x / 2)) does not reach s.  Four ulp more cover the start's own
+    rounding (at most 1.7 ulp below the root, measured).  From there the
+    loop takes at most three rounds (one at v = 5e-324 and at 8e307),
+    except four for v between ~6e-4 and ~0.05, where x < 1/2 takes no
+    Newton step and the start lies up to x^2 / 60 high.  V_H is convex,
     so the iterates descend monotonically with no bracket.  The step
     (V_H(s) / s - v / s) sqrt(1 + s^2) / (4 pi s) stays in range from
     subnormal v up.  A row stops once its step is at most 4 ulp of s
@@ -170,14 +179,16 @@ def hyperbolic_profile(v):
     vols = arr.reshape(-1)
     if vols.size == 0 or not np.isfinite(vols).all() or (vols <= 0.0).any():
         raise ValueError(f"v must be finite and > 0, got {v!r}")
-    small = _SMALL_START * np.cbrt(vols)
-    t2 = vols / (2.0 * math.pi)
-    b = 1.0 + np.sqrt(1.0 + t2)
-    s = np.where(
-        small <= 1.0,
-        small,
-        np.minimum(b, np.sqrt(t2 + np.arcsinh(b) - 0.5 + 0.125 / (t2 + 0.9375))),
-    )
+    y = vols / math.pi
+    x = np.arcsinh(y + _CUBE_START * np.cbrt(vols))
+    big = x > 0.5
+    xb, yb = x[big], y[big]
+    for _ in range(2):
+        xb = xb - (np.sinh(xb) - xb - yb) / (np.cosh(xb) - 1.0)
+    x[big] = xb
+    w = y + x
+    s = w / np.sqrt(2.0 * (1.0 + np.hypot(1.0, w)))
+    s = s + 4.0 * np.spacing(s)
     out = np.empty_like(s)
     rows = np.arange(s.size)
     for _ in range(_PROFILE_ROUNDS):
@@ -304,29 +315,33 @@ def model_radius_for_volume(metric: RadialMetric, v):
         raise ValueError(f"v must be finite and > 0, got {v!r}")
     core = metric.core_radius
     chart = _chart(metric)
-    ends = np.array([vols.min(), vols.max()])
+    lo_v, hi_v = vols.min(), vols.max()
     # Volumes below 2^-960 are scaled up to it, as far as the largest
     # stays below 2^960; the scale is exact, and p = 0 everywhere else.
-    p = max(0, min(-960 - math.frexp(ends[0])[1], 960 - math.frexp(ends[1])[1]))
+    p = max(0, min(-960 - math.frexp(lo_v)[1], 960 - math.frexp(hi_v)[1]))
     element = _volume_element(chart, p)
-    # Both guesses are below s_v in hyperbolic space.
-    guess = np.maximum(_EUCLID_RADIUS * np.cbrt(ends), np.sqrt(ends / (2.0 * math.pi)))
-    high = guess > core
-    logs = np.empty(2)
-    logs[high] = np.log2(chart.to_t(guess[high]))
-    if not high.all():
-        # Near a positive core the volume grows like element(0) t; in logs,
-        # since v / element(0) can underflow.
-        logs[~high] = np.log2(ends[~high]) + p - math.log2(element(0.0))
-    # No rung below 2^-1070: below it, neighbouring rungs round to one float.
-    rung = np.maximum(np.floor(8.0 * logs), -8559.0).astype(int)
-    top = int(rung.max()) + 5
+
+    def rung_below(vol) -> int:
+        # Both guesses are below s_v in hyperbolic space.  numpy's cbrt
+        # and log2, not libm's, which can differ by an ulp and move a rung.
+        guess = max(_EUCLID_RADIUS * np.cbrt(vol), math.sqrt(vol / (2.0 * math.pi)))
+        if guess > core:
+            log = np.log2(chart.to_t(guess))
+        else:
+            # Near a positive core the volume grows like element(0) t; in
+            # logs, since v / element(0) can underflow.
+            log = np.log2(vol) + p - math.log2(element(0.0))
+        # No rung below 2^-1070: below it, neighbouring rungs round to one float.
+        return max(math.floor(8.0 * log), -8559)
+
+    ends = rung_below(lo_v), rung_below(hi_v)
+    bottom, top = min(ends), max(ends) + 5
     target, tol = np.ldexp(vols, p), math.ldexp(_VOLUME_TOL, p)
     ladder, vals, nodes, cum, share = np.zeros(1), [], None, np.zeros(1), tol
     while not cum[-1] >= target.max():
         if top > 8192:  # 2^(j / 8) overflows
-            raise NumericsError(f"failed to bracket s for v = {float(ends[1])!r}")
-        rungs = _rungs(chart, top, int(rung.min()) - 1)[ladder.size - 1 :]  # not yet swept
+            raise NumericsError(f"failed to bracket s for v = {float(hi_v)!r}")
+        rungs = _rungs(chart, top, bottom - 1)[ladder.size - 1 :]  # not yet swept
         # Each sweep takes half of what the ones before it left of tol.
         share /= 2.0
         more, _, _, at_nodes = _panels(

@@ -222,25 +222,22 @@ def _child_env():
     return env
 
 
+_REAL_WRITE = os.write
+
+
 class _NoSpaceAfter:
-    """A text file whose write keeps the first ``n`` characters, then fails
+    """An ``os.write`` that lets the first ``n`` bytes through, then fails
     as a full disk does."""
 
-    def __init__(self, fh, n):
-        self._fh, self._n = fh, n
+    def __init__(self, n):
+        self._left = n
 
-    def write(self, text):
-        self._fh.write(text[: self._n])
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    def __getattr__(self, name):
-        return getattr(self._fh, name)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return self._fh.__exit__(*exc)
+    def __call__(self, fd, data):
+        if self._left <= 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        done = _REAL_WRITE(fd, data[: self._left])
+        self._left -= done
+        return done
 
 
 class TestRewriteInPlace:
@@ -284,10 +281,7 @@ class TestRewriteInPlace:
         new = self._spheres(ads_model, 20, dest)
         body = _capture(capsys, new[:-2]).split("\n", 1)[1]
         keep = len(body) * 2 // 3
-        monkeypatch.setattr(
-            ahiso.cli, "open", lambda *a, **k: _NoSpaceAfter(open(*a, **k), keep),
-            raising=False,
-        )
+        monkeypatch.setattr(ahiso.cli.os, "write", _NoSpaceAfter(keep))
         assert run(new) == 1
         monkeypatch.undo()
         assert "cannot write output file" in capsys.readouterr().err
@@ -676,6 +670,34 @@ def test_body_digests_name_removed_and_added_columns(monkeypatch):
     assert body_digests.moved(before, before) == []
     with pytest.raises(SystemExit, match="do not list the same jobs"):
         body_digests.moved(before, [line.replace(" 000 ", " 001 ") for line in after])
+
+
+def test_bench_pairs_alternates_sides_and_judges_each_metric(capsys, monkeypatch, tmp_path):
+    # Fake runs in place of perfbench/run.py: the change is 8% faster and
+    # holds 10% more memory; one run of the third pair is not correct.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    import bench_pairs
+
+    order = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        order.append(checkout.name)
+        change = checkout.name == "change"
+        values = {"jobs_per_s": 540.0 if change else 500.0, "job_p50_ms": 2.0,
+                  "job_tail_ms": 2.5, "peak_rss_mb": 44.0 if change else 40.0, "setup_s": 0.1}
+        correct = len(order) != 6
+        metrics = {name: {"value": value} for name, value in values.items()}
+        return {"correct": correct, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "profile", "--seed", "5", "--seconds", "1", "--pairs", "3"]
+    assert bench_pairs.main(argv) == 1
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    report = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[4:]}
+    assert "+8.00%" in report["jobs_per_s"] and "won 3/3" in report["jobs_per_s"]
+    assert report["jobs_per_s"].endswith("ok") and report["peak_rss_mb"].endswith("WORSE")
+    assert "won 0/3" in report["job_p50_ms"] and report["job_p50_ms"].endswith("ok")
 
 
 @pytest.mark.parametrize("mass", [1e30, 1e300])
@@ -1269,6 +1291,17 @@ def _set_cell(column, cell):
     return edit
 
 
+def _set_column(column, cell):
+    """Put ``cell`` in every row's ``column``."""
+    def edit(text):
+        manifest, header, *rows = text.splitlines()
+        i = header.split(",").index(column)
+        cut = [",".join(cell if j == i else c for j, c in enumerate(row.split(",")))
+               for row in rows]
+        return "\n".join([manifest, header, *cut]) + "\n"
+    return edit
+
+
 def _set_key(key, value):
     def edit(text):
         obj = json.loads(text)
@@ -1313,6 +1346,9 @@ _MALFORMED = {
     # Counted, and the summary wrote the non-JSON token Infinity.
     "spheres-R-inf": ("spheres.csv", _set_cell("R", "inf"), "profile.csv"),
     "renorm-vol-value-Infinity": ("renorm.json", _set_key("value", math.inf), "profile.csv"),
+    # f = 1 + s^2 - 2 hawking / s < 0 on every row: the time bound warned
+    # "invalid value encountered in sqrt" and summary refused its NaN (exit 2).
+    "imcf-hawking-past-f-zero": ("imcf.csv", _set_column("hawking", "1e6"), "profile.csv"),
 }
 
 

@@ -4,6 +4,7 @@ gap table."""
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +25,7 @@ from ahiso.models import (
 from ahiso.numerics import NumericsError, find_root, integrate, solve_increasing
 from ahiso.profiles import (
     _ball_volume,
+    _hyperbolic_volume_over_s,
     _renormalized_limit,
     cumulative_volume_over_grid,
     gap_table,
@@ -117,6 +119,61 @@ class TestHyperbolicClosedForms:
         order = np.random.default_rng(7).permutation(vols.size)
         assert np.array_equal(batch, alone)
         assert np.array_equal(hyperbolic_profile(vols[order]), batch[order])
+
+
+def _newton_rounds(monkeypatch, v):
+    """The radii of each Newton round of one hyperbolic_profile(v) call.
+
+    Every round evaluates V_H(s) / s once, on the rows still moving, so
+    the first entry is the start.
+    """
+    rounds = []
+
+    def recording(s, q):
+        rounds.append(s.copy())
+        return _hyperbolic_volume_over_s(s, q)
+
+    monkeypatch.setattr(ahiso.profiles, "_hyperbolic_volume_over_s", recording)
+    hyperbolic_profile(v)
+    return rounds
+
+
+def _volume_exceeds(s, v):
+    """Whether V_H(s) >= v, exactly for float s and v: with x = 2 asinh s,
+    V_H = pi (sinh x - x), at enough digits to outlast the cancellation."""
+    digits = 40 + 3 * max(0, -math.floor(math.log10(s)))
+    with mpmath.workdps(digits):
+        x = 2 * mpmath.asinh(mpmath.mpf(s))
+        return mpmath.pi * (mpmath.sinh(x) - x) >= mpmath.mpf(v)
+
+
+class TestHyperbolicProfileStart:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(math.log(5e-324), math.log(8e307)))
+    def test_start_is_a_tight_upper_bound(self, log_v):
+        # Log-uniform volumes over the whole range.  The start lies at or
+        # above the root, and within 1% of it: the earlier start lay up
+        # to 32% above it for v < 10 and 12% at subnormal v.
+        v = min(max(math.exp(log_v), 5e-324), 8e307)
+        with pytest.MonkeyPatch.context() as mp:
+            start = float(_newton_rounds(mp, v)[0][0])
+        assert _volume_exceeds(start, v)
+        assert not _volume_exceeds(start / 1.01, v)
+
+    @pytest.mark.parametrize("v_max", [1e4, 1e5, 1e6])
+    def test_workload_grids_take_at_most_three_rounds(self, monkeypatch, v_max):
+        # The profile grids geomspace(1, v_max, n) and the expansion grids
+        # v_max 4^-k took 6 and up to 5 rounds from the earlier start.
+        for n in (20, 40, 60):
+            assert len(_newton_rounds(monkeypatch, np.geomspace(1.0, v_max, n))) <= 3
+        for n in (4, 8):
+            grid = np.ldexp(v_max, -2 * np.arange(n - 1, -1, -1))
+            assert len(_newton_rounds(monkeypatch, grid)) <= 3
+
+    @pytest.mark.parametrize("v", [5e-324, 8e307])
+    def test_range_ends_take_one_round(self, monkeypatch, v):
+        # The earlier start took 5 rounds at 5e-324 and 1 at 8e307.
+        assert len(_newton_rounds(monkeypatch, v)) == 1
 
 
 class TestModelVolume:
